@@ -7,7 +7,9 @@
 //
 //   observe_*   plain synthesizer, no durability (the baseline)
 //   durable_*   DurableRun: every round fsyncs one WAL frame, every 4th
-//               round atomically replaces the snapshot
+//               round atomically replaces the snapshot (a binary
+//               checkpoint payload: fixed-width fields, packed bit
+//               columns, uint32 record ids; see stream/state_io.h)
 //   recover_*   reopening the finished session directory: tolerant WAL
 //               read + snapshot restore (the replay region is empty at a
 //               snapshot boundary, so this isolates pure recovery cost)

@@ -3,7 +3,8 @@
 // that: each "job" loads the previous checkpoint, ingests one month of
 // reports, publishes the release, saves the checkpoint, and EXITS (here:
 // destroys the synthesizer object). Both algorithms run side by side; the
-// invariants survive every restart.
+// invariants survive every restart. Checkpoints are binary, so every
+// checkpoint file is opened with std::ios::binary.
 //
 //   $ ./build/examples/monthly_pipeline [--rho=0.01]
 
@@ -32,7 +33,7 @@ Status RunWindowJob(const std::string& checkpoint_path, int64_t month,
     LONGDP_ASSIGN_OR_RETURN(synth,
                             core::FixedWindowSynthesizer::Create(opt));
   } else {
-    std::ifstream in(checkpoint_path);
+    std::ifstream in(checkpoint_path, std::ios::binary);
     if (!in) return Status::IOError("missing checkpoint " + checkpoint_path);
     LONGDP_ASSIGN_OR_RETURN(synth,
                             core::FixedWindowSynthesizer::LoadCheckpoint(in));
@@ -50,7 +51,7 @@ Status RunWindowJob(const std::string& checkpoint_path, int64_t month,
                 static_cast<long long>(month), answer,
                 synth->accountant().spent());
   }
-  std::ofstream out(checkpoint_path);
+  std::ofstream out(checkpoint_path, std::ios::binary);
   LONGDP_RETURN_NOT_OK(synth->SaveCheckpoint(out));
   return Status::OK();
 }
@@ -66,7 +67,7 @@ Status RunCumulativeJob(const std::string& checkpoint_path, int64_t month,
     opt.seed = seed;
     LONGDP_ASSIGN_OR_RETURN(synth, core::CumulativeSynthesizer::Create(opt));
   } else {
-    std::ifstream in(checkpoint_path);
+    std::ifstream in(checkpoint_path, std::ios::binary);
     if (!in) return Status::IOError("missing checkpoint " + checkpoint_path);
     LONGDP_ASSIGN_OR_RETURN(synth,
                             core::CumulativeSynthesizer::LoadCheckpoint(in));
@@ -77,7 +78,7 @@ Status RunCumulativeJob(const std::string& checkpoint_path, int64_t month,
     std::printf("  [job %2lld] >=3 months so far = %.4f\n",
                 static_cast<long long>(month), answer);
   }
-  std::ofstream out(checkpoint_path);
+  std::ofstream out(checkpoint_path, std::ios::binary);
   LONGDP_RETURN_NOT_OK(synth->SaveCheckpoint(out));
   return Status::OK();
 }
@@ -113,7 +114,7 @@ int main(int argc, char** argv) {
   }
 
   // Final verification against ground truth.
-  std::ifstream in(window_ckpt);
+  std::ifstream in(window_ckpt, std::ios::binary);
   auto final_synth =
       core::FixedWindowSynthesizer::LoadCheckpoint(in).value();
   auto pred = query::MakeAllOnes(3);

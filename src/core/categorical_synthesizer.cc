@@ -1,7 +1,9 @@
 #include "core/categorical_synthesizer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -22,14 +24,28 @@ int64_t FloorDiv(int64_t a, int64_t b) {
   return q;
 }
 
-// v1: the first checkpoint format for the categorical synthesizer, born
-// with the strict-parse discipline — every numeric field is a whole token
-// and the file ends in a format-specific sentinel. The header stores the
-// RESOLVED padding (npad_), so reloading never re-derives it from
-// beta_target. No RNG cursors: all draws are keyed by round number.
-constexpr char kCategoricalMagicPrefix[] = "longdp-categorical-checkpoint-";
-constexpr char kCategoricalMagic[] = "longdp-categorical-checkpoint-v1";
-constexpr char kCategoricalEnd[] = "end-longdp-categorical-checkpoint-v1";
+// v2, the binary stream/state_io.h encoding (the text v1 is refused by
+// name). After the magic line:
+//
+//   options  horizon, k, A, rho, npad (resolved), beta_target, seed
+//   state    t, n, m (synthetic records), releases, negative_clamps,
+//            remainder_draws, spent rho
+//   windows  (n >= 0) n base-A window codes, CodeBytes(A^k) bytes each
+//   (t >= k):
+//   counts   the A^k histogram p_s
+//   groups   the A^(k-1) overlap group sizes, then m uint32 record ids
+//            (group 0's members in current order, then group 1's, ...)
+//   history  t columns of m symbol bytes
+//   end tag  "catg-end"
+//
+// No draw cursors: all draws are keyed by round number.
+constexpr char kFamily[] = "categorical";
+constexpr uint64_t kEnd = stream::state_io::Tag("catg-end");
+
+// Bytes per stored window code: codes are < num_bins <= 2^24.
+size_t CodeBytes(uint64_t num_bins) {
+  return (static_cast<size_t>(std::bit_width(num_bins - 1)) + 7) / 8;
+}
 }  // namespace
 
 Result<uint64_t> CategoricalWindowSynthesizer::NumBins(int window_k,
@@ -337,59 +353,50 @@ Status CategoricalWindowSynthesizer::SlideRelease() {
 
 Status CategoricalWindowSynthesizer::SaveCheckpoint(std::ostream& out) const {
   namespace sio = stream::state_io;
-  out << kCategoricalMagic << "\n";
-  out << options_.horizon << " " << options_.window_k << " "
-      << options_.alphabet << " ";
+  if (n_ > sio::kMaxRecords || num_records_ > sio::kMaxRecords) {
+    return Status::InvalidArgument(
+        "populations of 2^32 or more cannot be checkpointed");
+  }
+  sio::WriteMagic(out, kFamily, kCheckpointVersion);
+  sio::WriteInt(out, options_.horizon);
+  sio::WriteInt(out, options_.window_k);
+  sio::WriteInt(out, options_.alphabet);
   sio::WriteDouble(out, options_.rho);
-  out << " " << npad_ << " ";
+  sio::WriteInt(out, npad_);
   sio::WriteDouble(out, options_.beta_target);
-  out << " " << options_.seed << "\n";
-  out << t_ << " " << n_ << " " << (initialized_ ? 1 : 0) << " "
-      << num_records_ << " " << stats_.releases << " "
-      << stats_.negative_clamps << " " << stats_.remainder_draws << " ";
+  sio::WriteU64(out, options_.seed);
+  sio::WriteInt(out, t_);
+  sio::WriteInt(out, n_);
+  sio::WriteInt(out, num_records_);
+  sio::WriteInt(out, stats_.releases);
+  sio::WriteInt(out, stats_.negative_clamps);
+  sio::WriteInt(out, stats_.remainder_draws);
   sio::WriteDouble(out, accountant_.spent());
-  out << "\n";
   if (n_ >= 0) {
-    out << "windows";
-    for (uint64_t w : user_window_) out << " " << w;
-    out << "\n";
+    const size_t width = CodeBytes(num_bins_);
+    std::vector<uint8_t> codes(user_window_.size() * width);
+    for (size_t i = 0; i < user_window_.size(); ++i) {
+      std::memcpy(&codes[i * width], &user_window_[i], width);
+    }
+    sio::WriteArray(out, codes.data(), codes.size());
   }
   if (initialized_) {
-    out << "counts ";
-    sio::WriteIntVector(out, counts_);
-    out << "\n";
+    sio::WriteArray(out, counts_.data(), counts_.size());
     const size_t m = static_cast<size_t>(num_records_);
-    out << "history\n";
-    for (int64_t tt = 1; tt <= t_; ++tt) {
-      const uint8_t* col =
-          history_symbols_.data() + static_cast<size_t>(tt - 1) * m;
-      for (size_t j = 0; j < m; ++j) {
-        if (j > 0) out << " ";
-        out << static_cast<int>(col[j]);
-      }
-      out << "\n";
-    }
+    std::vector<int64_t> sizes(static_cast<size_t>(num_overlaps_));
+    for (size_t z = 0; z < sizes.size(); ++z) sizes[z] = groups_.size(z);
+    sio::WriteArray(out, sizes.data(), sizes.size());
     // The overlap groups' exact member ORDER is load-bearing: the slide's
     // partial shuffles permute it, so a resumed run must see the same
     // member sequence the uninterrupted run would.
-    out << "groups ";
-    std::vector<int64_t> sizes(static_cast<size_t>(num_overlaps_));
-    for (uint64_t z = 0; z < num_overlaps_; ++z) {
-      sizes[static_cast<size_t>(z)] = groups_.size(static_cast<size_t>(z));
-    }
-    sio::WriteIntVector(out, sizes);
-    out << "\n";
-    std::vector<int64_t> members;
-    members.reserve(m);
-    for (uint64_t z = 0; z < num_overlaps_; ++z) {
-      const int64_t* g = groups_.group_data(static_cast<size_t>(z));
-      members.insert(members.end(), g,
-                     g + groups_.size(static_cast<size_t>(z)));
-    }
-    sio::WriteIntVector(out, members);
-    out << "\n";
+    std::vector<uint32_t> members(m);
+    const int64_t* all = groups_.group_data(0);
+    for (size_t i = 0; i < m; ++i) members[i] = static_cast<uint32_t>(all[i]);
+    sio::WriteArray(out, members.data(), m);
+    sio::WriteArray(out, history_symbols_.data(),
+                    m * static_cast<size_t>(t_));
   }
-  out << kCategoricalEnd << "\n";
+  sio::WriteTag(out, kEnd);
   return out.good() ? Status::OK()
                     : Status::IOError("checkpoint write failed");
 }
@@ -397,90 +404,90 @@ Status CategoricalWindowSynthesizer::SaveCheckpoint(std::ostream& out) const {
 Result<std::unique_ptr<CategoricalWindowSynthesizer>>
 CategoricalWindowSynthesizer::LoadCheckpoint(std::istream& in) {
   namespace sio = stream::state_io;
-  std::string magic;
-  if (!std::getline(in, magic)) {
-    return Status::InvalidArgument("not a categorical checkpoint");
-  }
-  if (magic != kCategoricalMagic) {
-    // Version skew gets its own message: a future-format checkpoint is a
-    // real checkpoint this build cannot restore, not arbitrary garbage.
-    if (magic.rfind(kCategoricalMagicPrefix, 0) == 0) {
-      return Status::InvalidArgument(
-          "unsupported categorical checkpoint version '" + magic +
-          "'; this build reads " + kCategoricalMagic);
-    }
-    return Status::InvalidArgument("not a categorical checkpoint");
-  }
+  LONGDP_RETURN_NOT_OK(sio::ExpectMagic(in, kFamily, kCheckpointVersion));
   Options options;
-  LONGDP_ASSIGN_OR_RETURN(options.horizon, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(int64_t window_k, sio::ReadInt(in));
+  LONGDP_ASSIGN_OR_RETURN(options.horizon, sio::Read<int64_t>(in));
+  LONGDP_ASSIGN_OR_RETURN(const int64_t window_k,
+                          sio::ReadIntIn(in, 1, 64, "window k"));
   options.window_k = static_cast<int>(window_k);
-  LONGDP_ASSIGN_OR_RETURN(int64_t alphabet, sio::ReadInt(in));
+  LONGDP_ASSIGN_OR_RETURN(const int64_t alphabet,
+                          sio::ReadIntIn(in, 2, 256, "alphabet size"));
   options.alphabet = static_cast<int>(alphabet);
-  LONGDP_ASSIGN_OR_RETURN(options.rho, sio::ReadDouble(in));
-  LONGDP_ASSIGN_OR_RETURN(options.npad, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(options.beta_target, sio::ReadDouble(in));
-  LONGDP_ASSIGN_OR_RETURN(options.seed, sio::ReadCursor(in));
-  if (options.npad < 0) {
-    return Status::InvalidArgument(
-        "categorical checkpoint must store the resolved npad");
-  }
+  LONGDP_ASSIGN_OR_RETURN(options.rho, sio::Read<double>(in));
+  // The resolved padding, never re-derived from beta_target on reload.
+  LONGDP_ASSIGN_OR_RETURN(options.npad,
+                          sio::ReadIntIn(in, 0, INT64_MAX, "npad"));
+  LONGDP_ASSIGN_OR_RETURN(options.beta_target, sio::Read<double>(in));
+  LONGDP_ASSIGN_OR_RETURN(options.seed, sio::Read<uint64_t>(in));
+  // Create rejects NaN or non-positive rho and validates k and A.
   LONGDP_ASSIGN_OR_RETURN(auto synth, Create(options));
+  const int k = options.window_k;
+  const uint64_t bins = synth->num_bins_;
+  const uint64_t overlaps = synth->num_overlaps_;
 
-  LONGDP_ASSIGN_OR_RETURN(int64_t t, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(int64_t n, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(int64_t initialized, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(int64_t num_records, sio::ReadInt(in));
+  LONGDP_ASSIGN_OR_RETURN(const int64_t t,
+                          sio::ReadIntIn(in, 0, options.horizon, "round"));
+  LONGDP_ASSIGN_OR_RETURN(
+      const int64_t n, sio::ReadIntIn(in, -1, sio::kMaxRecords, "population"));
+  LONGDP_ASSIGN_OR_RETURN(
+      const int64_t num_records,
+      sio::ReadIntIn(in, 0, sio::kMaxRecords, "synthetic record count"));
   Stats stats;
-  LONGDP_ASSIGN_OR_RETURN(stats.releases, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(stats.negative_clamps, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(stats.remainder_draws, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(const double spent, sio::ReadDouble(in));
-  if (t < 0 || t > options.horizon ||
-      (initialized != 0 && initialized != 1) || num_records < 0) {
-    return Status::InvalidArgument("corrupt categorical checkpoint state");
-  }
-  const bool inited = initialized == 1;
-  if (inited != (t >= options.window_k && n >= 0)) {
-    return Status::InvalidArgument(
-        "categorical checkpoint initialized flag inconsistent with t");
-  }
+  LONGDP_ASSIGN_OR_RETURN(
+      stats.releases, sio::ReadIntIn(in, 0, options.horizon, "releases"));
+  LONGDP_ASSIGN_OR_RETURN(stats.negative_clamps,
+                          sio::ReadIntIn(in, 0, INT64_MAX, "clamp count"));
+  LONGDP_ASSIGN_OR_RETURN(stats.remainder_draws,
+                          sio::ReadIntIn(in, 0, INT64_MAX, "remainder draws"));
+  LONGDP_ASSIGN_OR_RETURN(const double spent, sio::Read<double>(in));
   if ((t == 0) != (n < 0)) {
     return Status::InvalidArgument(
         "categorical checkpoint population inconsistent with t");
+  }
+  const bool inited = t >= k;
+  if (stats.releases != std::max<int64_t>(0, t - k + 1)) {
+    return Status::InvalidArgument(
+        "categorical checkpoint release count inconsistent with t");
   }
   if (!inited && num_records != 0) {
     return Status::InvalidArgument(
         "categorical checkpoint has records before the first release");
   }
-  // A garbage spent token restoring as 0.0 would silently reset the
-  // privacy budget; ReadDouble already hard-fails, so only charge here.
+  // A NaN, negative or infinite spend would reset or disable the budget
+  // the restored run still has to honor (and -0.0 would re-save as 0.0).
+  if (std::signbit(spent) || !std::isfinite(spent)) {
+    return Status::InvalidArgument("checkpoint spent budget is not finite");
+  }
   if (spent > 0.0) {
     LONGDP_RETURN_NOT_OK(
         synth->accountant_.Charge(spent, "restored-checkpoint"));
   }
   if (n >= 0) {
+    // Before round k a window holds only t symbols.
+    uint64_t limit = 1;
+    for (int64_t j = 0; j < std::min<int64_t>(t, k); ++j) limit *= alphabet;
+    const size_t width = CodeBytes(bins);
+    std::vector<uint8_t> codes;
     LONGDP_RETURN_NOT_OK(
-        sio::ExpectToken(in, "windows", "categorical checkpoint"));
-    synth->user_window_.resize(static_cast<size_t>(n));
-    for (auto& w : synth->user_window_) {
-      LONGDP_ASSIGN_OR_RETURN(w, sio::ReadCursor(in));
-      if (w >= synth->num_bins_) {
+        sio::ReadVector(in, static_cast<uint64_t>(n) * width, &codes));
+    synth->user_window_.assign(static_cast<size_t>(n), 0);
+    for (size_t i = 0; i < synth->user_window_.size(); ++i) {
+      uint64_t w = 0;
+      std::memcpy(&w, &codes[i * width], width);
+      if (w >= limit) {
         return Status::InvalidArgument("window pattern out of range");
       }
+      synth->user_window_[i] = w;
     }
   }
   if (inited) {
-    LONGDP_RETURN_NOT_OK(
-        sio::ExpectToken(in, "counts", "categorical checkpoint"));
-    LONGDP_RETURN_NOT_OK(sio::ReadIntVector(in, &synth->counts_));
-    if (synth->counts_.size() != static_cast<size_t>(synth->num_bins_)) {
-      return Status::InvalidArgument("categorical histogram wrong size");
-    }
+    const size_t m = static_cast<size_t>(num_records);
+    std::vector<int64_t>& counts = synth->counts_;
+    LONGDP_RETURN_NOT_OK(sio::ReadVector(in, bins, &counts));
     int64_t total = 0;
-    for (int64_t c : synth->counts_) {
-      if (c < 0) {
-        return Status::InvalidArgument("categorical histogram negative bin");
+    for (int64_t c : counts) {
+      if (c < 0 || c > num_records) {
+        return Status::InvalidArgument("categorical histogram bin out of range");
       }
       total += c;
     }
@@ -488,73 +495,81 @@ CategoricalWindowSynthesizer::LoadCheckpoint(std::istream& in) {
       return Status::InvalidArgument(
           "categorical histogram does not sum to the record count");
     }
-    LONGDP_RETURN_NOT_OK(
-        sio::ExpectToken(in, "history", "categorical checkpoint"));
-    const size_t m = static_cast<size_t>(num_records);
-    synth->history_symbols_.assign(m * static_cast<size_t>(t), 0);
-    for (int64_t tt = 1; tt <= t; ++tt) {
-      uint8_t* col =
-          synth->history_symbols_.data() + static_cast<size_t>(tt - 1) * m;
-      for (size_t j = 0; j < m; ++j) {
-        LONGDP_ASSIGN_OR_RETURN(int64_t sym, sio::ReadInt(in));
-        if (sym < 0 || sym >= options.alphabet) {
-          return Status::InvalidArgument("history symbol out of range");
-        }
-        col[j] = static_cast<uint8_t>(sym);
-      }
-    }
-    LONGDP_RETURN_NOT_OK(
-        sio::ExpectToken(in, "groups", "categorical checkpoint"));
+    // Each group's size is its overlap marginal of the histogram (the
+    // group of pattern s is its low k-1 digits, s mod A^(k-1)).
     std::vector<int64_t> sizes;
-    LONGDP_RETURN_NOT_OK(sio::ReadIntVector(in, &sizes));
-    if (sizes.size() != static_cast<size_t>(synth->num_overlaps_)) {
-      return Status::InvalidArgument("overlap group sizes wrong length");
-    }
-    int64_t group_total = 0;
-    for (int64_t s : sizes) {
-      if (s < 0) {
-        return Status::InvalidArgument("negative overlap group size");
-      }
-      group_total += s;
-    }
-    if (group_total != num_records) {
+    LONGDP_RETURN_NOT_OK(sio::ReadVector(in, overlaps, &sizes));
+    std::vector<int64_t> marginal(static_cast<size_t>(overlaps), 0);
+    for (uint64_t s = 0; s < bins; ++s) marginal[s % overlaps] += counts[s];
+    if (sizes != marginal) {
       return Status::InvalidArgument(
-          "overlap groups do not cover the record count");
+          "overlap group sizes inconsistent with the histogram");
     }
-    std::vector<int64_t> members;
-    LONGDP_RETURN_NOT_OK(sio::ReadIntVector(in, &members));
-    if (members.size() != m) {
-      return Status::InvalidArgument("overlap group members wrong length");
+    std::vector<uint32_t> members;
+    LONGDP_RETURN_NOT_OK(sio::ReadVector(in, m, &members));
+    if (t > 0 && m > 0 &&
+        static_cast<uint64_t>(t) > UINT64_MAX / static_cast<uint64_t>(m)) {
+      return Status::InvalidArgument("categorical history size overflows");
     }
-    std::vector<uint8_t> seen(m, 0);
-    for (int64_t r : members) {
-      if (r < 0 || r >= num_records || seen[static_cast<size_t>(r)]) {
-        return Status::InvalidArgument(
-            "overlap group members are not a permutation of the records");
+    LONGDP_RETURN_NOT_OK(sio::ReadVector(
+        in, static_cast<uint64_t>(m) * static_cast<uint64_t>(t),
+        &synth->history_symbols_));
+    uint8_t max_symbol = 0;
+    for (uint8_t sym : synth->history_symbols_) {
+      max_symbol = std::max(max_symbol, sym);
+    }
+    if (max_symbol >= alphabet) {
+      return Status::InvalidArgument("history symbol out of range");
+    }
+    // Each record's current window code from its last k symbols; the
+    // histogram must count exactly those codes.
+    std::vector<uint32_t> code(m, 0);
+    for (int64_t tt = t - k; tt < t; ++tt) {
+      const uint8_t* col =
+          synth->history_symbols_.data() + static_cast<size_t>(tt) * m;
+      for (size_t r = 0; r < m; ++r) {
+        code[r] = code[r] * static_cast<uint32_t>(alphabet) + col[r];
       }
-      seen[static_cast<size_t>(r)] = 1;
     }
-    synth->groups_.Reset(static_cast<size_t>(synth->num_overlaps_));
+    std::vector<int64_t> hist(bins, 0);
+    for (uint32_t c : code) ++hist[c];
+    if (hist != counts) {
+      return Status::InvalidArgument(
+          "categorical histogram inconsistent with the record histories");
+    }
+    // Members: a permutation of the records, each listed in the group its
+    // last k-1 symbols name.
+    synth->groups_.Reset(static_cast<size_t>(overlaps));
     for (size_t z = 0; z < sizes.size(); ++z) {
       synth->groups_.AddCount(z, sizes[z]);
     }
     synth->groups_.BuildOffsets();
+    std::vector<uint8_t> seen(m, 0);
     size_t idx = 0;
     for (size_t z = 0; z < sizes.size(); ++z) {
       for (int64_t j = 0; j < sizes[z]; ++j) {
-        synth->groups_.Place(z, members[idx++]);
+        const uint32_t rec = members[idx++];
+        if (rec >= m || seen[rec]) {
+          return Status::InvalidArgument(
+              "overlap group members are not a permutation of the records");
+        }
+        seen[rec] = 1;
+        if (code[rec] % overlaps != z) {
+          return Status::InvalidArgument(
+              "overlap group member's history ends outside its group");
+        }
+        synth->groups_.Place(z, rec);
       }
     }
     // Re-arm the per-round scratch exactly as InitialRelease would; the
     // next SlideRelease assumes these are sized.
-    synth->groups_next_.Reset(static_cast<size_t>(synth->num_overlaps_));
-    synth->counts_scratch_.assign(static_cast<size_t>(synth->num_bins_), 0);
-    synth->targets_.assign(static_cast<size_t>(options.alphabet), 0);
-    synth->child_order_.assign(static_cast<size_t>(options.alphabet), 0);
+    synth->groups_next_.Reset(static_cast<size_t>(overlaps));
+    synth->counts_scratch_.assign(static_cast<size_t>(bins), 0);
+    synth->targets_.assign(static_cast<size_t>(alphabet), 0);
+    synth->child_order_.assign(static_cast<size_t>(alphabet), 0);
     synth->initialized_ = true;
   }
-  LONGDP_RETURN_NOT_OK(
-      sio::ExpectToken(in, kCategoricalEnd, "categorical checkpoint"));
+  LONGDP_RETURN_NOT_OK(sio::ExpectTag(in, kEnd, "categorical checkpoint"));
   synth->t_ = t;
   synth->n_ = n;
   synth->num_records_ = num_records;

@@ -99,10 +99,13 @@ class CategoricalWindowSynthesizer {
   const Stats& stats() const { return stats_; }
   const dp::ZCdpAccountant& accountant() const { return accountant_; }
 
+  /// The SaveCheckpoint format version (binary since v2).
+  static constexpr int kCheckpointVersion = 2;
+
   /// Serializes the full synthesizer state (options with the resolved
   /// padding, accountant, per-user windows, synthetic cohort, and overlap
-  /// group member order) as a text checkpoint ending in a format-specific
-  /// sentinel token. No RNG cursors are needed: every draw stream is keyed
+  /// group member order) as a binary checkpoint (stream/state_io.h)
+  /// ending in a format-specific sentinel. No RNG cursors are needed: every draw stream is keyed
   /// by its round number.
   Status SaveCheckpoint(std::ostream& out) const;
 

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <istream>
 #include <ostream>
 
 #include "stream/counter_factory.h"
 #include "stream/state_io.h"
 #include "util/batch_sampler.h"
-#include "util/csv.h"
 #include "util/simd/simd.h"
 #include "util/thread_pool.h"
 
@@ -28,7 +26,8 @@ Result<std::unique_ptr<CumulativeSynthesizer>> CumulativeSynthesizer::Create(
       new CumulativeSynthesizer(options));
 }
 
-Status CumulativeSynthesizer::InitializeForPopulation(int64_t n) {
+Status CumulativeSynthesizer::InitializeForPopulation(int64_t n,
+                                                      bool reserve_history) {
   n_ = n;
   // Weights reach at most horizon, so bit_width(horizon) planes hold every
   // value; the bit-plane kernels cap at 16 planes, so horizons at or past
@@ -47,8 +46,10 @@ Status CumulativeSynthesizer::InitializeForPopulation(int64_t n) {
     orig_weight_.assign(static_cast<size_t>(n), 0);
   }
   history_bits_.clear();
-  history_bits_.reserve(static_cast<size_t>(n) *
-                        static_cast<size_t>(options_.horizon));
+  if (reserve_history) {
+    history_bits_.reserve(static_cast<size_t>(n) *
+                          static_cast<size_t>(options_.horizon));
+  }
   weight_groups_.assign(static_cast<size_t>(options_.horizon) + 1, {});
   group_head_.assign(static_cast<size_t>(options_.horizon) + 1, 0);
   z_.assign(static_cast<size_t>(options_.horizon), 0);
@@ -88,7 +89,8 @@ Status CumulativeSynthesizer::ObserveRound(data::RoundView round) {
                               std::to_string(options_.horizon));
   }
   if (n_ < 0) {
-    LONGDP_RETURN_NOT_OK(InitializeForPopulation(round.size()));
+    LONGDP_RETURN_NOT_OK(
+        InitializeForPopulation(round.size(), /*reserve_history=*/true));
   } else if (round.size() != n_) {
     return Status::InvalidArgument(
         "round size changed; the population is fixed over the horizon");
@@ -233,39 +235,6 @@ Status CumulativeSynthesizer::ObserveRound(data::RoundView round) {
   return Status::OK();
 }
 
-int64_t CumulativeSynthesizer::OrigWeight(int64_t i) const {
-  if (num_weight_planes_ == 0) {
-    return orig_weight_[static_cast<size_t>(i)];
-  }
-  int64_t w = 0;
-  for (int j = 0; j < num_weight_planes_; ++j) {
-    w |= static_cast<int64_t>(
-             (weight_planes_[static_cast<size_t>(j)][static_cast<size_t>(
-                  i >> 6)] >>
-              (i & 63)) &
-             1)
-         << j;
-  }
-  return w;
-}
-
-void CumulativeSynthesizer::SetOrigWeight(int64_t i, int64_t w) {
-  if (num_weight_planes_ == 0) {
-    orig_weight_[static_cast<size_t>(i)] = static_cast<int32_t>(w);
-    return;
-  }
-  for (int j = 0; j < num_weight_planes_; ++j) {
-    uint64_t& word =
-        weight_planes_[static_cast<size_t>(j)][static_cast<size_t>(i >> 6)];
-    const uint64_t bit = uint64_t{1} << (i & 63);
-    if ((w >> j) & 1) {
-      word |= bit;
-    } else {
-      word &= ~bit;
-    }
-  }
-}
-
 const std::vector<int64_t>& CumulativeSynthesizer::raw_thresholds() const {
   static const std::vector<int64_t> kEmpty;
   return bank_ ? bank_->raw_row() : kEmpty;
@@ -318,28 +287,22 @@ Result<data::LongitudinalDataset> CumulativeSynthesizer::ToDataset() const {
 
 
 namespace {
-// v2: the header carries the substream seed, and counter states embed
-// their substream cursors — a restored run resumes the exact remaining
-// noise/selection sequence (v1 checkpoints predate keyed substreams and
-// are rejected).
-// v3 adds the weight-group member order and spent heads: the promotion
-// shuffles permute the live suffixes, so without them a resumed run
-// promotes different record identities than the uninterrupted run
-// (released thresholds match, record histories don't).
-// v4 replaces the generic "end" trailer with the format-specific sentinel
-// below (consumed strictly by the loader) and parses every numeric field
-// as a strict whole token — trailing garbage inside a token, or a
-// checkpoint truncated after a valid prefix, now hard-fails instead of
-// restoring a plausible-but-wrong state.
-constexpr char kCumulativeMagicPrefix[] = "longdp-cumulative-checkpoint-";
-constexpr char kCumulativeMagic[] = "longdp-cumulative-checkpoint-v4";
-constexpr char kCumulativeEnd[] = "end-longdp-cumulative-checkpoint-v4";
-
-std::string CumulativeDoubleToken(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+// v5, the binary stream/state_io.h encoding (the text versions v1-v4 are
+// refused by name). After the magic line:
+//
+//   options    horizon, rho, budget-split name, counter name, seed
+//   state      t, n
+//   (n >= 0):
+//   released   Shat^t_b for b = 0..T
+//   weights    bit_width(T) planes of n lanes: the true prefix weights
+//   histories  t packed bit columns of the n synthetic records
+//   groups     n uint32 record ids: the live members of weight group 0,
+//              then group 1, ..., in current order (spent prefixes are
+//              inert and not saved)
+//   bank       CounterBank::SaveState
+//   end tag    "cuml-end"
+constexpr char kFamily[] = "cumulative";
+constexpr uint64_t kEnd = stream::state_io::Tag("cuml-end");
 }  // namespace
 
 void CumulativeSynthesizer::set_pool(util::ThreadPool* pool) {
@@ -349,193 +312,183 @@ void CumulativeSynthesizer::set_pool(util::ThreadPool* pool) {
 }
 
 Status CumulativeSynthesizer::SaveCheckpoint(std::ostream& out) const {
-  out << kCumulativeMagic << "\n";
-  std::string counter_name =
-      options_.counter_factory ? options_.counter_factory->name() : "tree";
-  out << options_.horizon << " " << CumulativeDoubleToken(options_.rho)
-      << " " << stream::BudgetSplitName(options_.split) << " "
-      << counter_name << " " << options_.seed << "\n";
-  out << t_ << " " << n_ << "\n";
+  namespace sio = stream::state_io;
+  if (n_ > sio::kMaxRecords) {
+    return Status::InvalidArgument(
+        "populations of 2^32 or more cannot be checkpointed");
+  }
+  sio::WriteMagic(out, kFamily, kCheckpointVersion);
+  sio::WriteInt(out, options_.horizon);
+  sio::WriteDouble(out, options_.rho);
+  sio::WriteString(out, stream::BudgetSplitName(options_.split));
+  sio::WriteString(out, options_.counter_factory
+                            ? options_.counter_factory->name()
+                            : std::string("tree"));
+  sio::WriteU64(out, options_.seed);
+  sio::WriteInt(out, t_);
+  sio::WriteInt(out, n_);
   if (n_ >= 0) {
-    out << "weights";
-    // Materialized per-record weights: the bit-plane layout is an
-    // in-memory choice, not checkpoint format.
-    for (int64_t i = 0; i < n_; ++i) out << " " << OrigWeight(i);
-    out << "\n";
-    out << "released";
-    for (int64_t v : released_) out << " " << v;
-    out << "\n";
-    out << "histories " << n_ << " " << t_ << "\n";
-    for (int64_t r = 0; r < n_; ++r) {
-      std::string line(static_cast<size_t>(t_), '0');
-      for (int64_t j = 0; j < t_; ++j) {
-        if (history_bits_[static_cast<size_t>(j) * static_cast<size_t>(n_) +
-                          static_cast<size_t>(r)]) {
-          line[static_cast<size_t>(j)] = '1';
+    sio::WriteArray(out, released_.data(), released_.size());
+    const int planes =
+        static_cast<int>(std::bit_width(static_cast<uint64_t>(options_.horizon)));
+    if (num_weight_planes_ > 0) {
+      for (const auto& plane : weight_planes_) sio::WritePlane(out, plane);
+    } else {
+      // The wide-horizon scalar path writes the same planes.
+      std::vector<uint64_t> plane;
+      for (int j = 0; j < planes; ++j) {
+        plane.assign(static_cast<size_t>((n_ + 63) >> 6), 0);
+        for (int64_t i = 0; i < n_; ++i) {
+          const int32_t w = orig_weight_[static_cast<size_t>(i)];
+          plane[static_cast<size_t>(i >> 6)] |=
+              static_cast<uint64_t>((w >> j) & 1) << (i & 63);
         }
+        sio::WritePlane(out, plane);
       }
-      out << line << "\n";
     }
-    out << "groups\n";
+    LONGDP_RETURN_NOT_OK(
+        sio::WriteBitColumns(out, history_bits_.data(), n_, t_));
+    std::vector<uint32_t> order;
+    order.reserve(static_cast<size_t>(n_));
     for (size_t b = 0; b < weight_groups_.size(); ++b) {
       const auto& group = weight_groups_[b];
-      out << group.size() << " " << group_head_[b];
-      for (int64_t r : group) out << " " << r;
-      out << "\n";
+      for (size_t i = group_head_[b]; i < group.size(); ++i) {
+        order.push_back(static_cast<uint32_t>(group[i]));
+      }
     }
-    out << "bank\n";
+    sio::WriteArray(out, order.data(), order.size());
     LONGDP_RETURN_NOT_OK(bank_->SaveState(out));
   }
-  out << kCumulativeEnd << "\n";
+  sio::WriteTag(out, kEnd);
   return out.good() ? Status::OK()
                     : Status::IOError("checkpoint write failed");
 }
 
 Result<std::unique_ptr<CumulativeSynthesizer>>
 CumulativeSynthesizer::LoadCheckpoint(std::istream& in) {
-  std::string magic;
-  if (!std::getline(in, magic)) {
-    return Status::InvalidArgument("not a cumulative checkpoint");
-  }
-  if (magic != kCumulativeMagic) {
-    // Version skew gets its own message: a v1-v3 checkpoint is a real
-    // checkpoint this build cannot restore, not arbitrary garbage.
-    if (magic.rfind(kCumulativeMagicPrefix, 0) == 0) {
-      return Status::InvalidArgument(
-          "unsupported cumulative checkpoint version '" + magic +
-          "'; this build reads " + kCumulativeMagic);
-    }
-    return Status::InvalidArgument("not a cumulative checkpoint");
-  }
   namespace sio = stream::state_io;
+  LONGDP_RETURN_NOT_OK(sio::ExpectMagic(in, kFamily, kCheckpointVersion));
   Options options;
-  std::string rho_tok, split_name, counter_name;
-  LONGDP_ASSIGN_OR_RETURN(options.horizon, sio::ReadInt(in));
-  if (!(in >> rho_tok >> split_name >> counter_name)) {
-    return Status::InvalidArgument("corrupt checkpoint header");
-  }
-  LONGDP_ASSIGN_OR_RETURN(options.seed, sio::ReadCursor(in));
-  // Strict parse: a corrupted rho token must reject the checkpoint, not
-  // restore as rho=0 and zero out the privacy budget.
-  LONGDP_ASSIGN_OR_RETURN(options.rho, util::ParseDoubleField(rho_tok));
+  LONGDP_ASSIGN_OR_RETURN(options.horizon, sio::Read<int64_t>(in));
+  LONGDP_ASSIGN_OR_RETURN(options.rho, sio::Read<double>(in));
+  LONGDP_ASSIGN_OR_RETURN(const std::string split_name, sio::ReadString(in));
   LONGDP_ASSIGN_OR_RETURN(options.split,
                           stream::BudgetSplitFromName(split_name));
+  LONGDP_ASSIGN_OR_RETURN(const std::string counter_name, sio::ReadString(in));
   LONGDP_ASSIGN_OR_RETURN(options.counter_factory,
                           stream::MakeCounterFactory(counter_name));
+  LONGDP_ASSIGN_OR_RETURN(options.seed, sio::Read<uint64_t>(in));
+  // Create rejects NaN or non-positive rho.
   LONGDP_ASSIGN_OR_RETURN(auto synth, Create(options));
-  LONGDP_ASSIGN_OR_RETURN(int64_t t, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(int64_t n, sio::ReadInt(in));
-  if (t < 0 || t > options.horizon) {
-    return Status::InvalidArgument("checkpoint time out of range");
+  const int64_t horizon = options.horizon;
+  LONGDP_ASSIGN_OR_RETURN(const int64_t t,
+                          sio::ReadIntIn(in, 0, horizon, "round"));
+  LONGDP_ASSIGN_OR_RETURN(
+      const int64_t n, sio::ReadIntIn(in, -1, sio::kMaxRecords, "population"));
+  if ((t == 0) != (n < 0)) {
+    return Status::InvalidArgument(
+        "cumulative checkpoint population inconsistent with its round");
   }
   if (n >= 0) {
+    // The released row and the weight planes come first: they back the
+    // horizon and the population with bytes before anything is sized by
+    // them.
+    std::vector<int64_t> released;
+    LONGDP_RETURN_NOT_OK(
+        sio::ReadVector(in, static_cast<uint64_t>(horizon) + 1, &released));
+    const int planes =
+        static_cast<int>(std::bit_width(static_cast<uint64_t>(horizon)));
+    std::vector<std::vector<uint64_t>> weight_planes(
+        static_cast<size_t>(planes));
+    for (auto& plane : weight_planes) {
+      LONGDP_RETURN_NOT_OK(sio::ReadPlane(in, n, &plane));
+    }
     // InitializeForPopulation creates the bank and charges the full budget,
     // exactly as the original run did at its first round.
-    LONGDP_RETURN_NOT_OK(synth->InitializeForPopulation(n));
-    std::string tag;
-    if (!(in >> tag) || tag != "weights") {
-      return Status::InvalidArgument("corrupt checkpoint: expected weights");
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      LONGDP_ASSIGN_OR_RETURN(int64_t wv, sio::ReadInt(in));
-      if (wv < 0 || wv > t) {
-        return Status::InvalidArgument("corrupt checkpoint weights");
+    // A restore grows the history as columns arrive instead: its horizon
+    // and population come from the payload, and their product must not
+    // size an allocation.
+    LONGDP_RETURN_NOT_OK(
+        synth->InitializeForPopulation(n, /*reserve_history=*/false));
+    // No true prefix weight can exceed the rounds observed.
+    if (synth->num_weight_planes_ > 0) {
+      synth->weight_planes_ = std::move(weight_planes);
+      std::vector<int64_t>& hist = synth->plane_hist_;
+      std::fill(hist.begin(), hist.end(), 0);
+      const uint64_t* plane_ptrs[16];
+      for (int j = 0; j < planes; ++j) {
+        plane_ptrs[j] = synth->weight_planes_[static_cast<size_t>(j)].data();
       }
-      synth->SetOrigWeight(i, wv);
+      util::simd::PlaneHistogram(plane_ptrs, planes, nullptr,
+                                 static_cast<size_t>((n + 63) >> 6),
+                                 hist.data());
+      for (size_t w = static_cast<size_t>(t) + 1; w < hist.size(); ++w) {
+        if (hist[w] != 0) {
+          return Status::InvalidArgument("corrupt checkpoint weights");
+        }
+      }
+    } else {
+      for (int64_t i = 0; i < n; ++i) {
+        int64_t w = 0;
+        for (int j = 0; j < planes; ++j) {
+          w |= static_cast<int64_t>(
+                   (weight_planes[static_cast<size_t>(j)]
+                                 [static_cast<size_t>(i >> 6)] >>
+                    (i & 63)) &
+                   1)
+               << j;
+        }
+        if (w > t) return Status::InvalidArgument("corrupt checkpoint weights");
+        synth->orig_weight_[static_cast<size_t>(i)] = static_cast<int32_t>(w);
+      }
     }
-    if (!(in >> tag) || tag != "released") {
-      return Status::InvalidArgument("corrupt checkpoint: expected released");
+    LONGDP_RETURN_NOT_OK(
+        sio::ReadBitColumns(in, n, t, &synth->history_bits_));
+    // Each synthetic record's weight: its group.
+    const size_t m = static_cast<size_t>(n);
+    std::vector<int64_t> weight(m, 0);
+    for (int64_t j = 0; j < t; ++j) {
+      const uint8_t* col = synth->history_bits_.data() + j * n;
+      for (size_t r = 0; r < m; ++r) weight[r] += col[r];
     }
-    for (auto& v : synth->released_) {
-      LONGDP_ASSIGN_OR_RETURN(v, sio::ReadInt(in));
-    }
-    synth->prev_released_ = synth->released_;
-    LONGDP_RETURN_NOT_OK(sio::ExpectToken(in, "histories", "checkpoint"));
-    LONGDP_ASSIGN_OR_RETURN(int64_t num_records, sio::ReadInt(in));
-    LONGDP_ASSIGN_OR_RETURN(int64_t rounds, sio::ReadInt(in));
-    if (num_records != n || rounds != t) {
-      return Status::InvalidArgument("corrupt checkpoint histories header");
-    }
-    std::string line;
-    std::getline(in, line);
+    // The member order must be a permutation listing the weight groups one
+    // after another, lightest first; the promotion shuffles left the
+    // within-group order, which a resumed run must see unchanged.
+    std::vector<uint32_t> order;
+    LONGDP_RETURN_NOT_OK(sio::ReadVector(in, m, &order));
     for (auto& group : synth->weight_groups_) group.clear();
-    std::fill(synth->group_head_.begin(), synth->group_head_.end(), 0);
-    synth->history_bits_.assign(
-        static_cast<size_t>(t) * static_cast<size_t>(n), 0);
-    std::vector<int64_t> hist_weight(static_cast<size_t>(n), 0);
-    for (int64_t r = 0; r < n; ++r) {
-      if (!std::getline(in, line) ||
-          line.size() != static_cast<size_t>(t)) {
-        return Status::InvalidArgument("corrupt checkpoint history line");
-      }
-      int64_t weight = 0;
-      for (size_t j = 0; j < line.size(); ++j) {
-        if (line[j] != '0' && line[j] != '1') {
-          return Status::InvalidArgument("history bits must be 0/1");
-        }
-        if (line[j] == '1') {
-          synth->history_bits_[j * static_cast<size_t>(n) +
-                               static_cast<size_t>(r)] = 1;
-          ++weight;
-        }
-      }
-      hist_weight[static_cast<size_t>(r)] = weight;
-    }
-    // The groups section replays the exact member order the promotion
-    // shuffles left behind, spent prefixes included — rebuilding in
-    // record order would change which records later rounds promote.
-    if (!(in >> tag) || tag != "groups") {
-      return Status::InvalidArgument("corrupt checkpoint: expected groups");
-    }
-    std::vector<uint8_t> live_seen(static_cast<size_t>(n), 0);
-    for (size_t b = 0; b < synth->weight_groups_.size(); ++b) {
-      LONGDP_ASSIGN_OR_RETURN(int64_t size, sio::ReadInt(in));
-      LONGDP_ASSIGN_OR_RETURN(int64_t head, sio::ReadInt(in));
-      if (size < 0 || head < 0 || head > size) {
-        return Status::InvalidArgument("corrupt checkpoint group header");
-      }
-      auto& group = synth->weight_groups_[b];
-      group.resize(static_cast<size_t>(size));
-      for (int64_t i = 0; i < size; ++i) {
-        LONGDP_ASSIGN_OR_RETURN(int64_t r, sio::ReadInt(in));
-        if (r < 0 || r >= n) {
-          return Status::InvalidArgument("corrupt checkpoint group member");
-        }
-        if (i >= head) {
-          // Live members must be a partition of the records consistent
-          // with the restored histories; the spent prefix is inert.
-          if (live_seen[static_cast<size_t>(r)] ||
-              hist_weight[static_cast<size_t>(r)] !=
-                  static_cast<int64_t>(b)) {
-            return Status::InvalidArgument(
-                "checkpoint groups inconsistent with histories");
-          }
-          live_seen[static_cast<size_t>(r)] = 1;
-        }
-        group[static_cast<size_t>(i)] = r;
-      }
-      synth->group_head_[b] = static_cast<size_t>(head);
-    }
-    for (int64_t r = 0; r < n; ++r) {
-      if (!live_seen[static_cast<size_t>(r)]) {
+    std::vector<uint8_t> seen(m, 0);
+    int64_t prev = 0;
+    for (uint32_t rec : order) {
+      if (rec >= m || seen[rec]) {
         return Status::InvalidArgument(
-            "checkpoint groups missing a live record");
+            "checkpoint groups are not a permutation of the records");
       }
-    }
-    if (!(in >> tag) || tag != "bank") {
-      return Status::InvalidArgument("corrupt checkpoint: expected bank");
+      seen[rec] = 1;
+      if (weight[rec] < prev) {
+        return Status::InvalidArgument(
+            "checkpoint groups inconsistent with histories");
+      }
+      prev = weight[rec];
+      synth->weight_groups_[static_cast<size_t>(prev)].push_back(rec);
     }
     LONGDP_RETURN_NOT_OK(synth->bank_->RestoreState(in));
-    // Consistency: materialized records must reproduce the released row.
     synth->t_ = t;
-    if (synth->SyntheticThresholdCounts() != synth->released_) {
+    // Consistency: the materialized records must reproduce the released
+    // row, which must be the bank's monotonized row at round t.
+    if (synth->SyntheticThresholdCounts() != released) {
       return Status::InvalidArgument(
           "checkpoint histories inconsistent with released thresholds");
     }
+    if (synth->bank_->steps() != t || synth->bank_->monotone_row() != released) {
+      return Status::InvalidArgument(
+          "checkpoint counter bank inconsistent with released thresholds");
+    }
+    synth->released_ = released;
+    synth->prev_released_ = std::move(released);
   }
   synth->t_ = t;
-  LONGDP_RETURN_NOT_OK(
-      sio::ExpectToken(in, kCumulativeEnd, "cumulative checkpoint"));
+  LONGDP_RETURN_NOT_OK(sio::ExpectTag(in, kEnd, "cumulative checkpoint"));
   return synth;
 }
 

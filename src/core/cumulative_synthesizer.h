@@ -105,10 +105,14 @@ class CumulativeSynthesizer {
 
   const dp::ZCdpAccountant& accountant() const { return accountant_; }
 
+  /// The SaveCheckpoint format version (binary since v5).
+  static constexpr int kCheckpointVersion = 5;
+
   /// Serializes the complete synthesizer state — options, original-data
   /// weight state, synthetic records, and every stream counter's internal
-  /// (noise-bearing) state — so a release spanning months of wall clock can
-  /// resume in a later process. Checkpoints are curator state, not
+  /// (noise-bearing) state — as a binary checkpoint (stream/state_io.h),
+  /// so a release spanning months of wall clock can resume in a later
+  /// process. Checkpoints are curator state, not
   /// releases: protect them like the input data.
   Status SaveCheckpoint(std::ostream& out) const;
 
@@ -130,14 +134,9 @@ class CumulativeSynthesizer {
         accountant_(options.rho),
         selection_root_(options.seed, util::substream::kSelection) {}
 
-  Status InitializeForPopulation(int64_t n);
-
-  /// True prefix weight of original record i (materialized from the weight
-  /// planes, or read directly on the wide-horizon scalar path).
-  int64_t OrigWeight(int64_t i) const;
-  /// Sets record i's true prefix weight in whichever representation is
-  /// active (checkpoint restore).
-  void SetOrigWeight(int64_t i, int64_t w);
+  /// Sizes every per-population structure and creates the counter bank.
+  /// `reserve_history` pre-sizes the synthetic history for the horizon.
+  Status InitializeForPopulation(int64_t n, bool reserve_history);
 
   Options options_;
   dp::ZCdpAccountant accountant_;

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "core/theory.h"
 #include "stream/state_io.h"
-#include "util/csv.h"
 #include "util/simd/simd.h"
 #include "util/thread_pool.h"
 
@@ -280,192 +278,123 @@ Result<double> FixedWindowSynthesizer::DebiasedAnswer(
 }
 
 namespace {
-// v2: the header carries the substream seed (v1 checkpoints predate keyed
-// substreams and are rejected). No cursors are needed: every draw stream
-// is keyed by its round number, so resuming at round t + 1 re-derives the
-// exact remaining sequences.
-// v3 adds the cohort's overlap-group member order: the selection shuffles
-// permute it, so without it a resumed run promotes different record
-// identities than the uninterrupted run (releases match, records don't).
-// v4 replaces the generic "end" trailer with the format-specific sentinel
-// below and parses every numeric field as a strict whole token (window
-// patterns are unsigned, so a corrupted "-1" no longer wraps to 2^64 - 1).
-constexpr char kCheckpointMagicPrefix[] = "longdp-fixed-window-checkpoint-";
-constexpr char kCheckpointMagic[] = "longdp-fixed-window-checkpoint-v4";
-constexpr char kCheckpointEnd[] = "end-longdp-fixed-window-checkpoint-v4";
-
-std::string DoubleToken(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+// v5, the binary stream/state_io.h encoding (the text versions v1-v4 are
+// refused by name). After the magic line:
+//
+//   options  horizon, k, rho, npad (resolved), beta_target, seed
+//   state    t, n, releases, negative_clamps, rounding_draws, spent rho
+//   windows  (n >= 0) the k window planes of n lanes, newest round first
+//   cohort   (t >= k) SyntheticCohort::Save
+//   end tag  "fwin-end"
+//
+// No draw cursors: every stream is keyed by its round number, so resuming
+// at round t + 1 re-derives the exact remaining sequences.
+constexpr char kFamily[] = "fixed-window";
+constexpr uint64_t kEnd = stream::state_io::Tag("fwin-end");
 }  // namespace
 
 Status FixedWindowSynthesizer::SaveCheckpoint(std::ostream& out) const {
-  out << kCheckpointMagic << "\n";
-  out << options_.horizon << " " << options_.window_k << " "
-      << DoubleToken(options_.rho) << " " << npad_ << " "
-      << DoubleToken(options_.beta_target) << " " << options_.seed << "\n";
-  out << t_ << " " << n_ << " " << stats_.releases << " "
-      << stats_.negative_clamps << " " << stats_.rounding_draws << " "
-      << DoubleToken(accountant_.spent()) << "\n";
-  out << "windows";
-  // The v4 "windows" line is materialized per-user codes: the bit-plane
-  // ring is an in-memory layout choice, not checkpoint format.
-  for (int64_t i = 0; i < (n_ < 0 ? 0 : n_); ++i) {
-    out << " " << WindowPattern(i);
+  namespace sio = stream::state_io;
+  if (n_ > sio::kMaxRecords) {
+    return Status::InvalidArgument(
+        "populations of 2^32 or more cannot be checkpointed");
   }
-  out << "\n";
-  if (cohort_.has_value()) {
-    out << "cohort " << cohort_->num_records() << " " << cohort_->rounds()
-        << "\n";
-    for (int64_t r = 0; r < cohort_->num_records(); ++r) {
-      std::string line(static_cast<size_t>(cohort_->rounds()), '0');
-      for (int64_t tt = 1; tt <= cohort_->rounds(); ++tt) {
-        if (cohort_->Bit(r, tt)) line[static_cast<size_t>(tt - 1)] = '1';
-      }
-      out << line << "\n";
+  sio::WriteMagic(out, kFamily, kCheckpointVersion);
+  sio::WriteInt(out, options_.horizon);
+  sio::WriteInt(out, options_.window_k);
+  sio::WriteDouble(out, options_.rho);
+  sio::WriteInt(out, npad_);
+  sio::WriteDouble(out, options_.beta_target);
+  sio::WriteU64(out, options_.seed);
+  sio::WriteInt(out, t_);
+  sio::WriteInt(out, n_);
+  sio::WriteInt(out, stats_.releases);
+  sio::WriteInt(out, stats_.negative_clamps);
+  sio::WriteInt(out, stats_.rounding_draws);
+  sio::WriteDouble(out, accountant_.spent());
+  if (n_ >= 0) {
+    // Logical order, so the bytes do not depend on the ring head.
+    const int k = options_.window_k;
+    for (int j = 0; j < k; ++j) {
+      sio::WritePlane(out, window_planes_[static_cast<size_t>(
+                               (plane_head_ + j) % k)]);
     }
-    std::vector<int64_t> order;
-    cohort_->AppendGroupOrder(&order);
-    out << "order";
-    for (int64_t r : order) out << " " << r;
-    out << "\n";
-  } else {
-    out << "cohort 0 0\n";
   }
-  out << kCheckpointEnd << "\n";
+  if (cohort_.has_value()) LONGDP_RETURN_NOT_OK(cohort_->Save(out));
+  sio::WriteTag(out, kEnd);
   return out.good() ? Status::OK()
                     : Status::IOError("checkpoint write failed");
 }
 
 Result<std::unique_ptr<FixedWindowSynthesizer>>
 FixedWindowSynthesizer::LoadCheckpoint(std::istream& in) {
-  std::string magic;
-  if (!std::getline(in, magic)) {
-    return Status::InvalidArgument("not a fixed-window checkpoint");
-  }
-  if (magic != kCheckpointMagic) {
-    // Version skew gets its own message: a v1-v3 checkpoint is a real
-    // checkpoint this build cannot restore, not arbitrary garbage.
-    if (magic.rfind(kCheckpointMagicPrefix, 0) == 0) {
-      return Status::InvalidArgument(
-          "unsupported fixed-window checkpoint version '" + magic +
-          "'; this build reads " + kCheckpointMagic);
-    }
-    return Status::InvalidArgument("not a fixed-window checkpoint");
-  }
   namespace sio = stream::state_io;
+  LONGDP_RETURN_NOT_OK(sio::ExpectMagic(in, kFamily, kCheckpointVersion));
   Options options;
-  std::string rho_tok, beta_tok;
-  LONGDP_ASSIGN_OR_RETURN(options.horizon, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(int64_t window_k, sio::ReadInt(in));
+  LONGDP_ASSIGN_OR_RETURN(options.horizon, sio::Read<int64_t>(in));
+  LONGDP_ASSIGN_OR_RETURN(const int64_t window_k,
+                          sio::ReadIntIn(in, 1, 64, "window k"));
   options.window_k = static_cast<int>(window_k);
-  if (!(in >> rho_tok)) {
-    return Status::InvalidArgument("corrupt checkpoint header");
-  }
-  LONGDP_ASSIGN_OR_RETURN(options.npad, sio::ReadInt(in));
-  if (!(in >> beta_tok)) {
-    return Status::InvalidArgument("corrupt checkpoint header");
-  }
-  LONGDP_ASSIGN_OR_RETURN(options.seed, sio::ReadCursor(in));
-  // Strict parses: a corrupted rho/beta token must reject the checkpoint,
-  // not restore as 0.0 (which would silently reset the privacy budget).
-  LONGDP_ASSIGN_OR_RETURN(options.rho, util::ParseDoubleField(rho_tok));
-  LONGDP_ASSIGN_OR_RETURN(options.beta_target,
-                          util::ParseDoubleField(beta_tok));
-
+  LONGDP_ASSIGN_OR_RETURN(options.rho, sio::Read<double>(in));
+  // The resolved padding: a negative one would be re-derived from beta,
+  // restoring a different synthesizer than the one saved.
+  LONGDP_ASSIGN_OR_RETURN(options.npad,
+                          sio::ReadIntIn(in, 0, INT64_MAX, "npad"));
+  LONGDP_ASSIGN_OR_RETURN(options.beta_target, sio::Read<double>(in));
+  LONGDP_ASSIGN_OR_RETURN(options.seed, sio::Read<uint64_t>(in));
+  // Create rejects NaN or non-positive rho, so the budget cannot restore
+  // as something that silently disables the accountant.
   LONGDP_ASSIGN_OR_RETURN(auto synth, Create(options));
-  Stats stats;
-  LONGDP_ASSIGN_OR_RETURN(int64_t t, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(int64_t n, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(stats.releases, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(stats.negative_clamps, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(stats.rounding_draws, sio::ReadInt(in));
-  std::string spent_tok;
-  if (!(in >> spent_tok)) {
-    return Status::InvalidArgument("corrupt checkpoint state line");
+  const int k = options.window_k;
+
+  LONGDP_ASSIGN_OR_RETURN(const int64_t t,
+                          sio::ReadIntIn(in, 0, options.horizon, "round"));
+  LONGDP_ASSIGN_OR_RETURN(
+      const int64_t n, sio::ReadIntIn(in, -1, sio::kMaxRecords, "population"));
+  if ((t == 0) != (n < 0)) {
+    return Status::InvalidArgument(
+        "fixed-window checkpoint population inconsistent with its round");
   }
-  // A garbage spent token restoring as 0.0 is exactly the "accountant
-  // forgets spent budget on restart" correctness bug — hard-fail instead.
-  LONGDP_ASSIGN_OR_RETURN(const double spent,
-                          util::ParseDoubleField(spent_tok));
+  Stats stats;
+  LONGDP_ASSIGN_OR_RETURN(
+      stats.releases, sio::ReadIntIn(in, 0, options.horizon, "releases"));
+  LONGDP_ASSIGN_OR_RETURN(stats.negative_clamps,
+                          sio::ReadIntIn(in, 0, INT64_MAX, "clamp count"));
+  LONGDP_ASSIGN_OR_RETURN(stats.rounding_draws,
+                          sio::ReadIntIn(in, 0, INT64_MAX, "rounding draws"));
+  if (stats.releases != std::max<int64_t>(0, t - k + 1)) {
+    return Status::InvalidArgument(
+        "fixed-window checkpoint release count inconsistent with its round");
+  }
+  LONGDP_ASSIGN_OR_RETURN(const double spent, sio::Read<double>(in));
+  // A NaN, negative or infinite spend would reset or disable the budget
+  // the restored run still has to honor (and -0.0 would re-save as 0.0).
+  if (std::signbit(spent) || !std::isfinite(spent)) {
+    return Status::InvalidArgument("checkpoint spent budget is not finite");
+  }
   if (spent > 0.0) {
     LONGDP_RETURN_NOT_OK(
         synth->accountant_.Charge(spent, "restored-checkpoint"));
   }
-  std::string tag;
-  if (!(in >> tag) || tag != "windows") {
-    return Status::InvalidArgument("corrupt checkpoint: expected windows");
-  }
   if (n >= 0) {
-    const int k = options.window_k;
-    const size_t num_words = static_cast<size_t>((n + 63) >> 6);
-    synth->window_planes_.assign(static_cast<size_t>(k),
-                                 std::vector<uint64_t>(num_words, 0));
+    synth->window_planes_.resize(static_cast<size_t>(k));
+    for (int j = 0; j < k; ++j) {
+      auto& plane = synth->window_planes_[static_cast<size_t>(j)];
+      LONGDP_RETURN_NOT_OK(sio::ReadPlane(in, n, &plane));
+      // Planes older than round 1 were never written.
+      if (j >= t && std::any_of(plane.begin(), plane.end(),
+                                [](uint64_t w) { return w != 0; })) {
+        return Status::InvalidArgument(
+            "fixed-window checkpoint has window bits before round 1");
+      }
+    }
     synth->plane_head_ = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      // Patterns are unsigned: ReadCursor rejects signed tokens instead of
-      // letting stream extraction wrap "-1" to 2^64 - 1.
-      util::Pattern w = 0;
-      LONGDP_ASSIGN_OR_RETURN(w, sio::ReadCursor(in));
-      if (w >= util::NumPatterns(options.window_k)) {
-        return Status::InvalidArgument("window pattern out of range");
-      }
-      for (int j = 0; j < k; ++j) {
-        if ((w >> j) & 1) {
-          synth->window_planes_[static_cast<size_t>(j)][static_cast<size_t>(
-              i >> 6)] |= uint64_t{1} << (i & 63);
-        }
-      }
-    }
   }
-  if (!(in >> tag) || tag != "cohort") {
-    return Status::InvalidArgument("corrupt checkpoint: expected cohort");
-  }
-  LONGDP_ASSIGN_OR_RETURN(int64_t num_records, sio::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(int64_t rounds, sio::ReadInt(in));
-  if (num_records < 0 || rounds < 0) {
-    return Status::InvalidArgument("corrupt checkpoint cohort header");
-  }
-  if (t >= options.window_k) {
-    if (rounds != t) {
-      return Status::InvalidArgument(
-          "cohort rounds inconsistent with time t");
-    }
-    std::vector<std::vector<uint8_t>> histories;
-    histories.reserve(static_cast<size_t>(num_records));
-    std::string line;
-    std::getline(in, line);  // consume end of cohort header line
-    for (int64_t r = 0; r < num_records; ++r) {
-      if (!std::getline(in, line) ||
-          line.size() != static_cast<size_t>(rounds)) {
-        return Status::InvalidArgument("corrupt checkpoint history line");
-      }
-      std::vector<uint8_t> h(static_cast<size_t>(rounds));
-      for (size_t j = 0; j < h.size(); ++j) {
-        if (line[j] != '0' && line[j] != '1') {
-          return Status::InvalidArgument("history bits must be 0/1");
-        }
-        h[j] = line[j] == '1' ? 1 : 0;
-      }
-      histories.push_back(std::move(h));
-    }
-    LONGDP_ASSIGN_OR_RETURN(
-        auto cohort,
-        SyntheticCohort::Restore(options.window_k, std::move(histories)));
-    if (!(in >> tag) || tag != "order") {
-      return Status::InvalidArgument("corrupt checkpoint: expected order");
-    }
-    std::vector<int64_t> order(static_cast<size_t>(num_records));
-    for (auto& r : order) {
-      LONGDP_ASSIGN_OR_RETURN(r, sio::ReadInt(in));
-    }
-    LONGDP_RETURN_NOT_OK(cohort.RestoreGroupOrder(order));
+  if (t >= k) {
+    LONGDP_ASSIGN_OR_RETURN(auto cohort, SyntheticCohort::Load(in, k, t));
     synth->cohort_.emplace(std::move(cohort));
   }
-  LONGDP_RETURN_NOT_OK(
-      sio::ExpectToken(in, kCheckpointEnd, "fixed-window checkpoint"));
+  LONGDP_RETURN_NOT_OK(sio::ExpectTag(in, kEnd, "fixed-window checkpoint"));
   synth->t_ = t;
   synth->n_ = n;
   synth->stats_ = stats;

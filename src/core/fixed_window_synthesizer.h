@@ -127,10 +127,14 @@ class FixedWindowSynthesizer {
   const Stats& stats() const { return stats_; }
   const dp::ZCdpAccountant& accountant() const { return accountant_; }
 
+  /// The SaveCheckpoint format version (binary since v5).
+  static constexpr int kCheckpointVersion = 5;
+
   /// Serializes the complete synthesizer state — options, consumed budget,
   /// the buffered per-user window state of the ORIGINAL data, and the
-  /// synthetic cohort — so a continual release spanning months of wall
-  /// clock can resume in a later process. The checkpoint embeds raw input
+  /// synthetic cohort — as a binary checkpoint (stream/state_io.h), so a
+  /// continual release spanning months of wall clock can resume in a later
+  /// process. The checkpoint embeds raw input
   /// state: protect the file like the survey data itself (it is not a
   /// release). Restoring and continuing consumes the remaining budget
   /// normally; the accountant's ledger records the restored charge.
@@ -169,7 +173,7 @@ class FixedWindowSynthesizer {
   void CountWindowHistogram();
 
   /// Materializes user i's width-k window code from the bit-plane ring
-  /// (checkpoint serialization and the small-k fallback paths).
+  /// (the wide-window fallback path).
   util::Pattern WindowPattern(int64_t i) const;
 
   Options options_;

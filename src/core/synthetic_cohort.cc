@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <istream>
+#include <ostream>
 
+#include "stream/state_io.h"
 #include "util/batch_sampler.h"
 
 namespace longdp {
@@ -56,61 +59,6 @@ Result<SyntheticCohort> SyntheticCohort::Create(
     }
     next_record += c;
   }
-  return cohort;
-}
-
-Result<SyntheticCohort> SyntheticCohort::Restore(
-    int window_k, std::vector<std::vector<uint8_t>> histories) {
-  LONGDP_RETURN_NOT_OK(util::ValidateWindow(window_k));
-  SyntheticCohort cohort;
-  cohort.k_ = window_k;
-  cohort.num_records_ = static_cast<int64_t>(histories.size());
-  cohort.pattern_count_.assign(util::NumPatterns(window_k), 0);
-  size_t rounds = histories.empty() ? static_cast<size_t>(window_k)
-                                    : histories[0].size();
-  if (rounds < static_cast<size_t>(window_k)) {
-    return Status::InvalidArgument(
-        "restored histories must span at least k rounds");
-  }
-  const size_t m = histories.size();
-  cohort.history_bits_.assign(m * rounds, 0);
-  // Pass 1: validate, fill the bit matrix, and remember each record's
-  // suffix pattern so the flat group build is a counting sort.
-  std::vector<util::Pattern> suffix(m);
-  for (size_t r = 0; r < histories.size(); ++r) {
-    const auto& h = histories[r];
-    if (h.size() != rounds) {
-      return Status::InvalidArgument(
-          "restored histories must all have equal length");
-    }
-    for (size_t j = 0; j < rounds; ++j) {
-      if (h[j] > 1) {
-        return Status::InvalidArgument("history bits must be 0 or 1");
-      }
-      cohort.history_bits_[j * m + r] = h[j];
-    }
-    util::Pattern p = 0;
-    for (size_t j = rounds - static_cast<size_t>(window_k); j < rounds;
-         ++j) {
-      p = (p << 1) | static_cast<util::Pattern>(h[j]);
-    }
-    suffix[r] = p;
-    ++cohort.pattern_count_[p];
-  }
-  // Pass 2: counting-sort the records into flat overlap groups, in record
-  // order (same member order the ragged build produced).
-  cohort.groups_.Reset(util::NumPatterns(window_k - 1));
-  for (util::Pattern p = 0; p < cohort.pattern_count_.size(); ++p) {
-    cohort.groups_.AddCount(util::Overlap(p, window_k),
-                            cohort.pattern_count_[p]);
-  }
-  cohort.groups_.BuildOffsets();
-  for (size_t r = 0; r < m; ++r) {
-    cohort.groups_.Place(util::Overlap(suffix[r], window_k),
-                         static_cast<int64_t>(r));
-  }
-  cohort.groups_next_.Reset(util::NumPatterns(window_k - 1));
-  cohort.rounds_ = static_cast<int64_t>(rounds);
   return cohort;
 }
 
@@ -224,48 +172,78 @@ Result<data::LongitudinalDataset> SyntheticCohort::ToDataset(
   return ds;
 }
 
-void SyntheticCohort::AppendGroupOrder(std::vector<int64_t>* out) const {
-  out->reserve(out->size() + static_cast<size_t>(num_records_));
-  for (size_t z = 0; z < groups_.num_groups(); ++z) {
-    const int64_t* members = groups_.group_data(z);
-    const int64_t size = groups_.size(z);
-    for (int64_t i = 0; i < size; ++i) out->push_back(members[i]);
-  }
-}
-
-Status SyntheticCohort::RestoreGroupOrder(const std::vector<int64_t>& order) {
-  if (static_cast<int64_t>(order.size()) != num_records_) {
+Status SyntheticCohort::Save(std::ostream& out) const {
+  namespace sio = stream::state_io;
+  if (num_records_ > sio::kMaxRecords) {
     return Status::InvalidArgument(
-        "group order must list every record exactly once");
+        "cohorts of 2^32 or more records cannot be checkpointed");
   }
   const size_t m = static_cast<size_t>(num_records_);
-  // Each record's current overlap, recomputed from its last k bits.
-  std::vector<util::Pattern> overlap(m);
-  for (size_t r = 0; r < m; ++r) {
-    util::Pattern p = 0;
-    for (int64_t t = rounds_ - k_ + 1; t <= rounds_; ++t) {
-      p = (p << 1) |
-          static_cast<util::Pattern>(
-              history_bits_[static_cast<size_t>(t - 1) * m + r]);
-    }
-    overlap[r] = util::Overlap(p, k_);
+  sio::WriteInt(out, num_records_);
+  // The groups are contiguous in overlap order: group 0's slice spans them
+  // all.
+  std::vector<uint32_t> order(m);
+  const int64_t* members = groups_.group_data(0);
+  for (size_t i = 0; i < m; ++i) order[i] = static_cast<uint32_t>(members[i]);
+  sio::WriteArray(out, order.data(), m);
+  return sio::WriteBitColumns(out, history_bits_.data(), num_records_,
+                              rounds_);
+}
+
+Result<SyntheticCohort> SyntheticCohort::Load(std::istream& in, int window_k,
+                                              int64_t rounds) {
+  namespace sio = stream::state_io;
+  LONGDP_RETURN_NOT_OK(util::ValidateWindow(window_k));
+  if (rounds < window_k) {
+    return Status::InvalidArgument("a cohort spans at least k rounds");
   }
+  SyntheticCohort cohort;
+  cohort.k_ = window_k;
+  cohort.rounds_ = rounds;
+  LONGDP_ASSIGN_OR_RETURN(
+      cohort.num_records_,
+      sio::ReadIntIn(in, 0, sio::kMaxRecords, "cohort record count"));
+  const size_t m = static_cast<size_t>(cohort.num_records_);
+  std::vector<uint32_t> order;
+  LONGDP_RETURN_NOT_OK(sio::ReadVector(in, m, &order));
+  LONGDP_RETURN_NOT_OK(sio::ReadBitColumns(in, cohort.num_records_, rounds,
+                                           &cohort.history_bits_));
+  // Each record's current window pattern from its last k bits (newest is
+  // bit 0), then the histogram and per-overlap group sizes.
+  std::vector<uint32_t> pattern(m, 0);
+  for (int64_t t = rounds - window_k; t < rounds; ++t) {
+    const uint8_t* col =
+        cohort.history_bits_.data() + static_cast<size_t>(t) * m;
+    for (size_t r = 0; r < m; ++r) pattern[r] = (pattern[r] << 1) | col[r];
+  }
+  cohort.pattern_count_.assign(util::NumPatterns(window_k), 0);
+  for (uint32_t p : pattern) ++cohort.pattern_count_[p];
+  cohort.groups_.Reset(util::NumPatterns(window_k - 1));
+  for (util::Pattern p = 0; p < cohort.pattern_count_.size(); ++p) {
+    cohort.groups_.AddCount(util::Overlap(p, window_k),
+                            cohort.pattern_count_[p]);
+  }
+  cohort.groups_.BuildOffsets();
+  // The order must be a permutation listing the groups one after another
+  // in overlap order; then each record lands in its own group and a
+  // re-save reproduces the order exactly.
   std::vector<uint8_t> seen(m, 0);
-  util::FlatGroups rebuilt;
-  rebuilt.Reset(util::NumPatterns(k_ - 1));
-  for (int64_t rec : order) {
-    if (rec < 0 || rec >= num_records_ || seen[static_cast<size_t>(rec)]) {
+  util::Pattern prev = 0;
+  for (uint32_t rec : order) {
+    if (rec >= m || seen[rec]) {
       return Status::InvalidArgument("group order is not a permutation");
     }
-    seen[static_cast<size_t>(rec)] = 1;
-    rebuilt.AddCount(overlap[static_cast<size_t>(rec)], 1);
+    seen[rec] = 1;
+    const util::Pattern z = util::Overlap(pattern[rec], window_k);
+    if (z < prev) {
+      return Status::InvalidArgument(
+          "group order inconsistent with the record histories");
+    }
+    prev = z;
+    cohort.groups_.Place(z, rec);
   }
-  rebuilt.BuildOffsets();
-  for (int64_t rec : order) {
-    rebuilt.Place(overlap[static_cast<size_t>(rec)], rec);
-  }
-  groups_.swap(rebuilt);
-  return Status::OK();
+  cohort.groups_next_.Reset(util::NumPatterns(window_k - 1));
+  return cohort;
 }
 
 }  // namespace core

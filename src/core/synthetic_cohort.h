@@ -11,6 +11,7 @@
 #define LONGDP_CORE_SYNTHETIC_COHORT_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <vector>
 
 #include "data/longitudinal_dataset.h"
@@ -31,12 +32,13 @@ class SyntheticCohort {
   static Result<SyntheticCohort> Create(
       int window_k, const std::vector<int64_t>& initial_counts);
 
-  /// Rebuilds a cohort from fully materialized record histories (used by
-  /// checkpoint restore). Every history must have the same length >= k;
-  /// the overlap index and histogram are reconstructed from the last k
-  /// bits.
-  static Result<SyntheticCohort> Restore(
-      int window_k, std::vector<std::vector<uint8_t>> histories);
+  /// Rebuilds a cohort of `rounds` (>= k) rounds from Save output. The
+  /// histogram and overlap index are recomputed from each record's last k
+  /// bits. Rejects a member order that is not a permutation of the
+  /// records, or that does not list them group by group in overlap order
+  /// (each record in the group its last k-1 bits put it in).
+  static Result<SyntheticCohort> Load(std::istream& in, int window_k,
+                                      int64_t rounds);
 
   int window_k() const { return k_; }
   int64_t num_records() const { return num_records_; }
@@ -88,19 +90,14 @@ class SyntheticCohort {
   /// >= rounds()).
   Result<data::LongitudinalDataset> ToDataset(int64_t horizon) const;
 
-  /// Appends the flat overlap-group member order (groups in overlap order,
-  /// members in current within-group order) — exactly num_records()
-  /// entries. AdvanceRound's selection shuffles permute this order, so a
-  /// checkpoint must persist it: a cohort rebuilt in record-index order
+  /// Checkpoint encoding (stream/state_io.h): the record count, the flat
+  /// overlap-group member order as uint32 record ids (groups in overlap
+  /// order, members in current within-group order), then one packed bit
+  /// column per round. AdvanceRound's selection shuffles permute the
+  /// member order, so it is state: a cohort rebuilt in record order
   /// releases the same histograms but promotes DIFFERENT record
-  /// identities on resume.
-  void AppendGroupOrder(std::vector<int64_t>* out) const;
-
-  /// Restores an AppendGroupOrder permutation onto a cohort rebuilt by
-  /// Restore(). Rejects anything that is not a permutation of
-  /// [0, num_records()); each record lands in the group its current
-  /// overlap dictates, in the listed order.
-  Status RestoreGroupOrder(const std::vector<int64_t>& order);
+  /// identities on resume. Refuses cohorts of 2^32 or more records.
+  Status Save(std::ostream& out) const;
 
  private:
   SyntheticCohort() = default;

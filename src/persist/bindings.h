@@ -39,21 +39,21 @@ namespace persist {
 struct CumulativeTraits {
   using Synth = core::CumulativeSynthesizer;
   static constexpr const char* kKind = "cumulative";
-  static constexpr int64_t kFormatVersion = 4;
+  static constexpr int64_t kFormatVersion = Synth::kCheckpointVersion;
   static std::string ReleaseRecord(const Synth& synth);
 };
 
 struct FixedWindowTraits {
   using Synth = core::FixedWindowSynthesizer;
   static constexpr const char* kKind = "fixed-window";
-  static constexpr int64_t kFormatVersion = 4;
+  static constexpr int64_t kFormatVersion = Synth::kCheckpointVersion;
   static std::string ReleaseRecord(const Synth& synth);
 };
 
 struct CategoricalTraits {
   using Synth = core::CategoricalWindowSynthesizer;
   static constexpr const char* kKind = "categorical";
-  static constexpr int64_t kFormatVersion = 1;
+  static constexpr int64_t kFormatVersion = Synth::kCheckpointVersion;
   static std::string ReleaseRecord(const Synth& synth);
 };
 

@@ -59,7 +59,7 @@ Result<RecoveryReport> RecoveryManager::Recover(
   // the whole log); damaged or mismatched is not.
   Result<Snapshot> snap_read = ReadSnapshot(snapshot_path);
   if (snap_read.ok()) {
-    const Snapshot& snap = snap_read.value();
+    Snapshot& snap = snap_read.value();
     if (snap.meta.kind != hooks.kind) {
       return Status::InvalidArgument(
           "snapshot is for synthesizer kind '" + snap.meta.kind +
@@ -77,10 +77,10 @@ Result<RecoveryReport> RecoveryManager::Recover(
           "snapshot was taken under a different seed; refusing a replay "
           "that would diverge from the release log");
     }
-    std::istringstream payload(snap.payload);
+    std::istringstream payload(std::move(snap.payload));
     LONGDP_RETURN_NOT_OK(hooks.restore(payload));
     LONGDP_RETURN_NOT_OK(
-        stream::state_io::ExpectExhausted(payload, "snapshot payload"));
+        stream::state_io::ExpectEnd(payload, "snapshot payload"));
     if (hooks.round() != snap.meta.round) {
       return Status::DataLoss(
           "snapshot header says round " + std::to_string(snap.meta.round) +
@@ -170,7 +170,7 @@ Status DurableSession::Checkpoint() {
   meta.format_version = hooks_.format_version;
   meta.seed = hooks_.seed;
   meta.round = hooks_.round();
-  return WriteSnapshot(snapshot_path_, meta, payload.str());
+  return WriteSnapshot(snapshot_path_, meta, std::move(payload).str());
 }
 
 }  // namespace persist

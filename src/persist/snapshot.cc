@@ -3,13 +3,15 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
 #include "persist/crc32c.h"
 #include "persist/posix_io.h"
-#include "stream/state_io.h"
+#include "util/csv.h"
 
 namespace longdp {
 namespace persist {
@@ -28,15 +30,34 @@ bool ValidKindToken(const std::string& kind) {
   return true;
 }
 
-Status WriteEncodedToFd(int fd, const std::string& path,
-                        const std::string& bytes) {
-  LONGDP_RETURN_NOT_OK(WriteAllFd(fd, path, bytes.data(), bytes.size()));
-  return SyncFd(fd, path);
+// Header numbers are whole decimal tokens: trailing garbage, overflow and
+// empty tokens are errors, never a silent 0.
+Result<int64_t> ReadHeaderInt(std::istream& header) {
+  std::string tok;
+  if (!(header >> tok)) {
+    return Status::InvalidArgument("truncated snapshot header");
+  }
+  return util::ParseInt64Field(tok);
 }
-}  // namespace
 
-std::string EncodeSnapshot(const SnapshotMeta& meta,
-                           const std::string& payload) {
+// The seed is unsigned: a sign is rejected rather than wrapped.
+Result<uint64_t> ReadHeaderSeed(std::istream& header) {
+  std::string tok;
+  if (!(header >> tok)) {
+    return Status::InvalidArgument("truncated snapshot header");
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(tok[0])) || *end != '\0' ||
+      errno == ERANGE) {
+    return Status::InvalidArgument("malformed snapshot seed '" + tok + "'");
+  }
+  return static_cast<uint64_t>(v);
+}
+
+std::string EncodeHeader(const SnapshotMeta& meta,
+                         const std::string& payload) {
   char crc_hex[16];
   std::snprintf(crc_hex, sizeof(crc_hex), "%08x",
                 Crc32c(payload.data(), payload.size()));
@@ -44,11 +65,27 @@ std::string EncodeSnapshot(const SnapshotMeta& meta,
   out << kSnapshotMagic << " " << meta.kind << " " << meta.format_version
       << " " << meta.seed << " " << meta.round << " " << payload.size()
       << " " << crc_hex << "\n";
-  out << payload;
   return out.str();
 }
 
-Result<Snapshot> DecodeSnapshot(const std::string& bytes) {
+// Header and payload go out as two writes: the payload is never copied
+// into an encoded buffer.
+Status WriteEncodedToFd(int fd, const std::string& path,
+                        const SnapshotMeta& meta,
+                        const std::string& payload) {
+  const std::string header = EncodeHeader(meta, payload);
+  LONGDP_RETURN_NOT_OK(WriteAllFd(fd, path, header.data(), header.size()));
+  LONGDP_RETURN_NOT_OK(WriteAllFd(fd, path, payload.data(), payload.size()));
+  return SyncFd(fd, path);
+}
+}  // namespace
+
+std::string EncodeSnapshot(const SnapshotMeta& meta,
+                           const std::string& payload) {
+  return EncodeHeader(meta, payload) + payload;
+}
+
+Result<Snapshot> DecodeSnapshot(std::string bytes) {
   const size_t eol = bytes.find('\n');
   if (eol == std::string::npos) {
     return Status::InvalidArgument("not a snapshot: no header line");
@@ -66,20 +103,23 @@ Result<Snapshot> DecodeSnapshot(const std::string& bytes) {
     }
     return Status::InvalidArgument("not a snapshot");
   }
-  namespace sio = longdp::stream::state_io;
   Snapshot snap;
   if (!(header >> snap.meta.kind) || !ValidKindToken(snap.meta.kind)) {
     return Status::InvalidArgument("malformed snapshot kind");
   }
-  LONGDP_ASSIGN_OR_RETURN(snap.meta.format_version, sio::ReadInt(header));
-  LONGDP_ASSIGN_OR_RETURN(snap.meta.seed, sio::ReadCursor(header));
-  LONGDP_ASSIGN_OR_RETURN(snap.meta.round, sio::ReadInt(header));
-  LONGDP_ASSIGN_OR_RETURN(int64_t declared, sio::ReadInt(header));
+  LONGDP_ASSIGN_OR_RETURN(snap.meta.format_version, ReadHeaderInt(header));
+  LONGDP_ASSIGN_OR_RETURN(snap.meta.seed, ReadHeaderSeed(header));
+  LONGDP_ASSIGN_OR_RETURN(snap.meta.round, ReadHeaderInt(header));
+  LONGDP_ASSIGN_OR_RETURN(int64_t declared, ReadHeaderInt(header));
   std::string crc_tok;
   if (!(header >> crc_tok) || crc_tok.size() != 8) {
     return Status::InvalidArgument("malformed snapshot checksum field");
   }
-  LONGDP_RETURN_NOT_OK(sio::ExpectExhausted(header, "snapshot header"));
+  std::string extra;
+  if (header >> extra) {
+    return Status::InvalidArgument("trailing data after snapshot header: '" +
+                                   extra + "'");
+  }
   if (snap.meta.format_version < 0 || snap.meta.round < 0 || declared < 0) {
     return Status::InvalidArgument("malformed snapshot header");
   }
@@ -100,7 +140,8 @@ Result<Snapshot> DecodeSnapshot(const std::string& bytes) {
     return Status::DataLoss("snapshot has " + std::to_string(have - want) +
                             " trailing bytes past the declared payload");
   }
-  snap.payload = bytes.substr(eol + 1, want);
+  bytes.erase(0, eol + 1);
+  snap.payload = std::move(bytes);
   const uint32_t actual_crc =
       Crc32c(snap.payload.data(), snap.payload.size());
   if (actual_crc != static_cast<uint32_t>(declared_crc)) {
@@ -114,11 +155,10 @@ Result<Snapshot> DecodeSnapshot(const std::string& bytes) {
 
 Status WriteSnapshot(const std::string& path, const SnapshotMeta& meta,
                      const std::string& payload) {
-  const std::string encoded = EncodeSnapshot(meta, payload);
   const std::string tmp = path + ".tmp";
   LONGDP_ASSIGN_OR_RETURN(
       int fd, OpenFd(tmp, O_WRONLY | O_CREAT | O_TRUNC, 0644));
-  Status write_status = WriteEncodedToFd(fd, tmp, encoded);
+  Status write_status = WriteEncodedToFd(fd, tmp, meta, payload);
   ::close(fd);
   if (!write_status.ok()) {
     ::unlink(tmp.c_str());  // best-effort cleanup of the partial temp file
@@ -136,10 +176,9 @@ Status WriteSnapshot(const std::string& path, const SnapshotMeta& meta,
 
 Status WriteSnapshotDirect(const std::string& path, const SnapshotMeta& meta,
                            const std::string& payload) {
-  const std::string encoded = EncodeSnapshot(meta, payload);
   LONGDP_ASSIGN_OR_RETURN(
       int fd, OpenFd(path, O_WRONLY | O_CREAT | O_TRUNC, 0644));
-  Status write_status = WriteEncodedToFd(fd, path, encoded);
+  Status write_status = WriteEncodedToFd(fd, path, meta, payload);
   ::close(fd);
   return write_status;
 }
@@ -147,7 +186,7 @@ Status WriteSnapshotDirect(const std::string& path, const SnapshotMeta& meta,
 Result<Snapshot> ReadSnapshot(const std::string& path) {
   std::string bytes;
   LONGDP_RETURN_NOT_OK(ReadFileBytes(path, &bytes));
-  return DecodeSnapshot(bytes);
+  return DecodeSnapshot(std::move(bytes));
 }
 
 }  // namespace persist

@@ -53,8 +53,9 @@ struct Snapshot {
 std::string EncodeSnapshot(const SnapshotMeta& meta,
                            const std::string& payload);
 
-/// Parses wire-format bytes. See the status taxonomy above.
-Result<Snapshot> DecodeSnapshot(const std::string& bytes);
+/// Parses wire-format bytes (taken by value: the payload is moved out of
+/// them, not copied). See the status taxonomy above.
+Result<Snapshot> DecodeSnapshot(std::string bytes);
 
 /// Atomically replaces `path` with the encoded snapshot (temp + fsync +
 /// rename + directory fsync).

@@ -15,7 +15,7 @@ namespace {
 // The bank embeds mid-stream inside synthesizer checkpoints, so its own
 // trailer sentinel is what catches a truncation that happens to land on a
 // per-counter boundary (every counter restored, but fewer than horizon_).
-constexpr char kBankEnd[] = "end-longdp-counter-bank";
+constexpr uint64_t kBankEnd = state_io::Tag("bank-end");
 }  // namespace
 
 Result<std::unique_ptr<CounterBank>> CounterBank::Create(
@@ -148,34 +148,38 @@ Status CounterBank::ObserveRoundBatched(const std::vector<int64_t>& z) {
 }
 
 Status CounterBank::SaveState(std::ostream& out) const {
-  out << t_ << " ";
-  state_io::WriteIntVector(out, raw_);
-  out << " ";
-  state_io::WriteIntVector(out, monotone_);
-  out << " ";
-  state_io::WriteIntVector(out, prev_monotone_);
-  out << "\n";
+  // Three rows of horizon_ + 1 entries each, then every counter in b order.
+  state_io::WriteInt(out, t_);
+  state_io::WriteArray(out, raw_.data(), raw_.size());
+  state_io::WriteArray(out, monotone_.data(), monotone_.size());
+  state_io::WriteArray(out, prev_monotone_.data(), prev_monotone_.size());
   for (const auto& counter : counters_) {
     LONGDP_RETURN_NOT_OK(counter->SaveState(out));
   }
-  out << kBankEnd << "\n";
+  state_io::WriteTag(out, kBankEnd);
   return out.good() ? Status::OK() : Status::IOError("bank state write");
 }
 
 Status CounterBank::RestoreState(std::istream& in) {
-  LONGDP_ASSIGN_OR_RETURN(t_, state_io::ReadInt(in));
-  LONGDP_RETURN_NOT_OK(state_io::ReadIntVector(in, &raw_));
-  LONGDP_RETURN_NOT_OK(state_io::ReadIntVector(in, &monotone_));
-  LONGDP_RETURN_NOT_OK(state_io::ReadIntVector(in, &prev_monotone_));
-  size_t row = static_cast<size_t>(horizon_) + 1;
-  if (t_ < 0 || t_ > horizon_ || raw_.size() != row ||
-      monotone_.size() != row || prev_monotone_.size() != row) {
-    return Status::InvalidArgument("counter bank state inconsistent");
+  LONGDP_ASSIGN_OR_RETURN(
+      t_, state_io::ReadIntIn(in, 0, horizon_, "counter bank round"));
+  LONGDP_RETURN_NOT_OK(state_io::ReadArray(in, raw_.data(), raw_.size()));
+  LONGDP_RETURN_NOT_OK(
+      state_io::ReadArray(in, monotone_.data(), monotone_.size()));
+  LONGDP_RETURN_NOT_OK(
+      state_io::ReadArray(in, prev_monotone_.data(), prev_monotone_.size()));
+  for (size_t i = 0; i < counters_.size(); ++i) {
+    LONGDP_RETURN_NOT_OK(counters_[i]->RestoreState(in));
+    // Counter b's stream starts at round b, so it has taken
+    // max(0, t - b + 1) steps.
+    const int64_t b = static_cast<int64_t>(i) + 1;
+    if (counters_[i]->steps() != std::max<int64_t>(0, t_ - b + 1)) {
+      return Status::InvalidArgument(
+          "counter bank state inconsistent: counter b=" + std::to_string(b) +
+          " is out of step with round " + std::to_string(t_));
+    }
   }
-  for (const auto& counter : counters_) {
-    LONGDP_RETURN_NOT_OK(counter->RestoreState(in));
-  }
-  return state_io::ExpectToken(in, kBankEnd, "counter bank state");
+  return state_io::ExpectTag(in, kBankEnd, "counter bank state");
 }
 
 double CounterBank::CounterErrorBound(int64_t b, int64_t t,

@@ -107,42 +107,33 @@ double HonakerCounter::ErrorBound(double beta, int64_t t) const {
 }
 
 Status HonakerCounter::SaveState(std::ostream& out) const {
-  out << t_ << " ";
-  state_io::WriteIntVector(out, true_sum_);
-  out << " ";
-  state_io::WriteDoubleVector(out, estimate_);
-  out << " " << occupied_.size();
-  for (bool b : occupied_) out << " " << (b ? 1 : 0);
-  out << " ";
-  std::vector<uint64_t> cursors;
-  cursors.reserve(level_streams_.size());
-  for (const auto& s : level_streams_) cursors.push_back(s.cursor());
-  state_io::WriteCursorVector(out, cursors);
-  out << "\n";
+  state_io::WriteInt(out, t_);
+  state_io::WriteArray(out, true_sum_.data(), true_sum_.size());
+  state_io::WriteArray(out, estimate_.data(), estimate_.size());
+  for (bool b : occupied_) {
+    const uint8_t flag = b ? 1 : 0;
+    state_io::WriteArray(out, &flag, 1);
+  }
+  state_io::WriteCursors(out, level_streams_);
   return out.good() ? Status::OK() : Status::IOError("state write failed");
 }
 
 Status HonakerCounter::RestoreState(std::istream& in) {
-  LONGDP_ASSIGN_OR_RETURN(t_, state_io::ReadInt(in));
-  LONGDP_RETURN_NOT_OK(state_io::ReadIntVector(in, &true_sum_));
-  LONGDP_RETURN_NOT_OK(state_io::ReadDoubleVector(in, &estimate_));
-  std::vector<int64_t> occ;
-  LONGDP_RETURN_NOT_OK(state_io::ReadIntVector(in, &occ));
-  std::vector<uint64_t> cursors;
-  LONGDP_RETURN_NOT_OK(state_io::ReadCursorVector(in, &cursors));
-  if (t_ < 0 || t_ > horizon_ ||
-      true_sum_.size() != static_cast<size_t>(levels_) ||
-      estimate_.size() != static_cast<size_t>(levels_) ||
-      occ.size() != static_cast<size_t>(levels_) ||
-      cursors.size() != static_cast<size_t>(levels_)) {
-    return Status::InvalidArgument("honaker counter state inconsistent");
+  LONGDP_ASSIGN_OR_RETURN(
+      t_, state_io::ReadIntIn(in, 0, horizon_, "honaker counter step"));
+  LONGDP_RETURN_NOT_OK(
+      state_io::ReadArray(in, true_sum_.data(), true_sum_.size()));
+  LONGDP_RETURN_NOT_OK(
+      state_io::ReadArray(in, estimate_.data(), estimate_.size()));
+  for (size_t i = 0; i < occupied_.size(); ++i) {
+    uint8_t flag = 0;
+    LONGDP_RETURN_NOT_OK(state_io::ReadArray(in, &flag, 1));
+    if (flag > 1) {
+      return Status::InvalidArgument("honaker counter state inconsistent");
+    }
+    occupied_[i] = flag == 1;
   }
-  occupied_.assign(occ.size(), false);
-  for (size_t i = 0; i < occ.size(); ++i) occupied_[i] = occ[i] != 0;
-  for (size_t i = 0; i < cursors.size(); ++i) {
-    level_streams_[i].set_cursor(cursors[i]);
-  }
-  return Status::OK();
+  return state_io::ReadCursors(in, &level_streams_);
 }
 
 Result<std::unique_ptr<StreamCounter>> HonakerCounterFactory::Create(

@@ -63,35 +63,20 @@ double LaplaceTreeCounter::ErrorBound(double beta, int64_t t) const {
 }
 
 Status LaplaceTreeCounter::SaveState(std::ostream& out) const {
-  out << t_ << " ";
-  state_io::WriteIntVector(out, alpha_);
-  out << " ";
-  state_io::WriteIntVector(out, alpha_noisy_);
-  out << " ";
-  std::vector<uint64_t> cursors;
-  cursors.reserve(level_streams_.size());
-  for (const auto& s : level_streams_) cursors.push_back(s.cursor());
-  state_io::WriteCursorVector(out, cursors);
-  out << "\n";
+  state_io::WriteInt(out, t_);
+  state_io::WriteArray(out, alpha_.data(), alpha_.size());
+  state_io::WriteArray(out, alpha_noisy_.data(), alpha_noisy_.size());
+  state_io::WriteCursors(out, level_streams_);
   return out.good() ? Status::OK() : Status::IOError("state write failed");
 }
 
 Status LaplaceTreeCounter::RestoreState(std::istream& in) {
-  LONGDP_ASSIGN_OR_RETURN(t_, state_io::ReadInt(in));
-  LONGDP_RETURN_NOT_OK(state_io::ReadIntVector(in, &alpha_));
-  LONGDP_RETURN_NOT_OK(state_io::ReadIntVector(in, &alpha_noisy_));
-  std::vector<uint64_t> cursors;
-  LONGDP_RETURN_NOT_OK(state_io::ReadCursorVector(in, &cursors));
-  if (t_ < 0 || t_ > horizon_ ||
-      alpha_.size() != static_cast<size_t>(levels_) ||
-      alpha_noisy_.size() != static_cast<size_t>(levels_) ||
-      cursors.size() != static_cast<size_t>(levels_)) {
-    return Status::InvalidArgument("laplace tree counter state inconsistent");
-  }
-  for (size_t i = 0; i < cursors.size(); ++i) {
-    level_streams_[i].set_cursor(cursors[i]);
-  }
-  return Status::OK();
+  LONGDP_ASSIGN_OR_RETURN(
+      t_, state_io::ReadIntIn(in, 0, horizon_, "laplace tree counter step"));
+  LONGDP_RETURN_NOT_OK(state_io::ReadArray(in, alpha_.data(), alpha_.size()));
+  LONGDP_RETURN_NOT_OK(
+      state_io::ReadArray(in, alpha_noisy_.data(), alpha_noisy_.size()));
+  return state_io::ReadCursors(in, &level_streams_);
 }
 
 Result<std::unique_ptr<StreamCounter>> LaplaceTreeCounterFactory::Create(

@@ -68,24 +68,21 @@ double MatrixCounter::ErrorBound(double beta, int64_t t) const {
 }
 
 Status MatrixCounter::SaveState(std::ostream& out) const {
-  out << t_ << " ";
-  state_io::WriteIntVector(out, x_);
-  out << " ";
-  state_io::WriteDoubleVector(out, noisy_u_);
-  out << " " << stream_.cursor() << "\n";
+  // x_ and noisy_u_ both hold exactly t_ entries.
+  state_io::WriteInt(out, t_);
+  state_io::WriteArray(out, x_.data(), x_.size());
+  state_io::WriteArray(out, noisy_u_.data(), noisy_u_.size());
+  state_io::WriteU64(out, stream_.cursor());
   return out.good() ? Status::OK() : Status::IOError("state write failed");
 }
 
 Status MatrixCounter::RestoreState(std::istream& in) {
-  LONGDP_ASSIGN_OR_RETURN(t_, state_io::ReadInt(in));
-  LONGDP_RETURN_NOT_OK(state_io::ReadIntVector(in, &x_));
-  LONGDP_RETURN_NOT_OK(state_io::ReadDoubleVector(in, &noisy_u_));
-  LONGDP_ASSIGN_OR_RETURN(uint64_t cursor, state_io::ReadCursor(in));
-  if (t_ < 0 || t_ > horizon_ ||
-      x_.size() != static_cast<size_t>(t_) ||
-      noisy_u_.size() != static_cast<size_t>(t_)) {
-    return Status::InvalidArgument("matrix counter state inconsistent");
-  }
+  LONGDP_ASSIGN_OR_RETURN(
+      t_, state_io::ReadIntIn(in, 0, horizon_, "matrix counter step"));
+  const auto steps = static_cast<uint64_t>(t_);
+  LONGDP_RETURN_NOT_OK(state_io::ReadVector(in, steps, &x_));
+  LONGDP_RETURN_NOT_OK(state_io::ReadVector(in, steps, &noisy_u_));
+  LONGDP_ASSIGN_OR_RETURN(const uint64_t cursor, state_io::ReadCursor(in));
   stream_.set_cursor(cursor);
   return Status::OK();
 }

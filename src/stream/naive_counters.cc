@@ -71,33 +71,33 @@ double RecomputeCounter::ErrorBound(double beta, int64_t t) const {
 }
 
 Status InputPerturbationCounter::SaveState(std::ostream& out) const {
-  out << t_ << " " << noisy_sum_ << " " << stream_.cursor() << "\n";
+  state_io::WriteInt(out, t_);
+  state_io::WriteInt(out, noisy_sum_);
+  state_io::WriteU64(out, stream_.cursor());
   return out.good() ? Status::OK() : Status::IOError("state write failed");
 }
 
 Status InputPerturbationCounter::RestoreState(std::istream& in) {
-  LONGDP_ASSIGN_OR_RETURN(t_, state_io::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(noisy_sum_, state_io::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(uint64_t cursor, state_io::ReadCursor(in));
-  if (t_ < 0 || t_ > horizon_) {
-    return Status::InvalidArgument("counter state inconsistent");
-  }
+  LONGDP_ASSIGN_OR_RETURN(t_,
+                          state_io::ReadIntIn(in, 0, horizon_, "counter step"));
+  LONGDP_ASSIGN_OR_RETURN(noisy_sum_, state_io::Read<int64_t>(in));
+  LONGDP_ASSIGN_OR_RETURN(const uint64_t cursor, state_io::ReadCursor(in));
   stream_.set_cursor(cursor);
   return Status::OK();
 }
 
 Status RecomputeCounter::SaveState(std::ostream& out) const {
-  out << t_ << " " << true_sum_ << " " << stream_.cursor() << "\n";
+  state_io::WriteInt(out, t_);
+  state_io::WriteInt(out, true_sum_);
+  state_io::WriteU64(out, stream_.cursor());
   return out.good() ? Status::OK() : Status::IOError("state write failed");
 }
 
 Status RecomputeCounter::RestoreState(std::istream& in) {
-  LONGDP_ASSIGN_OR_RETURN(t_, state_io::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(true_sum_, state_io::ReadInt(in));
-  LONGDP_ASSIGN_OR_RETURN(uint64_t cursor, state_io::ReadCursor(in));
-  if (t_ < 0 || t_ > horizon_) {
-    return Status::InvalidArgument("counter state inconsistent");
-  }
+  LONGDP_ASSIGN_OR_RETURN(t_,
+                          state_io::ReadIntIn(in, 0, horizon_, "counter step"));
+  LONGDP_ASSIGN_OR_RETURN(true_sum_, state_io::Read<int64_t>(in));
+  LONGDP_ASSIGN_OR_RETURN(const uint64_t cursor, state_io::ReadCursor(in));
   stream_.set_cursor(cursor);
   return Status::OK();
 }

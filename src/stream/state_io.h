@@ -1,191 +1,337 @@
-// Token-based state (de)serialization helpers shared by the stream counter
-// checkpoint implementations. Doubles round-trip via %.17g so restored
-// noise values are bit-identical.
+// Binary checkpoint codec shared by the synthesizers' SaveCheckpoint /
+// LoadCheckpoint and the stream counters' SaveState / RestoreState.
+//
+// Every field is little-endian and fixed-width, written straight from the
+// in-memory layout and read straight back into it:
+//
+//   int, cursor   8 bytes (int64, uint64)
+//   double        8 bytes: the raw IEEE-754 bits, so every value (the
+//                 infinities included) round-trips bit-exactly
+//   array         the elements back to back; its length is implied by
+//                 values already read (n, t, k, the horizon)
+//   bit plane     ceil(n/64) uint64 words, bit i at word i/64, position
+//                 i%64 (data::RoundView's layout); bits past n must be 0
+//   tag           8 ASCII bytes read as one uint64 (end-of-format words)
+//
+// A format opens with a text magic line ("longdp-<family>-checkpoint-vN"),
+// so an older version is refused by name, and closes with a tag.
+//
+// Hostile input: a payload is untrusted bytes. Every count is checked
+// against a bound the reader already trusts before it is used, and bulk
+// arrays grow one slice at a time as bytes actually arrive, so a forged
+// count costs at most one slice of memory before the read runs off the end
+// of the input. Every short read is InvalidArgument.
 
 #ifndef LONGDP_STREAM_STATE_IO_H_
 #define LONGDP_STREAM_STATE_IO_H_
 
-#include <cctype>
-#include <cerrno>
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/status.h"
+#include "util/substream.h"
 
 namespace longdp {
 namespace stream {
 namespace state_io {
 
-inline void WriteDouble(std::ostream& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out << buf;
-}
+// Fields are written from memory as-is; every supported host (x86-64,
+// aarch64 Linux) is little-endian. Fail the build anywhere else.
+static_assert(std::endian::native == std::endian::little,
+              "the checkpoint format requires a little-endian host");
 
-inline Result<double> ReadDouble(std::istream& in) {
-  std::string tok;
-  if (!(in >> tok)) {
-    return Status::InvalidArgument("truncated state (double)");
-  }
-  // strtod with a null endptr would swallow the error path: a corrupted
-  // token ("garbage") silently parses as 0.0 and a checkpoint restores to a
-  // wrong-but-plausible state. Require the whole token to be consumed.
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || *end != '\0') {
-    return Status::InvalidArgument("malformed double in state: '" +
-                                   tok + "'");
+/// Bulk reads grow their destination at most this many bytes ahead of the
+/// bytes already read.
+inline constexpr size_t kSliceBytes = size_t{1} << 20;
+
+/// Record ids travel as uint32, so populations and synthetic cohorts are
+/// capped below 2^32 records (SaveCheckpoint refuses larger ones).
+inline constexpr int64_t kMaxRecords = (int64_t{1} << 32) - 1;
+
+/// Eight ASCII characters as one little-endian word.
+constexpr uint64_t Tag(const char (&text)[9]) {
+  uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) {
+    v = (v << 8) | static_cast<uint8_t>(text[i]);
   }
   return v;
 }
 
-inline Result<int64_t> ReadInt(std::istream& in) {
-  std::string tok;
-  if (!(in >> tok)) {
-    return Status::InvalidArgument("truncated state (int)");
-  }
-  // Stream extraction (`in >> v`) parses "12abc" as 12 and leaves "abc" in
-  // the stream, misaligning every later field into a plausible-but-wrong
-  // state. Strict whole-token parse instead (same discipline as ReadDouble
-  // and util::ParseInt64Field).
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0') {
-    return Status::InvalidArgument("malformed int in state: '" + tok +
-                                   "'");
-  }
-  if (errno == ERANGE) {
-    return Status::InvalidArgument("int overflows in state: '" + tok +
-                                   "'");
-  }
-  return static_cast<int64_t>(v);
+template <typename T>
+void WriteArray(std::ostream& out, const T* data, size_t count) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  out.write(reinterpret_cast<const char*>(data),
+            static_cast<std::streamsize>(count * sizeof(T)));
 }
 
-inline void WriteIntVector(std::ostream& out,
-                           const std::vector<int64_t>& v) {
-  out << v.size();
-  for (int64_t x : v) out << " " << x;
-}
-
-inline Status ReadIntVector(std::istream& in, std::vector<int64_t>* v) {
-  LONGDP_ASSIGN_OR_RETURN(int64_t count, ReadInt(in));
-  if (count < 0 || count > (int64_t{1} << 32)) {
-    return Status::InvalidArgument("implausible counter state vector size");
-  }
-  v->resize(static_cast<size_t>(count));
-  for (auto& x : *v) {
-    LONGDP_ASSIGN_OR_RETURN(x, ReadInt(in));
+/// Reads exactly `count` elements into caller-owned storage.
+template <typename T>
+Status ReadArray(std::istream& in, T* data, size_t count) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const auto bytes = static_cast<std::streamsize>(count * sizeof(T));
+  in.read(reinterpret_cast<char*>(data), bytes);
+  if (in.gcount() != bytes) {
+    return Status::InvalidArgument("truncated state");
   }
   return Status::OK();
 }
 
-inline void WriteDoubleVector(std::ostream& out,
-                              const std::vector<double>& v) {
-  out << v.size();
-  for (double x : v) {
-    out << " ";
-    WriteDouble(out, x);
-  }
-}
-
-inline Status ReadDoubleVector(std::istream& in, std::vector<double>* v) {
-  LONGDP_ASSIGN_OR_RETURN(int64_t count, ReadInt(in));
-  if (count < 0 || count > (int64_t{1} << 32)) {
-    return Status::InvalidArgument("implausible counter state vector size");
-  }
-  v->resize(static_cast<size_t>(count));
-  for (auto& x : *v) {
-    LONGDP_ASSIGN_OR_RETURN(x, ReadDouble(in));
+/// Replaces *v with `count` elements read from `in`, growing it one slice
+/// at a time: memory follows the bytes present, never the count alone.
+template <typename T>
+Status ReadVector(std::istream& in, uint64_t count, std::vector<T>* v) {
+  v->clear();
+  const size_t slice = kSliceBytes / sizeof(T);
+  while (v->size() < count) {
+    const size_t old = v->size();
+    const size_t step = static_cast<size_t>(
+        std::min<uint64_t>(slice, count - static_cast<uint64_t>(old)));
+    v->resize(old + step);
+    LONGDP_RETURN_NOT_OK(ReadArray(in, v->data() + old, step));
   }
   return Status::OK();
 }
 
-// Substream cursor persistence: counters checkpoint only their draw counts
-// (util::SubstreamRng::cursor()); keys never hit disk because they are a
-// pure function of the construction seed. Cursors are unsigned 64-bit.
+inline void WriteInt(std::ostream& out, int64_t v) { WriteArray(out, &v, 1); }
+/// Seeds and substream cursors.
+inline void WriteU64(std::ostream& out, uint64_t v) { WriteArray(out, &v, 1); }
+inline void WriteDouble(std::ostream& out, double v) {
+  WriteArray(out, &v, 1);
+}
 
+/// One fixed-width field: an int64, a uint64 (seeds), or a double.
+template <typename T>
+Result<T> Read(std::istream& in) {
+  T v{};
+  LONGDP_RETURN_NOT_OK(ReadArray(in, &v, 1));
+  return v;
+}
+
+/// Reads an int and rejects it unless lo <= v <= hi.
+inline Result<int64_t> ReadIntIn(std::istream& in, int64_t lo, int64_t hi,
+                                 const std::string& what) {
+  LONGDP_ASSIGN_OR_RETURN(const int64_t v, Read<int64_t>(in));
+  if (v < lo || v > hi) {
+    return Status::InvalidArgument(what + " out of range in state: " +
+                                   std::to_string(v));
+  }
+  return v;
+}
+
+/// Substream cursors are draw counts. One at or past 2^63 is a negative
+/// count that wrapped, never a real position (2^63 draws is centuries of
+/// sampling), so it is rejected rather than restored 9 quintillion draws
+/// ahead.
 inline Result<uint64_t> ReadCursor(std::istream& in) {
-  std::string tok;
-  if (!(in >> tok)) {
-    return Status::InvalidArgument("truncated state (cursor)");
+  LONGDP_ASSIGN_OR_RETURN(const uint64_t v, Read<uint64_t>(in));
+  if (v >> 63) {
+    return Status::InvalidArgument("wrapped substream cursor in state");
   }
-  // Stream extraction of an unsigned silently NEGATES a signed token: a
-  // corrupted "-1" restores as 2^64 - 1 without setting failbit, and the
-  // counter replays from a cursor 18 quintillion draws ahead. Cursors are
-  // draw counts, so any leading sign ('-' or '+') is rejected outright,
-  // and the whole token must parse.
-  if (!std::isdigit(static_cast<unsigned char>(tok[0]))) {
-    return Status::InvalidArgument("malformed cursor in state: '" +
-                                   tok + "'");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (*end != '\0') {
-    return Status::InvalidArgument("malformed cursor in state: '" +
-                                   tok + "'");
-  }
-  if (errno == ERANGE) {
-    return Status::InvalidArgument("cursor overflows in state: '" +
-                                   tok + "'");
-  }
-  return static_cast<uint64_t>(v);
+  return v;
 }
 
-inline void WriteCursorVector(std::ostream& out,
-                              const std::vector<uint64_t>& v) {
-  out << v.size();
-  for (uint64_t x : v) out << " " << x;
+/// The draw cursors of a counter's per-level substreams, in level order
+/// (the count is the caller's: it is fixed by construction).
+inline void WriteCursors(std::ostream& out,
+                         const std::vector<util::SubstreamRng>& streams) {
+  for (const auto& s : streams) WriteU64(out, s.cursor());
 }
 
-inline Status ReadCursorVector(std::istream& in, std::vector<uint64_t>* v) {
-  LONGDP_ASSIGN_OR_RETURN(int64_t count, ReadInt(in));
-  if (count < 0 || count > (int64_t{1} << 32)) {
-    return Status::InvalidArgument("implausible counter state vector size");
-  }
-  v->resize(static_cast<size_t>(count));
-  for (auto& x : *v) {
-    LONGDP_ASSIGN_OR_RETURN(x, ReadCursor(in));
+inline Status ReadCursors(std::istream& in,
+                          std::vector<util::SubstreamRng>* streams) {
+  for (auto& s : *streams) {
+    LONGDP_ASSIGN_OR_RETURN(const uint64_t cursor, ReadCursor(in));
+    s.set_cursor(cursor);
   }
   return Status::OK();
 }
 
-// Checkpoint sentinels. Every SaveCheckpoint format ends with a
-// format-specific trailer token; loaders consume it with ExpectToken and
-// hard-fail otherwise, so a checkpoint truncated after a syntactically
-// valid prefix can never load. Whole-file loaders additionally call
-// ExpectExhausted: trailing bytes after the sentinel (a concatenated second
-// checkpoint, appended garbage) are an error for a file that is supposed
-// to BE a checkpoint, while mid-stream embedding (the counter bank inside
-// a synthesizer checkpoint) skips that call.
+/// Short names (counter and budget-split names): an 8-byte length, then
+/// the bytes.
+inline void WriteString(std::ostream& out, const std::string& s) {
+  WriteInt(out, static_cast<int64_t>(s.size()));
+  WriteArray(out, s.data(), s.size());
+}
 
-inline Status ExpectToken(std::istream& in, const std::string& expected,
-                          const std::string& what) {
-  std::string tok;
-  if (!(in >> tok)) {
-    return Status::InvalidArgument("truncated " + what + ": expected '" +
-                                   expected + "'");
-  }
-  if (tok != expected) {
-    return Status::InvalidArgument("corrupt " + what + ": expected '" +
-                                   expected + "', got '" + tok + "'");
+inline Result<std::string> ReadString(std::istream& in) {
+  LONGDP_ASSIGN_OR_RETURN(const int64_t size,
+                          ReadIntIn(in, 0, 64, "name length"));
+  std::string s(static_cast<size_t>(size), '\0');
+  LONGDP_RETURN_NOT_OK(ReadArray(in, s.data(), s.size()));
+  return s;
+}
+
+/// A bit plane of n lanes: ceil(n/64) words.
+inline void WritePlane(std::ostream& out, const std::vector<uint64_t>& words) {
+  WriteArray(out, words.data(), words.size());
+}
+
+/// Reads a bit plane of n lanes into *words, rejecting set bits past lane
+/// n (the packing invariant every word kernel relies on).
+inline Status ReadPlane(std::istream& in, int64_t n,
+                        std::vector<uint64_t>* words) {
+  const uint64_t num_words = (static_cast<uint64_t>(n) + 63) >> 6;
+  LONGDP_RETURN_NOT_OK(ReadVector(in, num_words, words));
+  if ((n & 63) != 0 && (words->back() >> (n & 63)) != 0) {
+    return Status::InvalidArgument("bit plane has bits past its lanes");
   }
   return Status::OK();
 }
 
-inline Status ExpectExhausted(std::istream& in, const std::string& what) {
-  std::string tok;
-  if (in >> tok) {
-    return Status::InvalidArgument("trailing data after " + what + ": '" +
-                                   tok + "'");
+namespace detail {
+// Eight 0/1 bytes b0..b7 (b0 lowest) loaded as one little-endian word x:
+// x * kGather moves b_j to bit 56 + j, and every cross term lands strictly
+// below bit 56 at a distinct position (so no carry reaches the top byte).
+// The top byte is therefore the eight bits packed, b0 lowest.
+inline constexpr uint64_t kGather = 0x0102040810204080ULL;
+inline constexpr uint64_t kLowBits = 0x0101010101010101ULL;
+
+// kSpread[b] is byte b expanded to eight 0/1 bytes: bit j -> byte j.
+inline constexpr std::array<uint64_t, 256> kSpread = [] {
+  std::array<uint64_t, 256> table{};
+  for (uint64_t b = 0; b < 256; ++b) {
+    for (int j = 0; j < 8; ++j) table[b] |= ((b >> j) & 1) << (8 * j);
+  }
+  return table;
+}();
+}  // namespace detail
+
+/// Writes `rounds` byte-per-bit columns of m records (round r's column at
+/// matrix[r*m, (r+1)*m)) as one packed bit plane per round, eight records
+/// per multiply. A byte other than 0/1 is refused before its column is
+/// written.
+inline Status WriteBitColumns(std::ostream& out, const uint8_t* matrix,
+                              int64_t m, int64_t rounds) {
+  const size_t lanes = static_cast<size_t>(m);
+  std::vector<uint64_t> words((lanes + 63) >> 6);
+  for (int64_t r = 0; r < rounds; ++r) {
+    const uint8_t* col = matrix + static_cast<size_t>(r) * lanes;
+    uint64_t seen = 0;  // OR of every byte: bits above a lane's low bit
+    for (size_t w = 0; w < words.size(); ++w) {
+      const uint8_t* src = col + (w << 6);
+      const size_t width = std::min<size_t>(64, lanes - (w << 6));
+      uint64_t word = 0;
+      if (width == 64) {
+        for (int b = 0; b < 8; ++b) {
+          uint64_t x;
+          std::memcpy(&x, src + 8 * b, sizeof(x));
+          seen |= x;
+          word |= ((x * detail::kGather) >> 56) << (8 * b);
+        }
+      } else {
+        for (size_t j = 0; j < width; ++j) {
+          seen |= src[j];
+          word |= static_cast<uint64_t>(src[j] & 1) << j;
+        }
+      }
+      words[w] = word;
+    }
+    if ((seen & ~detail::kLowBits) != 0) {
+      return Status::InvalidArgument("history bits must be 0 or 1");
+    }
+    WriteArray(out, words.data(), words.size());
   }
   return Status::OK();
+}
+
+/// Reads `rounds` packed bit planes of m records into *matrix as
+/// byte-per-bit columns (the inverse of WriteBitColumns). The matrix grows
+/// one column per plane read.
+inline Status ReadBitColumns(std::istream& in, int64_t m, int64_t rounds,
+                             std::vector<uint8_t>* matrix) {
+  matrix->clear();
+  // Empty columns hold no bytes: nothing to read, however many rounds.
+  if (m == 0) return Status::OK();
+  const size_t lanes = static_cast<size_t>(m);
+  std::vector<uint64_t> words;
+  for (int64_t r = 0; r < rounds; ++r) {
+    LONGDP_RETURN_NOT_OK(ReadPlane(in, m, &words));
+    const size_t base = static_cast<size_t>(r) * lanes;
+    matrix->resize(base + lanes);
+    uint8_t* col = matrix->data() + base;
+    const size_t full = lanes >> 6;
+    for (size_t w = 0; w < full; ++w) {
+      for (int b = 0; b < 8; ++b) {
+        const uint64_t spread = detail::kSpread[(words[w] >> (8 * b)) & 0xFF];
+        std::memcpy(col + (w << 6) + 8 * b, &spread, sizeof(spread));
+      }
+    }
+    for (size_t i = full << 6; i < lanes; ++i) {
+      col[i] = static_cast<uint8_t>((words[i >> 6] >> (i & 63)) & 1);
+    }
+  }
+  return Status::OK();
+}
+
+inline void WriteTag(std::ostream& out, uint64_t tag) {
+  WriteArray(out, &tag, 1);
+}
+
+/// Consumes a tag word. Sentinels close every format, so a payload cut
+/// exactly at a field boundary still fails to load.
+inline Status ExpectTag(std::istream& in, uint64_t tag,
+                        const std::string& what) {
+  const Result<uint64_t> got = Read<uint64_t>(in);
+  if (!got.ok()) {
+    return Status::InvalidArgument("truncated " + what +
+                                   ": missing end sentinel");
+  }
+  if (got.value() != tag) {
+    return Status::InvalidArgument("corrupt " + what + ": bad end sentinel");
+  }
+  return Status::OK();
+}
+
+/// Whole-payload loaders call this after the final tag: bytes past it (a
+/// concatenated second checkpoint, appended garbage) are an error for a
+/// payload that is supposed to BE one checkpoint.
+inline Status ExpectEnd(std::istream& in, const std::string& what) {
+  if (in.peek() != std::char_traits<char>::eof()) {
+    return Status::InvalidArgument("trailing bytes after " + what);
+  }
+  return Status::OK();
+}
+
+/// The magic line opening a checkpoint of `family` at `version`.
+inline std::string Magic(const std::string& family, int version) {
+  return "longdp-" + family + "-checkpoint-v" + std::to_string(version);
+}
+
+inline void WriteMagic(std::ostream& out, const std::string& family,
+                       int version) {
+  out << Magic(family, version) << '\n';
+}
+
+/// Consumes the magic line. A line naming another version of the same
+/// family is "unsupported ... version" (a real checkpoint this build
+/// cannot restore); anything else is "not a ... checkpoint".
+inline Status ExpectMagic(std::istream& in, const std::string& family,
+                          int version) {
+  const std::string magic = Magic(family, version) + '\n';
+  std::string got(magic.size(), '\0');
+  in.read(got.data(), static_cast<std::streamsize>(got.size()));
+  got.resize(static_cast<size_t>(in.gcount()));
+  if (got == magic) return Status::OK();
+  const std::string prefix = "longdp-" + family + "-checkpoint-v";
+  if (got.compare(0, prefix.size(), prefix) == 0) {
+    got = got.substr(0, got.find('\n'));
+    for (char& c : got) {
+      if (c < 0x20 || c > 0x7e) c = '?';
+    }
+    return Status::InvalidArgument("unsupported " + family +
+                                   " checkpoint version '" + got +
+                                   "'; this build reads " +
+                                   Magic(family, version));
+  }
+  return Status::InvalidArgument("not a " + family + " checkpoint");
 }
 
 }  // namespace state_io

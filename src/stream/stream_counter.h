@@ -68,7 +68,7 @@ class StreamCounter {
   virtual std::string name() const = 0;
 
   /// Serializes the counter's mutable state (NOT its construction
-  /// parameters) as whitespace-separated tokens, for checkpointing a
+  /// parameters) in the binary state_io encoding, for checkpointing a
   /// continual release mid-horizon. Substream positions are persisted as
   /// cursors only — the keys are a function of the construction seed. The
   /// stream may contain already-drawn noise values — a checkpoint is

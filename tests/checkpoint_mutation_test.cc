@@ -1,0 +1,201 @@
+// Mutation test for the binary checkpoint decoders: every synthesizer's
+// LoadCheckpoint and every counter type's RestoreState (through a
+// CounterBank) is fed truncations, single-bit flips, and 8-byte fields
+// overwritten with forged counts, built from small mid-run checkpoints.
+//
+// Oracle: the decoder returns non-OK, or state that re-saves to exactly
+// the bytes it consumed. No input may crash, hang, or size an allocation
+// from an unchecked count (the ASan/UBSan job runs this suite).
+
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/categorical_synthesizer.h"
+#include "core/cumulative_synthesizer.h"
+#include "core/fixed_window_synthesizer.h"
+#include "data/generators.h"
+#include "stream/counter_bank.h"
+#include "stream/counter_factory.h"
+#include "util/substream.h"
+
+namespace longdp {
+namespace {
+
+/// Decodes `in` and, on success, re-encodes the restored state.
+using Roundtrip = std::function<Status(std::istream& in, std::string* out)>;
+
+/// Applies the oracle to one input.
+void Check(const Roundtrip& roundtrip, const std::string& input,
+           const std::string& what) {
+  std::istringstream in(input);
+  std::string resaved;
+  const Status st = roundtrip(in, &resaved);
+  if (!st.ok()) return;
+  in.clear();
+  const std::streamoff consumed = in.tellg();
+  ASSERT_GE(consumed, 0) << what;
+  ASSERT_EQ(resaved, input.substr(0, static_cast<size_t>(consumed)))
+      << what << ": accepted state does not re-save to the bytes it read";
+}
+
+/// Runs every mutation of `bytes` (a valid encoding) through the oracle.
+void MutateAll(const Roundtrip& roundtrip, const std::string& bytes,
+               const std::string& name) {
+  // The valid encoding itself round-trips exactly.
+  {
+    std::istringstream in(bytes);
+    std::string resaved;
+    ASSERT_TRUE(roundtrip(in, &resaved).ok()) << name;
+    ASSERT_EQ(resaved, bytes) << name;
+  }
+  // Every truncation: a strict prefix lacks the end sentinel.
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    std::istringstream in(bytes.substr(0, len));
+    std::string resaved;
+    EXPECT_FALSE(roundtrip(in, &resaved).ok())
+        << name << ": truncation to " << len << " bytes accepted";
+  }
+  // A single-bit flip at every byte offset; the bit is drawn from a keyed
+  // substream so the corpus is fixed.
+  const util::SubstreamRng flips(0xF11B, util::substream::kGeneric);
+  for (size_t at = 0; at < bytes.size(); ++at) {
+    util::SubstreamRng bit = flips.Derive(at);
+    std::string mutant = bytes;
+    mutant[at] = static_cast<char>(mutant[at] ^ (1 << bit.UniformInt(8)));
+    Check(roundtrip, mutant, name + " bit flip at " + std::to_string(at));
+  }
+  // Every 8-byte window overwritten with a forged count: this covers each
+  // length, count, and size field wherever it sits.
+  for (uint64_t forged : {uint64_t{1} << 32, uint64_t{1} << 62}) {
+    for (size_t at = 0; at + 8 <= bytes.size(); ++at) {
+      std::string mutant = bytes;
+      std::memcpy(&mutant[at], &forged, sizeof(forged));
+      Check(roundtrip, mutant,
+            name + " count " + std::to_string(forged) + " at " +
+                std::to_string(at));
+    }
+  }
+}
+
+template <typename Synth>
+Roundtrip SynthRoundtrip() {
+  return [](std::istream& in, std::string* out) -> Status {
+    LONGDP_ASSIGN_OR_RETURN(auto synth, Synth::LoadCheckpoint(in));
+    std::ostringstream resaved;
+    LONGDP_RETURN_NOT_OK(synth->SaveCheckpoint(resaved));
+    *out = resaved.str();
+    return Status::OK();
+  };
+}
+
+template <typename Synth>
+std::string Save(const Synth& synth) {
+  std::ostringstream out;
+  EXPECT_TRUE(synth.SaveCheckpoint(out).ok());
+  return out.str();
+}
+
+// 70 users: every bit plane ends in a partial word.
+constexpr int64_t kUsers = 70;
+constexpr int64_t kHorizon = 6;
+
+TEST(CheckpointMutationTest, FixedWindowDecoderIsTotal) {
+  util::SubstreamRng rng(0xF1, util::substream::kGeneric);
+  auto ds = data::BernoulliIid(kUsers, kHorizon, 0.4, &rng).value();
+  core::FixedWindowSynthesizer::Options options;
+  options.horizon = kHorizon;
+  options.window_k = 3;
+  options.rho = 4.0;
+  options.seed = 0xF1;
+  auto synth = core::FixedWindowSynthesizer::Create(options).value();
+  const auto roundtrip = SynthRoundtrip<core::FixedWindowSynthesizer>();
+  MutateAll(roundtrip, Save(*synth), "fixed-window fresh");
+  ASSERT_TRUE(synth->ObserveRound(ds.Round(1)).ok());
+  MutateAll(roundtrip, Save(*synth), "fixed-window pre-release");
+  for (int64_t t = 2; t <= 4; ++t) {
+    ASSERT_TRUE(synth->ObserveRound(ds.Round(t)).ok());
+  }
+  ASSERT_TRUE(synth->has_release());
+  MutateAll(roundtrip, Save(*synth), "fixed-window post-release");
+}
+
+TEST(CheckpointMutationTest, CumulativeDecoderIsTotal) {
+  util::SubstreamRng rng(0xC1, util::substream::kGeneric);
+  auto ds = data::BernoulliIid(kUsers, kHorizon, 0.4, &rng).value();
+  core::CumulativeSynthesizer::Options options;
+  options.horizon = kHorizon;
+  options.rho = 4.0;
+  options.seed = 0xC1;
+  options.counter_factory = stream::MakeCounterFactory("tree").value();
+  auto synth = core::CumulativeSynthesizer::Create(options).value();
+  const auto roundtrip = SynthRoundtrip<core::CumulativeSynthesizer>();
+  MutateAll(roundtrip, Save(*synth), "cumulative fresh");
+  ASSERT_TRUE(synth->ObserveRound(ds.Round(1)).ok());
+  MutateAll(roundtrip, Save(*synth), "cumulative first release");
+  for (int64_t t = 2; t <= 4; ++t) {
+    ASSERT_TRUE(synth->ObserveRound(ds.Round(t)).ok());
+  }
+  MutateAll(roundtrip, Save(*synth), "cumulative mid-run");
+}
+
+TEST(CheckpointMutationTest, CategoricalDecoderIsTotal) {
+  util::SubstreamRng rng(0xCA, util::substream::kGeneric);
+  std::vector<std::vector<uint8_t>> rounds(kHorizon,
+                                           std::vector<uint8_t>(kUsers));
+  for (auto& round : rounds) {
+    for (auto& s : round) s = static_cast<uint8_t>(rng.UniformInt(3));
+  }
+  core::CategoricalWindowSynthesizer::Options options;
+  options.horizon = kHorizon;
+  options.window_k = 2;
+  options.alphabet = 3;
+  options.rho = 4.0;
+  options.seed = 0xCA;
+  auto synth = core::CategoricalWindowSynthesizer::Create(options).value();
+  const auto roundtrip = SynthRoundtrip<core::CategoricalWindowSynthesizer>();
+  MutateAll(roundtrip, Save(*synth), "categorical fresh");
+  ASSERT_TRUE(synth->ObserveRound(rounds[0]).ok());
+  MutateAll(roundtrip, Save(*synth), "categorical pre-release");
+  for (size_t t = 1; t < 4; ++t) {
+    ASSERT_TRUE(synth->ObserveRound(rounds[t]).ok());
+  }
+  ASSERT_TRUE(synth->has_release());
+  MutateAll(roundtrip, Save(*synth), "categorical post-release");
+}
+
+TEST(CheckpointMutationTest, CounterBankDecoderIsTotalForEveryCounter) {
+  for (const std::string& name : stream::RegisteredCounterNames()) {
+    stream::CounterBank::Options options;
+    options.horizon = kHorizon;
+    options.population = kUsers;
+    options.total_rho = 4.0;
+    options.seed = 0xBA;
+    options.factory = stream::MakeCounterFactory(name).value();
+    auto bank = stream::CounterBank::Create(options).value();
+    for (int64_t t = 1; t <= 3; ++t) {
+      std::vector<int64_t> z(static_cast<size_t>(kHorizon), 0);
+      for (int64_t b = 1; b <= t; ++b) z[static_cast<size_t>(b - 1)] = b;
+      ASSERT_TRUE(bank->ObserveRound(z).ok()) << name;
+    }
+    std::ostringstream state;
+    ASSERT_TRUE(bank->SaveState(state).ok()) << name;
+    const Roundtrip roundtrip = [&options](std::istream& in,
+                                           std::string* out) -> Status {
+      LONGDP_ASSIGN_OR_RETURN(auto fresh, stream::CounterBank::Create(options));
+      LONGDP_RETURN_NOT_OK(fresh->RestoreState(in));
+      std::ostringstream resaved;
+      LONGDP_RETURN_NOT_OK(fresh->SaveState(resaved));
+      *out = resaved.str();
+      return Status::OK();
+    };
+    MutateAll(roundtrip, state.str(), "counter bank (" + name + ")");
+  }
+}
+
+}  // namespace
+}  // namespace longdp

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "core/categorical_synthesizer.h"
 #include "core/cumulative_synthesizer.h"
 #include "core/fixed_window_synthesizer.h"
 #include "data/generators.h"
 #include "query/window_query.h"
+#include "stream/budget_split.h"
 #include "stream/counter_factory.h"
+#include "stream/state_io.h"
 #include "util/substream.h"
 
 namespace longdp {
@@ -16,6 +21,29 @@ namespace core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// Binary payload layout helpers: every scalar field is 8 bytes, after a
+// magic line of the family's name.
+size_t MagicBytes(const std::string& family, int version) {
+  return stream::state_io::Magic(family, version).size() + 1;
+}
+
+// Returns `bytes` with the field at `offset` overwritten by `value`.
+template <typename T>
+std::string Patch(std::string bytes, size_t offset, T value) {
+  std::memcpy(&bytes[offset], &value, sizeof(T));
+  return bytes;
+}
+
+template <typename T>
+T Peek(const std::string& bytes, size_t offset) {
+  T value;
+  std::memcpy(&value, &bytes[offset], sizeof(T));
+  return value;
+}
+
+size_t Words(int64_t lanes) { return static_cast<size_t>((lanes + 63) / 64); }
 
 FixedWindowSynthesizer::Options Opt(int64_t horizon, int k, double rho,
                                     int64_t npad = -1, uint64_t seed = 0) {
@@ -156,25 +184,34 @@ TEST(CheckpointTest, RejectsGarbage) {
   std::stringstream v2(
       "longdp-fixed-window-checkpoint-v2\n12 3 0.005 124 0.05 7\n");
   EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(v2).ok());
+  // v4 was the last text format; v5 is binary.
+  std::stringstream v4(
+      "longdp-fixed-window-checkpoint-v4\n12 3 0.005 124 0.05 7\n");
+  EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(v4).ok());
 }
 
 TEST(CheckpointTest, VersionSkewIsExplicitInvalidArgument) {
-  // An old-version checkpoint must be refused with a message naming the
-  // version problem — distinct from "this is not a checkpoint at all".
-  std::stringstream v3(
-      "longdp-fixed-window-checkpoint-v3\n12 3 0.005 124 0.05 7\n");
-  auto restored = FixedWindowSynthesizer::LoadCheckpoint(v3);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_TRUE(restored.status().IsInvalidArgument())
-      << restored.status().ToString();
-  EXPECT_NE(restored.status().message().find("version"), std::string::npos)
-      << restored.status().message();
+  // An old-version checkpoint — including a v4 text snapshot — must be
+  // refused with a message naming the version problem, distinct from
+  // "this is not a checkpoint at all".
+  for (const char* old : {"longdp-fixed-window-checkpoint-v3\n",
+                          "longdp-fixed-window-checkpoint-v4\n"}) {
+    std::stringstream text(std::string(old) + "12 3 0.005 124 0.05 7\n");
+    auto restored = FixedWindowSynthesizer::LoadCheckpoint(text);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_TRUE(restored.status().IsInvalidArgument())
+        << restored.status().ToString();
+    EXPECT_NE(restored.status().message().find("unsupported fixed-window "
+                                               "checkpoint version"),
+              std::string::npos)
+        << restored.status().message();
+  }
 }
 
 TEST(CheckpointTest, MissingEndSentinelIsRejected) {
-  // v4 checkpoints end in a sentinel token; a checkpoint cut anywhere —
-  // including exactly at a clean token boundary, which every field-level
-  // read survives — must still fail to load.
+  // Checkpoints end in a sentinel word; a checkpoint cut anywhere —
+  // including exactly at a field boundary, which every field-level read
+  // survives — must still fail to load.
   util::SubstreamRng rng(21, util::substream::kGeneric);
   auto ds = data::BernoulliIid(60, 6, 0.5, &rng).value();
   auto synth = FixedWindowSynthesizer::Create(Opt(6, 2, 0.1, -1, 83)).value();
@@ -183,44 +220,29 @@ TEST(CheckpointTest, MissingEndSentinelIsRejected) {
   }
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
-  std::string text = stream.str();
-  const std::string sentinel = "end-longdp-fixed-window-checkpoint-v4";
-  auto pos = text.rfind(sentinel);
-  ASSERT_NE(pos, std::string::npos) << "checkpoint lacks its sentinel";
-  std::stringstream truncated(text.substr(0, pos));
+  const std::string bytes = stream.str();
+  const size_t pos = bytes.size() - 8;
+  ASSERT_EQ(bytes.substr(pos), "fwin-end") << "checkpoint lacks its sentinel";
+  std::stringstream truncated(bytes.substr(0, pos));
   EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(truncated).ok());
-  // And with the sentinel replaced by a forged token.
-  std::string forged = text;
-  forged.replace(pos, sentinel.size(), "end-of-some-other-file-entirely---");
+  // And with the sentinel replaced by a forged word.
+  std::string forged = bytes;
+  forged.replace(pos, 8, "cuml-end");
   std::stringstream wrong(forged);
   EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(wrong).ok());
 }
 
-// Replaces whitespace-separated token `tok_idx` (0-based) of line
-// `line_idx` (0-based) with `replacement`, preserving everything else.
-std::string CorruptToken(const std::string& text, int line_idx, int tok_idx,
-                         const std::string& replacement) {
-  std::istringstream in(text);
-  std::string line, out;
-  for (int l = 0; std::getline(in, line); ++l) {
-    if (l == line_idx) {
-      std::istringstream toks(line);
-      std::string tok, rebuilt;
-      for (int i = 0; toks >> tok; ++i) {
-        if (!rebuilt.empty()) rebuilt += ' ';
-        rebuilt += (i == tok_idx) ? replacement : tok;
-      }
-      line = rebuilt;
-    }
-    out += line;
-    out += '\n';
-  }
-  return out;
+// Fixed-window v5 layout: the magic line, then six option fields
+// (horizon, k, rho, npad, beta, seed) and six state fields (t, n,
+// releases, clamps, rounding draws, spent).
+size_t FwField(int index) {
+  return MagicBytes("fixed-window", 5) + 8 * static_cast<size_t>(index);
 }
 
 TEST(CheckpointTest, CorruptSpentTokenIsRejectedNotZeroed) {
-  // A garbage spent token used to restore as spent = 0.0: the accountant
-  // forgot already-spent budget on restart. It must hard-fail instead.
+  // A corrupted spent budget used to restore as spent = 0.0: the accountant
+  // forgot already-spent budget on restart. NaN, negative and infinite
+  // spends must hard-fail instead.
   util::SubstreamRng rng(11, util::substream::kGeneric);
   auto ds = data::BernoulliIid(60, 6, 0.5, &rng).value();
   auto synth = FixedWindowSynthesizer::Create(Opt(6, 2, 0.1, -1, 47)).value();
@@ -230,32 +252,32 @@ TEST(CheckpointTest, CorruptSpentTokenIsRejectedNotZeroed) {
   ASSERT_GT(synth->accountant().spent(), 0.0);
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
-  // Layout: line 0 magic, line 1 options header, line 2 state line whose
-  // last (6th) token is the spent budget.
-  for (const char* bad : {"garbage", "0.01junk", ""}) {
-    std::stringstream corrupted(CorruptToken(stream.str(), 2, 5, bad));
+  ASSERT_EQ(Peek<double>(stream.str(), FwField(11)),
+            synth->accountant().spent());
+  for (double bad : {kNaN, -0.01, kInf, -kInf}) {
+    std::stringstream corrupted(Patch(stream.str(), FwField(11), bad));
     auto restored = FixedWindowSynthesizer::LoadCheckpoint(corrupted);
-    ASSERT_FALSE(restored.ok()) << "spent token '" << bad << "' accepted";
+    ASSERT_FALSE(restored.ok()) << "spent " << bad << " accepted";
   }
 }
 
 TEST(CheckpointTest, CorruptRhoTokenIsRejectedNotTruncated) {
-  // "0.02zzz" used to strtod-truncate to 0.02 and silently restore with the
-  // wrong privacy budget.
+  // A corrupted budget must not restore as a different (or disabled) one:
+  // NaN and non-positive rho are refused.
   util::SubstreamRng rng(12, util::substream::kGeneric);
   auto ds = data::BernoulliIid(40, 4, 0.5, &rng).value();
   auto synth = FixedWindowSynthesizer::Create(Opt(4, 2, 0.1, -1, 53)).value();
   ASSERT_TRUE(synth->ObserveRound(ds.Round(1)).ok());
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
-  // Header line 1: horizon window_k rho npad beta.
-  std::stringstream corrupt_rho(CorruptToken(stream.str(), 1, 2, "0.02zzz"));
-  auto restored = FixedWindowSynthesizer::LoadCheckpoint(corrupt_rho);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_TRUE(restored.status().IsInvalidArgument())
-      << restored.status().ToString();
-  std::stringstream corrupt_beta(CorruptToken(stream.str(), 1, 4, "nope"));
-  EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(corrupt_beta).ok());
+  ASSERT_EQ(Peek<double>(stream.str(), FwField(2)), 0.1);
+  for (double bad : {kNaN, 0.0, -0.1, -kInf}) {
+    std::stringstream corrupted(Patch(stream.str(), FwField(2), bad));
+    auto restored = FixedWindowSynthesizer::LoadCheckpoint(corrupted);
+    ASSERT_FALSE(restored.ok()) << "rho " << bad << " accepted";
+    EXPECT_TRUE(restored.status().IsInvalidArgument())
+        << restored.status().ToString();
+  }
 }
 
 TEST(CheckpointTest, RejectsTamperedCohort) {
@@ -267,12 +289,34 @@ TEST(CheckpointTest, RejectsTamperedCohort) {
   }
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
-  std::string text = stream.str();
-  // Corrupt one history bit into a non-binary character.
-  auto pos = text.rfind('\n', text.size() - 6);
-  text[pos - 1] = 'x';
-  std::stringstream corrupted(text);
-  EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(corrupted).ok());
+  const std::string bytes = stream.str();
+  const int64_t m = synth->cohort().num_records();
+  ASSERT_GE(m, 2);
+  // Cohort: after the k = 2 window planes come m, then the uint32 group
+  // order, then the packed history columns.
+  const size_t cohort = FwField(12) + 2 * Words(40) * 8;
+  ASSERT_EQ(Peek<int64_t>(bytes, cohort), m);
+  const size_t order = cohort + 8;
+  // A duplicated record id is not a permutation.
+  std::stringstream dup(
+      Patch(bytes, order + 4, Peek<uint32_t>(bytes, order)));
+  EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(dup).ok());
+  // The first and last members sit in different overlap groups when both
+  // groups are non-empty; swapping them breaks the grouping.
+  const size_t last = order + 4 * static_cast<size_t>(m - 1);
+  if (synth->cohort().GroupSize(0) != 0 &&
+      synth->cohort().GroupSize(1) != 0) {
+    std::stringstream swapped(
+        Patch(Patch(bytes, order, Peek<uint32_t>(bytes, last)), last,
+              Peek<uint32_t>(bytes, order)));
+    EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(swapped).ok());
+  }
+  // A set bit past the last record of a history column is not canonical.
+  if (m % 64 != 0) {
+    const size_t last_word = bytes.size() - 8 - 8;
+    std::stringstream tail(Patch(bytes, last_word, uint64_t{1} << 63));
+    EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(tail).ok());
+  }
 }
 
 TEST(CheckpointTest, InfiniteRhoRoundTrips) {
@@ -441,6 +485,20 @@ TEST(CumulativeCheckpointTest, FreshSynthesizerRoundTrips) {
   EXPECT_EQ(restored.value()->t(), 0);
 }
 
+// Cumulative v5 layout: the magic line, horizon, rho, the budget-split and
+// counter names (8-byte length + bytes each), seed, t, n, then the
+// released row, the weight planes, and the history columns.
+size_t CumulativeHistories(const CumulativeSynthesizer::Options& options,
+                           int64_t n) {
+  const std::string split = stream::BudgetSplitName(options.split);
+  const std::string counter = options.counter_factory->name();
+  const auto horizon = static_cast<size_t>(options.horizon);
+  const size_t planes = std::bit_width(horizon);
+  return MagicBytes("cumulative", 5) + 8 + 8 + (8 + split.size()) +
+         (8 + counter.size()) + 8 + 8 + 8 + 8 * (horizon + 1) +
+         planes * Words(n) * 8;
+}
+
 TEST(CumulativeCheckpointTest, CorruptRhoTokenIsRejectedNotTruncated) {
   util::SubstreamRng rng(13, util::substream::kGeneric);
   auto ds = data::BernoulliIid(40, 5, 0.5, &rng).value();
@@ -448,22 +506,28 @@ TEST(CumulativeCheckpointTest, CorruptRhoTokenIsRejectedNotTruncated) {
   ASSERT_TRUE(synth->ObserveRound(ds.Round(1)).ok());
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
-  // Header line 1: horizon rho split counter.
-  std::stringstream corrupted(CorruptToken(stream.str(), 1, 1, "0.2zzz"));
-  auto restored = CumulativeSynthesizer::LoadCheckpoint(corrupted);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_TRUE(restored.status().IsInvalidArgument())
-      << restored.status().ToString();
+  const size_t rho_at = MagicBytes("cumulative", 5) + 8;
+  ASSERT_EQ(Peek<double>(stream.str(), rho_at), 0.2);
+  for (double bad : {kNaN, 0.0, -0.2}) {
+    std::stringstream corrupted(Patch(stream.str(), rho_at, bad));
+    auto restored = CumulativeSynthesizer::LoadCheckpoint(corrupted);
+    ASSERT_FALSE(restored.ok()) << "rho " << bad << " accepted";
+    EXPECT_TRUE(restored.status().IsInvalidArgument())
+        << restored.status().ToString();
+  }
 }
 
 TEST(CumulativeCheckpointTest, VersionSkewIsExplicitInvalidArgument) {
-  std::stringstream v3("longdp-cumulative-checkpoint-v3\n12 0.02 0 tree\n");
-  auto restored = CumulativeSynthesizer::LoadCheckpoint(v3);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_TRUE(restored.status().IsInvalidArgument())
-      << restored.status().ToString();
-  EXPECT_NE(restored.status().message().find("version"), std::string::npos)
-      << restored.status().message();
+  for (const char* old : {"longdp-cumulative-checkpoint-v3\n",
+                          "longdp-cumulative-checkpoint-v4\n"}) {
+    std::stringstream text(std::string(old) + "12 0.02 0 tree\n");
+    auto restored = CumulativeSynthesizer::LoadCheckpoint(text);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_TRUE(restored.status().IsInvalidArgument())
+        << restored.status().ToString();
+    EXPECT_NE(restored.status().message().find("version"), std::string::npos)
+        << restored.status().message();
+  }
 }
 
 TEST(CumulativeCheckpointTest, MissingEndSentinelIsRejected) {
@@ -475,11 +539,10 @@ TEST(CumulativeCheckpointTest, MissingEndSentinelIsRejected) {
   }
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
-  std::string text = stream.str();
-  const std::string sentinel = "end-longdp-cumulative-checkpoint-v4";
-  auto pos = text.rfind(sentinel);
-  ASSERT_NE(pos, std::string::npos) << "checkpoint lacks its sentinel";
-  std::stringstream truncated(text.substr(0, pos));
+  const std::string bytes = stream.str();
+  const size_t pos = bytes.size() - 8;
+  ASSERT_EQ(bytes.substr(pos), "cuml-end") << "checkpoint lacks its sentinel";
+  std::stringstream truncated(bytes.substr(0, pos));
   EXPECT_FALSE(CumulativeSynthesizer::LoadCheckpoint(truncated).ok());
 }
 
@@ -489,21 +552,20 @@ TEST(CumulativeCheckpointTest, RejectsGarbageAndTampering) {
   std::stringstream wrong("longdp-fixed-window-checkpoint-v1\n");
   EXPECT_FALSE(CumulativeSynthesizer::LoadCheckpoint(wrong).ok());
 
-  // Tampering with a history line must be caught by the released-counts
-  // consistency check.
+  // Tampering with a history bit must be caught by the group and
+  // released-counts consistency checks.
   util::SubstreamRng rng(23, util::substream::kGeneric);
   auto ds = data::BernoulliIid(50, 6, 0.5, &rng).value();
-  auto synth = CumulativeSynthesizer::Create(COpt(6, kInf)).value();
+  const auto options = COpt(6, kInf);
+  auto synth = CumulativeSynthesizer::Create(options).value();
   for (int64_t t = 1; t <= 3; ++t) {
     ASSERT_TRUE(synth->ObserveRound(ds.Round(t)).ok());
   }
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
-  std::string text = stream.str();
-  auto pos = text.find("histories");
-  pos = text.find('\n', pos) + 1;  // first history line
-  text[pos] = text[pos] == '0' ? '1' : '0';
-  std::stringstream corrupted(text);
+  const size_t column0 = CumulativeHistories(options, 50);
+  const auto word = Peek<uint64_t>(stream.str(), column0);
+  std::stringstream corrupted(Patch(stream.str(), column0, word ^ 1));
   EXPECT_FALSE(CumulativeSynthesizer::LoadCheckpoint(corrupted).ok());
 }
 
@@ -655,13 +717,25 @@ TEST(CategoricalCheckpointTest, PreReleaseAndFreshCheckpointsWork) {
 }
 
 TEST(CategoricalCheckpointTest, VersionSkewIsExplicitInvalidArgument) {
-  std::stringstream v0("longdp-categorical-checkpoint-v0\n10 2 3 0.05\n");
-  auto restored = CategoricalWindowSynthesizer::LoadCheckpoint(v0);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_TRUE(restored.status().IsInvalidArgument())
-      << restored.status().ToString();
-  EXPECT_NE(restored.status().message().find("version"), std::string::npos)
-      << restored.status().message();
+  // v1 was the text format; v2 is binary.
+  for (const char* old : {"longdp-categorical-checkpoint-v0\n",
+                          "longdp-categorical-checkpoint-v1\n"}) {
+    std::stringstream text(std::string(old) + "10 2 3 0.05\n");
+    auto restored = CategoricalWindowSynthesizer::LoadCheckpoint(text);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_TRUE(restored.status().IsInvalidArgument())
+        << restored.status().ToString();
+    EXPECT_NE(restored.status().message().find("version"), std::string::npos)
+        << restored.status().message();
+  }
+}
+
+// Categorical v2 layout: the magic line, seven option fields (horizon, k,
+// A, rho, npad, beta, seed), seven state fields (t, n, m, releases, clamps,
+// remainder draws, spent), the window codes, and once released the A^k
+// counts, the A^(k-1) group sizes, the uint32 members, and the history.
+size_t KField(int index) {
+  return MagicBytes("categorical", 2) + 8 * static_cast<size_t>(index);
 }
 
 TEST(CategoricalCheckpointTest, RejectsGarbageTamperingAndMissingSentinel) {
@@ -678,31 +752,124 @@ TEST(CategoricalCheckpointTest, RejectsGarbageTamperingAndMissingSentinel) {
   }
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
-  const std::string text = stream.str();
+  const std::string bytes = stream.str();
 
   // Cut at the sentinel: every earlier field parses, the load still fails.
-  const std::string sentinel = "end-longdp-categorical-checkpoint-v1";
-  auto pos = text.rfind(sentinel);
-  ASSERT_NE(pos, std::string::npos);
-  std::stringstream truncated(text.substr(0, pos));
+  const size_t pos = bytes.size() - 8;
+  ASSERT_EQ(bytes.substr(pos), "catg-end");
+  std::stringstream truncated(bytes.substr(0, pos));
   EXPECT_FALSE(
       CategoricalWindowSynthesizer::LoadCheckpoint(truncated).ok());
 
   // A tampered histogram no longer sums to the synthetic population.
-  auto cpos = text.find("counts ");
-  ASSERT_NE(cpos, std::string::npos);
-  std::string tampered = text;
-  // First count token starts after "counts <len> ". Bump its first digit.
-  auto tok = text.find(' ', cpos + 7) + 1;
-  tampered[tok] = tampered[tok] == '9' ? '8' : tampered[tok] + 1;
-  std::stringstream corrupted(tampered);
+  const size_t counts = KField(14) + 80;  // 9 bins: one code byte per user
+  const auto first = Peek<int64_t>(bytes, counts);
+  std::stringstream corrupted(Patch(bytes, counts, first + 1));
   EXPECT_FALSE(
       CategoricalWindowSynthesizer::LoadCheckpoint(corrupted).ok());
 
-  // A corrupted spent token must hard-fail, not restore as 0.
-  std::stringstream bad_spent(CorruptToken(text, 2, 7, "0.05zzz"));
-  EXPECT_FALSE(
-      CategoricalWindowSynthesizer::LoadCheckpoint(bad_spent).ok());
+  // A corrupted spent budget must hard-fail, not restore as 0.
+  ASSERT_EQ(Peek<double>(bytes, KField(13)), synth->accountant().spent());
+  for (double bad : {kNaN, -1.0, kInf}) {
+    std::stringstream bad_spent(Patch(bytes, KField(13), bad));
+    EXPECT_FALSE(
+        CategoricalWindowSynthesizer::LoadCheckpoint(bad_spent).ok());
+  }
+}
+
+TEST(CategoricalCheckpointTest, GroupsContradictingHistoriesAreRejected) {
+  // Regression: restore checked only that counts and group sizes sum to
+  // the record count and that the members form a permutation. Swapping a
+  // member of overlap group 0 with one of group 1 loaded, and the next
+  // round extended records whose last k-1 symbols were not their group's
+  // overlap — silently breaking consistency with the released histogram.
+  const int64_t n = 300;
+  const auto rounds = SymbolRounds(n, 8, 3, 47);
+  auto synth =
+      CategoricalWindowSynthesizer::Create(KOpt(8, 2, 3, 0.5, 107)).value();
+  for (int64_t t = 1; t <= 6; ++t) {
+    ASSERT_TRUE(synth->ObserveRound(rounds[static_cast<size_t>(t - 1)]).ok());
+  }
+  std::stringstream stream;
+  ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
+  const std::string bytes = stream.str();
+  // A = 3, k = 2: 9 bins and 3 overlap groups.
+  const size_t sizes = KField(14) + static_cast<size_t>(n) + 9 * 8;
+  const auto group0 = Peek<int64_t>(bytes, sizes);
+  ASSERT_GT(group0, 0);
+  ASSERT_GT(Peek<int64_t>(bytes, sizes + 8), 0);
+  const size_t members = sizes + 3 * 8;
+  const size_t in_group1 = members + 4 * static_cast<size_t>(group0);
+  const std::string swapped =
+      Patch(Patch(bytes, members, Peek<uint32_t>(bytes, in_group1)),
+            in_group1, Peek<uint32_t>(bytes, members));
+  std::stringstream in(swapped);
+  auto restored = CategoricalWindowSynthesizer::LoadCheckpoint(in);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_TRUE(restored.status().IsInvalidArgument())
+      << restored.status().ToString();
+  // The unswapped checkpoint still loads.
+  std::stringstream clean(bytes);
+  EXPECT_TRUE(CategoricalWindowSynthesizer::LoadCheckpoint(clean).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Layout pins: each payload's byte size equals its closed-form layout, so a
+// regression to text or to byte-per-bit columns fails here, not only in the
+// benchmark.
+// ---------------------------------------------------------------------------
+
+TEST(CheckpointLayoutTest, PayloadSizesMatchClosedForm) {
+  const int64_t n = 10000, T = 12;
+  const int k = 3;
+  util::SubstreamRng rng(0x51E, util::substream::kGeneric);
+  auto ds = data::BernoulliIid(n, T, 0.3, &rng).value();
+  const size_t words = Words(n);
+
+  auto fw = FixedWindowSynthesizer::Create(Opt(T, k, 1.0, -1, 1)).value();
+  auto cum = CumulativeSynthesizer::Create(COpt(T, 1.0, "tree", 2)).value();
+  for (int64_t t = 1; t <= T; ++t) {
+    ASSERT_TRUE(fw->ObserveRound(ds.Round(t)).ok());
+    ASSERT_TRUE(cum->ObserveRound(ds.Round(t)).ok());
+  }
+  const auto m = static_cast<size_t>(fw->cohort().num_records());
+  // magic, 12 scalar fields, k window planes, m, m uint32 ids, T packed
+  // history columns, end tag.
+  const size_t fw_bytes = MagicBytes("fixed-window", 5) + 12 * 8 +
+                          k * words * 8 + 8 + 4 * m + T * Words(m) * 8 + 8;
+  std::stringstream fw_out;
+  ASSERT_TRUE(fw->SaveCheckpoint(fw_out).ok());
+  EXPECT_EQ(fw_out.str().size(), fw_bytes);
+
+  // Up to the histories (see CumulativeHistories): T packed history
+  // columns, n uint32 ids, the counter bank (round, three rows of T + 1,
+  // each tree counter's step, two level arrays and level cursors, end
+  // tag), end tag.
+  size_t bank = 8 + 3 * (T + 1) * 8 + 8;
+  for (int64_t b = 1; b <= T; ++b) {
+    const size_t levels = std::bit_width(static_cast<uint64_t>(T - b + 1));
+    bank += 8 + 3 * levels * 8;
+  }
+  const size_t cum_bytes = CumulativeHistories(COpt(T, 1.0, "tree", 2), n) +
+                           T * words * 8 + 4 * n + bank + 8;
+  std::stringstream cum_out;
+  ASSERT_TRUE(cum->SaveCheckpoint(cum_out).ok());
+  EXPECT_EQ(cum_out.str().size(), cum_bytes);
+
+  const auto symbols = SymbolRounds(n, T, 3, 0x51F);
+  auto cat =
+      CategoricalWindowSynthesizer::Create(KOpt(T, k, 3, 1.0, 3)).value();
+  for (int64_t t = 1; t <= T; ++t) {
+    ASSERT_TRUE(cat->ObserveRound(symbols[static_cast<size_t>(t - 1)]).ok());
+  }
+  const auto cm = static_cast<size_t>(cat->synthetic_population());
+  // magic, 14 scalar fields, n one-byte window codes (27 bins), 27 counts,
+  // 9 group sizes, cm uint32 ids, T columns of cm symbol bytes, end tag.
+  const size_t cat_bytes = MagicBytes("categorical", 2) + 14 * 8 + n +
+                           27 * 8 + 9 * 8 + 4 * cm + T * cm + 8;
+  std::stringstream cat_out;
+  ASSERT_TRUE(cat->SaveCheckpoint(cat_out).ok());
+  EXPECT_EQ(cat_out.str().size(), cat_bytes);
 }
 
 }  // namespace
