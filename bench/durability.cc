@@ -8,11 +8,15 @@
 //   observe_*   plain synthesizer, no durability (the baseline)
 //   durable_*   DurableRun: every round fsyncs one WAL frame, every 4th
 //               round atomically replaces the snapshot (a binary
-//               checkpoint payload: fixed-width fields, packed bit
-//               columns, uint32 record ids; see stream/state_io.h)
+//               checkpoint payload of the private bit planes, the counter
+//               bank and each round's release targets — no synthetic
+//               records; see stream/state_io.h and the README's
+//               Durability section)
 //   recover_*   reopening the finished session directory: tolerant WAL
-//               read + snapshot restore (the replay region is empty at a
-//               snapshot boundary, so this isolates pure recovery cost)
+//               read + snapshot restore, which rebuilds the synthetic
+//               cohort by re-running stage 2 over the stored targets (the
+//               replay region is empty at a snapshot boundary, so this
+//               isolates pure recovery cost)
 //
 // The gated JSON series records only deterministic facts — WAL frame
 // count, WAL bytes, snapshot bytes — so a stored-baseline diff is immune

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "core/observe_shard.h"
+#include "core/theory.h"
 #include "stream/state_io.h"
 #include "util/batch_sampler.h"
 #include "util/thread_pool.h"
@@ -24,21 +25,21 @@ int64_t FloorDiv(int64_t a, int64_t b) {
   return q;
 }
 
-// v2, the binary stream/state_io.h encoding (the text v1 is refused by
-// name). After the magic line:
+// v3, the derived-state binary stream/state_io.h encoding (v2 and the
+// text v1 are refused by name). After the magic line:
 //
 //   options  horizon, k, A, rho, npad (resolved), beta_target, seed
-//   state    t, n, m (synthetic records), releases, negative_clamps,
-//            remainder_draws, spent rho
+//   state    t, n, releases, negative_clamps, remainder_draws, spent rho
 //   windows  (n >= 0) n base-A window codes, CodeBytes(A^k) bytes each
 //   (t >= k):
-//   counts   the A^k histogram p_s
-//   groups   the A^(k-1) overlap group sizes, then m uint32 record ids
-//            (group 0's members in current order, then group 1's, ...)
-//   history  t columns of m symbol bytes
+//   census   the clamped initial census p^k (A^k counts)
+//   rounds   per slide round k+1..t: its census (A^k counts), then a bit
+//            plane over the A^(k-1) overlaps marking the remainder draws
 //   end tag  "catg-end"
 //
-// No draw cursors: all draws are keyed by round number.
+// No cohort and no draw cursors: the cohort is stage 2 applied to the
+// censuses with streams keyed by round number, which LoadCheckpoint
+// re-runs (the remainder bits make it consume the same selection words).
 constexpr char kFamily[] = "categorical";
 constexpr uint64_t kEnd = stream::state_io::Tag("catg-end");
 
@@ -180,46 +181,55 @@ Status CategoricalWindowSynthesizer::InitialRelease() {
       ++stats_.negative_clamps;
     }
   }
-  counts_ = noisy;
+  release_targets_.assign(noisy.begin(), noisy.end());
+  return SeedCohort(options_.horizon);
+}
+
+Status CategoricalWindowSynthesizer::SeedCohort(int64_t reserve_rounds) {
+  const int64_t* census = release_targets_.data();
+  counts_.assign(census, census + num_bins_);
   // Counting-sort build of the flat overlap groups: per-overlap totals are
-  // one pass over the noisy census, then records scatter into place.
+  // one pass over the census, then records scatter into place.
   groups_.Reset(num_overlaps_);
   for (uint64_t s = 0; s < num_bins_; ++s) {
-    groups_.AddCount(s % num_overlaps_, noisy[s]);
+    groups_.AddCount(s % num_overlaps_, census[s]);
   }
   groups_.BuildOffsets();
   groups_next_.Reset(num_overlaps_);
-  counts_scratch_.assign(num_bins_, 0);
   targets_.assign(static_cast<size_t>(options_.alphabet), 0);
   child_order_.assign(static_cast<size_t>(options_.alphabet), 0);
   num_records_ = 0;
-  for (int64_t c : noisy) num_records_ += c;
+  for (uint64_t s = 0; s < num_bins_; ++s) num_records_ += census[s];
   const int k = options_.window_k;
   const uint64_t a = static_cast<uint64_t>(options_.alphabet);
   const size_t m = static_cast<size_t>(num_records_);
   history_symbols_.clear();
-  history_symbols_.reserve(m * static_cast<size_t>(options_.horizon));
+  history_symbols_.reserve(m * static_cast<size_t>(reserve_rounds));
   history_symbols_.resize(m * static_cast<size_t>(k), 0);
+  // Pattern s seeds census[s] consecutive record ids, so each group
+  // placement is one sequence append and each history column one run fill.
   int64_t next_record = 0;
-  std::vector<uint8_t> digits(static_cast<size_t>(k));
   for (uint64_t s = 0; s < num_bins_; ++s) {
+    const int64_t count = census[s];
+    if (count == 0) continue;
+    groups_.PlaceSequence(s % num_overlaps_, next_record, count);
     uint64_t code = s;
     for (int j = k - 1; j >= 0; --j) {
-      digits[static_cast<size_t>(j)] = static_cast<uint8_t>(code % a);
+      std::memset(&history_symbols_[static_cast<size_t>(j) * m +
+                                    static_cast<size_t>(next_record)],
+                  static_cast<int>(code % a), static_cast<size_t>(count));
       code /= a;
     }
-    uint64_t overlap = s % num_overlaps_;
-    for (int64_t c = 0; c < noisy[s]; ++c) {
-      const size_t rec = static_cast<size_t>(next_record++);
-      groups_.Place(overlap, static_cast<int64_t>(rec));
-      for (int j = 0; j < k; ++j) {
-        history_symbols_[static_cast<size_t>(j) * m + rec] =
-            digits[static_cast<size_t>(j)];
-      }
-    }
+    next_record += count;
   }
   initialized_ = true;
   return Status::OK();
+}
+
+void CategoricalWindowSynthesizer::DrawRemainderOrder(
+    util::BatchSampler* sampler) {
+  for (size_t c = 0; c < child_order_.size(); ++c) child_order_[c] = c;
+  sampler->Shuffle(&child_order_);
 }
 
 Status CategoricalWindowSynthesizer::SlideRelease() {
@@ -229,22 +239,24 @@ Status CategoricalWindowSynthesizer::SlideRelease() {
   ++stats_.releases;
 
   const int64_t a = options_.alphabet;
-  std::vector<int64_t>& new_counts = counts_scratch_;
-  new_counts.assign(num_bins_, 0);
+  release_targets_.resize(release_targets_.size() + num_bins_);
+  int64_t* new_counts =
+      release_targets_.data() + release_targets_.size() - num_bins_;
+  const size_t plane_words = (num_overlaps_ + 63) / 64;
+  remainder_drew_.resize(remainder_drew_.size() + plane_words, 0);
+  uint64_t* drew = remainder_drew_.data() + remainder_drew_.size() -
+                   plane_words;
   std::vector<int64_t>& targets = targets_;
-  std::vector<size_t>& child_order = child_order_;
   // All stage-2 draws of round t (remainder children, promotion subsets)
   // come from the round's keyed selection substream, in overlap order.
   util::SubstreamRng selection =
       selection_root_.Derive(static_cast<uint64_t>(t_));
   util::BatchSampler sampler(&selection);
 
-  // Pass 1 — targets: the per-child assignment counts for every overlap
-  // depend only on the noisy census and the current group sizes, not on
-  // which record goes where. Computing them all up front makes the next-
-  // round histogram (and so every next-round overlap group size) known
-  // before a single record moves, which is what lets the regroup below be
-  // a counting sort. Remainder draws stay serial, in overlap order.
+  // The census: the per-child assignment counts for every overlap depend
+  // only on the noisy census and the current group sizes, not on which
+  // record goes where, so they are all computed before AssignRound moves a
+  // record. Remainder draws stay serial, in overlap order.
   for (uint64_t z = 0; z < num_overlaps_; ++z) {
     const int64_t group = groups_.size(z);
     // Children bins of overlap z: codes z*A + a'.
@@ -263,11 +275,11 @@ Status CategoricalWindowSynthesizer::SlideRelease() {
     }
     if (rem != 0) {
       ++stats_.remainder_draws;
+      drew[z >> 6] |= uint64_t{1} << (z & 63);
       // Give +1 to `rem` uniformly chosen distinct children.
-      for (size_t c = 0; c < child_order.size(); ++c) child_order[c] = c;
-      sampler.Shuffle(&child_order);
+      DrawRemainderOrder(&sampler);
       for (int64_t r = 0; r < rem; ++r) {
-        ++targets[child_order[static_cast<size_t>(r)]];
+        ++targets[child_order_[static_cast<size_t>(r)]];
       }
     }
     // Water-fill any negatives back from the positive targets, preserving
@@ -294,18 +306,47 @@ Status CategoricalWindowSynthesizer::SlideRelease() {
           targets[static_cast<size_t>(c)];
     }
   }
+  return AssignRound(&sampler);
+}
 
-  // Pass 2 — counting-sort regroup plan: next-round overlap sizes are the
-  // column sums of the target matrix (children with the same low k-1
-  // digits share an overlap), prefix-summed into flat offsets.
+Status CategoricalWindowSynthesizer::AssignRound(util::BatchSampler* sampler) {
+  const int64_t a = options_.alphabet;
+  const int64_t* census =
+      release_targets_.data() + release_targets_.size() - num_bins_;
+  // Every child count is non-negative and each overlap's children split
+  // exactly its group (checked without overflow: a stored census is
+  // untrusted).
+  for (uint64_t z = 0; z < num_overlaps_; ++z) {
+    const int64_t group = groups_.size(z);
+    int64_t assigned = 0;
+    for (int64_t c = 0; c < a; ++c) {
+      const int64_t take = census[z * static_cast<uint64_t>(a) +
+                                  static_cast<uint64_t>(c)];
+      if (take < 0 || take > group - assigned) {
+        return Status::InvalidArgument(
+            "categorical census overruns overlap group " + std::to_string(z));
+      }
+      assigned += take;
+    }
+    if (assigned != group) {
+      return Status::InvalidArgument(
+          "categorical census does not cover overlap group " +
+          std::to_string(z) + ": assigned " + std::to_string(assigned) +
+          " of " + std::to_string(group));
+    }
+  }
+
+  // Counting-sort regroup plan: next-round overlap sizes are the column
+  // sums of the census (children with the same low k-1 digits share an
+  // overlap), prefix-summed into flat offsets.
   groups_next_.Reset(num_overlaps_);
   for (uint64_t child = 0; child < num_bins_; ++child) {
-    groups_next_.AddCount(child % num_overlaps_, new_counts[child]);
+    groups_next_.AddCount(child % num_overlaps_, census[child]);
   }
   groups_next_.BuildOffsets();
 
-  // Pass 3 — assign and scatter. One zero-filled column append for round
-  // t_; promoted symbols are written record-by-record. Instead of a full
+  // Assign and scatter. One zero-filled column append for round t_;
+  // assigned symbols are written record-by-record. Instead of a full
   // shuffle per overlap group, each child takes a uniformly chosen subset
   // of the records still unassigned (a batched partial shuffle of the
   // remaining span); the final child absorbs the rest without a draw.
@@ -322,15 +363,10 @@ Status CategoricalWindowSynthesizer::SlideRelease() {
     for (int64_t c = 0; c < a; ++c) {
       const uint64_t child =
           z * static_cast<uint64_t>(a) + static_cast<uint64_t>(c);
-      const int64_t take = new_counts[child];
+      const int64_t take = census[child];
       const int64_t remaining = group - idx;
-      if (take > remaining) {
-        return Status::Internal(
-            "categorical slide target overruns overlap group " +
-            std::to_string(z));
-      }
       if (take > 0 && take < remaining) {
-        sampler.PartialShuffle(members + idx, remaining, take);
+        sampler->PartialShuffle(members + idx, remaining, take);
       }
       for (int64_t j = 0; j < take; ++j) {
         const int64_t rec = members[idx + j];
@@ -339,23 +375,22 @@ Status CategoricalWindowSynthesizer::SlideRelease() {
       }
       idx += take;
     }
-    if (idx != group) {
-      return Status::Internal(
-          "categorical slide targets do not cover overlap group " +
-          std::to_string(z) + ": assigned " + std::to_string(idx) + " of " +
-          std::to_string(group));
-    }
   }
   groups_.swap(groups_next_);
-  counts_.swap(new_counts);
+  counts_.assign(census, census + num_bins_);
   return Status::OK();
 }
 
 Status CategoricalWindowSynthesizer::SaveCheckpoint(std::ostream& out) const {
   namespace sio = stream::state_io;
-  if (n_ > sio::kMaxRecords || num_records_ > sio::kMaxRecords) {
+  if (n_ > sio::kMaxRecords) {
     return Status::InvalidArgument(
         "populations of 2^32 or more cannot be checkpointed");
+  }
+  if (num_records_ >
+      theory::MaxSyntheticRecords(n_, num_bins_, npad_, sigma2_)) {
+    return Status::InvalidArgument(
+        "synthetic cohort exceeds the checkpoint record bound");
   }
   sio::WriteMagic(out, kFamily, kCheckpointVersion);
   sio::WriteInt(out, options_.horizon);
@@ -367,7 +402,6 @@ Status CategoricalWindowSynthesizer::SaveCheckpoint(std::ostream& out) const {
   sio::WriteU64(out, options_.seed);
   sio::WriteInt(out, t_);
   sio::WriteInt(out, n_);
-  sio::WriteInt(out, num_records_);
   sio::WriteInt(out, stats_.releases);
   sio::WriteInt(out, stats_.negative_clamps);
   sio::WriteInt(out, stats_.remainder_draws);
@@ -381,20 +415,14 @@ Status CategoricalWindowSynthesizer::SaveCheckpoint(std::ostream& out) const {
     sio::WriteArray(out, codes.data(), codes.size());
   }
   if (initialized_) {
-    sio::WriteArray(out, counts_.data(), counts_.size());
-    const size_t m = static_cast<size_t>(num_records_);
-    std::vector<int64_t> sizes(static_cast<size_t>(num_overlaps_));
-    for (size_t z = 0; z < sizes.size(); ++z) sizes[z] = groups_.size(z);
-    sio::WriteArray(out, sizes.data(), sizes.size());
-    // The overlap groups' exact member ORDER is load-bearing: the slide's
-    // partial shuffles permute it, so a resumed run must see the same
-    // member sequence the uninterrupted run would.
-    std::vector<uint32_t> members(m);
-    const int64_t* all = groups_.group_data(0);
-    for (size_t i = 0; i < m; ++i) members[i] = static_cast<uint32_t>(all[i]);
-    sio::WriteArray(out, members.data(), m);
-    sio::WriteArray(out, history_symbols_.data(),
-                    m * static_cast<size_t>(t_));
+    sio::WriteArray(out, release_targets_.data(), num_bins_);
+    const size_t plane_words = (num_overlaps_ + 63) / 64;
+    for (size_t r = 0; r * plane_words < remainder_drew_.size(); ++r) {
+      sio::WriteArray(out, release_targets_.data() + (r + 1) * num_bins_,
+                      num_bins_);
+      sio::WriteArray(out, remainder_drew_.data() + r * plane_words,
+                      plane_words);
+    }
   }
   sio::WriteTag(out, kEnd);
   return out.good() ? Status::OK()
@@ -429,9 +457,6 @@ CategoricalWindowSynthesizer::LoadCheckpoint(std::istream& in) {
                           sio::ReadIntIn(in, 0, options.horizon, "round"));
   LONGDP_ASSIGN_OR_RETURN(
       const int64_t n, sio::ReadIntIn(in, -1, sio::kMaxRecords, "population"));
-  LONGDP_ASSIGN_OR_RETURN(
-      const int64_t num_records,
-      sio::ReadIntIn(in, 0, sio::kMaxRecords, "synthetic record count"));
   Stats stats;
   LONGDP_ASSIGN_OR_RETURN(
       stats.releases, sio::ReadIntIn(in, 0, options.horizon, "releases"));
@@ -444,14 +469,9 @@ CategoricalWindowSynthesizer::LoadCheckpoint(std::istream& in) {
     return Status::InvalidArgument(
         "categorical checkpoint population inconsistent with t");
   }
-  const bool inited = t >= k;
   if (stats.releases != std::max<int64_t>(0, t - k + 1)) {
     return Status::InvalidArgument(
         "categorical checkpoint release count inconsistent with t");
-  }
-  if (!inited && num_records != 0) {
-    return Status::InvalidArgument(
-        "categorical checkpoint has records before the first release");
   }
   // A NaN, negative or infinite spend would reset or disable the budget
   // the restored run still has to honor (and -0.0 would re-save as 0.0).
@@ -480,99 +500,49 @@ CategoricalWindowSynthesizer::LoadCheckpoint(std::istream& in) {
       synth->user_window_[i] = w;
     }
   }
-  if (inited) {
-    const size_t m = static_cast<size_t>(num_records);
-    std::vector<int64_t>& counts = synth->counts_;
-    LONGDP_RETURN_NOT_OK(sio::ReadVector(in, bins, &counts));
+  if (t >= k) {
+    // The initial census seeds every record, so its total is bounded
+    // before the cohort is allocated; each later census is checked against
+    // the group sizes before its column is.
+    std::vector<int64_t>& targets = synth->release_targets_;
+    LONGDP_RETURN_NOT_OK(sio::ReadVector(in, bins, &targets));
+    const int64_t max_records = theory::MaxSyntheticRecords(
+        n, bins, synth->npad_, synth->sigma2_);
     int64_t total = 0;
-    for (int64_t c : counts) {
-      if (c < 0 || c > num_records) {
-        return Status::InvalidArgument("categorical histogram bin out of range");
+    for (int64_t c : targets) {
+      if (c < 0 || c > max_records - total) {
+        return Status::InvalidArgument(
+            "categorical checkpoint census out of range");
       }
       total += c;
     }
-    if (total != num_records) {
-      return Status::InvalidArgument(
-          "categorical histogram does not sum to the record count");
-    }
-    // Each group's size is its overlap marginal of the histogram (the
-    // group of pattern s is its low k-1 digits, s mod A^(k-1)).
-    std::vector<int64_t> sizes;
-    LONGDP_RETURN_NOT_OK(sio::ReadVector(in, overlaps, &sizes));
-    std::vector<int64_t> marginal(static_cast<size_t>(overlaps), 0);
-    for (uint64_t s = 0; s < bins; ++s) marginal[s % overlaps] += counts[s];
-    if (sizes != marginal) {
-      return Status::InvalidArgument(
-          "overlap group sizes inconsistent with the histogram");
-    }
-    std::vector<uint32_t> members;
-    LONGDP_RETURN_NOT_OK(sio::ReadVector(in, m, &members));
-    if (t > 0 && m > 0 &&
-        static_cast<uint64_t>(t) > UINT64_MAX / static_cast<uint64_t>(m)) {
-      return Status::InvalidArgument("categorical history size overflows");
-    }
-    LONGDP_RETURN_NOT_OK(sio::ReadVector(
-        in, static_cast<uint64_t>(m) * static_cast<uint64_t>(t),
-        &synth->history_symbols_));
-    uint8_t max_symbol = 0;
-    for (uint8_t sym : synth->history_symbols_) {
-      max_symbol = std::max(max_symbol, sym);
-    }
-    if (max_symbol >= alphabet) {
-      return Status::InvalidArgument("history symbol out of range");
-    }
-    // Each record's current window code from its last k symbols; the
-    // histogram must count exactly those codes.
-    std::vector<uint32_t> code(m, 0);
-    for (int64_t tt = t - k; tt < t; ++tt) {
-      const uint8_t* col =
-          synth->history_symbols_.data() + static_cast<size_t>(tt) * m;
-      for (size_t r = 0; r < m; ++r) {
-        code[r] = code[r] * static_cast<uint32_t>(alphabet) + col[r];
+    // Capacity only for the seeded rounds: t is not yet backed by the
+    // rounds' bytes, so it must not size an allocation.
+    LONGDP_RETURN_NOT_OK(synth->SeedCohort(k));
+    std::vector<int64_t> census;
+    std::vector<uint64_t> drew;
+    for (int64_t tt = k + 1; tt <= t; ++tt) {
+      LONGDP_RETURN_NOT_OK(sio::ReadVector(in, bins, &census));
+      LONGDP_RETURN_NOT_OK(
+          sio::ReadPlane(in, static_cast<int64_t>(overlaps), &drew));
+      targets.insert(targets.end(), census.begin(), census.end());
+      synth->remainder_drew_.insert(synth->remainder_drew_.end(),
+                                    drew.begin(), drew.end());
+      // Replay the round's remainder draws so the assignment draws start
+      // at the same selection word they did live.
+      util::SubstreamRng selection =
+          synth->selection_root_.Derive(static_cast<uint64_t>(tt));
+      util::BatchSampler sampler(&selection);
+      for (uint64_t z = 0; z < overlaps; ++z) {
+        if ((drew[z >> 6] >> (z & 63)) & 1) synth->DrawRemainderOrder(&sampler);
       }
+      synth->t_ = tt;
+      LONGDP_RETURN_NOT_OK(synth->AssignRound(&sampler));
     }
-    std::vector<int64_t> hist(bins, 0);
-    for (uint32_t c : code) ++hist[c];
-    if (hist != counts) {
-      return Status::InvalidArgument(
-          "categorical histogram inconsistent with the record histories");
-    }
-    // Members: a permutation of the records, each listed in the group its
-    // last k-1 symbols name.
-    synth->groups_.Reset(static_cast<size_t>(overlaps));
-    for (size_t z = 0; z < sizes.size(); ++z) {
-      synth->groups_.AddCount(z, sizes[z]);
-    }
-    synth->groups_.BuildOffsets();
-    std::vector<uint8_t> seen(m, 0);
-    size_t idx = 0;
-    for (size_t z = 0; z < sizes.size(); ++z) {
-      for (int64_t j = 0; j < sizes[z]; ++j) {
-        const uint32_t rec = members[idx++];
-        if (rec >= m || seen[rec]) {
-          return Status::InvalidArgument(
-              "overlap group members are not a permutation of the records");
-        }
-        seen[rec] = 1;
-        if (code[rec] % overlaps != z) {
-          return Status::InvalidArgument(
-              "overlap group member's history ends outside its group");
-        }
-        synth->groups_.Place(z, rec);
-      }
-    }
-    // Re-arm the per-round scratch exactly as InitialRelease would; the
-    // next SlideRelease assumes these are sized.
-    synth->groups_next_.Reset(static_cast<size_t>(overlaps));
-    synth->counts_scratch_.assign(static_cast<size_t>(bins), 0);
-    synth->targets_.assign(static_cast<size_t>(alphabet), 0);
-    synth->child_order_.assign(static_cast<size_t>(alphabet), 0);
-    synth->initialized_ = true;
   }
   LONGDP_RETURN_NOT_OK(sio::ExpectTag(in, kEnd, "categorical checkpoint"));
   synth->t_ = t;
   synth->n_ = n;
-  synth->num_records_ = num_records;
   synth->stats_ = stats;
   return synth;
 }

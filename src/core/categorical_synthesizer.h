@@ -30,6 +30,7 @@
 
 namespace longdp {
 namespace util {
+class BatchSampler;
 class ThreadPool;
 }  // namespace util
 
@@ -99,19 +100,25 @@ class CategoricalWindowSynthesizer {
   const Stats& stats() const { return stats_; }
   const dp::ZCdpAccountant& accountant() const { return accountant_; }
 
-  /// The SaveCheckpoint format version (binary since v2).
-  static constexpr int kCheckpointVersion = 2;
+  /// The SaveCheckpoint format version (binary since v2; derived-state
+  /// since v3).
+  static constexpr int kCheckpointVersion = 3;
 
-  /// Serializes the full synthesizer state (options with the resolved
-  /// padding, accountant, per-user windows, synthetic cohort, and overlap
-  /// group member order) as a binary checkpoint (stream/state_io.h)
-  /// ending in a format-specific sentinel. No RNG cursors are needed: every draw stream is keyed
-  /// by its round number.
+  /// Serializes the synthesizer state that cannot be derived (options with
+  /// the resolved padding, accountant, per-user windows, and every
+  /// release's census with the overlaps whose remainder drew) as a binary
+  /// checkpoint (stream/state_io.h) ending in a format-specific sentinel.
+  /// The synthetic cohort is post-processing of the censuses and is not
+  /// stored: LoadCheckpoint rebuilds it. No RNG cursors are needed: every
+  /// draw stream is keyed by its round number. Refuses a cohort past
+  /// theory::MaxSyntheticRecords.
   Status SaveCheckpoint(std::ostream& out) const;
 
-  /// Restores a synthesizer saved by SaveCheckpoint. The worker pool is not
-  /// persisted; the restored synthesizer runs serially until set_pool()
-  /// re-attaches one.
+  /// Restores a synthesizer saved by SaveCheckpoint, rebuilding the cohort
+  /// by re-running stage 2's assignment over the stored censuses with the
+  /// same keyed streams, so it equals the saved run's record for record.
+  /// The worker pool is not persisted; the restored synthesizer runs
+  /// serially until set_pool() re-attaches one.
   static Result<std::unique_ptr<CategoricalWindowSynthesizer>> LoadCheckpoint(
       std::istream& in);
 
@@ -128,6 +135,17 @@ class CategoricalWindowSynthesizer {
 
   Status InitialRelease();
   Status SlideRelease();
+  /// Stage 2's apply steps, run by the live release and by
+  /// LoadCheckpoint's rebuild. SeedCohort creates census[s] records of
+  /// every pattern s, with history capacity for `reserve_rounds` rounds;
+  /// AssignRound moves each overlap group's records to the children the
+  /// round's census names (a group's children must sum to its size),
+  /// drawing from `sampler` after the round's remainder draws. Both take
+  /// the census as the last A^k entries of release_targets_.
+  Status SeedCohort(int64_t reserve_rounds);
+  Status AssignRound(util::BatchSampler* sampler);
+  /// Shuffles child_order_: one overlap's remainder draw.
+  void DrawRemainderOrder(util::BatchSampler* sampler);
   /// Fills and returns noisy_scratch_ (persistent, never reallocated);
   /// one keyed discrete Gaussian per bin, sharded across Options::pool.
   std::vector<int64_t>& NoisyPaddedHistogram();
@@ -165,13 +183,19 @@ class CategoricalWindowSynthesizer {
   util::FlatGroups groups_;
   util::FlatGroups groups_next_;              ///< regroup double buffer
   std::vector<int64_t> counts_;               ///< current histogram p_s
+  /// Every release's census p^t (A^k counts each, round order): the stage-2
+  /// targets checkpoints persist instead of the cohort.
+  std::vector<int64_t> release_targets_;
+  /// Per slide round, a bit plane over the A^(k-1) overlaps: bit z is set
+  /// when overlap z's remainder drew (consuming selection words before the
+  /// round's assignment draws). ceil(A^(k-1)/64) words per round.
+  std::vector<uint64_t> remainder_drew_;
   Stats stats_;
 
   // Persistent per-round scratch (sized once, reused every release) so the
   // pattern-histogram update allocates nothing in steady state.
   std::vector<int64_t> noisy_scratch_;              ///< A^k noisy histogram
   std::vector<int64_t> noise_scratch_;              ///< A^k bulk noise draws
-  std::vector<int64_t> counts_scratch_;             ///< next-round histogram
   std::vector<int64_t> targets_;                    ///< per-child targets
   std::vector<size_t> child_order_;                 ///< remainder shuffle
   /// Exact window histogram from the fused slide+count observe pass.

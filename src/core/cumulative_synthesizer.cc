@@ -27,7 +27,7 @@ Result<std::unique_ptr<CumulativeSynthesizer>> CumulativeSynthesizer::Create(
 }
 
 Status CumulativeSynthesizer::InitializeForPopulation(int64_t n,
-                                                      bool reserve_history) {
+                                                      int64_t reserve_rounds) {
   n_ = n;
   // Weights reach at most horizon, so bit_width(horizon) planes hold every
   // value; the bit-plane kernels cap at 16 planes, so horizons at or past
@@ -46,10 +46,8 @@ Status CumulativeSynthesizer::InitializeForPopulation(int64_t n,
     orig_weight_.assign(static_cast<size_t>(n), 0);
   }
   history_bits_.clear();
-  if (reserve_history) {
-    history_bits_.reserve(static_cast<size_t>(n) *
-                          static_cast<size_t>(options_.horizon));
-  }
+  history_bits_.reserve(static_cast<size_t>(n) *
+                        static_cast<size_t>(reserve_rounds));
   weight_groups_.assign(static_cast<size_t>(options_.horizon) + 1, {});
   group_head_.assign(static_cast<size_t>(options_.horizon) + 1, 0);
   z_.assign(static_cast<size_t>(options_.horizon), 0);
@@ -90,7 +88,7 @@ Status CumulativeSynthesizer::ObserveRound(data::RoundView round) {
   }
   if (n_ < 0) {
     LONGDP_RETURN_NOT_OK(
-        InitializeForPopulation(round.size(), /*reserve_history=*/true));
+        InitializeForPopulation(round.size(), options_.horizon));
   } else if (round.size() != n_) {
     return Status::InvalidArgument(
         "round size changed; the population is fixed over the horizon");
@@ -182,8 +180,14 @@ Status CumulativeSynthesizer::ObserveRound(data::RoundView round) {
   LONGDP_RETURN_NOT_OK(bank_->ObserveRoundBatched(z_));
   released_ = bank_->monotone_row();
 
-  // Stage 2: extend every record with a provisional 0 (one zero-filled
-  // column append into the flat matrix), then flip the promoted records.
+  released_rows_.insert(released_rows_.end(), released_.begin(),
+                        released_.end());
+  return PromoteRound(released_);
+}
+
+Status CumulativeSynthesizer::PromoteRound(std::span<const int64_t> row) {
+  // Extend every record with a provisional 0 (one zero-filled column
+  // append into the flat matrix), then flip the promoted records.
   // Descending b keeps selections against the time-(t-1) weight groups
   // (promotions only move records upward into groups already processed).
   const size_t col_base =
@@ -193,22 +197,28 @@ Status CumulativeSynthesizer::ObserveRound(data::RoundView round) {
   util::SubstreamRng selection =
       selection_root_.Derive(static_cast<uint64_t>(t_));
   util::BatchSampler sampler(&selection);
-  for (int64_t b = std::min<int64_t>(t_, options_.horizon); b >= 1; --b) {
+  if (row[0] != n_) {
+    return Status::InvalidArgument("released row does not start at n");
+  }
+  // Every b is visited, so entries past t_ (whose weight groups are still
+  // empty) must be zero as well.
+  for (int64_t b = options_.horizon; b >= 1; --b) {
     size_t ib = static_cast<size_t>(b);
-    int64_t zhat = released_[ib] - prev_released_[ib];
-    if (zhat < 0) {
-      return Status::Internal(
-          "monotonization violated: zhat < 0 at b=" + std::to_string(b));
-    }
-    if (zhat == 0) continue;
     auto& source = weight_groups_[ib - 1];
     size_t& head = group_head_[ib - 1];
     int64_t group = static_cast<int64_t>(source.size() - head);
-    if (zhat > group) {
-      return Status::Internal(
-          "monotonization violated: zhat exceeds weight-(b-1) group at b=" +
+    // Monotonization guarantees 0 <= zhat <= group for the bank's rows;
+    // a stored row that breaks it is corrupt (compared before subtracting:
+    // a stored count may be any int64).
+    if (row[ib] < prev_released_[ib] ||
+        row[ib] - prev_released_[ib] > group) {
+      return Status::InvalidArgument(
+          "promotion target Shat^t_b = " + std::to_string(row[ib]) +
+          " outside [Shat^{t-1}_b, Shat^{t-1}_b + group] at b=" +
           std::to_string(b));
     }
+    int64_t zhat = row[ib] - prev_released_[ib];
+    if (zhat == 0) continue;
     // Uniformly choose zhat records to promote: batched partial
     // Fisher-Yates over the live suffix [head, end). The sampler handles
     // the zhat == group (full-group promotion) edge internally, skipping
@@ -231,7 +241,7 @@ Status CumulativeSynthesizer::ObserveRound(data::RoundView round) {
       head = 0;
     }
   }
-  prev_released_ = released_;
+  prev_released_.assign(row.begin(), row.end());
   return Status::OK();
 }
 
@@ -287,20 +297,20 @@ Result<data::LongitudinalDataset> CumulativeSynthesizer::ToDataset() const {
 
 
 namespace {
-// v5, the binary stream/state_io.h encoding (the text versions v1-v4 are
-// refused by name). After the magic line:
+// v6, the derived-state binary stream/state_io.h encoding (v5 and the text
+// versions v1-v4 are refused by name). After the magic line:
 //
 //   options    horizon, rho, budget-split name, counter name, seed
 //   state      t, n
 //   (n >= 0):
-//   released   Shat^t_b for b = 0..T
 //   weights    bit_width(T) planes of n lanes: the true prefix weights
-//   histories  t packed bit columns of the n synthetic records
-//   groups     n uint32 record ids: the live members of weight group 0,
-//              then group 1, ..., in current order (spent prefixes are
-//              inert and not saved)
+//   released   Shat^tau_b for b = 0..T, for tau = 1..t
 //   bank       CounterBank::SaveState
 //   end tag    "cuml-end"
+//
+// No synthetic records: they are stage 2 applied to the released rows
+// with selection streams keyed by round number, which LoadCheckpoint
+// re-runs.
 constexpr char kFamily[] = "cumulative";
 constexpr uint64_t kEnd = stream::state_io::Tag("cuml-end");
 }  // namespace
@@ -328,7 +338,6 @@ Status CumulativeSynthesizer::SaveCheckpoint(std::ostream& out) const {
   sio::WriteInt(out, t_);
   sio::WriteInt(out, n_);
   if (n_ >= 0) {
-    sio::WriteArray(out, released_.data(), released_.size());
     const int planes =
         static_cast<int>(std::bit_width(static_cast<uint64_t>(options_.horizon)));
     if (num_weight_planes_ > 0) {
@@ -346,17 +355,7 @@ Status CumulativeSynthesizer::SaveCheckpoint(std::ostream& out) const {
         sio::WritePlane(out, plane);
       }
     }
-    LONGDP_RETURN_NOT_OK(
-        sio::WriteBitColumns(out, history_bits_.data(), n_, t_));
-    std::vector<uint32_t> order;
-    order.reserve(static_cast<size_t>(n_));
-    for (size_t b = 0; b < weight_groups_.size(); ++b) {
-      const auto& group = weight_groups_[b];
-      for (size_t i = group_head_[b]; i < group.size(); ++i) {
-        order.push_back(static_cast<uint32_t>(group[i]));
-      }
-    }
-    sio::WriteArray(out, order.data(), order.size());
+    sio::WriteArray(out, released_rows_.data(), released_rows_.size());
     LONGDP_RETURN_NOT_OK(bank_->SaveState(out));
   }
   sio::WriteTag(out, kEnd);
@@ -390,12 +389,9 @@ CumulativeSynthesizer::LoadCheckpoint(std::istream& in) {
         "cumulative checkpoint population inconsistent with its round");
   }
   if (n >= 0) {
-    // The released row and the weight planes come first: they back the
-    // horizon and the population with bytes before anything is sized by
-    // them.
-    std::vector<int64_t> released;
-    LONGDP_RETURN_NOT_OK(
-        sio::ReadVector(in, static_cast<uint64_t>(horizon) + 1, &released));
+    // The weight planes and the released rows come first: they back the
+    // population and the horizon with bytes before anything is sized by
+    // them (n >= 0 means t >= 1, so there is at least one row).
     const int planes =
         static_cast<int>(std::bit_width(static_cast<uint64_t>(horizon)));
     std::vector<std::vector<uint64_t>> weight_planes(
@@ -403,13 +399,18 @@ CumulativeSynthesizer::LoadCheckpoint(std::istream& in) {
     for (auto& plane : weight_planes) {
       LONGDP_RETURN_NOT_OK(sio::ReadPlane(in, n, &plane));
     }
-    // InitializeForPopulation creates the bank and charges the full budget,
-    // exactly as the original run did at its first round.
-    // A restore grows the history as columns arrive instead: its horizon
-    // and population come from the payload, and their product must not
-    // size an allocation.
+    const uint64_t width = static_cast<uint64_t>(horizon) + 1;
+    if (static_cast<uint64_t>(t) > UINT64_MAX / width) {
+      return Status::InvalidArgument("cumulative released rows overflow");
+    }
+    std::vector<int64_t>& rows = synth->released_rows_;
     LONGDP_RETURN_NOT_OK(
-        synth->InitializeForPopulation(n, /*reserve_history=*/false));
+        sio::ReadVector(in, static_cast<uint64_t>(t) * width, &rows));
+    // InitializeForPopulation creates the bank and charges the full budget,
+    // exactly as the original run did at its first round. A restore sizes
+    // the history for the t rounds it rebuilds, not for the horizon: both
+    // come from the payload, and only t is backed by its rows.
+    LONGDP_RETURN_NOT_OK(synth->InitializeForPopulation(n, t));
     // No true prefix weight can exceed the rounds observed.
     if (synth->num_weight_planes_ > 0) {
       synth->weight_planes_ = std::move(weight_planes);
@@ -442,50 +443,27 @@ CumulativeSynthesizer::LoadCheckpoint(std::istream& in) {
         synth->orig_weight_[static_cast<size_t>(i)] = static_cast<int32_t>(w);
       }
     }
-    LONGDP_RETURN_NOT_OK(
-        sio::ReadBitColumns(in, n, t, &synth->history_bits_));
-    // Each synthetic record's weight: its group.
-    const size_t m = static_cast<size_t>(n);
-    std::vector<int64_t> weight(m, 0);
-    for (int64_t j = 0; j < t; ++j) {
-      const uint8_t* col = synth->history_bits_.data() + j * n;
-      for (size_t r = 0; r < m; ++r) weight[r] += col[r];
-    }
-    // The member order must be a permutation listing the weight groups one
-    // after another, lightest first; the promotion shuffles left the
-    // within-group order, which a resumed run must see unchanged.
-    std::vector<uint32_t> order;
-    LONGDP_RETURN_NOT_OK(sio::ReadVector(in, m, &order));
-    for (auto& group : synth->weight_groups_) group.clear();
-    std::vector<uint8_t> seen(m, 0);
-    int64_t prev = 0;
-    for (uint32_t rec : order) {
-      if (rec >= m || seen[rec]) {
-        return Status::InvalidArgument(
-            "checkpoint groups are not a permutation of the records");
-      }
-      seen[rec] = 1;
-      if (weight[rec] < prev) {
-        return Status::InvalidArgument(
-            "checkpoint groups inconsistent with histories");
-      }
-      prev = weight[rec];
-      synth->weight_groups_[static_cast<size_t>(prev)].push_back(rec);
-    }
     LONGDP_RETURN_NOT_OK(synth->bank_->RestoreState(in));
-    synth->t_ = t;
-    // Consistency: the materialized records must reproduce the released
-    // row, which must be the bank's monotonized row at round t.
-    if (synth->SyntheticThresholdCounts() != released) {
+    if (synth->bank_->steps() != t) {
       return Status::InvalidArgument(
-          "checkpoint histories inconsistent with released thresholds");
+          "checkpoint counter bank inconsistent with its round");
     }
-    if (synth->bank_->steps() != t || synth->bank_->monotone_row() != released) {
+    // Rebuild: each stored row drives its round's promotions, exactly as
+    // the bank's row did in the live run.
+    for (int64_t tt = 1; tt <= t; ++tt) {
+      synth->t_ = tt;
+      LONGDP_RETURN_NOT_OK(synth->PromoteRound(std::span<const int64_t>(
+          rows.data() + static_cast<size_t>(tt - 1) * width, width)));
+    }
+    // The rebuilt records must reproduce the row at t, which must be the
+    // bank's monotonized row.
+    synth->released_ = synth->prev_released_;
+    if (synth->SyntheticThresholdCounts() != synth->released_ ||
+        synth->bank_->monotone_row() != synth->released_) {
       return Status::InvalidArgument(
-          "checkpoint counter bank inconsistent with released thresholds");
+          "checkpoint released thresholds inconsistent with the counter "
+          "bank");
     }
-    synth->released_ = released;
-    synth->prev_released_ = std::move(released);
   }
   synth->t_ = t;
   LONGDP_RETURN_NOT_OK(sio::ExpectTag(in, kEnd, "cumulative checkpoint"));

@@ -17,6 +17,7 @@
 
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "data/longitudinal_dataset.h"
@@ -105,20 +106,26 @@ class CumulativeSynthesizer {
 
   const dp::ZCdpAccountant& accountant() const { return accountant_; }
 
-  /// The SaveCheckpoint format version (binary since v5).
-  static constexpr int kCheckpointVersion = 5;
+  /// The SaveCheckpoint format version (binary since v5; derived-state
+  /// since v6).
+  static constexpr int kCheckpointVersion = 6;
 
-  /// Serializes the complete synthesizer state — options, original-data
-  /// weight state, synthetic records, and every stream counter's internal
-  /// (noise-bearing) state — as a binary checkpoint (stream/state_io.h),
-  /// so a release spanning months of wall clock can resume in a later
-  /// process. Checkpoints are curator state, not
+  /// Serializes the synthesizer state that cannot be derived — options,
+  /// original-data weight state, every stream counter's internal
+  /// (noise-bearing) state, and the released row Shat^tau of every round —
+  /// as a binary checkpoint (stream/state_io.h), so a release spanning
+  /// months of wall clock can resume in a later process. The synthetic
+  /// records are post-processing of the released rows and are not stored:
+  /// LoadCheckpoint rebuilds them. Checkpoints are curator state, not
   /// releases: protect them like the input data.
   Status SaveCheckpoint(std::ostream& out) const;
 
-  /// Restores a synthesizer from SaveCheckpoint output. The worker pool is
-  /// runtime configuration, not curator state, so it is NOT persisted: a
-  /// restored synthesizer runs serially until set_pool() re-attaches one.
+  /// Restores a synthesizer from SaveCheckpoint output, rebuilding the
+  /// synthetic records by re-running stage 2's promotions over the stored
+  /// rows with the same keyed streams, so they equal the saved run's
+  /// record for record. The worker pool is runtime configuration, not
+  /// curator state, so it is NOT persisted: a restored synthesizer runs
+  /// serially until set_pool() re-attaches one.
   static Result<std::unique_ptr<CumulativeSynthesizer>> LoadCheckpoint(
       std::istream& in);
 
@@ -135,8 +142,15 @@ class CumulativeSynthesizer {
         selection_root_(options.seed, util::substream::kSelection) {}
 
   /// Sizes every per-population structure and creates the counter bank.
-  /// `reserve_history` pre-sizes the synthetic history for the horizon.
-  Status InitializeForPopulation(int64_t n, bool reserve_history);
+  /// The synthetic history is pre-sized for `reserve_rounds` rounds.
+  Status InitializeForPopulation(int64_t n, int64_t reserve_rounds);
+
+  /// Stage 2's apply step for round t_: for b descending, promotes
+  /// Shat^t_b - Shat^{t-1}_b uniformly chosen records of weight b-1 (from
+  /// the keyed stream selection_root_.Derive(t_)), then makes `row` the
+  /// previous row. The live round and LoadCheckpoint's rebuild both run
+  /// it; a row that is not a feasible promotion is InvalidArgument.
+  Status PromoteRound(std::span<const int64_t> row);
 
   Options options_;
   dp::ZCdpAccountant accountant_;
@@ -175,6 +189,9 @@ class CumulativeSynthesizer {
   std::vector<int64_t> z_;              ///< per-round increment scratch
   std::vector<int64_t> released_;       ///< Shat^t (b = 0..T)
   std::vector<int64_t> prev_released_;  ///< Shat^{t-1}
+  /// Shat^1, ..., Shat^t back to back (T+1 counts each): the stage-2
+  /// targets checkpoints persist instead of the synthetic records.
+  std::vector<int64_t> released_rows_;
   /// Per-shard stage-1 increment histograms (reduced into z_ in shard
   /// order) and the byte-overload packing buffer; both persistent scratch.
   std::vector<std::vector<int64_t>> shard_z_;

@@ -185,9 +185,7 @@ Status FixedWindowSynthesizer::InitialRelease() {
       ++stats_.negative_clamps;
     }
   }
-  LONGDP_ASSIGN_OR_RETURN(auto cohort,
-                          SyntheticCohort::Create(options_.window_k, noisy));
-  cohort_.emplace(std::move(cohort));
+  LONGDP_RETURN_NOT_OK(ApplyTargets(t_, noisy));
   cohort_->ReserveRounds(options_.horizon);
   return Status::OK();
 }
@@ -235,9 +233,23 @@ Status FixedWindowSynthesizer::SlideRelease() {
     }
     ones_target[z] = p_z1;
   }
-  return cohort_->AdvanceRound(ones_target,
-                               cohort_root_.Derive(static_cast<uint64_t>(t_)),
-                               options_.pool);
+  return ApplyTargets(t_, ones_target);
+}
+
+Status FixedWindowSynthesizer::ApplyTargets(
+    int64_t t, const std::vector<int64_t>& targets) {
+  if (t == options_.window_k) {
+    LONGDP_ASSIGN_OR_RETURN(
+        auto cohort, SyntheticCohort::Create(options_.window_k, targets));
+    cohort_.emplace(std::move(cohort));
+  } else {
+    LONGDP_RETURN_NOT_OK(cohort_->AdvanceRound(
+        targets, cohort_root_.Derive(static_cast<uint64_t>(t)),
+        options_.pool));
+  }
+  release_targets_.insert(release_targets_.end(), targets.begin(),
+                          targets.end());
+  return Status::OK();
 }
 
 std::vector<int64_t> FixedWindowSynthesizer::SyntheticHistogram() const {
@@ -278,17 +290,20 @@ Result<double> FixedWindowSynthesizer::DebiasedAnswer(
 }
 
 namespace {
-// v5, the binary stream/state_io.h encoding (the text versions v1-v4 are
-// refused by name). After the magic line:
+// v6, the derived-state binary stream/state_io.h encoding (v5 and the text
+// versions v1-v4 are refused by name). After the magic line:
 //
 //   options  horizon, k, rho, npad (resolved), beta_target, seed
 //   state    t, n, releases, negative_clamps, rounding_draws, spent rho
 //   windows  (n >= 0) the k window planes of n lanes, newest round first
-//   cohort   (t >= k) SyntheticCohort::Save
+//   targets  (t >= k) the clamped initial census p^k (2^k counts), then the
+//            ones targets of rounds k+1..t (2^(k-1) counts each)
 //   end tag  "fwin-end"
 //
-// No draw cursors: every stream is keyed by its round number, so resuming
-// at round t + 1 re-derives the exact remaining sequences.
+// No cohort and no draw cursors: the cohort is stage 2 applied to the
+// targets with streams keyed by round number, which LoadCheckpoint
+// re-runs, and resuming at round t + 1 re-derives the exact remaining
+// sequences.
 constexpr char kFamily[] = "fixed-window";
 constexpr uint64_t kEnd = stream::state_io::Tag("fwin-end");
 }  // namespace
@@ -298,6 +313,13 @@ Status FixedWindowSynthesizer::SaveCheckpoint(std::ostream& out) const {
   if (n_ > sio::kMaxRecords) {
     return Status::InvalidArgument(
         "populations of 2^32 or more cannot be checkpointed");
+  }
+  if (cohort_.has_value() &&
+      cohort_->num_records() >
+          theory::MaxSyntheticRecords(n_, util::NumPatterns(options_.window_k),
+                                      npad_, sigma2_)) {
+    return Status::InvalidArgument(
+        "synthetic cohort exceeds the checkpoint record bound");
   }
   sio::WriteMagic(out, kFamily, kCheckpointVersion);
   sio::WriteInt(out, options_.horizon);
@@ -320,7 +342,7 @@ Status FixedWindowSynthesizer::SaveCheckpoint(std::ostream& out) const {
                                (plane_head_ + j) % k)]);
     }
   }
-  if (cohort_.has_value()) LONGDP_RETURN_NOT_OK(cohort_->Save(out));
+  sio::WriteArray(out, release_targets_.data(), release_targets_.size());
   sio::WriteTag(out, kEnd);
   return out.good() ? Status::OK()
                     : Status::IOError("checkpoint write failed");
@@ -391,8 +413,27 @@ FixedWindowSynthesizer::LoadCheckpoint(std::istream& in) {
     synth->plane_head_ = 0;
   }
   if (t >= k) {
-    LONGDP_ASSIGN_OR_RETURN(auto cohort, SyntheticCohort::Load(in, k, t));
-    synth->cohort_.emplace(std::move(cohort));
+    // The census seeds every record, so its total is bounded before the
+    // cohort is allocated; each later round's targets are checked against
+    // the group sizes before its column is.
+    std::vector<int64_t> targets;
+    LONGDP_RETURN_NOT_OK(sio::ReadVector(in, util::NumPatterns(k), &targets));
+    const int64_t limit = theory::MaxSyntheticRecords(
+        n, util::NumPatterns(k), synth->npad_, synth->sigma2_);
+    int64_t total = 0;
+    for (int64_t c : targets) {
+      if (c < 0 || c > limit - total) {
+        return Status::InvalidArgument(
+            "fixed-window checkpoint census out of range");
+      }
+      total += c;
+    }
+    LONGDP_RETURN_NOT_OK(synth->ApplyTargets(k, targets));
+    for (int64_t tt = k + 1; tt <= t; ++tt) {
+      LONGDP_RETURN_NOT_OK(
+          sio::ReadVector(in, util::NumPatterns(k - 1), &targets));
+      LONGDP_RETURN_NOT_OK(synth->ApplyTargets(tt, targets));
+    }
   }
   LONGDP_RETURN_NOT_OK(sio::ExpectTag(in, kEnd, "fixed-window checkpoint"));
   synth->t_ = t;

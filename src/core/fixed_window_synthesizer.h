@@ -127,22 +127,30 @@ class FixedWindowSynthesizer {
   const Stats& stats() const { return stats_; }
   const dp::ZCdpAccountant& accountant() const { return accountant_; }
 
-  /// The SaveCheckpoint format version (binary since v5).
-  static constexpr int kCheckpointVersion = 5;
+  /// The SaveCheckpoint format version (binary since v5; derived-state
+  /// since v6).
+  static constexpr int kCheckpointVersion = 6;
 
-  /// Serializes the complete synthesizer state — options, consumed budget,
-  /// the buffered per-user window state of the ORIGINAL data, and the
-  /// synthetic cohort — as a binary checkpoint (stream/state_io.h), so a
-  /// continual release spanning months of wall clock can resume in a later
-  /// process. The checkpoint embeds raw input
-  /// state: protect the file like the survey data itself (it is not a
-  /// release). Restoring and continuing consumes the remaining budget
-  /// normally; the accountant's ledger records the restored charge.
+  /// Serializes the synthesizer state that cannot be derived — options,
+  /// consumed budget, the buffered per-user window state of the ORIGINAL
+  /// data, and the per-round release targets (the clamped initial census
+  /// p^k, then each later round's ones targets p^t_{z1}) — as a binary
+  /// checkpoint (stream/state_io.h), so a continual release spanning months
+  /// of wall clock can resume in a later process. The synthetic cohort is
+  /// post-processing of those targets and is not stored: LoadCheckpoint
+  /// rebuilds it. The checkpoint embeds raw input state: protect the file
+  /// like the survey data itself (it is not a release). Restoring and
+  /// continuing consumes the remaining budget normally; the accountant's
+  /// ledger records the restored charge. Refuses a cohort past
+  /// theory::MaxSyntheticRecords.
   Status SaveCheckpoint(std::ostream& out) const;
 
-  /// Restores a synthesizer from SaveCheckpoint output. The worker pool is
-  /// runtime configuration, not curator state, so it is NOT persisted: a
-  /// restored synthesizer runs serially until set_pool() re-attaches one.
+  /// Restores a synthesizer from SaveCheckpoint output, rebuilding the
+  /// cohort by re-running stage 2's apply step over the stored targets with
+  /// the same keyed streams, so it equals the saved run's cohort record for
+  /// record. The worker pool is runtime configuration, not curator state,
+  /// so it is NOT persisted: a restored synthesizer runs serially until
+  /// set_pool() re-attaches one.
   static Result<std::unique_ptr<FixedWindowSynthesizer>> LoadCheckpoint(
       std::istream& in);
 
@@ -160,6 +168,12 @@ class FixedWindowSynthesizer {
   Status InitialRelease();
   /// Performs one t > k sliding-window release.
   Status SlideRelease();
+  /// Stage 2's apply step for round t: seeds the cohort from the census
+  /// p^k (t == k) or extends it by the round's ones targets from the keyed
+  /// stream cohort_root_.Derive(t), then appends `targets` to
+  /// release_targets_. The live round and LoadCheckpoint's rebuild both
+  /// run it.
+  Status ApplyTargets(int64_t t, const std::vector<int64_t>& targets);
 
   /// Stage 1: noisy padded histogram of the current true window counts,
   /// one keyed discrete Gaussian per bin (bulk-drawn by the batched
@@ -206,6 +220,10 @@ class FixedWindowSynthesizer {
   std::vector<int64_t> noisy_scratch_;  ///< 2^k noisy padded histogram
   std::vector<int64_t> noise_scratch_;  ///< 2^k bulk noise draws
   std::vector<int64_t> ones_target_;    ///< 2^(k-1) stage-2 targets
+  /// Every release's stage-2 targets, in round order: the clamped initial
+  /// census p^k (2^k counts), then each slide round's ones targets
+  /// (2^(k-1) counts). Checkpoints persist these instead of the cohort.
+  std::vector<int64_t> release_targets_;
   /// Exact window histogram counted from the bit-plane ring on releasing
   /// rounds; NoisyPaddedHistogram starts from it.
   std::vector<int64_t> window_hist_;

@@ -1,11 +1,7 @@
 #include "core/synthetic_cohort.h"
 
-#include <algorithm>
 #include <cstring>
-#include <istream>
-#include <ostream>
 
-#include "stream/state_io.h"
 #include "util/batch_sampler.h"
 
 namespace longdp {
@@ -170,80 +166,6 @@ Result<data::LongitudinalDataset> SyntheticCohort::ToDataset(
     LONGDP_RETURN_NOT_OK(ds.AppendRound(round));
   }
   return ds;
-}
-
-Status SyntheticCohort::Save(std::ostream& out) const {
-  namespace sio = stream::state_io;
-  if (num_records_ > sio::kMaxRecords) {
-    return Status::InvalidArgument(
-        "cohorts of 2^32 or more records cannot be checkpointed");
-  }
-  const size_t m = static_cast<size_t>(num_records_);
-  sio::WriteInt(out, num_records_);
-  // The groups are contiguous in overlap order: group 0's slice spans them
-  // all.
-  std::vector<uint32_t> order(m);
-  const int64_t* members = groups_.group_data(0);
-  for (size_t i = 0; i < m; ++i) order[i] = static_cast<uint32_t>(members[i]);
-  sio::WriteArray(out, order.data(), m);
-  return sio::WriteBitColumns(out, history_bits_.data(), num_records_,
-                              rounds_);
-}
-
-Result<SyntheticCohort> SyntheticCohort::Load(std::istream& in, int window_k,
-                                              int64_t rounds) {
-  namespace sio = stream::state_io;
-  LONGDP_RETURN_NOT_OK(util::ValidateWindow(window_k));
-  if (rounds < window_k) {
-    return Status::InvalidArgument("a cohort spans at least k rounds");
-  }
-  SyntheticCohort cohort;
-  cohort.k_ = window_k;
-  cohort.rounds_ = rounds;
-  LONGDP_ASSIGN_OR_RETURN(
-      cohort.num_records_,
-      sio::ReadIntIn(in, 0, sio::kMaxRecords, "cohort record count"));
-  const size_t m = static_cast<size_t>(cohort.num_records_);
-  std::vector<uint32_t> order;
-  LONGDP_RETURN_NOT_OK(sio::ReadVector(in, m, &order));
-  LONGDP_RETURN_NOT_OK(sio::ReadBitColumns(in, cohort.num_records_, rounds,
-                                           &cohort.history_bits_));
-  // Each record's current window pattern from its last k bits (newest is
-  // bit 0), then the histogram and per-overlap group sizes.
-  std::vector<uint32_t> pattern(m, 0);
-  for (int64_t t = rounds - window_k; t < rounds; ++t) {
-    const uint8_t* col =
-        cohort.history_bits_.data() + static_cast<size_t>(t) * m;
-    for (size_t r = 0; r < m; ++r) pattern[r] = (pattern[r] << 1) | col[r];
-  }
-  cohort.pattern_count_.assign(util::NumPatterns(window_k), 0);
-  for (uint32_t p : pattern) ++cohort.pattern_count_[p];
-  cohort.groups_.Reset(util::NumPatterns(window_k - 1));
-  for (util::Pattern p = 0; p < cohort.pattern_count_.size(); ++p) {
-    cohort.groups_.AddCount(util::Overlap(p, window_k),
-                            cohort.pattern_count_[p]);
-  }
-  cohort.groups_.BuildOffsets();
-  // The order must be a permutation listing the groups one after another
-  // in overlap order; then each record lands in its own group and a
-  // re-save reproduces the order exactly.
-  std::vector<uint8_t> seen(m, 0);
-  util::Pattern prev = 0;
-  for (uint32_t rec : order) {
-    if (rec >= m || seen[rec]) {
-      return Status::InvalidArgument("group order is not a permutation");
-    }
-    seen[rec] = 1;
-    const util::Pattern z = util::Overlap(pattern[rec], window_k);
-    if (z < prev) {
-      return Status::InvalidArgument(
-          "group order inconsistent with the record histories");
-    }
-    prev = z;
-    cohort.groups_.Place(z, rec);
-  }
-  cohort.groups_next_.Reset(util::NumPatterns(window_k - 1));
-  return cohort;
 }
 
 }  // namespace core

@@ -11,7 +11,6 @@
 #define LONGDP_CORE_SYNTHETIC_COHORT_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "data/longitudinal_dataset.h"
@@ -31,14 +30,6 @@ class SyntheticCohort {
   /// bits of pattern s. Counts must be non-negative; size must be 2^k.
   static Result<SyntheticCohort> Create(
       int window_k, const std::vector<int64_t>& initial_counts);
-
-  /// Rebuilds a cohort of `rounds` (>= k) rounds from Save output. The
-  /// histogram and overlap index are recomputed from each record's last k
-  /// bits. Rejects a member order that is not a permutation of the
-  /// records, or that does not list them group by group in overlap order
-  /// (each record in the group its last k-1 bits put it in).
-  static Result<SyntheticCohort> Load(std::istream& in, int window_k,
-                                      int64_t rounds);
 
   int window_k() const { return k_; }
   int64_t num_records() const { return num_records_; }
@@ -89,15 +80,6 @@ class SyntheticCohort {
   /// users and rounds() rounds (horizon is set to `horizon`, which must be
   /// >= rounds()).
   Result<data::LongitudinalDataset> ToDataset(int64_t horizon) const;
-
-  /// Checkpoint encoding (stream/state_io.h): the record count, the flat
-  /// overlap-group member order as uint32 record ids (groups in overlap
-  /// order, members in current within-group order), then one packed bit
-  /// column per round. AdvanceRound's selection shuffles permute the
-  /// member order, so it is state: a cohort rebuilt in record order
-  /// releases the same histograms but promotes DIFFERENT record
-  /// identities on resume. Refuses cohorts of 2^32 or more records.
-  Status Save(std::ostream& out) const;
 
  private:
   SyntheticCohort() = default;

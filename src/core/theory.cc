@@ -111,6 +111,17 @@ Result<double> RecomputePerStepSigma(int64_t horizon, int window_k,
   return std::sqrt(sigma2);
 }
 
+int64_t MaxSyntheticRecords(int64_t n, uint64_t bins, int64_t npad,
+                            double sigma2) {
+  // In double: every operand is non-negative, so the only hazard is a
+  // limit past int64, which saturates.
+  const double per_bin =
+      static_cast<double>(npad) + std::ceil(40.0 * std::sqrt(sigma2));
+  const double limit =
+      static_cast<double>(n) + static_cast<double>(bins) * per_bin;
+  return limit < 0x1p63 ? static_cast<int64_t>(limit) : INT64_MAX;
+}
+
 }  // namespace theory
 }  // namespace core
 }  // namespace longdp

@@ -3,15 +3,13 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cctype>
-#include <cerrno>
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "persist/crc32c.h"
 #include "persist/posix_io.h"
-#include "util/csv.h"
 
 namespace longdp {
 namespace persist {
@@ -30,30 +28,61 @@ bool ValidKindToken(const std::string& kind) {
   return true;
 }
 
-// Header numbers are whole decimal tokens: trailing garbage, overflow and
-// empty tokens are errors, never a silent 0.
-Result<int64_t> ReadHeaderInt(std::istream& header) {
+// Header numbers are canonical decimal tokens: digits only, no sign, no
+// leading zero unless the value is 0, no overflow past `max`. Every value
+// then has exactly one spelling, so a header that decodes re-encodes to
+// its own bytes.
+Result<uint64_t> ReadHeaderNumber(std::istream& header, uint64_t max,
+                                  const char* what) {
   std::string tok;
   if (!(header >> tok)) {
     return Status::InvalidArgument("truncated snapshot header");
   }
-  return util::ParseInt64Field(tok);
+  if (tok[0] == '0' ? tok.size() != 1
+                    : !std::all_of(tok.begin(), tok.end(), [](char c) {
+                        return c >= '0' && c <= '9';
+                      })) {
+    return Status::InvalidArgument(std::string("malformed snapshot ") + what +
+                                   " '" + tok + "'");
+  }
+  uint64_t v = 0;
+  for (char c : tok) {
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (v > (max - digit) / 10) {
+      return Status::InvalidArgument(std::string("snapshot ") + what +
+                                     " out of range: '" + tok + "'");
+    }
+    v = v * 10 + digit;
+  }
+  return v;
 }
 
-// The seed is unsigned: a sign is rejected rather than wrapped.
-Result<uint64_t> ReadHeaderSeed(std::istream& header) {
+Result<int64_t> ReadHeaderInt(std::istream& header, const char* what) {
+  LONGDP_ASSIGN_OR_RETURN(const uint64_t v,
+                          ReadHeaderNumber(header, INT64_MAX, what));
+  return static_cast<int64_t>(v);
+}
+
+// The checksum is exactly eight lowercase hex digits, as EncodeHeader
+// prints it.
+Result<uint32_t> ReadHeaderCrc(std::istream& header) {
   std::string tok;
-  if (!(header >> tok)) {
-    return Status::InvalidArgument("truncated snapshot header");
+  if (!(header >> tok) || tok.size() != 8) {
+    return Status::InvalidArgument("malformed snapshot checksum field");
   }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(tok[0])) || *end != '\0' ||
-      errno == ERANGE) {
-    return Status::InvalidArgument("malformed snapshot seed '" + tok + "'");
+  uint32_t v = 0;
+  for (char c : tok) {
+    uint32_t digit = 0;
+    if (c >= '0' && c <= '9') {
+      digit = static_cast<uint32_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      digit = static_cast<uint32_t>(c - 'a' + 10);
+    } else {
+      return Status::InvalidArgument("malformed snapshot checksum field");
+    }
+    v = (v << 4) | digit;
   }
-  return static_cast<uint64_t>(v);
+  return v;
 }
 
 std::string EncodeHeader(const SnapshotMeta& meta,
@@ -107,26 +136,18 @@ Result<Snapshot> DecodeSnapshot(std::string bytes) {
   if (!(header >> snap.meta.kind) || !ValidKindToken(snap.meta.kind)) {
     return Status::InvalidArgument("malformed snapshot kind");
   }
-  LONGDP_ASSIGN_OR_RETURN(snap.meta.format_version, ReadHeaderInt(header));
-  LONGDP_ASSIGN_OR_RETURN(snap.meta.seed, ReadHeaderSeed(header));
-  LONGDP_ASSIGN_OR_RETURN(snap.meta.round, ReadHeaderInt(header));
-  LONGDP_ASSIGN_OR_RETURN(int64_t declared, ReadHeaderInt(header));
-  std::string crc_tok;
-  if (!(header >> crc_tok) || crc_tok.size() != 8) {
-    return Status::InvalidArgument("malformed snapshot checksum field");
-  }
+  LONGDP_ASSIGN_OR_RETURN(snap.meta.format_version,
+                          ReadHeaderInt(header, "format version"));
+  LONGDP_ASSIGN_OR_RETURN(snap.meta.seed,
+                          ReadHeaderNumber(header, UINT64_MAX, "seed"));
+  LONGDP_ASSIGN_OR_RETURN(snap.meta.round, ReadHeaderInt(header, "round"));
+  LONGDP_ASSIGN_OR_RETURN(const int64_t declared,
+                          ReadHeaderInt(header, "payload size"));
+  LONGDP_ASSIGN_OR_RETURN(const uint32_t declared_crc, ReadHeaderCrc(header));
   std::string extra;
   if (header >> extra) {
     return Status::InvalidArgument("trailing data after snapshot header: '" +
                                    extra + "'");
-  }
-  if (snap.meta.format_version < 0 || snap.meta.round < 0 || declared < 0) {
-    return Status::InvalidArgument("malformed snapshot header");
-  }
-  char* end = nullptr;
-  const unsigned long declared_crc = std::strtoul(crc_tok.c_str(), &end, 16);
-  if (*end != '\0') {
-    return Status::InvalidArgument("malformed snapshot checksum field");
   }
 
   const size_t have = bytes.size() - (eol + 1);
@@ -144,11 +165,12 @@ Result<Snapshot> DecodeSnapshot(std::string bytes) {
   snap.payload = std::move(bytes);
   const uint32_t actual_crc =
       Crc32c(snap.payload.data(), snap.payload.size());
-  if (actual_crc != static_cast<uint32_t>(declared_crc)) {
-    char actual_hex[16];
-    std::snprintf(actual_hex, sizeof(actual_hex), "%08x", actual_crc);
-    return Status::DataLoss("snapshot checksum mismatch: header " + crc_tok +
-                            ", payload " + actual_hex);
+  if (actual_crc != declared_crc) {
+    char hex[2][16];
+    std::snprintf(hex[0], sizeof(hex[0]), "%08x", declared_crc);
+    std::snprintf(hex[1], sizeof(hex[1]), "%08x", actual_crc);
+    return Status::DataLoss(std::string("snapshot checksum mismatch: header ") +
+                            hex[0] + ", payload " + hex[1]);
   }
   return snap;
 }

@@ -26,10 +26,8 @@
 #define LONGDP_STREAM_STATE_IO_H_
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -52,8 +50,8 @@ static_assert(std::endian::native == std::endian::little,
 /// bytes already read.
 inline constexpr size_t kSliceBytes = size_t{1} << 20;
 
-/// Record ids travel as uint32, so populations and synthetic cohorts are
-/// capped below 2^32 records (SaveCheckpoint refuses larger ones).
+/// Populations are capped below 2^32 records (SaveCheckpoint refuses
+/// larger ones), so every count derived from one stays far inside int64.
 inline constexpr int64_t kMaxRecords = (int64_t{1} << 32) - 1;
 
 /// Eight ASCII characters as one little-endian word.
@@ -182,91 +180,6 @@ inline Status ReadPlane(std::istream& in, int64_t n,
   LONGDP_RETURN_NOT_OK(ReadVector(in, num_words, words));
   if ((n & 63) != 0 && (words->back() >> (n & 63)) != 0) {
     return Status::InvalidArgument("bit plane has bits past its lanes");
-  }
-  return Status::OK();
-}
-
-namespace detail {
-// Eight 0/1 bytes b0..b7 (b0 lowest) loaded as one little-endian word x:
-// x * kGather moves b_j to bit 56 + j, and every cross term lands strictly
-// below bit 56 at a distinct position (so no carry reaches the top byte).
-// The top byte is therefore the eight bits packed, b0 lowest.
-inline constexpr uint64_t kGather = 0x0102040810204080ULL;
-inline constexpr uint64_t kLowBits = 0x0101010101010101ULL;
-
-// kSpread[b] is byte b expanded to eight 0/1 bytes: bit j -> byte j.
-inline constexpr std::array<uint64_t, 256> kSpread = [] {
-  std::array<uint64_t, 256> table{};
-  for (uint64_t b = 0; b < 256; ++b) {
-    for (int j = 0; j < 8; ++j) table[b] |= ((b >> j) & 1) << (8 * j);
-  }
-  return table;
-}();
-}  // namespace detail
-
-/// Writes `rounds` byte-per-bit columns of m records (round r's column at
-/// matrix[r*m, (r+1)*m)) as one packed bit plane per round, eight records
-/// per multiply. A byte other than 0/1 is refused before its column is
-/// written.
-inline Status WriteBitColumns(std::ostream& out, const uint8_t* matrix,
-                              int64_t m, int64_t rounds) {
-  const size_t lanes = static_cast<size_t>(m);
-  std::vector<uint64_t> words((lanes + 63) >> 6);
-  for (int64_t r = 0; r < rounds; ++r) {
-    const uint8_t* col = matrix + static_cast<size_t>(r) * lanes;
-    uint64_t seen = 0;  // OR of every byte: bits above a lane's low bit
-    for (size_t w = 0; w < words.size(); ++w) {
-      const uint8_t* src = col + (w << 6);
-      const size_t width = std::min<size_t>(64, lanes - (w << 6));
-      uint64_t word = 0;
-      if (width == 64) {
-        for (int b = 0; b < 8; ++b) {
-          uint64_t x;
-          std::memcpy(&x, src + 8 * b, sizeof(x));
-          seen |= x;
-          word |= ((x * detail::kGather) >> 56) << (8 * b);
-        }
-      } else {
-        for (size_t j = 0; j < width; ++j) {
-          seen |= src[j];
-          word |= static_cast<uint64_t>(src[j] & 1) << j;
-        }
-      }
-      words[w] = word;
-    }
-    if ((seen & ~detail::kLowBits) != 0) {
-      return Status::InvalidArgument("history bits must be 0 or 1");
-    }
-    WriteArray(out, words.data(), words.size());
-  }
-  return Status::OK();
-}
-
-/// Reads `rounds` packed bit planes of m records into *matrix as
-/// byte-per-bit columns (the inverse of WriteBitColumns). The matrix grows
-/// one column per plane read.
-inline Status ReadBitColumns(std::istream& in, int64_t m, int64_t rounds,
-                             std::vector<uint8_t>* matrix) {
-  matrix->clear();
-  // Empty columns hold no bytes: nothing to read, however many rounds.
-  if (m == 0) return Status::OK();
-  const size_t lanes = static_cast<size_t>(m);
-  std::vector<uint64_t> words;
-  for (int64_t r = 0; r < rounds; ++r) {
-    LONGDP_RETURN_NOT_OK(ReadPlane(in, m, &words));
-    const size_t base = static_cast<size_t>(r) * lanes;
-    matrix->resize(base + lanes);
-    uint8_t* col = matrix->data() + base;
-    const size_t full = lanes >> 6;
-    for (size_t w = 0; w < full; ++w) {
-      for (int b = 0; b < 8; ++b) {
-        const uint64_t spread = detail::kSpread[(words[w] >> (8 * b)) & 0xFF];
-        std::memcpy(col + (w << 6) + 8 * b, &spread, sizeof(spread));
-      }
-    }
-    for (size_t i = full << 6; i < lanes; ++i) {
-      col[i] = static_cast<uint8_t>((words[i >> 6] >> (i & 63)) & 1);
-    }
   }
   return Status::OK();
 }

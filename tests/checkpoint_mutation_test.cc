@@ -4,8 +4,9 @@
 // overwritten with forged counts, built from small mid-run checkpoints.
 //
 // Oracle: the decoder returns non-OK, or state that re-saves to exactly
-// the bytes it consumed. No input may crash, hang, or size an allocation
-// from an unchecked count (the ASan/UBSan job runs this suite).
+// the bytes it consumed; a forged release target is always non-OK. No
+// input may crash, hang, or size an allocation from an unchecked count
+// (the ASan/UBSan job runs this suite).
 
 #include <gtest/gtest.h>
 
@@ -19,8 +20,10 @@
 #include "core/cumulative_synthesizer.h"
 #include "core/fixed_window_synthesizer.h"
 #include "data/generators.h"
+#include "stream/budget_split.h"
 #include "stream/counter_bank.h"
 #include "stream/counter_factory.h"
+#include "stream/state_io.h"
 #include "util/substream.h"
 
 namespace longdp {
@@ -71,13 +74,36 @@ void MutateAll(const Roundtrip& roundtrip, const std::string& bytes,
   }
   // Every 8-byte window overwritten with a forged count: this covers each
   // length, count, and size field wherever it sits.
-  for (uint64_t forged : {uint64_t{1} << 32, uint64_t{1} << 62}) {
+  for (uint64_t forged :
+       {uint64_t{1} << 31, uint64_t{1} << 32, uint64_t{1} << 62}) {
     for (size_t at = 0; at + 8 <= bytes.size(); ++at) {
       std::string mutant = bytes;
       std::memcpy(&mutant[at], &forged, sizeof(forged));
       Check(roundtrip, mutant,
             name + " count " + std::to_string(forged) + " at " +
                 std::to_string(at));
+    }
+  }
+}
+
+/// The release targets a cohort is rebuilt from sit in bytes[begin, end)
+/// as 8-byte fields. Each one forged to 2^31 or 2^62 must be refused: the
+/// rebuild checks every target against its group, and the census against
+/// the record bound, before it sizes anything by them.
+void ForgedTargetsAreRefused(const Roundtrip& roundtrip,
+                             const std::string& bytes, size_t begin,
+                             size_t end, const std::string& name) {
+  ASSERT_LE(end, bytes.size()) << name;
+  ASSERT_EQ((end - begin) % 8, 0u) << name;
+  for (uint64_t forged : {uint64_t{1} << 31, uint64_t{1} << 62}) {
+    for (size_t at = begin; at < end; at += 8) {
+      std::string mutant = bytes;
+      std::memcpy(&mutant[at], &forged, sizeof(forged));
+      std::istringstream in(mutant);
+      std::string resaved;
+      EXPECT_FALSE(roundtrip(in, &resaved).ok())
+          << name << ": target at " << at << " forged to " << forged
+          << " accepted";
     }
   }
 }
@@ -121,7 +147,12 @@ TEST(CheckpointMutationTest, FixedWindowDecoderIsTotal) {
     ASSERT_TRUE(synth->ObserveRound(ds.Round(t)).ok());
   }
   ASSERT_TRUE(synth->has_release());
-  MutateAll(roundtrip, Save(*synth), "fixed-window post-release");
+  const std::string bytes = Save(*synth);
+  MutateAll(roundtrip, bytes, "fixed-window post-release");
+  // Before the end tag: the 8-bin census, then round 4's 4 ones targets.
+  const size_t targets = (8 + 4) * 8;
+  ForgedTargetsAreRefused(roundtrip, bytes, bytes.size() - 8 - targets,
+                          bytes.size() - 8, "fixed-window targets");
 }
 
 TEST(CheckpointMutationTest, CumulativeDecoderIsTotal) {
@@ -140,7 +171,23 @@ TEST(CheckpointMutationTest, CumulativeDecoderIsTotal) {
   for (int64_t t = 2; t <= 4; ++t) {
     ASSERT_TRUE(synth->ObserveRound(ds.Round(t)).ok());
   }
-  MutateAll(roundtrip, Save(*synth), "cumulative mid-run");
+  const std::string bytes = Save(*synth);
+  MutateAll(roundtrip, bytes, "cumulative mid-run");
+  // After the magic line, horizon, rho, the two names, seed, t, n and the
+  // bit_width(6) = 3 weight planes of two words: the 4 released rows of
+  // T + 1 counts.
+  const std::string split = stream::BudgetSplitName(options.split);
+  const size_t rows =
+      stream::state_io::Magic("cumulative",
+                              core::CumulativeSynthesizer::kCheckpointVersion)
+          .size() +
+      1 + 8 + 8 + (8 + split.size()) + (8 + 4) + 8 + 8 + 8 + 3 * 2 * 8;
+  int64_t first = 0;
+  std::memcpy(&first, &bytes[rows], sizeof(first));
+  ASSERT_EQ(first, kUsers) << "Shat^1_0 is the population";
+  ForgedTargetsAreRefused(roundtrip, bytes, rows,
+                          rows + 4 * (kHorizon + 1) * 8,
+                          "cumulative released rows");
 }
 
 TEST(CheckpointMutationTest, CategoricalDecoderIsTotal) {
@@ -165,7 +212,13 @@ TEST(CheckpointMutationTest, CategoricalDecoderIsTotal) {
     ASSERT_TRUE(synth->ObserveRound(rounds[t]).ok());
   }
   ASSERT_TRUE(synth->has_release());
-  MutateAll(roundtrip, Save(*synth), "categorical post-release");
+  const std::string bytes = Save(*synth);
+  MutateAll(roundtrip, bytes, "categorical post-release");
+  // Before the end tag: the 9-bin initial census, then rounds 3 and 4 as a
+  // 9-bin census and one remainder plane word each.
+  const size_t targets = 9 * 8 + 2 * (9 * 8 + 8);
+  ForgedTargetsAreRefused(roundtrip, bytes, bytes.size() - 8 - targets,
+                          bytes.size() - 8, "categorical censuses");
 }
 
 TEST(CheckpointMutationTest, CounterBankDecoderIsTotalForEveryCounter) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/categorical_synthesizer.h"
 #include "core/cumulative_synthesizer.h"
@@ -184,10 +187,13 @@ TEST(CheckpointTest, RejectsGarbage) {
   std::stringstream v2(
       "longdp-fixed-window-checkpoint-v2\n12 3 0.005 124 0.05 7\n");
   EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(v2).ok());
-  // v4 was the last text format; v5 is binary.
-  std::stringstream v4(
-      "longdp-fixed-window-checkpoint-v4\n12 3 0.005 124 0.05 7\n");
-  EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(v4).ok());
+  // v4 was the last text format; v5 is binary with the cohort stored,
+  // v6 stores only what the cohort is rebuilt from.
+  for (const char* old : {"longdp-fixed-window-checkpoint-v4\n",
+                          "longdp-fixed-window-checkpoint-v5\n"}) {
+    std::stringstream text(std::string(old) + "12 3 0.005 124 0.05 7\n");
+    EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(text).ok()) << old;
+  }
 }
 
 TEST(CheckpointTest, VersionSkewIsExplicitInvalidArgument) {
@@ -195,7 +201,8 @@ TEST(CheckpointTest, VersionSkewIsExplicitInvalidArgument) {
   // refused with a message naming the version problem, distinct from
   // "this is not a checkpoint at all".
   for (const char* old : {"longdp-fixed-window-checkpoint-v3\n",
-                          "longdp-fixed-window-checkpoint-v4\n"}) {
+                          "longdp-fixed-window-checkpoint-v4\n",
+                          "longdp-fixed-window-checkpoint-v5\n"}) {
     std::stringstream text(std::string(old) + "12 3 0.005 124 0.05 7\n");
     auto restored = FixedWindowSynthesizer::LoadCheckpoint(text);
     ASSERT_FALSE(restored.ok());
@@ -232,11 +239,14 @@ TEST(CheckpointTest, MissingEndSentinelIsRejected) {
   EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(wrong).ok());
 }
 
-// Fixed-window v5 layout: the magic line, then six option fields
+// Fixed-window v6 layout: the magic line, then six option fields
 // (horizon, k, rho, npad, beta, seed) and six state fields (t, n,
-// releases, clamps, rounding draws, spent).
+// releases, clamps, rounding draws, spent), the k window planes, the
+// census p^k and each later round's 2^(k-1) ones targets.
 size_t FwField(int index) {
-  return MagicBytes("fixed-window", 5) + 8 * static_cast<size_t>(index);
+  return MagicBytes("fixed-window",
+                    FixedWindowSynthesizer::kCheckpointVersion) +
+         8 * static_cast<size_t>(index);
 }
 
 TEST(CheckpointTest, CorruptSpentTokenIsRejectedNotZeroed) {
@@ -280,7 +290,10 @@ TEST(CheckpointTest, CorruptRhoTokenIsRejectedNotTruncated) {
   }
 }
 
-TEST(CheckpointTest, RejectsTamperedCohort) {
+TEST(CheckpointTest, RejectsTamperedTargets) {
+  // The cohort is rebuilt from the stored targets, so a target the rebuild
+  // cannot apply, or a census past the record bound, must be refused
+  // before it moves or allocates a record.
   util::SubstreamRng rng(5, util::substream::kGeneric);
   auto ds = data::BernoulliIid(40, 6, 0.5, &rng).value();
   auto synth = FixedWindowSynthesizer::Create(Opt(6, 2, 0.1, -1, 59)).value();
@@ -290,33 +303,29 @@ TEST(CheckpointTest, RejectsTamperedCohort) {
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
   const std::string bytes = stream.str();
-  const int64_t m = synth->cohort().num_records();
-  ASSERT_GE(m, 2);
-  // Cohort: after the k = 2 window planes come m, then the uint32 group
-  // order, then the packed history columns.
-  const size_t cohort = FwField(12) + 2 * Words(40) * 8;
-  ASSERT_EQ(Peek<int64_t>(bytes, cohort), m);
-  const size_t order = cohort + 8;
-  // A duplicated record id is not a permutation.
-  std::stringstream dup(
-      Patch(bytes, order + 4, Peek<uint32_t>(bytes, order)));
-  EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(dup).ok());
-  // The first and last members sit in different overlap groups when both
-  // groups are non-empty; swapping them breaks the grouping.
-  const size_t last = order + 4 * static_cast<size_t>(m - 1);
-  if (synth->cohort().GroupSize(0) != 0 &&
-      synth->cohort().GroupSize(1) != 0) {
-    std::stringstream swapped(
-        Patch(Patch(bytes, order, Peek<uint32_t>(bytes, last)), last,
-              Peek<uint32_t>(bytes, order)));
-    EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(swapped).ok());
-  }
-  // A set bit past the last record of a history column is not canonical.
-  if (m % 64 != 0) {
-    const size_t last_word = bytes.size() - 8 - 8;
-    std::stringstream tail(Patch(bytes, last_word, uint64_t{1} << 63));
-    EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(tail).ok());
-  }
+  // After the k = 2 window planes: the 4-bin census p^2, then the 2 ones
+  // targets of rounds 3 and 4.
+  const size_t census = FwField(12) + 2 * Words(40) * 8;
+  const size_t round4 = census + 4 * 8 + 2 * 8;
+  ASSERT_EQ(bytes.size(), round4 + 2 * 8 + 8);
+  auto expect_rejected = [](const std::string& tampered, const char* what) {
+    std::stringstream in(tampered);
+    auto restored = FixedWindowSynthesizer::LoadCheckpoint(in);
+    ASSERT_FALSE(restored.ok()) << what;
+    EXPECT_TRUE(restored.status().IsInvalidArgument())
+        << what << ": " << restored.status().ToString();
+  };
+  // Round 4's target for overlap 0 above the group it splits (which is at
+  // most the whole cohort).
+  expect_rejected(Patch(bytes, round4, synth->cohort().num_records() + 1),
+                  "target above its group");
+  expect_rejected(Patch(bytes, round4, int64_t{-1}), "negative target");
+  // A negative census bin, and one past n + bins * (npad + ceil(40 sigma)).
+  expect_rejected(Patch(bytes, census, int64_t{-1}), "negative census");
+  expect_rejected(Patch(bytes, census, int64_t{1} << 40), "census past bound");
+  // The untampered bytes still load.
+  std::stringstream clean(bytes);
+  EXPECT_TRUE(FixedWindowSynthesizer::LoadCheckpoint(clean).ok());
 }
 
 TEST(CheckpointTest, InfiniteRhoRoundTrips) {
@@ -485,17 +494,17 @@ TEST(CumulativeCheckpointTest, FreshSynthesizerRoundTrips) {
   EXPECT_EQ(restored.value()->t(), 0);
 }
 
-// Cumulative v5 layout: the magic line, horizon, rho, the budget-split and
-// counter names (8-byte length + bytes each), seed, t, n, then the
-// released row, the weight planes, and the history columns.
-size_t CumulativeHistories(const CumulativeSynthesizer::Options& options,
-                           int64_t n) {
+// Cumulative v6 layout: the magic line, horizon, rho, the budget-split and
+// counter names (8-byte length + bytes each), seed, t, n, the weight
+// planes, then the released rows Shat^1..Shat^t, then the counter bank.
+size_t CumulativeRows(const CumulativeSynthesizer::Options& options,
+                      int64_t n) {
   const std::string split = stream::BudgetSplitName(options.split);
   const std::string counter = options.counter_factory->name();
   const auto horizon = static_cast<size_t>(options.horizon);
   const size_t planes = std::bit_width(horizon);
-  return MagicBytes("cumulative", 5) + 8 + 8 + (8 + split.size()) +
-         (8 + counter.size()) + 8 + 8 + 8 + 8 * (horizon + 1) +
+  return MagicBytes("cumulative", CumulativeSynthesizer::kCheckpointVersion) +
+         8 + 8 + (8 + split.size()) + (8 + counter.size()) + 8 + 8 + 8 +
          planes * Words(n) * 8;
 }
 
@@ -506,7 +515,8 @@ TEST(CumulativeCheckpointTest, CorruptRhoTokenIsRejectedNotTruncated) {
   ASSERT_TRUE(synth->ObserveRound(ds.Round(1)).ok());
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
-  const size_t rho_at = MagicBytes("cumulative", 5) + 8;
+  const size_t rho_at =
+      MagicBytes("cumulative", CumulativeSynthesizer::kCheckpointVersion) + 8;
   ASSERT_EQ(Peek<double>(stream.str(), rho_at), 0.2);
   for (double bad : {kNaN, 0.0, -0.2}) {
     std::stringstream corrupted(Patch(stream.str(), rho_at, bad));
@@ -519,7 +529,8 @@ TEST(CumulativeCheckpointTest, CorruptRhoTokenIsRejectedNotTruncated) {
 
 TEST(CumulativeCheckpointTest, VersionSkewIsExplicitInvalidArgument) {
   for (const char* old : {"longdp-cumulative-checkpoint-v3\n",
-                          "longdp-cumulative-checkpoint-v4\n"}) {
+                          "longdp-cumulative-checkpoint-v4\n",
+                          "longdp-cumulative-checkpoint-v5\n"}) {
     std::stringstream text(std::string(old) + "12 0.02 0 tree\n");
     auto restored = CumulativeSynthesizer::LoadCheckpoint(text);
     ASSERT_FALSE(restored.ok());
@@ -552,8 +563,9 @@ TEST(CumulativeCheckpointTest, RejectsGarbageAndTampering) {
   std::stringstream wrong("longdp-fixed-window-checkpoint-v1\n");
   EXPECT_FALSE(CumulativeSynthesizer::LoadCheckpoint(wrong).ok());
 
-  // Tampering with a history bit must be caught by the group and
-  // released-counts consistency checks.
+  // The records are rebuilt from the stored rows: a row the promotions
+  // cannot apply, or a last row that disagrees with the counter bank, is
+  // refused.
   util::SubstreamRng rng(23, util::substream::kGeneric);
   auto ds = data::BernoulliIid(50, 6, 0.5, &rng).value();
   const auto options = COpt(6, kInf);
@@ -563,10 +575,32 @@ TEST(CumulativeCheckpointTest, RejectsGarbageAndTampering) {
   }
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
-  const size_t column0 = CumulativeHistories(options, 50);
-  const auto word = Peek<uint64_t>(stream.str(), column0);
-  std::stringstream corrupted(Patch(stream.str(), column0, word ^ 1));
-  EXPECT_FALSE(CumulativeSynthesizer::LoadCheckpoint(corrupted).ok());
+  const std::string bytes = stream.str();
+  auto expect_rejected = [](const std::string& tampered, const char* what) {
+    std::stringstream in(tampered);
+    auto restored = CumulativeSynthesizer::LoadCheckpoint(in);
+    ASSERT_FALSE(restored.ok()) << what;
+    EXPECT_TRUE(restored.status().IsInvalidArgument())
+        << what << ": " << restored.status().ToString();
+  };
+  const size_t rows = CumulativeRows(options, 50);
+  const size_t width = 7 * 8;  // T + 1 counts per row
+  // Shat^1_1 past the population: more promotions than weight-0 records.
+  ASSERT_EQ(Peek<int64_t>(bytes, rows), 50);
+  expect_rejected(Patch(bytes, rows + 8, int64_t{51}), "target above group");
+  // Shat^2_1 below Shat^1_1: a negative promotion count.
+  const auto s11 = Peek<int64_t>(bytes, rows + 8);
+  if (s11 > 0) {
+    expect_rejected(Patch(bytes, rows + width + 8, s11 - 1),
+                    "negative promotion");
+  }
+  // The last row moved by one at b = 0: the promotions still apply, but
+  // the row no longer matches the rebuilt records or the bank.
+  const size_t last = rows + 2 * width;
+  expect_rejected(Patch(bytes, last, Peek<int64_t>(bytes, last) + 1),
+                  "row disagrees with the bank");
+  std::stringstream clean(bytes);
+  EXPECT_TRUE(CumulativeSynthesizer::LoadCheckpoint(clean).ok());
 }
 
 TEST(CumulativeCheckpointTest, NoisyResumeReproducesRemainingReleaseLog) {
@@ -601,8 +635,8 @@ TEST(CumulativeCheckpointTest, NoisyResumeReproducesRemainingReleaseLog) {
 }
 
 // ---------------------------------------------------------------------------
-// Categorical window synthesizer checkpointing (new in v1: resolved npad,
-// per-user base-A windows, synthetic symbol histories, overlap group order)
+// Categorical window synthesizer checkpointing (resolved npad, per-user
+// base-A windows, and the censuses the cohort is rebuilt from)
 // ---------------------------------------------------------------------------
 
 CategoricalWindowSynthesizer::Options KOpt(int64_t horizon, int k, int A,
@@ -717,9 +751,11 @@ TEST(CategoricalCheckpointTest, PreReleaseAndFreshCheckpointsWork) {
 }
 
 TEST(CategoricalCheckpointTest, VersionSkewIsExplicitInvalidArgument) {
-  // v1 was the text format; v2 is binary.
+  // v1 was the text format; v2 is binary with the cohort stored, v3 stores
+  // only what the cohort is rebuilt from.
   for (const char* old : {"longdp-categorical-checkpoint-v0\n",
-                          "longdp-categorical-checkpoint-v1\n"}) {
+                          "longdp-categorical-checkpoint-v1\n",
+                          "longdp-categorical-checkpoint-v2\n"}) {
     std::stringstream text(std::string(old) + "10 2 3 0.05\n");
     auto restored = CategoricalWindowSynthesizer::LoadCheckpoint(text);
     ASSERT_FALSE(restored.ok());
@@ -730,12 +766,15 @@ TEST(CategoricalCheckpointTest, VersionSkewIsExplicitInvalidArgument) {
   }
 }
 
-// Categorical v2 layout: the magic line, seven option fields (horizon, k,
-// A, rho, npad, beta, seed), seven state fields (t, n, m, releases, clamps,
+// Categorical v3 layout: the magic line, seven option fields (horizon, k,
+// A, rho, npad, beta, seed), six state fields (t, n, releases, clamps,
 // remainder draws, spent), the window codes, and once released the A^k
-// counts, the A^(k-1) group sizes, the uint32 members, and the history.
+// initial census, then per slide round its A^k census and a bit plane over
+// the A^(k-1) overlaps.
 size_t KField(int index) {
-  return MagicBytes("categorical", 2) + 8 * static_cast<size_t>(index);
+  return MagicBytes("categorical",
+                    CategoricalWindowSynthesizer::kCheckpointVersion) +
+         8 * static_cast<size_t>(index);
 }
 
 TEST(CategoricalCheckpointTest, RejectsGarbageTamperingAndMissingSentinel) {
@@ -761,28 +800,29 @@ TEST(CategoricalCheckpointTest, RejectsGarbageTamperingAndMissingSentinel) {
   EXPECT_FALSE(
       CategoricalWindowSynthesizer::LoadCheckpoint(truncated).ok());
 
-  // A tampered histogram no longer sums to the synthetic population.
-  const size_t counts = KField(14) + 80;  // 9 bins: one code byte per user
+  // A tampered initial census seeds one record too many for the next
+  // round's census to cover.
+  const size_t counts = KField(13) + 80;  // 9 bins: one code byte per user
   const auto first = Peek<int64_t>(bytes, counts);
   std::stringstream corrupted(Patch(bytes, counts, first + 1));
   EXPECT_FALSE(
       CategoricalWindowSynthesizer::LoadCheckpoint(corrupted).ok());
 
   // A corrupted spent budget must hard-fail, not restore as 0.
-  ASSERT_EQ(Peek<double>(bytes, KField(13)), synth->accountant().spent());
+  ASSERT_EQ(Peek<double>(bytes, KField(12)), synth->accountant().spent());
   for (double bad : {kNaN, -1.0, kInf}) {
-    std::stringstream bad_spent(Patch(bytes, KField(13), bad));
+    std::stringstream bad_spent(Patch(bytes, KField(12), bad));
     EXPECT_FALSE(
         CategoricalWindowSynthesizer::LoadCheckpoint(bad_spent).ok());
   }
 }
 
-TEST(CategoricalCheckpointTest, GroupsContradictingHistoriesAreRejected) {
-  // Regression: restore checked only that counts and group sizes sum to
-  // the record count and that the members form a permutation. Swapping a
-  // member of overlap group 0 with one of group 1 loaded, and the next
-  // round extended records whose last k-1 symbols were not their group's
-  // overlap — silently breaking consistency with the released histogram.
+TEST(CategoricalCheckpointTest, CensusContradictingItsGroupsIsRejected) {
+  // Each slide round's census must split every overlap group of the round
+  // before exactly: moving one record's worth of count from a child of
+  // overlap 0 to a child of overlap 1 in the census at t contradicts the
+  // group sizes the row at t - 1 fixed, and must be refused rather than
+  // rebuild records whose last k-1 symbols are not their group's overlap.
   const int64_t n = 300;
   const auto rounds = SymbolRounds(n, 8, 3, 47);
   auto synth =
@@ -793,30 +833,182 @@ TEST(CategoricalCheckpointTest, GroupsContradictingHistoriesAreRejected) {
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
   const std::string bytes = stream.str();
-  // A = 3, k = 2: 9 bins and 3 overlap groups.
-  const size_t sizes = KField(14) + static_cast<size_t>(n) + 9 * 8;
-  const auto group0 = Peek<int64_t>(bytes, sizes);
-  ASSERT_GT(group0, 0);
-  ASSERT_GT(Peek<int64_t>(bytes, sizes + 8), 0);
-  const size_t members = sizes + 3 * 8;
-  const size_t in_group1 = members + 4 * static_cast<size_t>(group0);
-  const std::string swapped =
-      Patch(Patch(bytes, members, Peek<uint32_t>(bytes, in_group1)),
-            in_group1, Peek<uint32_t>(bytes, members));
-  std::stringstream in(swapped);
+  // A = 3, k = 2: 9 bins, 3 overlaps (one plane word). The census at t = 6
+  // sits just before its plane word and the end tag.
+  const size_t census = bytes.size() - 8 - 8 - 9 * 8;
+  ASSERT_EQ(census,
+            KField(13) + static_cast<size_t>(n) + 9 * 8 + 3 * (9 * 8 + 8));
+  const auto child00 = Peek<int64_t>(bytes, census);
+  ASSERT_GT(child00, 0);
+  const size_t child10 = census + 3 * 8;
+  const std::string moved =
+      Patch(Patch(bytes, census, child00 - 1), child10,
+            Peek<int64_t>(bytes, child10) + 1);
+  std::stringstream in(moved);
   auto restored = CategoricalWindowSynthesizer::LoadCheckpoint(in);
   ASSERT_FALSE(restored.ok());
   EXPECT_TRUE(restored.status().IsInvalidArgument())
       << restored.status().ToString();
-  // The unswapped checkpoint still loads.
+  // The untampered checkpoint still loads.
   std::stringstream clean(bytes);
   EXPECT_TRUE(CategoricalWindowSynthesizer::LoadCheckpoint(clean).ok());
 }
 
 // ---------------------------------------------------------------------------
+// Rebuild equals live: a checkpoint stores no cohort, so the cohort its
+// loader rebuilds must be the live run's record for record at every t —
+// same histories, and the same group member order, which the continuation
+// checks: rounds t+1..T promote the same record identities only if every
+// group lists its members in the live order. Noisy settings with npad = 0
+// exercise rounding and remainder draws and negative clamps.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kRebuildUsers = 120;
+constexpr int64_t kRebuildHorizon = 12;
+
+template <typename Synth>
+std::string SaveBytes(const Synth& synth) {
+  std::stringstream out;
+  EXPECT_TRUE(synth.SaveCheckpoint(out).ok());
+  return out.str();
+}
+
+/// Loads `bytes`, requires a byte-identical re-save, and returns the
+/// restored synthesizer.
+template <typename Synth>
+std::unique_ptr<Synth> LoadExact(const std::string& bytes, int64_t t) {
+  std::stringstream in(bytes);
+  auto restored = Synth::LoadCheckpoint(in);
+  EXPECT_TRUE(restored.ok()) << "t=" << t << ": "
+                             << restored.status().ToString();
+  if (!restored.ok()) return nullptr;
+  EXPECT_EQ(SaveBytes(*restored.value()), bytes) << "t=" << t;
+  return std::move(restored).value();
+}
+
+TEST(CheckpointRebuildTest, FixedWindowRebuildEqualsLiveAtEveryRound) {
+  util::SubstreamRng rng(0x7EB, util::substream::kGeneric);
+  auto ds =
+      data::BernoulliIid(kRebuildUsers, kRebuildHorizon, 0.3, &rng).value();
+  const auto options = Opt(kRebuildHorizon, 3, 0.05, 0, 0x7EB);
+  auto live = FixedWindowSynthesizer::Create(options).value();
+  std::vector<std::string> saved;
+  for (int64_t t = 1; t <= kRebuildHorizon; ++t) {
+    ASSERT_TRUE(live->ObserveRound(ds.Round(t)).ok());
+    saved.push_back(SaveBytes(*live));
+  }
+  ASSERT_GT(live->stats().rounding_draws, 0);
+  ASSERT_GT(live->stats().negative_clamps, 0);
+  const SyntheticCohort& final_cohort = live->cohort();
+  for (int64_t t = 1; t <= kRebuildHorizon; ++t) {
+    auto restored = LoadExact<FixedWindowSynthesizer>(
+        saved[static_cast<size_t>(t - 1)], t);
+    ASSERT_NE(restored, nullptr);
+    if (restored->has_release()) {
+      const SyntheticCohort& cohort = restored->cohort();
+      ASSERT_EQ(cohort.num_records(), final_cohort.num_records());
+      ASSERT_EQ(cohort.rounds(), t);
+      for (int64_t rec = 0; rec < cohort.num_records(); ++rec) {
+        for (int64_t tt = 1; tt <= t; ++tt) {
+          ASSERT_EQ(cohort.Bit(rec, tt), final_cohort.Bit(rec, tt))
+              << "t=" << t << " rec=" << rec << " round " << tt;
+        }
+      }
+    }
+    for (int64_t tt = t + 1; tt <= kRebuildHorizon; ++tt) {
+      ASSERT_TRUE(restored->ObserveRound(ds.Round(tt)).ok());
+    }
+    ASSERT_EQ(SaveBytes(*restored), saved.back()) << "resumed at t=" << t;
+    const SyntheticCohort& resumed = restored->cohort();
+    for (int64_t rec = 0; rec < final_cohort.num_records(); ++rec) {
+      for (int64_t tt = std::max<int64_t>(t + 1, 3); tt <= kRebuildHorizon;
+           ++tt) {
+        ASSERT_EQ(resumed.Bit(rec, tt), final_cohort.Bit(rec, tt))
+            << "resumed at t=" << t << " rec=" << rec << " round " << tt;
+      }
+    }
+  }
+}
+
+TEST(CheckpointRebuildTest, CumulativeRebuildEqualsLiveAtEveryRound) {
+  util::SubstreamRng rng(0x7EC, util::substream::kGeneric);
+  auto ds =
+      data::BernoulliIid(kRebuildUsers, kRebuildHorizon, 0.3, &rng).value();
+  auto live =
+      CumulativeSynthesizer::Create(COpt(kRebuildHorizon, 0.05, "tree", 0x7EC))
+          .value();
+  std::vector<std::string> saved;
+  for (int64_t t = 1; t <= kRebuildHorizon; ++t) {
+    ASSERT_TRUE(live->ObserveRound(ds.Round(t)).ok());
+    saved.push_back(SaveBytes(*live));
+  }
+  for (int64_t t = 1; t <= kRebuildHorizon; ++t) {
+    auto restored = LoadExact<CumulativeSynthesizer>(
+        saved[static_cast<size_t>(t - 1)], t);
+    ASSERT_NE(restored, nullptr);
+    for (int64_t rec = 0; rec < kRebuildUsers; ++rec) {
+      for (int64_t tt = 1; tt <= t; ++tt) {
+        ASSERT_EQ(restored->Bit(rec, tt), live->Bit(rec, tt))
+            << "t=" << t << " rec=" << rec << " round " << tt;
+      }
+    }
+    for (int64_t tt = t + 1; tt <= kRebuildHorizon; ++tt) {
+      ASSERT_TRUE(restored->ObserveRound(ds.Round(tt)).ok());
+    }
+    ASSERT_EQ(SaveBytes(*restored), saved.back()) << "resumed at t=" << t;
+    for (int64_t rec = 0; rec < kRebuildUsers; ++rec) {
+      for (int64_t tt = t + 1; tt <= kRebuildHorizon; ++tt) {
+        ASSERT_EQ(restored->Bit(rec, tt), live->Bit(rec, tt))
+            << "resumed at t=" << t << " rec=" << rec << " round " << tt;
+      }
+    }
+  }
+}
+
+TEST(CheckpointRebuildTest, CategoricalRebuildEqualsLiveAtEveryRound) {
+  const auto rounds = SymbolRounds(kRebuildUsers, kRebuildHorizon, 3, 0x7ED);
+  auto options = KOpt(kRebuildHorizon, 2, 3, 0.05, 0x7ED);
+  options.npad = 0;
+  auto live = CategoricalWindowSynthesizer::Create(options).value();
+  std::vector<std::string> saved;
+  for (int64_t t = 1; t <= kRebuildHorizon; ++t) {
+    ASSERT_TRUE(live->ObserveRound(rounds[static_cast<size_t>(t - 1)]).ok());
+    saved.push_back(SaveBytes(*live));
+  }
+  ASSERT_GT(live->stats().remainder_draws, 0);
+  ASSERT_GT(live->stats().negative_clamps, 0);
+  for (int64_t t = 1; t <= kRebuildHorizon; ++t) {
+    auto restored = LoadExact<CategoricalWindowSynthesizer>(
+        saved[static_cast<size_t>(t - 1)], t);
+    ASSERT_NE(restored, nullptr);
+    if (restored->has_release()) {
+      ASSERT_EQ(restored->synthetic_population(),
+                live->synthetic_population());
+      for (int64_t rec = 0; rec < live->synthetic_population(); ++rec) {
+        for (int64_t tt = 1; tt <= t; ++tt) {
+          ASSERT_EQ(restored->Symbol(rec, tt), live->Symbol(rec, tt))
+              << "t=" << t << " rec=" << rec << " round " << tt;
+        }
+      }
+    }
+    for (int64_t tt = t + 1; tt <= kRebuildHorizon; ++tt) {
+      ASSERT_TRUE(
+          restored->ObserveRound(rounds[static_cast<size_t>(tt - 1)]).ok());
+    }
+    ASSERT_EQ(SaveBytes(*restored), saved.back()) << "resumed at t=" << t;
+    for (int64_t rec = 0; rec < live->synthetic_population(); ++rec) {
+      for (int64_t tt = t + 1; tt <= kRebuildHorizon; ++tt) {
+        ASSERT_EQ(restored->Symbol(rec, tt), live->Symbol(rec, tt))
+            << "resumed at t=" << t << " rec=" << rec << " round " << tt;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Layout pins: each payload's byte size equals its closed-form layout, so a
-// regression to text or to byte-per-bit columns fails here, not only in the
-// benchmark.
+// regression to text, or to storing derived cohort state, fails here, not
+// only in the benchmark.
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointLayoutTest, PayloadSizesMatchClosedForm) {
@@ -832,26 +1024,25 @@ TEST(CheckpointLayoutTest, PayloadSizesMatchClosedForm) {
     ASSERT_TRUE(fw->ObserveRound(ds.Round(t)).ok());
     ASSERT_TRUE(cum->ObserveRound(ds.Round(t)).ok());
   }
-  const auto m = static_cast<size_t>(fw->cohort().num_records());
-  // magic, 12 scalar fields, k window planes, m, m uint32 ids, T packed
-  // history columns, end tag.
-  const size_t fw_bytes = MagicBytes("fixed-window", 5) + 12 * 8 +
-                          k * words * 8 + 8 + 4 * m + T * Words(m) * 8 + 8;
+  // magic, 12 scalar fields, k window planes, the 2^k census, T - k
+  // rounds of 2^(k-1) ones targets, end tag.
+  const size_t fw_bytes =
+      MagicBytes("fixed-window", FixedWindowSynthesizer::kCheckpointVersion) +
+      12 * 8 + k * words * 8 + 8 * 8 + (T - k) * 4 * 8 + 8;
   std::stringstream fw_out;
   ASSERT_TRUE(fw->SaveCheckpoint(fw_out).ok());
   EXPECT_EQ(fw_out.str().size(), fw_bytes);
 
-  // Up to the histories (see CumulativeHistories): T packed history
-  // columns, n uint32 ids, the counter bank (round, three rows of T + 1,
-  // each tree counter's step, two level arrays and level cursors, end
-  // tag), end tag.
+  // Up to the rows (see CumulativeRows): T released rows of T + 1, the
+  // counter bank (round, three rows of T + 1, each tree counter's step,
+  // two level arrays and level cursors, end tag), end tag.
   size_t bank = 8 + 3 * (T + 1) * 8 + 8;
   for (int64_t b = 1; b <= T; ++b) {
     const size_t levels = std::bit_width(static_cast<uint64_t>(T - b + 1));
     bank += 8 + 3 * levels * 8;
   }
-  const size_t cum_bytes = CumulativeHistories(COpt(T, 1.0, "tree", 2), n) +
-                           T * words * 8 + 4 * n + bank + 8;
+  const size_t cum_bytes = CumulativeRows(COpt(T, 1.0, "tree", 2), n) +
+                           T * (T + 1) * 8 + bank + 8;
   std::stringstream cum_out;
   ASSERT_TRUE(cum->SaveCheckpoint(cum_out).ok());
   EXPECT_EQ(cum_out.str().size(), cum_bytes);
@@ -862,11 +1053,13 @@ TEST(CheckpointLayoutTest, PayloadSizesMatchClosedForm) {
   for (int64_t t = 1; t <= T; ++t) {
     ASSERT_TRUE(cat->ObserveRound(symbols[static_cast<size_t>(t - 1)]).ok());
   }
-  const auto cm = static_cast<size_t>(cat->synthetic_population());
-  // magic, 14 scalar fields, n one-byte window codes (27 bins), 27 counts,
-  // 9 group sizes, cm uint32 ids, T columns of cm symbol bytes, end tag.
-  const size_t cat_bytes = MagicBytes("categorical", 2) + 14 * 8 + n +
-                           27 * 8 + 9 * 8 + 4 * cm + T * cm + 8;
+  // magic, 13 scalar fields, n one-byte window codes (27 bins), the 27-bin
+  // initial census, T - k rounds of a 27-bin census and one plane word over
+  // the 9 overlaps, end tag.
+  const size_t cat_bytes =
+      MagicBytes("categorical",
+                 CategoricalWindowSynthesizer::kCheckpointVersion) +
+      13 * 8 + n + 27 * 8 + (T - k) * (27 * 8 + 8) + 8;
   std::stringstream cat_out;
   ASSERT_TRUE(cat->SaveCheckpoint(cat_out).ok());
   EXPECT_EQ(cat_out.str().size(), cat_bytes);

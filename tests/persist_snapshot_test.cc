@@ -4,10 +4,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
 namespace longdp {
 namespace persist {
@@ -104,6 +106,61 @@ TEST_F(SnapshotTest, MalformedHeaderNumberIsInvalidArgument) {
   Spit(Path("snap"), "longdp-snapshot-v1 cumulative 4 1 17x 3 00000000\nabc");
   auto read = ReadSnapshot(Path("snap"));
   EXPECT_TRUE(read.status().IsInvalidArgument()) << read.status().ToString();
+}
+
+TEST_F(SnapshotTest, NonCanonicalHeaderNumbersAreInvalidArgument) {
+  // Each header number has one spelling: a sign, a leading zero, or a
+  // checksum that is not eight lowercase hex digits would decode to the
+  // same meta as a different byte string.
+  const std::string payload = "abc";
+  const std::string good = EncodeSnapshot(Meta(), payload);
+  ASSERT_TRUE(DecodeSnapshot(good).ok());
+  const std::string header = good.substr(0, good.find('\n'));
+  const std::string crc = header.substr(header.rfind(' ') + 1);
+  ASSERT_EQ(header, "longdp-snapshot-v1 cumulative 4 3735928559 17 3 " + crc);
+  auto with = [&](const std::string& version, const std::string& seed,
+                  const std::string& round, const std::string& size,
+                  const std::string& checksum) {
+    return "longdp-snapshot-v1 cumulative " + version + " " + seed + " " +
+           round + " " + size + " " + checksum + "\n" + payload;
+  };
+  ASSERT_EQ(with("4", "3735928559", "17", "3", crc), good);
+  std::string upper = crc;
+  for (char& c : upper) c = static_cast<char>(std::toupper(c));
+  const std::vector<std::string> bad = {
+      with("+4", "3735928559", "17", "3", crc),
+      with("04", "3735928559", "17", "3", crc),
+      with("-0", "3735928559", "17", "3", crc),
+      with("4", "03735928559", "17", "3", crc),
+      with("4", "+3735928559", "17", "3", crc),
+      with("4", "18446744073709551616", "17", "3", crc),
+      with("4", "3735928559", "+17", "3", crc),
+      with("4", "3735928559", "017", "3", crc),
+      with("4", "3735928559", "17", "0003", crc),
+      with("4", "3735928559", "17", "9223372036854775808", crc),
+      with("4", "3735928559", "17", "3", "+" + crc.substr(1)),
+      with("4", "3735928559", "17", "3", "0x" + crc.substr(2)),
+  };
+  for (const std::string& bytes : bad) {
+    auto decoded = DecodeSnapshot(bytes);
+    EXPECT_TRUE(decoded.status().IsInvalidArgument())
+        << bytes.substr(0, bytes.find('\n')) << ": "
+        << decoded.status().ToString();
+  }
+  // Upper-case hex is refused too, unless the checksum has no letters.
+  if (upper != crc) {
+    EXPECT_TRUE(DecodeSnapshot(with("4", "3735928559", "17", "3", upper))
+                    .status()
+                    .IsInvalidArgument());
+  }
+  // Zero is spelled "0".
+  SnapshotMeta zero = Meta();
+  zero.format_version = 0;
+  zero.seed = 0;
+  zero.round = 0;
+  auto decoded = DecodeSnapshot(EncodeSnapshot(zero, ""));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->meta.seed, 0u);
 }
 
 TEST_F(SnapshotTest, NegativeSeedIsInvalidArgument) {

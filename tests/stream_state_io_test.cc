@@ -214,28 +214,25 @@ TEST(StateIoTest, MagicRefusesOtherVersionsByName) {
   }
 }
 
-TEST(StateIoTest, BitColumnsRoundTripAndRejectBitsPastTheLanes) {
-  // Two rounds of 70 records: each column packs to two words.
-  const int64_t m = 70;
-  std::vector<uint8_t> matrix(2 * m);
-  for (size_t i = 0; i < matrix.size(); ++i) matrix[i] = (i * 7 + i / 3) & 1;
+TEST(StateIoTest, PlaneRoundTripsAndRejectsBitsPastTheLanes) {
+  // 70 lanes pack to two words.
+  const int64_t n = 70;
+  const std::vector<uint64_t> plane = {0x0123456789ABCDEFULL, 0x2A};
   std::stringstream s;
-  ASSERT_TRUE(WriteBitColumns(s, matrix.data(), m, 2).ok());
+  WritePlane(s, plane);
   const std::string bytes = s.str();
-  EXPECT_EQ(bytes.size(), 2u * 2u * 8u);
-  std::vector<uint8_t> back;
-  ASSERT_TRUE(ReadBitColumns(s, m, 2, &back).ok());
-  EXPECT_EQ(back, matrix);
-  // A set bit in lane 70..127 of a column's last word is not canonical.
+  EXPECT_EQ(bytes.size(), 2u * 8u);
+  std::vector<uint64_t> back;
+  ASSERT_TRUE(ReadPlane(s, n, &back).ok());
+  EXPECT_EQ(back, plane);
+  // A set bit in lane 70..127 of the last word is not canonical.
   std::string forged = bytes;
-  forged[15] = static_cast<char>(0x80);  // top bit of column 0's word 1
+  forged[15] = static_cast<char>(0x80);  // top bit of word 1
   std::stringstream bad(forged);
-  EXPECT_TRUE(ReadBitColumns(bad, m, 2, &back).IsInvalidArgument());
-  // A byte other than 0/1 never reaches the payload.
-  matrix[3] = 2;
-  std::stringstream refused;
-  EXPECT_TRUE(
-      WriteBitColumns(refused, matrix.data(), m, 2).IsInvalidArgument());
+  EXPECT_TRUE(ReadPlane(bad, n, &back).IsInvalidArgument());
+  // A plane cut short is a truncated state.
+  std::stringstream cut(bytes.substr(0, 12));
+  EXPECT_TRUE(ReadPlane(cut, n, &back).IsInvalidArgument());
 }
 
 // ---------------------------------------------------------------------------
