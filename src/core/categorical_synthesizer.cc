@@ -383,9 +383,9 @@ Status CategoricalWindowSynthesizer::AssignRound(util::BatchSampler* sampler) {
 
 Status CategoricalWindowSynthesizer::SaveCheckpoint(std::ostream& out) const {
   namespace sio = stream::state_io;
-  if (n_ > sio::kMaxRecords) {
+  if (n_ > sio::kMaxRecords || npad_ > sio::kMaxRecords) {
     return Status::InvalidArgument(
-        "populations of 2^32 or more cannot be checkpointed");
+        "populations or padding of 2^32 or more cannot be checkpointed");
   }
   if (num_records_ >
       theory::MaxSyntheticRecords(n_, num_bins_, npad_, sigma2_)) {
@@ -444,7 +444,7 @@ CategoricalWindowSynthesizer::LoadCheckpoint(std::istream& in) {
   LONGDP_ASSIGN_OR_RETURN(options.rho, sio::Read<double>(in));
   // The resolved padding, never re-derived from beta_target on reload.
   LONGDP_ASSIGN_OR_RETURN(options.npad,
-                          sio::ReadIntIn(in, 0, INT64_MAX, "npad"));
+                          sio::ReadIntIn(in, 0, sio::kMaxRecords, "npad"));
   LONGDP_ASSIGN_OR_RETURN(options.beta_target, sio::Read<double>(in));
   LONGDP_ASSIGN_OR_RETURN(options.seed, sio::Read<uint64_t>(in));
   // Create rejects NaN or non-positive rho and validates k and A.
@@ -505,17 +505,10 @@ CategoricalWindowSynthesizer::LoadCheckpoint(std::istream& in) {
     // before the cohort is allocated; each later census is checked against
     // the group sizes before its column is.
     std::vector<int64_t>& targets = synth->release_targets_;
-    LONGDP_RETURN_NOT_OK(sio::ReadVector(in, bins, &targets));
-    const int64_t max_records = theory::MaxSyntheticRecords(
-        n, bins, synth->npad_, synth->sigma2_);
-    int64_t total = 0;
-    for (int64_t c : targets) {
-      if (c < 0 || c > max_records - total) {
-        return Status::InvalidArgument(
-            "categorical checkpoint census out of range");
-      }
-      total += c;
-    }
+    LONGDP_RETURN_NOT_OK(sio::ReadBoundedCounts(
+        in, bins,
+        theory::MaxSyntheticRecords(n, bins, synth->npad_, synth->sigma2_),
+        &targets, "categorical checkpoint census"));
     // Capacity only for the seeded rounds: t is not yet backed by the
     // rounds' bytes, so it must not size an allocation.
     LONGDP_RETURN_NOT_OK(synth->SeedCohort(k));
@@ -539,6 +532,16 @@ CategoricalWindowSynthesizer::LoadCheckpoint(std::istream& in) {
       synth->t_ = tt;
       LONGDP_RETURN_NOT_OK(synth->AssignRound(&sampler));
     }
+  }
+  // Each set bit is one remainder draw of the live run; a flipped bit
+  // would shift every later selection word and rebuild a different member
+  // order.
+  int64_t drawn = 0;
+  for (uint64_t w : synth->remainder_drew_) drawn += std::popcount(w);
+  if (drawn != stats.remainder_draws) {
+    return Status::InvalidArgument(
+        "categorical checkpoint remainder bits inconsistent with its "
+        "remainder draws");
   }
   LONGDP_RETURN_NOT_OK(sio::ExpectTag(in, kEnd, "categorical checkpoint"));
   synth->t_ = t;

@@ -310,9 +310,9 @@ constexpr uint64_t kEnd = stream::state_io::Tag("fwin-end");
 
 Status FixedWindowSynthesizer::SaveCheckpoint(std::ostream& out) const {
   namespace sio = stream::state_io;
-  if (n_ > sio::kMaxRecords) {
+  if (n_ > sio::kMaxRecords || npad_ > sio::kMaxRecords) {
     return Status::InvalidArgument(
-        "populations of 2^32 or more cannot be checkpointed");
+        "populations or padding of 2^32 or more cannot be checkpointed");
   }
   if (cohort_.has_value() &&
       cohort_->num_records() >
@@ -361,7 +361,7 @@ FixedWindowSynthesizer::LoadCheckpoint(std::istream& in) {
   // The resolved padding: a negative one would be re-derived from beta,
   // restoring a different synthesizer than the one saved.
   LONGDP_ASSIGN_OR_RETURN(options.npad,
-                          sio::ReadIntIn(in, 0, INT64_MAX, "npad"));
+                          sio::ReadIntIn(in, 0, sio::kMaxRecords, "npad"));
   LONGDP_ASSIGN_OR_RETURN(options.beta_target, sio::Read<double>(in));
   LONGDP_ASSIGN_OR_RETURN(options.seed, sio::Read<uint64_t>(in));
   // Create rejects NaN or non-positive rho, so the budget cannot restore
@@ -417,17 +417,11 @@ FixedWindowSynthesizer::LoadCheckpoint(std::istream& in) {
     // cohort is allocated; each later round's targets are checked against
     // the group sizes before its column is.
     std::vector<int64_t> targets;
-    LONGDP_RETURN_NOT_OK(sio::ReadVector(in, util::NumPatterns(k), &targets));
-    const int64_t limit = theory::MaxSyntheticRecords(
-        n, util::NumPatterns(k), synth->npad_, synth->sigma2_);
-    int64_t total = 0;
-    for (int64_t c : targets) {
-      if (c < 0 || c > limit - total) {
-        return Status::InvalidArgument(
-            "fixed-window checkpoint census out of range");
-      }
-      total += c;
-    }
+    LONGDP_RETURN_NOT_OK(sio::ReadBoundedCounts(
+        in, util::NumPatterns(k),
+        theory::MaxSyntheticRecords(n, util::NumPatterns(k), synth->npad_,
+                                    synth->sigma2_),
+        &targets, "fixed-window checkpoint census"));
     LONGDP_RETURN_NOT_OK(synth->ApplyTargets(k, targets));
     for (int64_t tt = k + 1; tt <= t; ++tt) {
       LONGDP_RETURN_NOT_OK(

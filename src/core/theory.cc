@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "stream/budget_split.h"
+#include "stream/state_io.h"
 #include "util/bits.h"
 
 namespace longdp {
@@ -114,12 +115,16 @@ Result<double> RecomputePerStepSigma(int64_t horizon, int window_k,
 int64_t MaxSyntheticRecords(int64_t n, uint64_t bins, int64_t npad,
                             double sigma2) {
   // In double: every operand is non-negative, so the only hazard is a
-  // limit past int64, which saturates.
+  // limit past the record cap (or past int64), which clamps. The cap keeps
+  // a census forged alongside a huge npad or a tiny rho from sizing a
+  // cohort no checkpoint could have saved.
+  constexpr int64_t kCap = stream::state_io::kMaxRecords;
   const double per_bin =
       static_cast<double>(npad) + std::ceil(40.0 * std::sqrt(sigma2));
   const double limit =
       static_cast<double>(n) + static_cast<double>(bins) * per_bin;
-  return limit < 0x1p63 ? static_cast<int64_t>(limit) : INT64_MAX;
+  return limit < static_cast<double>(kCap) ? static_cast<int64_t>(limit)
+                                           : kCap;
 }
 
 }  // namespace theory

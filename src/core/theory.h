@@ -61,10 +61,9 @@ Result<double> RecomputePerStepSigma(int64_t horizon, int window_k,
 /// clamped initial census: the true counts sum to n, and each of the `bins`
 /// padded noisy counts adds n_pad plus a noise draw that exceeds
 /// ceil(40 sigma) with probability below e^-800. So
-///   m <= n + bins * (n_pad + ceil(40 sigma)),
-/// saturating at INT64_MAX. Checkpoint loaders check a stored census
-/// against it before rebuilding any record; SaveCheckpoint refuses a
-/// cohort past it.
+///   m <= min(n + bins * (n_pad + ceil(40 sigma)), state_io::kMaxRecords).
+/// Checkpoint loaders check a stored census against it before rebuilding
+/// any record; SaveCheckpoint refuses a cohort past it.
 int64_t MaxSyntheticRecords(int64_t n, uint64_t bins, int64_t npad,
                             double sigma2);
 

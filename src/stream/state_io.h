@@ -50,9 +50,12 @@ static_assert(std::endian::native == std::endian::little,
 /// bytes already read.
 inline constexpr size_t kSliceBytes = size_t{1} << 20;
 
-/// Populations are capped below 2^32 records (SaveCheckpoint refuses
-/// larger ones), so every count derived from one stays far inside int64.
+/// Populations, padding and rebuilt synthetic cohorts are capped below
+/// 2^32 records (SaveCheckpoint refuses larger ones), so every count
+/// derived from one stays far inside int64, and a record count times a
+/// window width (k <= 64) inside size_t.
 inline constexpr int64_t kMaxRecords = (int64_t{1} << 32) - 1;
+static_assert(static_cast<uint64_t>(kMaxRecords) <= SIZE_MAX / 64);
 
 /// Eight ASCII characters as one little-endian word.
 constexpr uint64_t Tag(const char (&text)[9]) {
@@ -94,6 +97,23 @@ Status ReadVector(std::istream& in, uint64_t count, std::vector<T>* v) {
         std::min<uint64_t>(slice, count - static_cast<uint64_t>(old)));
     v->resize(old + step);
     LONGDP_RETURN_NOT_OK(ReadArray(in, v->data() + old, step));
+  }
+  return Status::OK();
+}
+
+/// Replaces *v with `count` counts read from `in`, rejecting a negative
+/// one or a total past `max_total` — a census a cohort is rebuilt from is
+/// bounded before anything is sized by it.
+inline Status ReadBoundedCounts(std::istream& in, uint64_t count,
+                                int64_t max_total, std::vector<int64_t>* v,
+                                const std::string& what) {
+  LONGDP_RETURN_NOT_OK(ReadVector(in, count, v));
+  int64_t total = 0;
+  for (int64_t c : *v) {
+    if (c < 0 || c > max_total - total) {
+      return Status::InvalidArgument(what + " out of range");
+    }
+    total += c;
   }
   return Status::OK();
 }

@@ -108,6 +108,48 @@ void ForgedTargetsAreRefused(const Roundtrip& roundtrip,
   }
 }
 
+/// One 8-byte header field and the value forged into it.
+struct Forgery {
+  size_t at;
+  uint64_t value;
+};
+
+/// Each census bin in bytes[begin, end) forged past the record cap, while
+/// `header` inflates the record bound n + bins * (npad + ceil(40 sigma))
+/// past it too (a huge npad, or a tiny rho with its spend zeroed so the
+/// budget still loads). The bound is capped at kMaxRecords, so every such
+/// census must be refused with InvalidArgument before a record exists.
+void ForgedCensusWithInflatedBoundIsRefused(
+    const Roundtrip& roundtrip, const std::string& bytes,
+    const std::vector<Forgery>& header, size_t begin, size_t end,
+    const std::string& name) {
+  ASSERT_LE(end, bytes.size()) << name;
+  ASSERT_EQ((end - begin) % 8, 0u) << name;
+  std::string base = bytes;
+  for (const Forgery& f : header) {
+    std::memcpy(&base[f.at], &f.value, sizeof(f.value));
+  }
+  for (uint64_t forged : {uint64_t{1} << 33, uint64_t{1} << 62}) {
+    for (size_t at = begin; at < end; at += 8) {
+      std::string mutant = base;
+      std::memcpy(&mutant[at], &forged, sizeof(forged));
+      std::istringstream in(mutant);
+      std::string resaved;
+      const Status st = roundtrip(in, &resaved);
+      EXPECT_TRUE(st.IsInvalidArgument())
+          << name << ": census bin at " << at << " forged to " << forged
+          << ": " << st.ToString();
+    }
+  }
+}
+
+/// The bit pattern of a double, for forging a field.
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
 template <typename Synth>
 Roundtrip SynthRoundtrip() {
   return [](std::istream& in, std::string* out) -> Status {
@@ -153,6 +195,23 @@ TEST(CheckpointMutationTest, FixedWindowDecoderIsTotal) {
   const size_t targets = (8 + 4) * 8;
   ForgedTargetsAreRefused(roundtrip, bytes, bytes.size() - 8 - targets,
                           bytes.size() - 8, "fixed-window targets");
+  // Header fields after the magic line: horizon, k, rho, npad, beta, seed,
+  // t, n, releases, clamps, rounding draws, spent.
+  const size_t field = stream::state_io::Magic(
+                           "fixed-window",
+                           core::FixedWindowSynthesizer::kCheckpointVersion)
+                           .size() +
+                       1;
+  const size_t census = bytes.size() - 8 - targets;
+  for (const auto& header :
+       {std::vector<Forgery>{{field + 3 * 8, uint64_t{1} << 31}},
+        std::vector<Forgery>{{field + 3 * 8, uint64_t{1} << 62}},
+        std::vector<Forgery>{{field + 2 * 8, Bits(1e-300)},
+                             {field + 11 * 8, Bits(0.0)}}}) {
+    ForgedCensusWithInflatedBoundIsRefused(roundtrip, bytes, header, census,
+                                           census + 8 * 8,
+                                           "fixed-window census");
+  }
 }
 
 TEST(CheckpointMutationTest, CumulativeDecoderIsTotal) {
@@ -219,6 +278,24 @@ TEST(CheckpointMutationTest, CategoricalDecoderIsTotal) {
   const size_t targets = 9 * 8 + 2 * (9 * 8 + 8);
   ForgedTargetsAreRefused(roundtrip, bytes, bytes.size() - 8 - targets,
                           bytes.size() - 8, "categorical censuses");
+  // Header fields after the magic line: horizon, k, A, rho, npad, beta,
+  // seed, t, n, releases, clamps, remainder draws, spent.
+  const size_t field = stream::state_io::Magic(
+                           "categorical",
+                           core::CategoricalWindowSynthesizer::
+                               kCheckpointVersion)
+                           .size() +
+                       1;
+  const size_t census = bytes.size() - 8 - targets;
+  for (const auto& header :
+       {std::vector<Forgery>{{field + 4 * 8, uint64_t{1} << 31}},
+        std::vector<Forgery>{{field + 4 * 8, uint64_t{1} << 62}},
+        std::vector<Forgery>{{field + 3 * 8, Bits(1e-300)},
+                             {field + 12 * 8, Bits(0.0)}}}) {
+    ForgedCensusWithInflatedBoundIsRefused(roundtrip, bytes, header, census,
+                                           census + 9 * 8,
+                                           "categorical census");
+  }
 }
 
 TEST(CheckpointMutationTest, CounterBankDecoderIsTotalForEveryCounter) {

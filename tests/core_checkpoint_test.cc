@@ -849,6 +849,20 @@ TEST(CategoricalCheckpointTest, CensusContradictingItsGroupsIsRejected) {
   ASSERT_FALSE(restored.ok());
   EXPECT_TRUE(restored.status().IsInvalidArgument())
       << restored.status().ToString();
+  // A flipped remainder bit at t = 6 would replay one remainder draw too
+  // many or too few, rebuilding a different member order; it contradicts
+  // the stored remainder-draw count.
+  const size_t drew = bytes.size() - 8 - 8;
+  const std::string flipped =
+      Patch(bytes, drew, Peek<uint64_t>(bytes, drew) ^ uint64_t{1});
+  std::stringstream flipped_in(flipped);
+  auto reordered = CategoricalWindowSynthesizer::LoadCheckpoint(flipped_in);
+  ASSERT_FALSE(reordered.ok());
+  EXPECT_TRUE(reordered.status().IsInvalidArgument())
+      << reordered.status().ToString();
+  EXPECT_NE(reordered.status().ToString().find("remainder"),
+            std::string::npos)
+      << reordered.status().ToString();
   // The untampered checkpoint still loads.
   std::stringstream clean(bytes);
   EXPECT_TRUE(CategoricalWindowSynthesizer::LoadCheckpoint(clean).ok());
