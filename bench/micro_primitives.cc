@@ -12,7 +12,6 @@
 #include "stream/counter_factory.h"
 #include "util/batch_sampler.h"
 #include "util/flat_groups.h"
-#include "util/rng.h"
 #include "util/simd/simd.h"
 #include "util/substream.h"
 
@@ -20,11 +19,11 @@ namespace {
 
 using longdp::util::BatchSampler;
 using longdp::util::FlatGroups;
-using longdp::util::Rng;
+using longdp::util::SubstreamRng;
 
 void BM_DiscreteGaussianSample(benchmark::State& state) {
   const double sigma2 = static_cast<double>(state.range(0));
-  Rng rng(1);
+  SubstreamRng rng(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(longdp::dp::SampleDiscreteGaussian(sigma2, &rng));
   }
@@ -33,7 +32,7 @@ BENCHMARK(BM_DiscreteGaussianSample)->Arg(1)->Arg(100)->Arg(1000)->Arg(5000);
 
 void BM_DiscreteLaplaceSample(benchmark::State& state) {
   const double s = static_cast<double>(state.range(0));
-  Rng rng(2);
+  SubstreamRng rng(2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(longdp::dp::SampleDiscreteLaplace(s, &rng));
   }
@@ -42,7 +41,7 @@ BENCHMARK(BM_DiscreteLaplaceSample)->Arg(1)->Arg(10)->Arg(100);
 
 void BM_BernoulliExpNeg(benchmark::State& state) {
   const double gamma = static_cast<double>(state.range(0)) / 10.0;
-  Rng rng(3);
+  SubstreamRng rng(3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(longdp::dp::SampleBernoulliExpNeg(gamma, &rng));
   }
@@ -70,7 +69,7 @@ BENCHMARK(BM_StreamCounterFullRun)
     ->ArgsProduct({{12, 256, 4096}, {0, 1, 2, 3}});
 
 void BM_RngUniformInt(benchmark::State& state) {
-  Rng rng(5);
+  SubstreamRng rng(5);
   for (auto _ : state) {
     benchmark::DoNotOptimize(rng.UniformInt(12345));
   }
@@ -86,7 +85,7 @@ BENCHMARK(BM_RngUniformInt);
 
 void BM_BoundedUniformPerDraw(benchmark::State& state) {
   const uint64_t bound = static_cast<uint64_t>(state.range(0));
-  Rng rng(6);
+  SubstreamRng rng(6);
   std::vector<uint64_t> out(4096);
   for (auto _ : state) {
     for (auto& v : out) v = rng.UniformInt(bound);
@@ -100,7 +99,7 @@ BENCHMARK(BM_BoundedUniformPerDraw)->Arg(713)->Arg(12345)->Arg(1 << 20);
 
 void BM_BoundedUniformBatched(benchmark::State& state) {
   const uint64_t bound = static_cast<uint64_t>(state.range(0));
-  Rng rng(6);
+  SubstreamRng rng(6);
   BatchSampler sampler(&rng);
   std::vector<uint64_t> out(4096);
   for (auto _ : state) {
@@ -119,7 +118,7 @@ BENCHMARK(BM_BoundedUniformBatched)->Arg(713)->Arg(12345)->Arg(1 << 20);
 void BM_PartialShufflePerDraw(benchmark::State& state) {
   const int64_t n = state.range(0);
   const int64_t k = state.range(1);
-  Rng rng(7);
+  SubstreamRng rng(7);
   std::vector<int64_t> v(static_cast<size_t>(n));
   std::iota(v.begin(), v.end(), 0);
   for (auto _ : state) {
@@ -139,7 +138,7 @@ BENCHMARK(BM_PartialShufflePerDraw)
 void BM_PartialShuffleBatched(benchmark::State& state) {
   const int64_t n = state.range(0);
   const int64_t k = state.range(1);
-  Rng rng(7);
+  SubstreamRng rng(7);
   BatchSampler sampler(&rng);
   std::vector<int64_t> v(static_cast<size_t>(n));
   std::iota(v.begin(), v.end(), 0);
@@ -162,7 +161,7 @@ BENCHMARK(BM_PartialShuffleBatched)
 void BM_RegroupRagged(benchmark::State& state) {
   const size_t m = static_cast<size_t>(state.range(0));
   const size_t groups = static_cast<size_t>(state.range(1));
-  Rng key_rng(8);
+  SubstreamRng key_rng(8);
   std::vector<uint32_t> key(m);
   for (auto& k : key) {
     k = static_cast<uint32_t>(key_rng.UniformInt(groups));
@@ -182,7 +181,7 @@ BENCHMARK(BM_RegroupRagged)->ArgsProduct({{1 << 16, 1 << 20}, {256}});
 void BM_RegroupCountingSort(benchmark::State& state) {
   const size_t m = static_cast<size_t>(state.range(0));
   const size_t groups = static_cast<size_t>(state.range(1));
-  Rng key_rng(8);
+  SubstreamRng key_rng(8);
   std::vector<uint32_t> key(m);
   for (auto& k : key) {
     k = static_cast<uint32_t>(key_rng.UniformInt(groups));

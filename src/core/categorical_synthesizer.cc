@@ -8,6 +8,7 @@
 #include <ostream>
 #include <string>
 
+#include "core/limits.h"
 #include "core/observe_shard.h"
 #include "core/theory.h"
 #include "stream/state_io.h"
@@ -86,6 +87,7 @@ CategoricalWindowSynthesizer::Create(const Options& options) {
   if (options.horizon < options.window_k) {
     return Status::InvalidArgument("horizon T must be >= window k");
   }
+  LONGDP_RETURN_NOT_OK(CheckHorizonCap(options.horizon));
   if (!(options.rho > 0.0)) {
     return Status::InvalidArgument("rho must be > 0");
   }

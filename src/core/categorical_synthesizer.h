@@ -39,7 +39,7 @@ namespace core {
 class CategoricalWindowSynthesizer {
  public:
   struct Options {
-    int64_t horizon = 0;   ///< T
+    int64_t horizon = 0;   ///< T, in [k, kMaxHorizon] (core/limits.h)
     int window_k = 0;      ///< window width k
     int alphabet = 2;      ///< A >= 2; bins = A^k (must stay <= 2^24)
     double rho = 0.0;      ///< total zCDP budget

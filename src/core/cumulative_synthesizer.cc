@@ -1,10 +1,10 @@
 #include "core/cumulative_synthesizer.h"
 
 #include <algorithm>
-#include <bit>
 #include <istream>
 #include <ostream>
 
+#include "core/limits.h"
 #include "stream/counter_factory.h"
 #include "stream/state_io.h"
 #include "util/batch_sampler.h"
@@ -19,6 +19,7 @@ Result<std::unique_ptr<CumulativeSynthesizer>> CumulativeSynthesizer::Create(
   if (options.horizon < 1) {
     return Status::InvalidArgument("horizon T must be >= 1");
   }
+  LONGDP_RETURN_NOT_OK(CheckHorizonCap(options.horizon));
   if (!(options.rho > 0.0)) {
     return Status::InvalidArgument("rho must be > 0");
   }
@@ -30,21 +31,12 @@ Status CumulativeSynthesizer::InitializeForPopulation(int64_t n,
                                                       int64_t reserve_rounds) {
   n_ = n;
   // Weights reach at most horizon, so bit_width(horizon) planes hold every
-  // value; the bit-plane kernels cap at 16 planes, so horizons at or past
-  // 2^16 keep the scalar weight vector.
-  num_weight_planes_ =
-      options_.horizon < (int64_t{1} << 16)
-          ? std::bit_width(static_cast<uint64_t>(options_.horizon))
-          : 0;
-  if (num_weight_planes_ > 0) {
-    const size_t num_words = static_cast<size_t>((n + 63) >> 6);
-    weight_planes_.assign(static_cast<size_t>(num_weight_planes_),
-                          std::vector<uint64_t>(num_words, 0));
-    plane_hist_.assign(size_t{1} << num_weight_planes_, 0);
-    orig_weight_.clear();
-  } else {
-    orig_weight_.assign(static_cast<size_t>(n), 0);
-  }
+  // value; Create's horizon cap keeps that within the kernels' kMaxPlanes.
+  const int planes = NumWeightPlanes();
+  const size_t num_words = static_cast<size_t>((n + 63) >> 6);
+  weight_planes_.assign(static_cast<size_t>(planes),
+                        std::vector<uint64_t>(num_words, 0));
+  plane_hist_.assign(size_t{1} << planes, 0);
   history_bits_.clear();
   history_bits_.reserve(static_cast<size_t>(n) *
                         static_cast<size_t>(reserve_rounds));
@@ -95,89 +87,61 @@ Status CumulativeSynthesizer::ObserveRound(data::RoundView round) {
   }
 
   // Stage 1 input: z^t_b = #{ i : weight_i(t-1) = b-1 and x^t_i = 1 }.
-  // z_ is persistent scratch — zeroed, never reallocated.
+  // z_ is persistent scratch — overwritten, never reallocated.
   //
-  // Bit-plane path: the weight histogram of the round's set lanes is one
-  // masked PlaneHistogram over the weight planes (mask = the round's
-  // packed words), and the weight increments are one bit-sliced
-  // ripple-carry PlaneAdd of those same words. Both kernels are exact
-  // integer popcount/logic over word ranges, so the word-range shards
-  // below (per-shard histograms reduced in shard order, disjoint PlaneAdd
+  // The weight histogram of the round's set lanes is one masked
+  // PlaneHistogram over the weight planes (mask = the round's packed
+  // words), and the weight increments are one bit-sliced ripple-carry
+  // PlaneAdd of those same words. Both kernels are exact integer
+  // popcount/logic over word ranges, so the word-range shards below
+  // (per-shard histograms reduced in shard order, disjoint PlaneAdd
   // ranges) are identical at every thread count. Lanes past n never count:
   // their mask bits are zero by the RoundView packing invariant.
   const int shards = util::NumShards(options_.pool);
-  if (num_weight_planes_ > 0) {
-    const int p = num_weight_planes_;
-    const size_t num_words = round.num_words();
-    const uint64_t* planes[16];
-    uint64_t* mut_planes[16];
-    for (int j = 0; j < p; ++j) {
-      planes[j] = weight_planes_[static_cast<size_t>(j)].data();
-      mut_planes[j] = weight_planes_[static_cast<size_t>(j)].data();
-    }
-    std::fill(plane_hist_.begin(), plane_hist_.end(), 0);
-    if (shards > 1 && num_words >= static_cast<size_t>(shards)) {
-      if (shard_z_.size() != static_cast<size_t>(shards)) {
-        shard_z_.assign(static_cast<size_t>(shards),
-                        std::vector<int64_t>(plane_hist_.size(), 0));
-      }
-      options_.pool->ParallelFor(
-          static_cast<int64_t>(num_words),
-          [&](int s, int64_t lo, int64_t hi) {
-            auto& h = shard_z_[static_cast<size_t>(s)];
-            std::fill(h.begin(), h.end(), 0);
-            const uint64_t* sub[16];
-            uint64_t* mut_sub[16];
-            for (int j = 0; j < p; ++j) {
-              sub[j] = planes[j] + lo;
-              mut_sub[j] = mut_planes[j] + lo;
-            }
-            const size_t span = static_cast<size_t>(hi - lo);
-            util::simd::PlaneHistogram(sub, p, round.words() + lo, span,
-                                       h.data());
-            util::simd::PlaneAdd(mut_sub, p, round.words() + lo, span);
-          });
-      for (const auto& h : shard_z_) {
-        for (size_t b = 0; b < plane_hist_.size(); ++b) {
-          plane_hist_[b] += h[b];
-        }
-      }
-    } else {
-      util::simd::PlaneHistogram(planes, p, round.words(), num_words,
-                                 plane_hist_.data());
-      util::simd::PlaneAdd(mut_planes, p, round.words(), num_words);
-    }
-    // Masked lanes carry weights < t <= horizon, so the histogram's tail
-    // past z_'s horizon entries is always zero.
-    std::copy(plane_hist_.begin(),
-              plane_hist_.begin() + static_cast<int64_t>(z_.size()),
-              z_.begin());
-  } else if (shards == 1) {
-    std::fill(z_.begin(), z_.end(), 0);
-    round.ForEachOne([&](int64_t i) {
-      ++z_[static_cast<size_t>(orig_weight_[static_cast<size_t>(i)])];
-      ++orig_weight_[static_cast<size_t>(i)];
-    });
-  } else {
+  const int p = static_cast<int>(weight_planes_.size());
+  const size_t num_words = round.num_words();
+  const uint64_t* planes[kMaxPlanes];
+  uint64_t* mut_planes[kMaxPlanes];
+  for (int j = 0; j < p; ++j) {
+    planes[j] = weight_planes_[static_cast<size_t>(j)].data();
+    mut_planes[j] = weight_planes_[static_cast<size_t>(j)].data();
+  }
+  std::fill(plane_hist_.begin(), plane_hist_.end(), 0);
+  if (shards > 1 && num_words >= static_cast<size_t>(shards)) {
     if (shard_z_.size() != static_cast<size_t>(shards)) {
       shard_z_.assign(static_cast<size_t>(shards),
-                      std::vector<int64_t>(z_.size(), 0));
+                      std::vector<int64_t>(plane_hist_.size(), 0));
     }
-    options_.pool->ParallelFor(n_, [&](int s, int64_t lo, int64_t hi) {
-      auto& z = shard_z_[static_cast<size_t>(s)];
-      std::fill(z.begin(), z.end(), 0);
-      round.ForEachOneInRange(lo, hi, [&](int64_t i) {
-        ++z[static_cast<size_t>(orig_weight_[static_cast<size_t>(i)])];
-        ++orig_weight_[static_cast<size_t>(i)];
-      });
-    });
-    std::fill(z_.begin(), z_.end(), 0);
-    for (const auto& z : shard_z_) {
-      for (size_t b = 0; b < z_.size(); ++b) z_[b] += z[b];
+    options_.pool->ParallelFor(
+        static_cast<int64_t>(num_words), [&](int s, int64_t lo, int64_t hi) {
+          auto& h = shard_z_[static_cast<size_t>(s)];
+          std::fill(h.begin(), h.end(), 0);
+          const uint64_t* sub[kMaxPlanes];
+          uint64_t* mut_sub[kMaxPlanes];
+          for (int j = 0; j < p; ++j) {
+            sub[j] = planes[j] + lo;
+            mut_sub[j] = mut_planes[j] + lo;
+          }
+          const size_t span = static_cast<size_t>(hi - lo);
+          util::simd::PlaneHistogram(sub, p, round.words() + lo, span,
+                                     h.data());
+          util::simd::PlaneAdd(mut_sub, p, round.words() + lo, span);
+        });
+    for (const auto& h : shard_z_) {
+      for (size_t b = 0; b < plane_hist_.size(); ++b) plane_hist_[b] += h[b];
     }
+  } else {
+    util::simd::PlaneHistogram(planes, p, round.words(), num_words,
+                               plane_hist_.data());
+    util::simd::PlaneAdd(mut_planes, p, round.words(), num_words);
   }
+  // Masked lanes carry weights < t <= horizon, so the histogram's tail
+  // past z_'s horizon entries is always zero.
+  std::copy(plane_hist_.begin(),
+            plane_hist_.begin() + static_cast<int64_t>(z_.size()),
+            z_.begin());
   ++t_;
-  LONGDP_RETURN_NOT_OK(bank_->ObserveRoundBatched(z_));
+  LONGDP_RETURN_NOT_OK(bank_->ObserveRound(z_));
   released_ = bank_->monotone_row();
 
   released_rows_.insert(released_rows_.end(), released_.begin(),
@@ -338,23 +302,7 @@ Status CumulativeSynthesizer::SaveCheckpoint(std::ostream& out) const {
   sio::WriteInt(out, t_);
   sio::WriteInt(out, n_);
   if (n_ >= 0) {
-    const int planes =
-        static_cast<int>(std::bit_width(static_cast<uint64_t>(options_.horizon)));
-    if (num_weight_planes_ > 0) {
-      for (const auto& plane : weight_planes_) sio::WritePlane(out, plane);
-    } else {
-      // The wide-horizon scalar path writes the same planes.
-      std::vector<uint64_t> plane;
-      for (int j = 0; j < planes; ++j) {
-        plane.assign(static_cast<size_t>((n_ + 63) >> 6), 0);
-        for (int64_t i = 0; i < n_; ++i) {
-          const int32_t w = orig_weight_[static_cast<size_t>(i)];
-          plane[static_cast<size_t>(i >> 6)] |=
-              static_cast<uint64_t>((w >> j) & 1) << (i & 63);
-        }
-        sio::WritePlane(out, plane);
-      }
-    }
+    for (const auto& plane : weight_planes_) sio::WritePlane(out, plane);
     sio::WriteArray(out, released_rows_.data(), released_rows_.size());
     LONGDP_RETURN_NOT_OK(bank_->SaveState(out));
   }
@@ -392,8 +340,7 @@ CumulativeSynthesizer::LoadCheckpoint(std::istream& in) {
     // The weight planes and the released rows come first: they back the
     // population and the horizon with bytes before anything is sized by
     // them (n >= 0 means t >= 1, so there is at least one row).
-    const int planes =
-        static_cast<int>(std::bit_width(static_cast<uint64_t>(horizon)));
+    const int planes = synth->NumWeightPlanes();
     std::vector<std::vector<uint64_t>> weight_planes(
         static_cast<size_t>(planes));
     for (auto& plane : weight_planes) {
@@ -412,35 +359,19 @@ CumulativeSynthesizer::LoadCheckpoint(std::istream& in) {
     // come from the payload, and only t is backed by its rows.
     LONGDP_RETURN_NOT_OK(synth->InitializeForPopulation(n, t));
     // No true prefix weight can exceed the rounds observed.
-    if (synth->num_weight_planes_ > 0) {
-      synth->weight_planes_ = std::move(weight_planes);
-      std::vector<int64_t>& hist = synth->plane_hist_;
-      std::fill(hist.begin(), hist.end(), 0);
-      const uint64_t* plane_ptrs[16];
-      for (int j = 0; j < planes; ++j) {
-        plane_ptrs[j] = synth->weight_planes_[static_cast<size_t>(j)].data();
-      }
-      util::simd::PlaneHistogram(plane_ptrs, planes, nullptr,
-                                 static_cast<size_t>((n + 63) >> 6),
-                                 hist.data());
-      for (size_t w = static_cast<size_t>(t) + 1; w < hist.size(); ++w) {
-        if (hist[w] != 0) {
-          return Status::InvalidArgument("corrupt checkpoint weights");
-        }
-      }
-    } else {
-      for (int64_t i = 0; i < n; ++i) {
-        int64_t w = 0;
-        for (int j = 0; j < planes; ++j) {
-          w |= static_cast<int64_t>(
-                   (weight_planes[static_cast<size_t>(j)]
-                                 [static_cast<size_t>(i >> 6)] >>
-                    (i & 63)) &
-                   1)
-               << j;
-        }
-        if (w > t) return Status::InvalidArgument("corrupt checkpoint weights");
-        synth->orig_weight_[static_cast<size_t>(i)] = static_cast<int32_t>(w);
+    synth->weight_planes_ = std::move(weight_planes);
+    std::vector<int64_t>& hist = synth->plane_hist_;
+    std::fill(hist.begin(), hist.end(), 0);
+    const uint64_t* plane_ptrs[kMaxPlanes];
+    for (int j = 0; j < planes; ++j) {
+      plane_ptrs[j] = synth->weight_planes_[static_cast<size_t>(j)].data();
+    }
+    util::simd::PlaneHistogram(plane_ptrs, planes, nullptr,
+                               static_cast<size_t>((n + 63) >> 6),
+                               hist.data());
+    for (size_t w = static_cast<size_t>(t) + 1; w < hist.size(); ++w) {
+      if (hist[w] != 0) {
+        return Status::InvalidArgument("corrupt checkpoint weights");
       }
     }
     LONGDP_RETURN_NOT_OK(synth->bank_->RestoreState(in));

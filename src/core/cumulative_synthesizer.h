@@ -15,6 +15,7 @@
 #ifndef LONGDP_CORE_CUMULATIVE_SYNTHESIZER_H_
 #define LONGDP_CORE_CUMULATIVE_SYNTHESIZER_H_
 
+#include <bit>
 #include <iosfwd>
 #include <memory>
 #include <span>
@@ -37,7 +38,7 @@ namespace core {
 class CumulativeSynthesizer {
  public:
   struct Options {
-    int64_t horizon = 0;  ///< T
+    int64_t horizon = 0;  ///< T, in [1, kMaxHorizon] (core/limits.h)
     double rho = 0.0;     ///< total zCDP budget (+infinity = zero-noise)
     stream::BudgetSplit split = stream::BudgetSplit::kCubicLogLevels;
     /// Stream counter implementation; tree counter when null.
@@ -141,6 +142,11 @@ class CumulativeSynthesizer {
         accountant_(options.rho),
         selection_root_(options.seed, util::substream::kSelection) {}
 
+  /// bit_width(T): the planes that hold every true prefix weight (<= T).
+  int NumWeightPlanes() const {
+    return std::bit_width(static_cast<uint64_t>(options_.horizon));
+  }
+
   /// Sizes every per-population structure and creates the counter bank.
   /// The synthetic history is pre-sized for `reserve_rounds` rounds.
   Status InitializeForPopulation(int64_t n, int64_t reserve_rounds);
@@ -166,13 +172,10 @@ class CumulativeSynthesizer {
   /// i%64 of weight_planes_[j][i/64]. Stage 1's weight histogram is then a
   /// masked SIMD bit-plane count and the weight increments are one
   /// bit-sliced ripple-carry add over the round's packed words, instead of
-  /// two scattered per-set-bit updates. Horizons at or past 2^16 (beyond
-  /// the bit-plane kernel's 16-plane cap) fall back to the scalar
-  /// orig_weight_ vector; num_weight_planes_ == 0 marks that mode.
-  int num_weight_planes_ = 0;
+  /// two scattered per-set-bit updates. There are NumWeightPlanes()
+  /// planes.
   std::vector<std::vector<uint64_t>> weight_planes_;
-  std::vector<int64_t> plane_hist_;   ///< 2^num_weight_planes_ scratch
-  std::vector<int32_t> orig_weight_;  ///< scalar-path true prefix weights
+  std::vector<int64_t> plane_hist_;  ///< 2^NumWeightPlanes() scratch
   /// Synthetic records as one flat column-major bit matrix: round tt's
   /// column occupies [(tt-1)*n, tt*n). A round extension is then a single
   /// zero-filled resize plus scattered writes for the promoted records,

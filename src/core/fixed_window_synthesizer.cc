@@ -6,6 +6,7 @@
 #include <istream>
 #include <ostream>
 
+#include "core/limits.h"
 #include "core/theory.h"
 #include "stream/state_io.h"
 #include "util/simd/simd.h"
@@ -30,9 +31,16 @@ FixedWindowSynthesizer::FixedWindowSynthesizer(const Options& options,
 Result<std::unique_ptr<FixedWindowSynthesizer>> FixedWindowSynthesizer::Create(
     const Options& options) {
   LONGDP_RETURN_NOT_OK(util::ValidateWindow(options.window_k));
+  if (options.window_k > kMaxPlanes) {
+    return Status::InvalidArgument(
+        "window width k must be at most " + std::to_string(kMaxPlanes) +
+        " (one bit plane per window round), got " +
+        std::to_string(options.window_k));
+  }
   if (options.horizon < options.window_k) {
     return Status::InvalidArgument("horizon T must be >= window k");
   }
+  LONGDP_RETURN_NOT_OK(CheckHorizonCap(options.horizon));
   if (!(options.rho > 0.0)) {
     return Status::InvalidArgument("rho must be > 0");
   }
@@ -92,34 +100,15 @@ Status FixedWindowSynthesizer::ObserveRound(data::RoundView round) {
   return SlideRelease();
 }
 
-util::Pattern FixedWindowSynthesizer::WindowPattern(int64_t i) const {
-  const int k = options_.window_k;
-  util::Pattern w = 0;
-  for (int j = 0; j < k; ++j) {
-    const std::vector<uint64_t>& plane =
-        window_planes_[static_cast<size_t>((plane_head_ + j) % k)];
-    w |= ((plane[static_cast<size_t>(i >> 6)] >> (i & 63)) & 1) << j;
-  }
-  return w;
-}
-
 void FixedWindowSynthesizer::CountWindowHistogram() {
   const int k = options_.window_k;
   const size_t bins = util::NumPatterns(k);
   window_hist_.assign(bins, 0);
   if (n_ <= 0) return;
-  if (k > 16) {
-    // The bit-plane kernel caps at 16 planes; wider windows (legal up to
-    // k = 30, far past the tractable-histogram regime) materialize codes.
-    for (int64_t i = 0; i < n_; ++i) {
-      ++window_hist_[static_cast<size_t>(WindowPattern(i))];
-    }
-    return;
-  }
   const size_t num_words = window_planes_[0].size();
   // Plane pointers in bit order: plane 0 (the newest round) is the ring
   // head, matching util::SlideAppend's newest-bit-is-bit-0 encoding.
-  const uint64_t* planes[16];
+  const uint64_t* planes[kMaxPlanes];
   for (int j = 0; j < k; ++j) {
     planes[j] =
         window_planes_[static_cast<size_t>((plane_head_ + j) % k)].data();
@@ -136,7 +125,7 @@ void FixedWindowSynthesizer::CountWindowHistogram() {
         static_cast<int64_t>(num_words), [&](int s, int64_t lo, int64_t hi) {
           auto& h = shard_hist_[static_cast<size_t>(s)];
           std::fill(h.begin(), h.end(), 0);
-          const uint64_t* sub[16];
+          const uint64_t* sub[kMaxPlanes];
           for (int j = 0; j < k; ++j) sub[j] = planes[j] + lo;
           util::simd::PlaneHistogram(sub, k, nullptr,
                                      static_cast<size_t>(hi - lo), h.data());

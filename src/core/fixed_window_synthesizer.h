@@ -45,8 +45,9 @@ namespace core {
 class FixedWindowSynthesizer {
  public:
   struct Options {
-    int64_t horizon = 0;  ///< T (known in advance, as in the paper's model)
-    int window_k = 0;     ///< window width k
+    /// T, known in advance as in the paper's model; in [k, kMaxHorizon].
+    int64_t horizon = 0;
+    int window_k = 0;  ///< window width k, in [1, kMaxPlanes] (core/limits.h)
     double rho = 0.0;     ///< total zCDP budget (+infinity = zero-noise path)
     /// Padding per bin; -1 selects theory::RecommendedNpad(beta_target).
     int64_t npad = -1;
@@ -185,10 +186,6 @@ class FixedWindowSynthesizer {
   /// window_hist_ (sharded over word ranges; per-shard histograms reduce
   /// in shard order, so the result is thread-count invariant).
   void CountWindowHistogram();
-
-  /// Materializes user i's width-k window code from the bit-plane ring
-  /// (the wide-window fallback path).
-  util::Pattern WindowPattern(int64_t i) const;
 
   Options options_;
   int64_t npad_;

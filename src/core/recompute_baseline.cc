@@ -25,13 +25,6 @@ Result<std::unique_ptr<RecomputeBaseline>> RecomputeBaseline::Create(
   return baseline;
 }
 
-Status RecomputeBaseline::ObserveRound(const std::vector<uint8_t>& bits) {
-  // Packing validates before anything mutates: a rejected round must not
-  // slide any window.
-  LONGDP_RETURN_NOT_OK(packed_scratch_.Assign(bits));
-  return ObserveRound(packed_scratch_.view());
-}
-
 Status RecomputeBaseline::ObserveRound(data::RoundView round) {
   if (t_ >= options_.horizon) {
     return Status::OutOfRange("baseline past its horizon");

@@ -44,11 +44,6 @@ class RecomputeBaseline {
   /// a fresh synthetic histogram (noise keyed by Options::seed).
   Status ObserveRound(data::RoundView round);
 
-  /// Byte-per-bit convenience overload: validates and bit-packs `bits`
-  /// (rejecting entries other than 0/1 before any window slides), then
-  /// runs the packed path above.
-  Status ObserveRound(const std::vector<uint8_t>& bits);
-
   bool has_release() const { return !current_.empty(); }
   int64_t t() const { return t_; }
 
@@ -83,7 +78,6 @@ class RecomputeBaseline {
   int64_t clamped_ = 0;
   std::vector<util::Pattern> user_window_;
   std::vector<int64_t> current_;
-  data::PackedRound packed_scratch_;
 };
 
 }  // namespace core

@@ -14,7 +14,12 @@
 // floating-point side channels would swap in rational arithmetic, which this
 // API deliberately keeps behind one function boundary.
 //
-// All samplers take an explicit util::Rng for reproducibility.
+// These one-shot functions are the reference implementation, not the
+// production path: no library code calls them. Every noise draw in a
+// release comes from dp::NoiseSampler (dp/noise_sampler.h), which runs the
+// same chain batched and is pinned against these functions word for word
+// by dp_noise_sampler_test. All samplers take an explicit util::Rng for
+// reproducibility.
 
 #ifndef LONGDP_DP_DISCRETE_GAUSSIAN_H_
 #define LONGDP_DP_DISCRETE_GAUSSIAN_H_

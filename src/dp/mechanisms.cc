@@ -2,8 +2,7 @@
 
 #include <cmath>
 #include <limits>
-
-#include "util/thread_pool.h"
+#include <string>
 
 namespace longdp {
 namespace dp {
@@ -31,30 +30,6 @@ double ZCdpToApproxDpEpsilon(double rho, double delta) {
   if (rho <= 0.0) return 0.0;
   if (delta <= 0.0 || delta >= 1.0) return std::numeric_limits<double>::infinity();
   return rho + 2.0 * std::sqrt(rho * std::log(1.0 / delta));
-}
-
-std::vector<int64_t> NoisyHistogramMechanism::Release(
-    const std::vector<int64_t>& counts, int64_t offset,
-    util::Rng* rng) const {
-  std::vector<int64_t> out(counts.size());
-  for (size_t i = 0; i < counts.size(); ++i) {
-    out[i] = counts[i] + offset + SampleDiscreteGaussian(sigma2_, rng);
-  }
-  return out;
-}
-
-std::vector<int64_t> NoisyHistogramMechanism::Release(
-    const std::vector<int64_t>& counts, int64_t offset,
-    const util::SubstreamRng& stream, util::ThreadPool* pool) const {
-  std::vector<int64_t> out(counts.size());
-  // Bulk per-leaf noise (bin i's draw comes from stream.Leaf(i), exactly as
-  // the old per-bin SampleDiscreteGaussian call did), then the pad/count
-  // add runs as a straight-line pass.
-  sampler_.FillLeaves(stream, counts.size(), out.data(), pool);
-  for (size_t i = 0; i < counts.size(); ++i) {
-    out[i] += counts[i] + offset;
-  }
-  return out;
 }
 
 }  // namespace dp

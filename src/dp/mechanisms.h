@@ -1,24 +1,14 @@
-// Basic zCDP mechanisms built on the discrete Gaussian sampler: noisy
-// counts, noisy histograms, and the sigma^2 calibration rules the paper
-// uses (Section 2.2 and Section 3.1).
+// The zCDP calibration rules the paper uses (Section 2.2 and Section 3.1):
+// the discrete Gaussian variance for a rho-zCDP release, its inverse, and
+// the zCDP -> (epsilon, delta)-DP conversion. The noise itself is drawn by
+// dp::NoiseSampler (dp/noise_sampler.h).
 
 #ifndef LONGDP_DP_MECHANISMS_H_
 #define LONGDP_DP_MECHANISMS_H_
 
-#include <cstdint>
-#include <vector>
-
-#include "dp/discrete_gaussian.h"
-#include "dp/noise_sampler.h"
-#include "util/rng.h"
 #include "util/status.h"
-#include "util/substream.h"
 
 namespace longdp {
-namespace util {
-class ThreadPool;
-}  // namespace util
-
 namespace dp {
 
 /// Variance of the discrete Gaussian mechanism achieving rho-zCDP for a
@@ -36,62 +26,6 @@ double ZCdpCostOfGaussian(double sigma2, double sensitivity);
 /// Converts a rho-zCDP guarantee into an (epsilon, delta)-DP guarantee via
 /// epsilon = rho + 2 sqrt(rho log(1/delta))  (Bun-Steinke'16 Prop. 1.3).
 double ZCdpToApproxDpEpsilon(double rho, double delta);
-
-/// \brief Adds discrete Gaussian noise to a single integer count.
-///
-/// The noise variance is fixed at construction; the mechanism is stateless
-/// across calls (fresh noise each invocation).
-class NoisyCountMechanism {
- public:
-  /// sigma2 >= 0; sigma2 == 0 is the exact (non-private) test path.
-  explicit NoisyCountMechanism(double sigma2) : sigma2_(sigma2) {}
-
-  int64_t Release(int64_t true_count, util::Rng* rng) const {
-    return true_count + SampleDiscreteGaussian(sigma2_, rng);
-  }
-
-  double sigma2() const { return sigma2_; }
-
- private:
-  double sigma2_;
-};
-
-/// \brief Adds independent discrete Gaussian noise to every bin of a
-/// histogram (the paper's stage-1 primitive for Algorithm 1).
-///
-/// A single individual changes at most one bin of the histogram per release
-/// by +/-1... in the longitudinal setting of Algorithm 1 an individual
-/// changes one bin at each of the T-k+1 update steps, which is accounted by
-/// the caller via composition (each release here is charged
-/// rho_step = 1/(2 sigma2)).
-class NoisyHistogramMechanism {
- public:
-  explicit NoisyHistogramMechanism(double sigma2)
-      : sigma2_(sigma2), sampler_(NoiseSampler::Gaussian(sigma2)) {}
-
-  /// Returns counts[i] + N_Z(0, sigma2) + offset for every bin. `offset`
-  /// carries the paper's n_pad padding so padded and noised counts are
-  /// produced in one pass. Draws sequentially from `rng` in bin order.
-  std::vector<int64_t> Release(const std::vector<int64_t>& counts,
-                               int64_t offset, util::Rng* rng) const;
-
-  /// Keyed overload: bin i draws from the addressable substream
-  /// stream.Leaf(i), so the per-bin noise shards across `pool` (may be
-  /// null) and the released histogram is bit-identical at any shard or
-  /// thread count. Pass a fresh per-release stream (e.g. root.Derive(t)).
-  /// Noise comes from the batched NoiseSampler — same draws as the
-  /// one-shot sampler, with per-draw setup and word generation amortized.
-  std::vector<int64_t> Release(const std::vector<int64_t>& counts,
-                               int64_t offset,
-                               const util::SubstreamRng& stream,
-                               util::ThreadPool* pool = nullptr) const;
-
-  double sigma2() const { return sigma2_; }
-
- private:
-  double sigma2_;
-  NoiseSampler sampler_;
-};
 
 }  // namespace dp
 }  // namespace longdp

@@ -54,14 +54,6 @@ Result<std::unique_ptr<LocalFrequencyOracle>> LocalFrequencyOracle::Create(
       new LocalFrequencyOracle(options));
 }
 
-Result<double> LocalFrequencyOracle::ObserveRound(
-    const std::vector<uint8_t>& bits, util::Rng* rng) {
-  // Packing validates: entries other than 0/1 are rejected before any
-  // state changes.
-  LONGDP_RETURN_NOT_OK(packed_scratch_.Assign(bits));
-  return ObserveRound(packed_scratch_.view(), rng);
-}
-
 Result<double> LocalFrequencyOracle::ObserveRound(data::RoundView round,
                                                   util::Rng* rng) {
   if (t_ >= options_.horizon) {

@@ -66,12 +66,6 @@ class LocalFrequencyOracle {
   /// returns the server's unbiased estimate of the round-t mean.
   Result<double> ObserveRound(data::RoundView round, util::Rng* rng);
 
-  /// Byte-per-bit convenience overload: validates and bit-packs `bits`
-  /// (rejecting entries other than 0/1 before any state changes), then
-  /// runs the packed path above.
-  Result<double> ObserveRound(const std::vector<uint8_t>& bits,
-                              util::Rng* rng);
-
   int64_t t() const { return t_; }
 
   /// Pr[report 1 | true 1] for the per-report randomizer in use.
@@ -99,7 +93,6 @@ class LocalFrequencyOracle {
   // -1 = not drawn yet.
   std::vector<int8_t> memo_zero_;
   std::vector<int8_t> memo_one_;
-  data::PackedRound packed_scratch_;
 };
 
 }  // namespace local

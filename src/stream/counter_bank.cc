@@ -72,13 +72,7 @@ Result<std::unique_ptr<CounterBank>> CounterBank::Create(
   return bank;
 }
 
-Result<std::vector<int64_t>> CounterBank::ObserveRound(
-    const std::vector<int64_t>& z) {
-  LONGDP_RETURN_NOT_OK(ObserveRoundBatched(z));
-  return monotone_;
-}
-
-Status CounterBank::ObserveRoundBatched(const std::vector<int64_t>& z) {
+Status CounterBank::ObserveRound(const std::vector<int64_t>& z) {
   if (t_ >= horizon_) {
     return Status::OutOfRange("CounterBank past its horizon T=" +
                               std::to_string(horizon_));

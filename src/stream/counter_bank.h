@@ -64,22 +64,17 @@ class CounterBank {
       const Options& options, dp::ZCdpAccountant* accountant = nullptr);
 
   /// Consumes round t's increments: z[b-1] = z^t_b for b = 1..T (entries for
-  /// b > t must be 0). Returns the monotonized row Shat^t indexed by b =
-  /// 0..T (so the result has T+1 entries, entry 0 fixed at n).
-  /// Convenience wrapper over ObserveRoundBatched that copies the row out.
-  Result<std::vector<int64_t>> ObserveRound(const std::vector<int64_t>& z);
-
-  /// The allocation-free batched observe path the synthesizer hot loop runs
-  /// on: advances every active counter in one pass (sharded across
-  /// Options::pool when set) and monotonizes into the bank-owned rows
-  /// (read them back via monotone_row() / raw_row(); they are valid until
-  /// the next call). Counters built by the default tree factory advance
-  /// through TreeCounter::Step with their noise scales precomputed at
-  /// Create — no per-counter virtual dispatch; other implementations fall
-  /// back to the virtual Observe. Every counter's noise is keyed by
+  /// b > t must be 0). Advances every active counter in one pass (sharded
+  /// across Options::pool when set) and monotonizes into the bank-owned
+  /// rows, read back via monotone_row() (Shat^t, indexed b = 0..T with
+  /// entry 0 fixed at n) and raw_row(); they are valid until the next
+  /// call. Counters built by the default tree factory advance through
+  /// TreeCounter::Step with their noise scales precomputed at Create — no
+  /// per-counter virtual dispatch; other implementations fall back to the
+  /// virtual Observe. Every counter's noise is keyed by
   /// (seed, b, level, draw-index), so serial and sharded advances release
   /// identical rows.
-  Status ObserveRoundBatched(const std::vector<int64_t>& z);
+  Status ObserveRound(const std::vector<int64_t>& z);
 
   /// Raw (pre-monotonization) row Stilde^t from the last ObserveRound,
   /// indexed b = 0..T. Used by tests of Lemma 4.2.

@@ -57,9 +57,8 @@ void BatchSampler::BoundedBulk(uint64_t bound, uint64_t* out, size_t count) {
   size_t i = 0;
   while (i < count) {
     // Prefetch exactly the words still owed (one per remaining draw):
-    // FillWords batches the word generation (SIMD for SubstreamRng, a tight
-    // dependent loop for xoshiro) and the multiply/store conversion below
-    // is independent work per element.
+    // FillWords batches the word generation (SIMD for SubstreamRng) and the
+    // multiply/store conversion below is independent work per element.
     const size_t c = std::min(kChunkWords, count - i);
     rng_->FillWords(words, c);
     for (size_t w = 0; w < c; ++w, ++i) {

@@ -16,8 +16,9 @@
 // evaluated when `lo < bound` — probability bound / 2^64, i.e. essentially
 // never for the group sizes stage 2 sees — so the common path is one
 // multiply and one compare. Bulk fills additionally prefetch raw Rng words
-// in chunks so the serially-dependent xoshiro state update is not
-// interleaved with the multiply/store work of each conversion.
+// in chunks through Rng::FillWords (SIMD-batched for SubstreamRng), so word
+// generation is not interleaved with the multiply/store work of each
+// conversion.
 //
 // Stream discipline: every method consumes Rng words in stream order and
 // consumes EXACTLY one word per accepted draw plus one per rejection —

@@ -1,8 +1,5 @@
 #include "util/rng.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 namespace longdp {
 namespace util {
 
@@ -10,38 +7,6 @@ uint64_t SplitMix64Finalize(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
-}
-
-uint64_t SplitMix64Next(uint64_t* state) {
-  return SplitMix64Finalize(*state += 0x9E3779B97F4A7C15ULL);
-}
-
-namespace {
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
-
-Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
-  for (auto& s : s_) s = SplitMix64Next(&sm);
-  // xoshiro256++ requires a not-all-zero state; SplitMix64 cannot emit four
-  // zeros in a row, but guard anyway.
-  if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-void Rng::FillWords(uint64_t* out, size_t count) {
-  for (size_t i = 0; i < count; ++i) out[i] = Next();
 }
 
 uint64_t Rng::UniformInt(uint64_t bound) {
@@ -57,28 +22,6 @@ uint64_t Rng::UniformInt(uint64_t bound) {
   }
 }
 
-int64_t Rng::UniformRange(int64_t lo, int64_t hi) {
-  // An inverted range previously underflowed the span: hi = lo - 1 made
-  // span == 0, which is indistinguishable from the legitimate full-64-bit
-  // request below and silently returned arbitrary 64-bit values. Clamp to
-  // the lower bound instead (no draw is consumed).
-  if (hi < lo) return lo;
-  // Unsigned subtraction: hi - lo as int64_t overflows for spans wider
-  // than 2^63 (e.g. lo < 0 < hi at the extremes).
-  uint64_t span =
-      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
-  if (span == 0) {
-    // Full 64-bit range requested.
-    return static_cast<int64_t>(Next());
-  }
-  // Add the offset in unsigned arithmetic: for spans wider than 2^63 the
-  // draw exceeds INT64_MAX and `lo + int64(draw)` would be signed
-  // overflow, even though the mathematical result always lands in
-  // [lo, hi]. Two's-complement wraparound delivers exactly that result.
-  return static_cast<int64_t>(static_cast<uint64_t>(lo) +
-                              UniformInt(span));
-}
-
 double Rng::UniformDouble() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
@@ -87,52 +30,6 @@ bool Rng::Bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return UniformDouble() < p;
-}
-
-Rng Rng::Fork() {
-  uint64_t seed = Next();
-  // Mix once more so a fork and the parent's next draw are decorrelated.
-  uint64_t sm = seed ^ 0xD1B54A32D192ED03ULL;
-  return Rng(SplitMix64Next(&sm));
-}
-
-std::vector<size_t> Rng::SampleWithoutReplacement(size_t universe,
-                                                  size_t count) {
-  if (count > universe) count = universe;
-  std::vector<size_t> out;
-  out.reserve(count);
-  if (count == 0) return out;
-
-  if (count * 3 >= universe) {
-    // Dense case: partial Fisher-Yates over the full index range.
-    std::vector<size_t> idx(universe);
-    for (size_t i = 0; i < universe; ++i) idx[i] = i;
-    for (size_t i = 0; i < count; ++i) {
-      size_t j = i + static_cast<size_t>(UniformInt(universe - i));
-      std::swap(idx[i], idx[j]);
-      out.push_back(idx[i]);
-    }
-    return out;
-  }
-
-  // Sparse case: Floyd's algorithm, O(count) expected. The result is built
-  // in insertion order — a deterministic function of the draw sequence —
-  // NOT the unordered_set's iteration order, which differs across standard
-  // libraries and would break cross-platform bit-for-bit reproducibility.
-  // (When t collides, j itself is always fresh: every earlier insertion is
-  // strictly below the current j.)
-  std::unordered_set<size_t> chosen;
-  chosen.reserve(count * 2);
-  for (size_t j = universe - count; j < universe; ++j) {
-    size_t t = static_cast<size_t>(UniformInt(j + 1));
-    if (chosen.insert(t).second) {
-      out.push_back(t);
-    } else {
-      chosen.insert(j);
-      out.push_back(j);
-    }
-  }
-  return out;
 }
 
 }  // namespace util

@@ -1,91 +1,55 @@
 // Deterministic pseudo-random number generation for longdp.
 //
 // Every randomized component in the library draws from an explicitly passed
-// util::Rng so that experiments are reproducible from a single seed. Two
-// engines live behind the Rng surface:
+// util::Rng so that experiments are reproducible from a single seed. Rng is
+// an abstract word source; the library's one engine behind it is
+// util::SubstreamRng (util/substream.h), a keyed counter-based generator
+// addressed by (seed, purpose, shard/round/level, draw index). All draws
+// flow through substreams so that releases are bit-identical at any
+// shard x thread count by construction.
 //
-//   * Rng itself — xoshiro256++ seeded via SplitMix64 (the construction
-//     recommended by its authors), the library's original serial engine.
-//     It survives as the reference stream for the legacy replay tests; new
-//     code must NOT construct it directly (the longdp-substream-discipline
-//     lint rule enforces this).
-//   * util::SubstreamRng (util/substream.h) — a keyed counter-based engine
-//     addressed by (seed, purpose, shard/round/level, draw index). All
-//     production draws flow through substreams so that releases are
-//     bit-identical at any shard x thread count by construction.
-//
-// The word source (Next) is virtual; every member helper (UniformInt,
-// Bernoulli, Shuffle, ...) is defined in terms of it, so the sampling
-// algorithms are shared verbatim by both engines and by anything else
-// plugged in behind the surface (e.g. a CSPRNG for a real deployment).
+// The word source (Next, FillWords) is pure virtual; the helpers below
+// (UniformInt, UniformDouble, Bernoulli, Coin) are defined in terms of
+// Next(), so the sampling algorithms are shared by anything plugged in
+// behind the surface.
 //
 // NOTE ON PRIVACY: a cryptographically secure generator would be required for
 // a production privacy deployment. This library is a research reproduction;
 // the sampling *algorithms* (exact discrete Gaussian etc.) are
-// production-grade, and the engine is pluggable behind util::Rng if a CSPRNG
-// is needed.
+// production-grade, and Rng is the seam where a CSPRNG engine would be
+// plugged in if one is needed.
 
 #ifndef LONGDP_UTIL_RNG_H_
 #define LONGDP_UTIL_RNG_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <utility>
-#include <vector>
 
 namespace longdp {
 namespace util {
 
-/// SplitMix64 step: advances `state` and returns the next 64-bit output.
-/// Used for seeding and for cheap stateless stream splitting.
-uint64_t SplitMix64Next(uint64_t* state);
-
-/// The SplitMix64 output (finalizer) function alone: a fixed bijective
-/// 64-bit mix with full avalanche. SplitMix64Next(s) ==
-/// SplitMix64Finalize(s += golden-gamma); SubstreamRng's keyed block
-/// function and key derivation are built from it.
+/// The SplitMix64 output (finalizer) function: a fixed bijective 64-bit mix
+/// with full avalanche. SubstreamRng's keyed block function and key
+/// derivation are built from it.
 uint64_t SplitMix64Finalize(uint64_t z);
 
-/// \brief xoshiro256++ engine with explicit seeding and stream jumps.
-///
-/// Satisfies the C++ UniformRandomBitGenerator requirements so it can be used
-/// with standard algorithms, but all longdp samplers use the member helpers.
+/// \brief Abstract 64-bit word source with the library's sampling helpers.
 class Rng {
  public:
-  using result_type = uint64_t;
-
-  /// Seeds deterministically from a single 64-bit seed via SplitMix64.
-  explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
-
   virtual ~Rng() = default;
-  Rng(const Rng&) = default;
-  Rng& operator=(const Rng&) = default;
 
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() {
-    return std::numeric_limits<uint64_t>::max();
-  }
-
-  /// Next raw 64 bits. Virtual so SubstreamRng (and any future engine) can
-  /// replace the word source while sharing every helper below unchanged.
-  uint64_t operator()() { return Next(); }
-  virtual uint64_t Next();
+  /// Next raw 64 bits.
+  virtual uint64_t Next() = 0;
 
   /// Fills out[0..count) with the next `count` raw words — exactly the
   /// sequence `count` successive Next() calls would return, advancing the
-  /// stream identically. Virtual so counter-based engines can batch the
-  /// word generation (SubstreamRng routes through the util/simd layer);
-  /// the default is a plain Next() loop.
-  virtual void FillWords(uint64_t* out, size_t count);
+  /// stream identically. Engines batch the word generation here
+  /// (SubstreamRng routes through the util/simd layer).
+  virtual void FillWords(uint64_t* out, size_t count) = 0;
 
   /// Uniform integer in [0, bound) without modulo bias. bound == 0 (an
   /// empty range) returns 0 without consuming a draw.
   uint64_t UniformInt(uint64_t bound);
-
-  /// Uniform integer in [lo, hi] inclusive. An inverted range (hi < lo) is
-  /// clamped: lo is returned without consuming a draw.
-  int64_t UniformRange(int64_t lo, int64_t hi);
 
   /// Uniform double in [0, 1) with 53 bits of precision.
   double UniformDouble();
@@ -96,37 +60,10 @@ class Rng {
   /// Fair coin.
   bool Coin() { return (Next() >> 63) != 0; }
 
-  /// Returns a new independent-stream Rng derived from this one.
-  /// Implemented by drawing a fresh SplitMix64 seed; suitable for forking
-  /// per-repetition generators in the experiment harness.
-  Rng Fork();
-
-  /// Fisher-Yates shuffles `v` in place.
-  template <typename T>
-  void Shuffle(std::vector<T>* v) {
-    for (size_t i = v->size(); i > 1; --i) {
-      size_t j = static_cast<size_t>(UniformInt(i));
-      std::swap((*v)[i - 1], (*v)[j]);
-    }
-  }
-
-  /// Samples `count` distinct indices from [0, universe) uniformly without
-  /// replacement (partial Fisher-Yates over an index vector when count is a
-  /// large fraction of universe; Floyd's algorithm otherwise). Both
-  /// branches order the result deterministically from the draw sequence
-  /// alone (selection order / Floyd insertion order), so the same seed
-  /// yields the same vector on every platform and standard library.
-  std::vector<size_t> SampleWithoutReplacement(size_t universe, size_t count);
-
  protected:
-  /// For engine subclasses that override Next() and never touch the
-  /// xoshiro state: skips the SplitMix64 seeding pass (the state is set to
-  /// a fixed valid value and is unreachable through the subclass).
-  struct SubclassTag {};
-  explicit Rng(SubclassTag) : s_{1, 0, 0, 0} {}
-
- private:
-  uint64_t s_[4];
+  Rng() = default;
+  Rng(const Rng&) = default;
+  Rng& operator=(const Rng&) = default;
 };
 
 }  // namespace util

@@ -30,8 +30,7 @@ inline uint64_t DeriveKey(uint64_t key, uint64_t value, uint64_t salt) {
 }  // namespace
 
 SubstreamRng::SubstreamRng(uint64_t seed, uint64_t purpose)
-    : Rng(SubclassTag{}),
-      key_(DeriveKey(DeriveKey(seed, seed, kSeedSalt), purpose,
+    : key_(DeriveKey(DeriveKey(seed, seed, kSeedSalt), purpose,
                      kPurposeSalt)),
       cursor_(0) {}
 

@@ -27,10 +27,11 @@
 // re-derivable from the construction parameters — and resumes by
 // set_cursor(); stream/state_io.h carries the cursors inside counter state.
 //
-// SubstreamRng derives from util::Rng and overrides only the word source,
-// so all sampling algorithms (UniformInt, discrete Gaussian chains,
-// BatchSampler's Lemire rejection, ...) are shared verbatim with the legacy
-// xoshiro engine.
+// SubstreamRng is the one engine behind the util::Rng word-source surface:
+// the sampling algorithms (UniformInt, discrete Gaussian chains,
+// BatchSampler's Lemire rejection, ...) consume it through Rng, so a
+// different engine (e.g. a CSPRNG) could be swapped in without touching
+// them.
 
 #ifndef LONGDP_UTIL_SUBSTREAM_H_
 #define LONGDP_UTIL_SUBSTREAM_H_
@@ -80,7 +81,7 @@ class SubstreamRng final : public Rng {
 
   /// A child substream keyed by the next word of this stream (consumes one
   /// draw). For call sites that need an unbounded number of children and
-  /// have no natural index — mirrors Rng::Fork's contract.
+  /// have no natural index.
   SubstreamRng ForkSubstream();
 
   /// The keyed block function: word(key, cursor++).
@@ -102,8 +103,7 @@ class SubstreamRng final : public Rng {
 
  private:
   struct RawKeyTag {};
-  SubstreamRng(RawKeyTag, uint64_t key)
-      : Rng(SubclassTag{}), key_(key), cursor_(0) {}
+  SubstreamRng(RawKeyTag, uint64_t key) : key_(key), cursor_(0) {}
 
   uint64_t key_;
   uint64_t cursor_;

@@ -298,6 +298,69 @@ TEST(CheckpointMutationTest, CategoricalDecoderIsTotal) {
   }
 }
 
+TEST(CheckpointMutationTest, ForgedHorizonBeforeFirstReleaseIsRefused) {
+  // Before the first release no payload bytes back the horizon, and the
+  // first release sizes the synthetic history by it. Every loader checks
+  // it against core::kMaxHorizon (through Create), so a horizon forged to
+  // 2^16 or beyond is refused at load, not at the next round.
+  util::SubstreamRng rng(0xF0, util::substream::kGeneric);
+  auto ds = data::BernoulliIid(kUsers, kHorizon, 0.4, &rng).value();
+
+  core::FixedWindowSynthesizer::Options fixed_options;
+  fixed_options.horizon = kHorizon;
+  fixed_options.window_k = 3;
+  fixed_options.rho = 4.0;
+  auto fixed = core::FixedWindowSynthesizer::Create(fixed_options).value();
+  ASSERT_TRUE(fixed->ObserveRound(ds.Round(1)).ok());
+
+  core::CumulativeSynthesizer::Options cumulative_options;
+  cumulative_options.horizon = kHorizon;
+  cumulative_options.rho = 4.0;
+  auto cumulative =
+      core::CumulativeSynthesizer::Create(cumulative_options).value();
+
+  core::CategoricalWindowSynthesizer::Options categorical_options;
+  categorical_options.horizon = kHorizon;
+  categorical_options.window_k = 2;
+  categorical_options.alphabet = 3;
+  categorical_options.rho = 4.0;
+  auto categorical =
+      core::CategoricalWindowSynthesizer::Create(categorical_options).value();
+  ASSERT_TRUE(
+      categorical->ObserveRound(std::vector<uint8_t>(kUsers, 2)).ok());
+
+  struct Payload {
+    std::string family;
+    int version;
+    std::string bytes;
+    Roundtrip roundtrip;
+  };
+  const Payload payloads[] = {
+      {"fixed-window", core::FixedWindowSynthesizer::kCheckpointVersion,
+       Save(*fixed), SynthRoundtrip<core::FixedWindowSynthesizer>()},
+      {"cumulative", core::CumulativeSynthesizer::kCheckpointVersion,
+       Save(*cumulative), SynthRoundtrip<core::CumulativeSynthesizer>()},
+      {"categorical", core::CategoricalWindowSynthesizer::kCheckpointVersion,
+       Save(*categorical),
+       SynthRoundtrip<core::CategoricalWindowSynthesizer>()},
+  };
+  for (const Payload& p : payloads) {
+    // The horizon is the first field after the magic line.
+    const size_t at = stream::state_io::Magic(p.family, p.version).size() + 1;
+    for (uint64_t forged :
+         {uint64_t{1} << 16, uint64_t{1} << 32, uint64_t{1} << 62}) {
+      std::string mutant = p.bytes;
+      std::memcpy(&mutant[at], &forged, sizeof(forged));
+      std::istringstream in(mutant);
+      std::string resaved;
+      const Status st = p.roundtrip(in, &resaved);
+      EXPECT_TRUE(st.IsInvalidArgument())
+          << p.family << ": horizon forged to " << forged << ": "
+          << st.ToString();
+    }
+  }
+}
+
 TEST(CheckpointMutationTest, CounterBankDecoderIsTotalForEveryCounter) {
   for (const std::string& name : stream::RegisteredCounterNames()) {
     stream::CounterBank::Options options;

@@ -74,6 +74,10 @@ TEST(CategoricalTest, CreateValidates) {
   EXPECT_FALSE(
       CategoricalWindowSynthesizer::Create(Opt(12, 3, 3, 0.0)).ok());
   EXPECT_TRUE(CategoricalWindowSynthesizer::Create(Opt(12, 3, 3, 0.5)).ok());
+  EXPECT_TRUE(
+      CategoricalWindowSynthesizer::Create(Opt(int64_t{1} << 16, 3, 3, 0.5))
+          .status()
+          .IsInvalidArgument());
 }
 
 TEST(CategoricalTest, BinaryCaseZeroNoiseMatchesTruth) {

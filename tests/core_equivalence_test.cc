@@ -98,9 +98,11 @@ TEST(ZeroNoiseEquivalenceTest, FixedWindowMatchesRecomputeBaseline) {
     auto baseline = RecomputeBaseline::Create(bopt).value();
 
     for (int64_t t = 1; t <= c.T; ++t) {
-      const auto& bits = rounds[static_cast<size_t>(t - 1)];
-      ASSERT_TRUE(synth->ObserveRound(bits).ok());
-      ASSERT_TRUE(baseline->ObserveRound(bits).ok());
+      const auto bits =
+          data::PackedRound::FromBytes(rounds[static_cast<size_t>(t - 1)])
+              .value();
+      ASSERT_TRUE(synth->ObserveRound(bits.view()).ok());
+      ASSERT_TRUE(baseline->ObserveRound(bits.view()).ok());
       if (t < c.k) continue;
       EXPECT_EQ(synth->SyntheticHistogram(), baseline->CurrentHistogram())
           << "trial " << trial << " (n=" << c.n << " T=" << c.T
@@ -139,7 +141,9 @@ TEST(ZeroNoiseEquivalenceTest, CategoricalBinaryMatchesRecomputeBaseline) {
     for (int64_t t = 1; t <= c.T; ++t) {
       const auto& bits = rounds[static_cast<size_t>(t - 1)];
       ASSERT_TRUE(synth->ObserveRound(bits).ok());
-      ASSERT_TRUE(baseline->ObserveRound(bits).ok());
+      ASSERT_TRUE(baseline->ObserveRound(
+                      data::PackedRound::FromBytes(bits).value().view())
+                      .ok());
       if (t < c.k) continue;
       // Base-2 categorical codes and util::Pattern both put the oldest
       // symbol in the most significant position, so bins align 1:1.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/limits.h"
 #include "core/theory.h"
 #include "data/generators.h"
 #include "query/window_query.h"
@@ -79,6 +80,32 @@ TEST(FixedWindowTest, ZeroNoiseReproducesTrueHistograms) {
                 ds.WindowHistogram(t, 3).value());
     }
   }
+}
+
+TEST(FixedWindowTest, ZeroNoiseReproducesTrueHistogramsAtPlaneCap) {
+  // k = 16 fills every plane the bit-plane histogram kernel takes.
+  util::SubstreamRng rng(16, util::substream::kGeneric);
+  auto ds = data::BernoulliIid(200, 18, 0.5, &rng).value();
+  auto synth =
+      FixedWindowSynthesizer::Create(Opt(18, kMaxPlanes, kInf, 0)).value();
+  for (int64_t t = 1; t <= 18; ++t) {
+    ASSERT_TRUE(synth->ObserveRound(ds.Round(t)).ok());
+    if (t >= kMaxPlanes) {
+      EXPECT_EQ(synth->SyntheticHistogram(),
+                ds.WindowHistogram(t, kMaxPlanes).value())
+          << "t=" << t;
+    }
+  }
+}
+
+TEST(FixedWindowTest, CreateRejectsPastTheCaps) {
+  EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(40, kMaxPlanes + 1, 0.5))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(kMaxHorizon, 3, 0.5)).ok());
+  EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(kMaxHorizon + 1, 3, 0.5))
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(FixedWindowTest, ZeroNoiseDebiasedAnswersAreExact) {

@@ -31,11 +31,12 @@ TEST(RecomputeBaselineTest, CreateValidates) {
 
 TEST(RecomputeBaselineTest, NoReleaseBeforeK) {
   auto baseline = RecomputeBaseline::Create(Opt(6, 3, kInf)).value();
-  std::vector<uint8_t> round(10, 1);
-  ASSERT_TRUE(baseline->ObserveRound(round).ok());
-  ASSERT_TRUE(baseline->ObserveRound(round).ok());
+  const auto round =
+      data::PackedRound::FromBytes(std::vector<uint8_t>(10, 1)).value();
+  ASSERT_TRUE(baseline->ObserveRound(round.view()).ok());
+  ASSERT_TRUE(baseline->ObserveRound(round.view()).ok());
   EXPECT_FALSE(baseline->has_release());
-  ASSERT_TRUE(baseline->ObserveRound(round).ok());
+  ASSERT_TRUE(baseline->ObserveRound(round.view()).ok());
   EXPECT_TRUE(baseline->has_release());
 }
 
@@ -98,15 +99,15 @@ TEST(RecomputeBaselineTest, PopulationFluctuatesAcrossReleases) {
 
 TEST(RecomputeBaselineTest, RejectsBadInputs) {
   auto baseline = RecomputeBaseline::Create(Opt(3, 2, kInf)).value();
-  std::vector<uint8_t> round = {0, 1};
-  ASSERT_TRUE(baseline->ObserveRound(round).ok());
-  std::vector<uint8_t> bad = {0, 2};
-  EXPECT_TRUE(baseline->ObserveRound(bad).IsInvalidArgument());
-  std::vector<uint8_t> wrong = {0, 1, 1};
-  EXPECT_TRUE(baseline->ObserveRound(wrong).IsInvalidArgument());
-  ASSERT_TRUE(baseline->ObserveRound(round).ok());
-  ASSERT_TRUE(baseline->ObserveRound(round).ok());
-  EXPECT_TRUE(baseline->ObserveRound(round).IsOutOfRange());
+  const auto round = data::PackedRound::FromBytes({0, 1}).value();
+  ASSERT_TRUE(baseline->ObserveRound(round.view()).ok());
+  // Entries other than 0/1 are refused at the packing edge.
+  EXPECT_TRUE(data::PackedRound::FromBytes({0, 2}).status().IsInvalidArgument());
+  const auto wrong = data::PackedRound::FromBytes({0, 1, 1}).value();
+  EXPECT_TRUE(baseline->ObserveRound(wrong.view()).IsInvalidArgument());
+  ASSERT_TRUE(baseline->ObserveRound(round.view()).ok());
+  ASSERT_TRUE(baseline->ObserveRound(round.view()).ok());
+  EXPECT_TRUE(baseline->ObserveRound(round.view()).IsOutOfRange());
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "data/generators.h"
 #include "query/cumulative_query.h"
 #include "query/window_query.h"
+#include "util/batch_sampler.h"
 #include "util/mathutil.h"
 #include "util/substream.h"
 
@@ -181,7 +182,7 @@ TEST(StatisticalTest, CumulativePromotionsArePermutationInvariant) {
   std::vector<int64_t> perm(static_cast<size_t>(kN));
   for (int64_t r = 0; r < kN; ++r) perm[static_cast<size_t>(r)] = r;
   util::SubstreamRng perm_rng(29, util::substream::kGeneric);
-  perm_rng.Shuffle(&perm);
+  util::BatchSampler(&perm_rng).Shuffle(&perm);
   auto permuted = data::LongitudinalDataset::Create(kN, kT).value();
   for (int64_t t = 1; t <= kT; ++t) {
     std::vector<uint8_t> bits(static_cast<size_t>(kN));

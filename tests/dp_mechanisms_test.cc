@@ -6,8 +6,6 @@
 #include <limits>
 
 #include "dp/accountant.h"
-#include "util/mathutil.h"
-#include "util/substream.h"
 
 namespace longdp {
 namespace dp {
@@ -53,42 +51,6 @@ TEST(CalibrationTest, ZCdpToApproxDp) {
   EXPECT_NEAR(ZCdpToApproxDpEpsilon(rho, delta), expected, 1e-12);
   EXPECT_EQ(ZCdpToApproxDpEpsilon(0.0, delta), 0.0);
   EXPECT_EQ(ZCdpToApproxDpEpsilon(rho, 0.0), kInf);
-}
-
-TEST(NoisyCountTest, ZeroNoiseIsExact) {
-  NoisyCountMechanism mech(0.0);
-  util::SubstreamRng rng(1, util::substream::kGeneric);
-  EXPECT_EQ(mech.Release(1234, &rng), 1234);
-}
-
-TEST(NoisyCountTest, NoiseHasCalibratedSpread) {
-  NoisyCountMechanism mech(/*sigma2=*/25.0);
-  util::SubstreamRng rng(2, util::substream::kGeneric);
-  util::MomentAccumulator acc;
-  for (int i = 0; i < 50000; ++i) {
-    acc.Add(static_cast<double>(mech.Release(100, &rng) - 100));
-  }
-  EXPECT_NEAR(acc.mean(), 0.0, 0.2);
-  EXPECT_NEAR(acc.variance(), 25.0, 2.5);
-}
-
-TEST(NoisyHistogramTest, ZeroNoiseAppliesOffsetOnly) {
-  NoisyHistogramMechanism mech(0.0);
-  util::SubstreamRng rng(3, util::substream::kGeneric);
-  auto out = mech.Release({1, 2, 3}, /*offset=*/10, &rng);
-  EXPECT_EQ(out, (std::vector<int64_t>{11, 12, 13}));
-}
-
-TEST(NoisyHistogramTest, IndependentNoisePerBin) {
-  NoisyHistogramMechanism mech(100.0);
-  util::SubstreamRng rng(4, util::substream::kGeneric);
-  auto out = mech.Release(std::vector<int64_t>(64, 0), 0, &rng);
-  // All-equal output across 64 bins would indicate broken noise reuse.
-  bool all_equal = true;
-  for (size_t i = 1; i < out.size(); ++i) {
-    if (out[i] != out[0]) all_equal = false;
-  }
-  EXPECT_FALSE(all_equal);
 }
 
 TEST(AccountantTest, ChargesAccumulate) {

@@ -89,14 +89,16 @@ TEST(LocalRrTest, RandomizerFlipRatesMatchCalibration) {
                     .value();
   const double p = oracle->flip_keep_prob();
   const double q = oracle->flip_lie_prob();
-  const std::vector<uint8_t> ones(static_cast<size_t>(kN), 1);
-  const std::vector<uint8_t> zeros(static_cast<size_t>(kN), 0);
+  const auto ones =
+      data::PackedRound::FromBytes(std::vector<uint8_t>(kN, 1)).value();
+  const auto zeros =
+      data::PackedRound::FromBytes(std::vector<uint8_t>(kN, 0)).value();
   util::SubstreamRng rng(0xF11B, util::substream::kLocal);
   util::MomentAccumulator keep_rate, lie_rate;
   for (int64_t t = 1; t <= kT; ++t) {
     // Alternate so both rates come from the same oracle instance.
     const bool odd = (t % 2) == 1;
-    auto est = oracle->ObserveRound(odd ? ones : zeros, &rng);
+    auto est = oracle->ObserveRound((odd ? ones : zeros).view(), &rng);
     ASSERT_TRUE(est.ok());
     const double mean_report = est.value() * (p - q) + q;
     (odd ? keep_rate : lie_rate).Add(mean_report);
@@ -143,15 +145,17 @@ TEST(LocalRrTest, InputValidationOnObserve) {
                     Opt(2, 1.0, ReportStrategy::kFreshPerRound))
                     .value();
   util::SubstreamRng rng(5, util::substream::kLocal);
-  std::vector<uint8_t> round = {0, 1, 1};
-  ASSERT_TRUE(oracle->ObserveRound(round, &rng).ok());
-  std::vector<uint8_t> wrong = {0, 1};
+  const auto round = data::PackedRound::FromBytes({0, 1, 1}).value();
+  ASSERT_TRUE(oracle->ObserveRound(round.view(), &rng).ok());
+  const auto wrong = data::PackedRound::FromBytes({0, 1}).value();
   EXPECT_TRUE(
-      oracle->ObserveRound(wrong, &rng).status().IsInvalidArgument());
-  std::vector<uint8_t> bad = {0, 1, 2};
-  EXPECT_TRUE(oracle->ObserveRound(bad, &rng).status().IsInvalidArgument());
-  ASSERT_TRUE(oracle->ObserveRound(round, &rng).ok());
-  EXPECT_TRUE(oracle->ObserveRound(round, &rng).status().IsOutOfRange());
+      oracle->ObserveRound(wrong.view(), &rng).status().IsInvalidArgument());
+  // Entries other than 0/1 are refused at the packing edge.
+  EXPECT_TRUE(
+      data::PackedRound::FromBytes({0, 1, 2}).status().IsInvalidArgument());
+  ASSERT_TRUE(oracle->ObserveRound(round.view(), &rng).ok());
+  EXPECT_TRUE(
+      oracle->ObserveRound(round.view(), &rng).status().IsOutOfRange());
 }
 
 TEST(LocalRrTest, StrategyNames) {

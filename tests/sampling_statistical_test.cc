@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "util/batch_sampler.h"
-#include "util/rng.h"
+#include "util/substream.h"
 
 namespace longdp {
 namespace util {
@@ -47,7 +47,7 @@ TEST(SamplingStatisticalTest, BoundedBulkIsUniform) {
   };
   for (const Case& c : {Case{7, 101}, Case{1000, 102}, Case{12289, 103}}) {
     const size_t kDraws = 400000;
-    Rng rng(c.seed);
+    SubstreamRng rng(c.seed);
     BatchSampler sampler(&rng);
     std::vector<uint64_t> draws(kDraws);
     sampler.BoundedBulk(c.bound, draws.data(), kDraws);
@@ -68,7 +68,7 @@ TEST(SamplingStatisticalTest, BoundedBulkLargeBoundResiduesUniform) {
   const uint64_t kBound = (uint64_t{1} << 32) + 1;
   const uint64_t kBins = 127;
   const size_t kDraws = 400000;
-  Rng rng(104);
+  SubstreamRng rng(104);
   BatchSampler sampler(&rng);
   std::vector<uint64_t> draws(kDraws);
   sampler.BoundedBulk(kBound, draws.data(), kDraws);
@@ -90,7 +90,7 @@ TEST(SamplingStatisticalTest, SingleBoundedMatchesBulkDistribution) {
   // check it independently.
   const uint64_t kBound = 1000;
   const size_t kDraws = 300000;
-  Rng rng(105);
+  SubstreamRng rng(105);
   BatchSampler sampler(&rng);
   std::vector<int64_t> hist(kBound, 0);
   for (size_t i = 0; i < kDraws; ++i) {
@@ -109,7 +109,7 @@ TEST(SamplingStatisticalTest, PartialShufflePositionOccupancyUniform) {
   // what makes the promoted subsets (and their order) unbiased.
   const int64_t kN = 12, kK = 4;
   const int kTrials = 120000;
-  Rng rng(106);
+  SubstreamRng rng(106);
   BatchSampler sampler(&rng);
   std::vector<std::vector<int64_t>> occupancy(
       static_cast<size_t>(kK), std::vector<int64_t>(static_cast<size_t>(kN), 0));
@@ -137,7 +137,7 @@ TEST(SamplingStatisticalTest, PartialShufflePrefixInclusionUniform) {
   for (int64_t kK : {3LL, 11LL}) {
     const int64_t kN = 12;
     const int kTrials = 120000;
-    Rng rng(107 + static_cast<uint64_t>(kK));
+    SubstreamRng rng(107 + static_cast<uint64_t>(kK));
     BatchSampler sampler(&rng);
     std::vector<int64_t> included(static_cast<size_t>(kN), 0);
     std::vector<int64_t> v(static_cast<size_t>(kN));
@@ -157,43 +157,6 @@ TEST(SamplingStatisticalTest, PartialShufflePrefixInclusionUniform) {
               Chi2Threshold(static_cast<double>(kN - 1)))
         << "k=" << kK;
   }
-}
-
-TEST(SamplingStatisticalTest, SampleWithoutReplacementInclusionDense) {
-  // Dense branch (count * 3 >= universe): partial Fisher-Yates. Every
-  // element's inclusion probability must be count/universe.
-  const size_t kUniverse = 20, kCount = 10;
-  const int kTrials = 80000;
-  Rng rng(108);
-  std::vector<int64_t> included(kUniverse, 0);
-  for (int trial = 0; trial < kTrials; ++trial) {
-    for (size_t idx : rng.SampleWithoutReplacement(kUniverse, kCount)) {
-      ++included[idx];
-    }
-  }
-  const double expected = static_cast<double>(kTrials) *
-                          static_cast<double>(kCount) /
-                          static_cast<double>(kUniverse);
-  EXPECT_LT(Chi2Uniform(included, expected),
-            Chi2Threshold(static_cast<double>(kUniverse - 1)));
-}
-
-TEST(SamplingStatisticalTest, SampleWithoutReplacementInclusionSparse) {
-  // Sparse branch (Floyd's algorithm): same inclusion-probability law.
-  const size_t kUniverse = 300, kCount = 5;
-  const int kTrials = 120000;
-  Rng rng(109);
-  std::vector<int64_t> included(kUniverse, 0);
-  for (int trial = 0; trial < kTrials; ++trial) {
-    for (size_t idx : rng.SampleWithoutReplacement(kUniverse, kCount)) {
-      ++included[idx];
-    }
-  }
-  const double expected = static_cast<double>(kTrials) *
-                          static_cast<double>(kCount) /
-                          static_cast<double>(kUniverse);
-  EXPECT_LT(Chi2Uniform(included, expected),
-            Chi2Threshold(static_cast<double>(kUniverse - 1)));
 }
 
 }  // namespace

@@ -13,14 +13,14 @@
 
 #include "util/batch_sampler.h"
 #include "util/flat_groups.h"
-#include "util/rng.h"
+#include "util/substream.h"
 
 namespace longdp {
 namespace util {
 namespace {
 
 TEST(BatchSamplerTest, BoundedStaysInRange) {
-  Rng rng(1);
+  SubstreamRng rng(1);
   BatchSampler sampler(&rng);
   for (uint64_t bound : {2ull, 3ull, 10ull, 12345ull, 1ull << 40}) {
     for (int i = 0; i < 2000; ++i) {
@@ -32,7 +32,7 @@ TEST(BatchSamplerTest, BoundedStaysInRange) {
 TEST(BatchSamplerTest, BoundedDegenerateBoundsConsumeNoWords) {
   // bound 0 and bound 1 have a single representable answer; the stream
   // must not advance (unlike Rng::UniformInt(1), which burns a word).
-  Rng rng(7), reference(7);
+  SubstreamRng rng(7), reference(7);
   BatchSampler sampler(&rng);
   EXPECT_EQ(sampler.Bounded(0), 0u);
   EXPECT_EQ(sampler.Bounded(1), 0u);
@@ -40,7 +40,7 @@ TEST(BatchSamplerTest, BoundedDegenerateBoundsConsumeNoWords) {
 }
 
 TEST(BatchSamplerTest, BoundedDeterministicFromSeed) {
-  Rng a(42), b(42);
+  SubstreamRng a(42), b(42);
   BatchSampler sa(&a), sb(&b);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(sa.Bounded(997), sb.Bounded(997));
@@ -53,7 +53,7 @@ TEST(BatchSamplerTest, BulkMatchesSingleDraws) {
   // outputs coincide element for element.
   const uint64_t kBound = 12289;
   const size_t kCount = 1000;  // spans multiple prefetch chunks
-  Rng a(99), b(99);
+  SubstreamRng a(99), b(99);
   BatchSampler sa(&a), sb(&b);
   std::vector<uint64_t> bulk(kCount);
   sa.BoundedBulk(kBound, bulk.data(), kCount);
@@ -65,7 +65,7 @@ TEST(BatchSamplerTest, BulkMatchesSingleDraws) {
 }
 
 TEST(BatchSamplerTest, BulkDegenerateBoundZeroFillsWithoutWords) {
-  Rng rng(5), reference(5);
+  SubstreamRng rng(5), reference(5);
   BatchSampler sampler(&rng);
   std::vector<uint64_t> out(64, 0xFFFFFFFFull);
   sampler.BoundedBulk(1, out.data(), out.size());
@@ -76,7 +76,7 @@ TEST(BatchSamplerTest, BulkDegenerateBoundZeroFillsWithoutWords) {
 }
 
 TEST(BatchSamplerTest, BulkCoversAllResidues) {
-  Rng rng(3);
+  SubstreamRng rng(3);
   BatchSampler sampler(&rng);
   std::vector<uint64_t> out(4000);
   sampler.BoundedBulk(7, out.data(), out.size());
@@ -89,7 +89,7 @@ TEST(BatchSamplerTest, BulkCoversAllResidues) {
 }
 
 TEST(BatchSamplerTest, PartialShufflePermutes) {
-  Rng rng(11);
+  SubstreamRng rng(11);
   BatchSampler sampler(&rng);
   std::vector<int64_t> v(50);
   std::iota(v.begin(), v.end(), 0);
@@ -106,7 +106,8 @@ TEST(BatchSamplerTest, FullShuffleAndMaximalPartialShuffleMatch) {
   // stream- and output-identical to k == n - 1. This is the "k == span"
   // edge the old inline loops special-cased by hand.
   for (int64_t n : {2, 3, 17, 64, 301}) {
-    Rng a(1000 + static_cast<uint64_t>(n)), b(1000 + static_cast<uint64_t>(n));
+    SubstreamRng a(1000 + static_cast<uint64_t>(n));
+    SubstreamRng b(1000 + static_cast<uint64_t>(n));
     BatchSampler sa(&a), sb(&b);
     std::vector<int64_t> va(static_cast<size_t>(n)), vb(static_cast<size_t>(n));
     std::iota(va.begin(), va.end(), 0);
@@ -119,7 +120,7 @@ TEST(BatchSamplerTest, FullShuffleAndMaximalPartialShuffleMatch) {
 }
 
 TEST(BatchSamplerTest, PartialShuffleClampsOversizedK) {
-  Rng a(21), b(21);
+  SubstreamRng a(21), b(21);
   BatchSampler sa(&a), sb(&b);
   std::vector<int64_t> va(10), vb(10);
   std::iota(va.begin(), va.end(), 0);
@@ -131,7 +132,7 @@ TEST(BatchSamplerTest, PartialShuffleClampsOversizedK) {
 }
 
 TEST(BatchSamplerTest, PartialShuffleDegenerateSpansAreNoOps) {
-  Rng rng(31), reference(31);
+  SubstreamRng rng(31), reference(31);
   BatchSampler sampler(&rng);
   std::vector<int64_t> single{7};
   sampler.PartialShuffle(single.data(), 1, 1);   // one element
@@ -149,7 +150,7 @@ TEST(BatchSamplerTest, PartialShuffleDegenerateSpansAreNoOps) {
 TEST(BatchSamplerTest, PartialShuffleSpansChunkBoundary) {
   // More draws than one prefetch chunk (256 words) exercises the refill
   // path; the result must still be a permutation and deterministic.
-  Rng a(77), b(77);
+  SubstreamRng a(77), b(77);
   BatchSampler sa(&a), sb(&b);
   std::vector<int64_t> va(1000), vb(1000);
   std::iota(va.begin(), va.end(), 0);
@@ -164,7 +165,7 @@ TEST(BatchSamplerTest, PartialShuffleSpansChunkBoundary) {
 }
 
 TEST(BatchSamplerTest, ShuffleMatchesPartialShuffleFullSpan) {
-  Rng a(55), b(55);
+  SubstreamRng a(55), b(55);
   BatchSampler sa(&a), sb(&b);
   std::vector<int64_t> va(40), vb(40);
   std::iota(va.begin(), va.end(), 0);

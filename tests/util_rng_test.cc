@@ -2,23 +2,24 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <vector>
+
+#include "util/substream.h"
 
 namespace longdp {
 namespace util {
 namespace {
 
 TEST(RngTest, DeterministicFromSeed) {
-  Rng a(123), b(123);
+  SubstreamRng a(123), b(123);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(a.Next(), b.Next());
   }
 }
 
 TEST(RngTest, DifferentSeedsDiffer) {
-  Rng a(1), b(2);
+  SubstreamRng a(1), b(2);
   int same = 0;
   for (int i = 0; i < 64; ++i) {
     if (a.Next() == b.Next()) ++same;
@@ -27,16 +28,17 @@ TEST(RngTest, DifferentSeedsDiffer) {
 }
 
 TEST(RngTest, SplitMix64KnownValues) {
-  // Reference values from the canonical SplitMix64 implementation with
-  // seed state 0.
-  uint64_t state = 0;
-  EXPECT_EQ(SplitMix64Next(&state), 0xE220A8397B1DCDAFULL);
-  EXPECT_EQ(SplitMix64Next(&state), 0x6E789E6AA1B965F4ULL);
-  EXPECT_EQ(SplitMix64Next(&state), 0x06C45D188009454FULL);
+  // Word i of the substream with raw key k is the i-th SplitMix64 output
+  // from state k. Reference values from the canonical SplitMix64
+  // implementation with seed state 0.
+  SubstreamRng rng = SubstreamRng::FromState(/*key=*/0, /*cursor=*/0);
+  EXPECT_EQ(rng.Next(), 0xE220A8397B1DCDAFULL);
+  EXPECT_EQ(rng.Next(), 0x6E789E6AA1B965F4ULL);
+  EXPECT_EQ(rng.Next(), 0x06C45D188009454FULL);
 }
 
 TEST(RngTest, UniformIntInRange) {
-  Rng rng(7);
+  SubstreamRng rng(7);
   for (uint64_t bound : {1ULL, 2ULL, 3ULL, 10ULL, 1000ULL}) {
     for (int i = 0; i < 200; ++i) {
       EXPECT_LT(rng.UniformInt(bound), bound);
@@ -45,14 +47,14 @@ TEST(RngTest, UniformIntInRange) {
 }
 
 TEST(RngTest, UniformIntCoversAllResidues) {
-  Rng rng(11);
+  SubstreamRng rng(11);
   std::set<uint64_t> seen;
   for (int i = 0; i < 1000; ++i) seen.insert(rng.UniformInt(7));
   EXPECT_EQ(seen.size(), 7u);
 }
 
 TEST(RngTest, UniformIntRoughlyUniform) {
-  Rng rng(13);
+  SubstreamRng rng(13);
   const int kBuckets = 10, kDraws = 100000;
   std::vector<int> counts(kBuckets, 0);
   for (int i = 0; i < kDraws; ++i) {
@@ -68,60 +70,16 @@ TEST(RngTest, UniformIntZeroBoundReturnsZero) {
   // Regression: bound == 0 fed the Lemire rejection threshold a division
   // by zero (SIGFPE on x86). The documented empty-range behavior is 0,
   // with no draw consumed.
-  Rng rng(61);
-  Rng control(61);
+  SubstreamRng rng(61);
+  SubstreamRng control(61);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(rng.UniformInt(0), 0u);
   }
   EXPECT_EQ(rng.Next(), control.Next());  // stream position untouched
 }
 
-TEST(RngTest, UniformRangeInvertedClampsToLo) {
-  // Regression: hi < lo underflowed the span; hi == lo - 1 produced
-  // span == 0, which aliased the full-64-bit-range request and returned
-  // arbitrary values far outside [hi, lo].
-  Rng rng(67);
-  Rng control(67);
-  EXPECT_EQ(rng.UniformRange(5, 2), 5);
-  EXPECT_EQ(rng.UniformRange(5, 4), 5);  // the span == 0 alias case
-  EXPECT_EQ(rng.UniformRange(-3, -10), -3);
-  EXPECT_EQ(rng.UniformRange(INT64_MAX, INT64_MIN), INT64_MAX);
-  EXPECT_EQ(rng.Next(), control.Next());  // no draws consumed
-}
-
-TEST(RngTest, UniformRangeDegenerateAndFullRange) {
-  Rng rng(71);
-  EXPECT_EQ(rng.UniformRange(3, 3), 3);
-  EXPECT_EQ(rng.UniformRange(-9, -9), -9);
-  // The legitimate full-64-bit request still works (would hang or crash if
-  // the clamp misclassified it).
-  for (int i = 0; i < 4; ++i) {
-    (void)rng.UniformRange(INT64_MIN, INT64_MAX);
-  }
-  // A span wider than 2^63 (signed hi - lo would overflow) stays in range.
-  for (int i = 0; i < 100; ++i) {
-    int64_t v = rng.UniformRange(INT64_MIN + 1, INT64_MAX - 1);
-    EXPECT_GT(v, INT64_MIN);
-    EXPECT_LT(v, INT64_MAX);
-  }
-}
-
-TEST(RngTest, UniformRangeInclusive) {
-  Rng rng(17);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    int64_t v = rng.UniformRange(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= (v == -3);
-    saw_hi |= (v == 3);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RngTest, UniformDoubleInUnit) {
-  Rng rng(19);
+  SubstreamRng rng(19);
   double sum = 0.0;
   for (int i = 0; i < 10000; ++i) {
     double v = rng.UniformDouble();
@@ -133,7 +91,7 @@ TEST(RngTest, UniformDoubleInUnit) {
 }
 
 TEST(RngTest, BernoulliEdgeCases) {
-  Rng rng(23);
+  SubstreamRng rng(23);
   for (int i = 0; i < 50; ++i) {
     EXPECT_FALSE(rng.Bernoulli(0.0));
     EXPECT_TRUE(rng.Bernoulli(1.0));
@@ -143,7 +101,7 @@ TEST(RngTest, BernoulliEdgeCases) {
 }
 
 TEST(RngTest, BernoulliFrequency) {
-  Rng rng(29);
+  SubstreamRng rng(29);
   int ones = 0;
   const int kDraws = 50000;
   for (int i = 0; i < kDraws; ++i) {
@@ -153,7 +111,7 @@ TEST(RngTest, BernoulliFrequency) {
 }
 
 TEST(RngTest, CoinIsFair) {
-  Rng rng(31);
+  SubstreamRng rng(31);
   int heads = 0;
   const int kDraws = 50000;
   for (int i = 0; i < kDraws; ++i) {
@@ -163,113 +121,13 @@ TEST(RngTest, CoinIsFair) {
 }
 
 TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(37);
-  Rng b = a.Fork();
+  SubstreamRng a(37);
+  SubstreamRng b = a.ForkSubstream();
   int same = 0;
   for (int i = 0; i < 64; ++i) {
     if (a.Next() == b.Next()) ++same;
   }
   EXPECT_LT(same, 2);
-}
-
-TEST(RngTest, ShufflePermutes) {
-  Rng rng(41);
-  std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};
-  std::vector<int> orig = v;
-  rng.Shuffle(&v);
-  std::vector<int> sorted = v;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, orig);
-}
-
-TEST(RngTest, ShuffleEmptyAndSingleton) {
-  Rng rng(43);
-  std::vector<int> empty;
-  rng.Shuffle(&empty);
-  EXPECT_TRUE(empty.empty());
-  std::vector<int> one = {9};
-  rng.Shuffle(&one);
-  EXPECT_EQ(one, std::vector<int>{9});
-}
-
-TEST(RngTest, SampleWithoutReplacementDistinct) {
-  Rng rng(47);
-  for (size_t universe : {10UL, 100UL, 1000UL}) {
-    for (size_t count : {0UL, 1UL, 5UL, universe / 2, universe}) {
-      auto sample = rng.SampleWithoutReplacement(universe, count);
-      EXPECT_EQ(sample.size(), count);
-      std::set<size_t> distinct(sample.begin(), sample.end());
-      EXPECT_EQ(distinct.size(), count);
-      for (size_t idx : sample) EXPECT_LT(idx, universe);
-    }
-  }
-}
-
-TEST(RngTest, SampleWithoutReplacementClampsCount) {
-  Rng rng(53);
-  auto sample = rng.SampleWithoutReplacement(5, 50);
-  EXPECT_EQ(sample.size(), 5u);
-}
-
-TEST(RngTest, SampleWithoutReplacementSameSeedSameOutputBothBranches) {
-  // Same seed => identical output vector (values AND order), for both the
-  // dense (Fisher-Yates) and sparse (Floyd) branches. The sparse branch
-  // used to emit std::unordered_set iteration order, which differs across
-  // standard libraries and silently broke cross-platform reproducibility.
-  struct Case {
-    size_t universe, count;
-  };
-  const Case cases[] = {
-      {100, 60},   // dense: count * 3 >= universe
-      {12, 4},     // dense boundary: count * 3 == universe
-      {1000, 10},  // sparse
-      {1000, 1},   // sparse, single draw
-  };
-  for (const Case& c : cases) {
-    Rng a(97), b(97);
-    EXPECT_EQ(a.SampleWithoutReplacement(c.universe, c.count),
-              b.SampleWithoutReplacement(c.universe, c.count))
-        << "universe=" << c.universe << " count=" << c.count;
-  }
-}
-
-TEST(RngTest, SampleWithoutReplacementSparseBranchIsInsertionOrder) {
-  // The sparse branch's contract: results appear in Floyd insertion order,
-  // a pure function of the draw sequence. Replay the algorithm with an
-  // identically seeded Rng and require an exact match — any dependence on
-  // unordered_set layout would diverge.
-  const size_t kUniverse = 5000, kCount = 25;  // firmly sparse
-  Rng lib(101), replay(101);
-  auto got = lib.SampleWithoutReplacement(kUniverse, kCount);
-  std::vector<size_t> want;
-  std::set<size_t> chosen;
-  for (size_t j = kUniverse - kCount; j < kUniverse; ++j) {
-    size_t t = static_cast<size_t>(replay.UniformInt(j + 1));
-    if (chosen.insert(t).second) {
-      want.push_back(t);
-    } else {
-      chosen.insert(j);
-      want.push_back(j);
-    }
-  }
-  EXPECT_EQ(got, want);
-}
-
-TEST(RngTest, SampleWithoutReplacementUnbiased) {
-  // Each index should appear with probability count/universe.
-  Rng rng(59);
-  const size_t kUniverse = 20, kCount = 5;
-  const int kTrials = 20000;
-  std::vector<int> hits(kUniverse, 0);
-  for (int trial = 0; trial < kTrials; ++trial) {
-    for (size_t idx : rng.SampleWithoutReplacement(kUniverse, kCount)) {
-      ++hits[idx];
-    }
-  }
-  double expected = static_cast<double>(kTrials) * kCount / kUniverse;
-  for (int h : hits) {
-    EXPECT_NEAR(h, expected, 0.08 * expected);
-  }
 }
 
 }  // namespace

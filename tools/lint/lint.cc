@@ -271,11 +271,7 @@ bool RuleExempt(const std::string& rule, const std::string& path,
   if (rule == kRuleSubstream &&
       (PathContains(path, "src/util/rng.h") ||
        PathContains(path, "src/util/rng.cc") ||
-       PathContains(path, "src/util/substream") ||
-       PathContains(path, "tests/util_rng_test") ||
-       PathContains(path, "tests/util_batch_sampler_test") ||
-       PathContains(path, "tests/sampling_statistical_test") ||
-       PathContains(path, "bench/micro_primitives"))) {
+       PathContains(path, "src/util/substream"))) {
     return true;
   }
   if (rule == kRuleSimdContained && PathContains(path, "src/util/simd")) {
@@ -442,7 +438,7 @@ void CheckUnorderedIteration(const LexedFile& file,
   }
 }
 
-// Direct construction of the mutable xoshiro engine outside the engine /
+// Direct construction of a util::Rng engine outside the engine /
 // substream sources: `Rng name(...)`, `Rng name{...}`, `Rng name;` and
 // temporaries `Rng(...)`. Pointer / reference parameters (`Rng*`, `Rng&`),
 // qualifications (`Rng::`), template arguments (`<Rng>`), and
@@ -467,8 +463,8 @@ void CheckSubstreamDiscipline(const LexedFile& file,
     if (!decl && !temp) continue;
     // `Rng name(` where name is immediately called could also be a
     // function declaration returning Rng — equally a discipline breach
-    // outside the engine sources (only Fork() qualifies, and it lives in
-    // the exempt rng.h).
+    // outside the engine sources: only the exempt substream factory hands
+    // out engines by value.
     findings->push_back(
         {file.path, t[i].line, kRuleSubstream,
          "direct construction of util::Rng; derive a keyed "

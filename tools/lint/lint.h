@@ -26,8 +26,8 @@
 //                                (and, unlike the compiler, refuses the
 //                                (void)-cast escape hatch).
 //   longdp-substream-discipline  No direct construction of util::Rng (the
-//                                mutable xoshiro engine) outside
-//                                src/util/rng.* and src/util/substream.*.
+//                                engine surface) outside src/util/rng.*
+//                                and src/util/substream.*.
 //                                Noise and sampling must come from keyed
 //                                util::SubstreamRng substreams so every
 //                                draw has a (seed, purpose, shard, round,
