@@ -5,6 +5,7 @@
 
 #include "core/cumulative_synthesizer.h"
 #include "core/fixed_window_synthesizer.h"
+#include "core/limits.h"
 #include "data/generators.h"
 #include "util/substream.h"
 
@@ -68,9 +69,10 @@ BENCHMARK(BM_CumulativeFullRun)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FixedWindowSingleRound(benchmark::State& state) {
-  // Steady-state per-round cost at SIPP scale (T large so rounds dominate).
+  // Steady-state per-round cost at SIPP scale (T at the horizon cap so
+  // rounds dominate).
   const int64_t n = state.range(0);
-  const int64_t T = 1 << 20;
+  const int64_t T = longdp::core::kMaxHorizon;
   SubstreamRng data_rng(5, substream::kDataset);
   std::vector<uint8_t> round(static_cast<size_t>(n));
   for (auto& b : round) b = data_rng.Bernoulli(0.2) ? 1 : 0;

@@ -129,7 +129,7 @@ Result<std::vector<int64_t>> Exec::CohortWindowHistogram(
     const ArchiveEntry& entry, int64_t t, int k) const {
   LONGDP_RETURN_NOT_OK(RequireKind(entry, EntryKind::kCohort));
   LONGDP_RETURN_NOT_OK(util::ValidateWindow(k));
-  if (k > 16) {
+  if (k > util::simd::kMaxPlanes) {
     return Status::InvalidArgument(
         "CohortWindowHistogram supports k <= 16 (PlaneHistogram plane cap)");
   }

@@ -6,15 +6,15 @@
 #include <cstdint>
 #include <string>
 
+#include "util/simd/simd.h"
 #include "util/status.h"
 
 namespace longdp {
 namespace core {
 
-/// Most bit planes the util::simd plane kernels (PlaneHistogram, PlaneAdd)
-/// take. The fixed-window synthesizer keeps one plane per window round, so
-/// it caps window_k here.
-inline constexpr int kMaxPlanes = 16;
+/// The util::simd plane kernels' cap. The fixed-window synthesizer keeps
+/// one plane per window round, so it caps window_k here.
+using util::simd::kMaxPlanes;
 
 /// Horizons are capped below 2^kMaxPlanes rounds. The cumulative
 /// synthesizer keeps each record's true prefix weight (at most T) as

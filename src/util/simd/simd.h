@@ -60,6 +60,10 @@ const char* IsaLevelName(IsaLevel level);
 /// LONGDP_FORCE_SCALAR is set to anything other than "" or "0".
 bool ScalarForced();
 
+/// Most bit planes PlaneHistogram and PlaneAdd take: a code spans at most
+/// 16 planes, so a histogram has at most 2^16 bins.
+inline constexpr int kMaxPlanes = 16;
+
 /// out[i] = SplitMix64Finalize(key + (cursor + 1 + i) * gamma) for
 /// i in [0, count) — the next `count` words of the substream at (key,
 /// cursor), without mutating any engine state. Matches
@@ -74,14 +78,15 @@ void FillStreamWords(uint64_t key, uint64_t cursor, uint64_t* out,
 /// is null every lane counts, including any tail lanes past the logical
 /// population size — those have all-zero planes by the packing invariant
 /// (RoundView guarantees zero trailing bits), so the caller subtracts the
-/// tail from hist[0]. hist must have 2^num_planes entries; num_planes <= 16.
+/// tail from hist[0]. hist must have 2^num_planes entries; num_planes <= kMaxPlanes.
 void PlaneHistogram(const uint64_t* const* planes, int num_planes,
                     const uint64_t* mask, size_t num_words, int64_t* hist);
 
 /// In-place bit-sliced add of a packed 1-bit addend to the b-plane codes:
 /// for every lane with a 1 bit in `addend`, the lane's code across
 /// planes[0..num_planes) is incremented. Ripple carry out of the top plane
-/// is dropped; callers must size num_planes so the maximum code fits.
+/// is dropped; callers must size num_planes so the maximum code fits, and
+/// num_planes <= kMaxPlanes.
 void PlaneAdd(uint64_t* const* planes, int num_planes,
               const uint64_t* addend, size_t num_words);
 

@@ -39,9 +39,6 @@ TEST(CumulativeTest, CreateValidates) {
   EXPECT_FALSE(CumulativeSynthesizer::Create(Opt(0, 0.5)).ok());
   EXPECT_FALSE(CumulativeSynthesizer::Create(Opt(5, 0.0)).ok());
   EXPECT_TRUE(CumulativeSynthesizer::Create(Opt(5, 0.5)).ok());
-}
-
-TEST(CumulativeTest, CreateRejectsHorizonPastPlaneCap) {
   // Weights up to T take bit_width(T) planes, at most kMaxPlanes = 16.
   EXPECT_EQ(kMaxHorizon, (int64_t{1} << 16) - 1);
   EXPECT_TRUE(CumulativeSynthesizer::Create(Opt(kMaxHorizon, 0.5)).ok());

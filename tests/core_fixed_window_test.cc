@@ -42,6 +42,13 @@ TEST(FixedWindowTest, CreateValidates) {
   EXPECT_FALSE(FixedWindowSynthesizer::Create(Opt(12, 0, 0.5)).ok());
   EXPECT_FALSE(FixedWindowSynthesizer::Create(Opt(12, 3, 0.0)).ok());
   EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(12, 3, 0.5)).ok());
+  EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(40, kMaxPlanes + 1, 0.5))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(kMaxHorizon, 3, 0.5)).ok());
+  EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(kMaxHorizon + 1, 3, 0.5))
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(FixedWindowTest, AutoNpadUsesTheoryFormula) {
@@ -96,16 +103,6 @@ TEST(FixedWindowTest, ZeroNoiseReproducesTrueHistogramsAtPlaneCap) {
           << "t=" << t;
     }
   }
-}
-
-TEST(FixedWindowTest, CreateRejectsPastTheCaps) {
-  EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(40, kMaxPlanes + 1, 0.5))
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(kMaxHorizon, 3, 0.5)).ok());
-  EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(kMaxHorizon + 1, 3, 0.5))
-                  .status()
-                  .IsInvalidArgument());
 }
 
 TEST(FixedWindowTest, ZeroNoiseDebiasedAnswersAreExact) {
