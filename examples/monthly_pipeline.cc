@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   std::printf("simulating 12 independent monthly batch jobs "
               "(checkpoint -> ingest -> release -> checkpoint)\n\n");
   // Seeds only matter for the month-1 job; every later job re-derives its
-  // noise substreams from the checkpointed seed + cursors.
+  // noise substreams from the checkpointed seed and the stored rounds.
   for (int64_t month = 1; month <= 12; ++month) {
     Status st = RunWindowJob(window_ckpt, month, dataset.Round(month),
                              rho / 2, /*seed=*/888);

@@ -25,6 +25,12 @@ void AppendI64(std::string* out, int64_t v) {
   AppendU64(out, static_cast<uint64_t>(v));
 }
 
+// The smallest encodings of a label (its u32 length) and of an index
+// entry (two u32s, nine 8-byte fields, the u32 CRC): a count is bounded by
+// the bytes left for its records before anything is reserved for it.
+constexpr size_t kMinLabelBytes = 4;
+constexpr size_t kEntryBytes = 2 * 4 + 9 * 8 + 4;
+
 // Bounds-checked sequential decoder over the footer bytes. Every read that
 // would run past the end fails instead of reading garbage — a truncated
 // footer with a forged CRC must not crash the reader.
@@ -46,6 +52,7 @@ class Cursor {
   }
 
   bool AtEnd() const { return pos_ == data_.size(); }
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   Status ReadRaw(void* v, size_t len) {
@@ -63,12 +70,18 @@ class Cursor {
 
 }  // namespace
 
-uint64_t ExpectedPayloadBytes(const ArchiveEntry& entry) {
-  if (entry.kind == EntryKind::kCohort) {
-    return uint64_t{8} * static_cast<uint64_t>(entry.rounds) *
-           CohortWordsPerRound(entry.count);
+Result<uint64_t> ExpectedPayloadBytes(const ArchiveEntry& entry) {
+  // count and rounds are non-negative; a shape whose byte length passes
+  // 2^64 is a forged footer, never a real column.
+  uint64_t values = static_cast<uint64_t>(entry.count);
+  uint64_t bytes = 0;
+  if ((entry.kind == EntryKind::kCohort &&
+       __builtin_mul_overflow(static_cast<uint64_t>(entry.rounds),
+                              CohortWordsPerRound(entry.count), &values)) ||
+      __builtin_mul_overflow(values, uint64_t{8}, &bytes)) {
+    return Status::DataLoss("archive entry shape overflows its byte length");
   }
-  return uint64_t{8} * static_cast<uint64_t>(entry.count);
+  return bytes;
 }
 
 std::string EncodeHeader() {
@@ -122,6 +135,9 @@ Status DecodeFooter(std::string_view footer, std::vector<std::string>* labels,
 
   uint32_t num_labels = 0;
   LONGDP_RETURN_NOT_OK(cur.ReadU32(&num_labels));
+  if (num_labels > cur.remaining() / kMinLabelBytes) {
+    return Status::DataLoss("archive label count exceeds the footer");
+  }
   labels->reserve(num_labels);
   for (uint32_t i = 0; i < num_labels; ++i) {
     uint32_t len = 0;
@@ -133,6 +149,9 @@ Status DecodeFooter(std::string_view footer, std::vector<std::string>* labels,
 
   uint32_t num_entries = 0;
   LONGDP_RETURN_NOT_OK(cur.ReadU32(&num_entries));
+  if (num_entries > cur.remaining() / kEntryBytes) {
+    return Status::DataLoss("archive entry count exceeds the footer");
+  }
   entries->reserve(num_entries);
   for (uint32_t i = 0; i < num_entries; ++i) {
     ArchiveEntry e;
@@ -171,7 +190,9 @@ Status DecodeFooter(std::string_view footer, std::vector<std::string>* labels,
         (e.kind != EntryKind::kCohort && e.rounds != 0)) {
       return Status::DataLoss("negative or misplaced size field" + at);
     }
-    if (e.bytes != ExpectedPayloadBytes(e)) {
+    LONGDP_ASSIGN_OR_RETURN(const uint64_t expected,
+                            ExpectedPayloadBytes(e));
+    if (e.bytes != expected) {
       return Status::DataLoss("payload length disagrees with entry shape" +
                               at);
     }

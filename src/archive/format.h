@@ -83,12 +83,13 @@ struct ArchiveEntry {
 
 /// Packed words per cohort round for `num_records` records.
 inline size_t CohortWordsPerRound(int64_t num_records) {
-  return static_cast<size_t>((num_records + 63) >> 6);
+  return static_cast<size_t>((static_cast<uint64_t>(num_records) + 63) >> 6);
 }
 
 /// The byte length AppendBlock must have written for this entry's
 /// (kind, count, rounds); readers reject entries whose `bytes` disagree.
-uint64_t ExpectedPayloadBytes(const ArchiveEntry& entry);
+/// DataLoss if that length does not fit in 64 bits.
+Result<uint64_t> ExpectedPayloadBytes(const ArchiveEntry& entry);
 
 std::string EncodeHeader();
 std::string EncodeTail(uint64_t footer_offset, uint32_t footer_crc);

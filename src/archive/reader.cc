@@ -73,7 +73,7 @@ Result<ArchiveReader> ArchiveReader::Open(const std::string& path) {
   }
   const uint64_t footer_offset = LoadU64(tail);
   if (footer_offset < kHeaderBytes ||
-      footer_offset + kMinFooterBytes + kTailBytes > size) {
+      footer_offset > size - kTailBytes - kMinFooterBytes) {
     return Status::DataLoss("archive footer offset out of bounds: " + path);
   }
   const size_t footer_len = size - kTailBytes - footer_offset;
@@ -90,8 +90,9 @@ Result<ArchiveReader> ArchiveReader::Open(const std::string& path) {
   // reads with no checks on the hot path.)
   for (size_t i = 0; i < reader.entries_.size(); ++i) {
     const ArchiveEntry& e = reader.entries_[i];
+    // Compared without adding: a forged offset + bytes may wrap.
     if (e.offset % kBlockAlign != 0 || e.offset < kHeaderBytes ||
-        e.offset + e.bytes > footer_offset) {
+        e.offset > footer_offset || e.bytes > footer_offset - e.offset) {
       return Status::DataLoss("archive entry " + std::to_string(i) +
                               " payload out of bounds: " + path);
     }

@@ -143,7 +143,7 @@ Status ArchiveWriter::AppendWindowRelease(const std::string& label,
   entry.npad = release.npad;
   entry.true_n = release.true_n;
   entry.count = static_cast<int64_t>(release.histogram.size());
-  entry.bytes = ExpectedPayloadBytes(entry);
+  LONGDP_ASSIGN_OR_RETURN(entry.bytes, ExpectedPayloadBytes(entry));
   return AppendBlock(entry, release.histogram.data());
 }
 
@@ -154,7 +154,7 @@ Status ArchiveWriter::AppendCumulativeRelease(
   entry.label_id = InternLabel(label);
   entry.t = release.t;
   entry.count = static_cast<int64_t>(release.thresholds.size());
-  entry.bytes = ExpectedPayloadBytes(entry);
+  LONGDP_ASSIGN_OR_RETURN(entry.bytes, ExpectedPayloadBytes(entry));
   return AppendBlock(entry, release.thresholds.data());
 }
 
@@ -169,7 +169,7 @@ Status ArchiveWriter::AppendCategoricalRelease(
   entry.npad = release.npad;
   entry.true_n = release.true_n;
   entry.count = static_cast<int64_t>(release.histogram.size());
-  entry.bytes = ExpectedPayloadBytes(entry);
+  LONGDP_ASSIGN_OR_RETURN(entry.bytes, ExpectedPayloadBytes(entry));
   return AppendBlock(entry, release.histogram.data());
 }
 
@@ -195,7 +195,7 @@ Status ArchiveWriter::AppendCohort(const std::string& label,
   entry.label_id = InternLabel(label);
   entry.count = panel.num_users();
   entry.rounds = panel.rounds();
-  entry.bytes = ExpectedPayloadBytes(entry);
+  LONGDP_ASSIGN_OR_RETURN(entry.bytes, ExpectedPayloadBytes(entry));
   // Streamed rather than routed through AppendBlock: the panel's rounds are
   // written one packed stretch at a time with a running CRC, so archiving a
   // million-user panel needs no contiguous staging copy.

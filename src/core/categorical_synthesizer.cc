@@ -88,9 +88,7 @@ CategoricalWindowSynthesizer::Create(const Options& options) {
     return Status::InvalidArgument("horizon T must be >= window k");
   }
   LONGDP_RETURN_NOT_OK(CheckHorizonCap(options.horizon));
-  if (!(options.rho > 0.0)) {
-    return Status::InvalidArgument("rho must be > 0");
-  }
+  LONGDP_RETURN_NOT_OK(CheckBudget(options.rho));
   double steps = static_cast<double>(options.horizon - options.window_k + 1);
   double sigma2 = std::isinf(options.rho) ? 0.0 : steps / (2.0 * options.rho);
   int64_t npad = options.npad;
@@ -139,16 +137,14 @@ Status CategoricalWindowSynthesizer::ObserveRound(
   // the thread-count-invariance argument — the per-shard histogram gate
   // matters here because A^k bins can dwarf a small population).
   const uint64_t a = static_cast<uint64_t>(options_.alphabet);
-  const bool releasing = (t_ + 1 >= options_.window_k);
-  ShardedSlideAndCount(
-      options_.pool, n_, releasing, num_bins_, &window_hist_, &shard_hist_,
-      [&](int64_t i) {
-        const size_t ii = static_cast<size_t>(i);
-        const uint64_t w = (user_window_[ii] * a + symbols[ii]) % num_bins_;
-        user_window_[ii] = w;
-        return w;
-      },
-      [&](int64_t i) { return user_window_[static_cast<size_t>(i)]; });
+  ShardedSlideAndCount(options_.pool, n_, num_bins_, &window_hist_,
+                       &shard_hist_, [&](int64_t i) {
+                         const size_t ii = static_cast<size_t>(i);
+                         const uint64_t w =
+                             (user_window_[ii] * a + symbols[ii]) % num_bins_;
+                         user_window_[ii] = w;
+                         return w;
+                       });
   ++t_;
   if (t_ < options_.window_k) return Status::OK();
   if (t_ == options_.window_k) return InitialRelease();
@@ -177,12 +173,7 @@ Status CategoricalWindowSynthesizer::InitialRelease() {
       rho_per_step_, "categorical histogram t=" + std::to_string(t_)));
   std::vector<int64_t>& noisy = NoisyPaddedHistogram();
   ++stats_.releases;
-  for (auto& c : noisy) {
-    if (c < 0) {
-      c = 0;
-      ++stats_.negative_clamps;
-    }
-  }
+  LONGDP_RETURN_NOT_OK(ClampCensus(&noisy, &stats_.negative_clamps));
   release_targets_.assign(noisy.begin(), noisy.end());
   return SeedCohort(options_.horizon);
 }

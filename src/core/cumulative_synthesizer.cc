@@ -20,9 +20,7 @@ Result<std::unique_ptr<CumulativeSynthesizer>> CumulativeSynthesizer::Create(
     return Status::InvalidArgument("horizon T must be >= 1");
   }
   LONGDP_RETURN_NOT_OK(CheckHorizonCap(options.horizon));
-  if (!(options.rho > 0.0)) {
-    return Status::InvalidArgument("rho must be > 0");
-  }
+  LONGDP_RETURN_NOT_OK(CheckBudget(options.rho));
   return std::unique_ptr<CumulativeSynthesizer>(
       new CumulativeSynthesizer(options));
 }
@@ -42,7 +40,6 @@ Status CumulativeSynthesizer::InitializeForPopulation(int64_t n,
                         static_cast<size_t>(reserve_rounds));
   weight_groups_.assign(static_cast<size_t>(options_.horizon) + 1, {});
   group_head_.assign(static_cast<size_t>(options_.horizon) + 1, 0);
-  z_.assign(static_cast<size_t>(options_.horizon), 0);
   auto& zero_group = weight_groups_[0];
   zero_group.reserve(static_cast<size_t>(n));
   for (int64_t r = 0; r < n; ++r) zero_group.push_back(r);
@@ -58,9 +55,9 @@ Status CumulativeSynthesizer::InitializeForPopulation(int64_t n,
   LONGDP_ASSIGN_OR_RETURN(
       bank_, stream::CounterBank::Create(bank_options, &accountant_));
 
-  prev_released_.assign(static_cast<size_t>(options_.horizon) + 1, 0);
-  prev_released_[0] = n;
-  released_ = prev_released_;
+  // Shat^0 = (n, 0, ..., 0), the bank's own starting row.
+  released_.assign(static_cast<size_t>(options_.horizon) + 1, 0);
+  released_[0] = n;
   return Status::OK();
 }
 
@@ -87,7 +84,6 @@ Status CumulativeSynthesizer::ObserveRound(data::RoundView round) {
   }
 
   // Stage 1 input: z^t_b = #{ i : weight_i(t-1) = b-1 and x^t_i = 1 }.
-  // z_ is persistent scratch — overwritten, never reallocated.
   //
   // The weight histogram of the round's set lanes is one masked
   // PlaneHistogram over the weight planes (mask = the round's packed
@@ -136,20 +132,17 @@ Status CumulativeSynthesizer::ObserveRound(data::RoundView round) {
     util::simd::PlaneAdd(mut_planes, p, round.words(), num_words);
   }
   // Masked lanes carry weights < t <= horizon, so the histogram's tail
-  // past z_'s horizon entries is always zero.
-  std::copy(plane_hist_.begin(),
-            plane_hist_.begin() + static_cast<int64_t>(z_.size()),
-            z_.begin());
-  ++t_;
-  LONGDP_RETURN_NOT_OK(bank_->ObserveRound(z_));
-  released_ = bank_->monotone_row();
-
-  released_rows_.insert(released_rows_.end(), released_.begin(),
-                        released_.end());
-  return PromoteRound(released_);
+  // past the horizon's T entries is always zero.
+  const auto horizon = static_cast<size_t>(options_.horizon);
+  z_rows_.insert(z_rows_.end(), plane_hist_.begin(),
+                 plane_hist_.begin() + static_cast<int64_t>(horizon));
+  return ReleaseRound(std::span<const int64_t>(z_rows_).last(horizon));
 }
 
-Status CumulativeSynthesizer::PromoteRound(std::span<const int64_t> row) {
+Status CumulativeSynthesizer::ReleaseRound(std::span<const int64_t> z) {
+  ++t_;
+  LONGDP_RETURN_NOT_OK(bank_->ObserveRound(z));
+  const std::vector<int64_t>& row = bank_->monotone_row();
   // Extend every record with a provisional 0 (one zero-filled column
   // append into the flat matrix), then flip the promoted records.
   // Descending b keeps selections against the time-(t-1) weight groups
@@ -161,27 +154,15 @@ Status CumulativeSynthesizer::PromoteRound(std::span<const int64_t> row) {
   util::SubstreamRng selection =
       selection_root_.Derive(static_cast<uint64_t>(t_));
   util::BatchSampler sampler(&selection);
-  if (row[0] != n_) {
-    return Status::InvalidArgument("released row does not start at n");
-  }
-  // Every b is visited, so entries past t_ (whose weight groups are still
-  // empty) must be zero as well.
   for (int64_t b = options_.horizon; b >= 1; --b) {
     size_t ib = static_cast<size_t>(b);
     auto& source = weight_groups_[ib - 1];
     size_t& head = group_head_[ib - 1];
     int64_t group = static_cast<int64_t>(source.size() - head);
-    // Monotonization guarantees 0 <= zhat <= group for the bank's rows;
-    // a stored row that breaks it is corrupt (compared before subtracting:
-    // a stored count may be any int64).
-    if (row[ib] < prev_released_[ib] ||
-        row[ib] - prev_released_[ib] > group) {
-      return Status::InvalidArgument(
-          "promotion target Shat^t_b = " + std::to_string(row[ib]) +
-          " outside [Shat^{t-1}_b, Shat^{t-1}_b + group] at b=" +
-          std::to_string(b));
-    }
-    int64_t zhat = row[ib] - prev_released_[ib];
+    // Monotonization guarantees 0 <= zhat <= group: the group of weight
+    // b-1 holds Shat^{t-1}_{b-1} - Shat^{t-1}_b records, and
+    // Shat^{t-1}_b <= Shat^t_b <= Shat^{t-1}_{b-1}.
+    int64_t zhat = row[ib] - released_[ib];
     if (zhat == 0) continue;
     // Uniformly choose zhat records to promote: batched partial
     // Fisher-Yates over the live suffix [head, end). The sampler handles
@@ -205,7 +186,7 @@ Status CumulativeSynthesizer::PromoteRound(std::span<const int64_t> row) {
       head = 0;
     }
   }
-  prev_released_.assign(row.begin(), row.end());
+  released_ = row;
   return Status::OK();
 }
 
@@ -261,20 +242,21 @@ Result<data::LongitudinalDataset> CumulativeSynthesizer::ToDataset() const {
 
 
 namespace {
-// v6, the derived-state binary stream/state_io.h encoding (v5 and the text
-// versions v1-v4 are refused by name). After the magic line:
+// v7, the binary stream/state_io.h encoding (v5, v6 and the text versions
+// v1-v4 are refused by name). After the magic line:
 //
 //   options    horizon, rho, budget-split name, counter name, seed
 //   state      t, n
 //   (n >= 0):
 //   weights    bit_width(T) planes of n lanes: the true prefix weights
-//   released   Shat^tau_b for b = 0..T, for tau = 1..t
-//   bank       CounterBank::SaveState
+//   increments z^tau_b for b = 1..T, for tau = 1..t: the bank's input
 //   end tag    "cuml-end"
 //
-// No synthetic records: they are stage 2 applied to the released rows
-// with selection streams keyed by round number, which LoadCheckpoint
-// re-runs.
+// Nothing else is stored: the counters' state is a function of the
+// increments they observed, the released rows a function of the counters'
+// outputs, and the synthetic records stage 2 applied to those rows with
+// selection streams keyed by round number. LoadCheckpoint re-runs all
+// three.
 constexpr char kFamily[] = "cumulative";
 constexpr uint64_t kEnd = stream::state_io::Tag("cuml-end");
 }  // namespace
@@ -303,8 +285,7 @@ Status CumulativeSynthesizer::SaveCheckpoint(std::ostream& out) const {
   sio::WriteInt(out, n_);
   if (n_ >= 0) {
     for (const auto& plane : weight_planes_) sio::WritePlane(out, plane);
-    sio::WriteArray(out, released_rows_.data(), released_rows_.size());
-    LONGDP_RETURN_NOT_OK(bank_->SaveState(out));
+    sio::WriteArray(out, z_rows_.data(), z_rows_.size());
   }
   sio::WriteTag(out, kEnd);
   return out.good() ? Status::OK()
@@ -325,7 +306,8 @@ CumulativeSynthesizer::LoadCheckpoint(std::istream& in) {
   LONGDP_ASSIGN_OR_RETURN(options.counter_factory,
                           stream::MakeCounterFactory(counter_name));
   LONGDP_ASSIGN_OR_RETURN(options.seed, sio::Read<uint64_t>(in));
-  // Create rejects NaN or non-positive rho.
+  // Create caps the horizon and rejects a rho below kMinRho (or NaN), so
+  // the replay below draws noise at a bounded scale.
   LONGDP_ASSIGN_OR_RETURN(auto synth, Create(options));
   const int64_t horizon = options.horizon;
   LONGDP_ASSIGN_OR_RETURN(const int64_t t,
@@ -336,68 +318,67 @@ CumulativeSynthesizer::LoadCheckpoint(std::istream& in) {
     return Status::InvalidArgument(
         "cumulative checkpoint population inconsistent with its round");
   }
-  if (n >= 0) {
-    // The weight planes and the released rows come first: they back the
-    // population and the horizon with bytes before anything is sized by
-    // them (n >= 0 means t >= 1, so there is at least one row).
-    const int planes = synth->NumWeightPlanes();
-    std::vector<std::vector<uint64_t>> weight_planes(
-        static_cast<size_t>(planes));
-    for (auto& plane : weight_planes) {
-      LONGDP_RETURN_NOT_OK(sio::ReadPlane(in, n, &plane));
-    }
-    const uint64_t width = static_cast<uint64_t>(horizon) + 1;
-    if (static_cast<uint64_t>(t) > UINT64_MAX / width) {
-      return Status::InvalidArgument("cumulative released rows overflow");
-    }
-    std::vector<int64_t>& rows = synth->released_rows_;
-    LONGDP_RETURN_NOT_OK(
-        sio::ReadVector(in, static_cast<uint64_t>(t) * width, &rows));
-    // InitializeForPopulation creates the bank and charges the full budget,
-    // exactly as the original run did at its first round. A restore sizes
-    // the history for the t rounds it rebuilds, not for the horizon: both
-    // come from the payload, and only t is backed by its rows.
-    LONGDP_RETURN_NOT_OK(synth->InitializeForPopulation(n, t));
-    // No true prefix weight can exceed the rounds observed.
-    synth->weight_planes_ = std::move(weight_planes);
-    std::vector<int64_t>& hist = synth->plane_hist_;
-    std::fill(hist.begin(), hist.end(), 0);
-    const uint64_t* plane_ptrs[kMaxPlanes];
-    for (int j = 0; j < planes; ++j) {
-      plane_ptrs[j] = synth->weight_planes_[static_cast<size_t>(j)].data();
-    }
-    util::simd::PlaneHistogram(plane_ptrs, planes, nullptr,
-                               static_cast<size_t>((n + 63) >> 6),
-                               hist.data());
-    for (size_t w = static_cast<size_t>(t) + 1; w < hist.size(); ++w) {
-      if (hist[w] != 0) {
-        return Status::InvalidArgument("corrupt checkpoint weights");
+  if (n < 0) {
+    LONGDP_RETURN_NOT_OK(sio::ExpectTag(in, kEnd, "cumulative checkpoint"));
+    return synth;
+  }
+  // The weight planes and the increments come first: they back the
+  // population and the round with bytes before anything is sized by them.
+  const int planes = synth->NumWeightPlanes();
+  std::vector<std::vector<uint64_t>> weight_planes(
+      static_cast<size_t>(planes));
+  for (auto& plane : weight_planes) {
+    LONGDP_RETURN_NOT_OK(sio::ReadPlane(in, n, &plane));
+  }
+  const auto width = static_cast<size_t>(horizon);
+  std::vector<int64_t>& z_rows = synth->z_rows_;
+  LONGDP_RETURN_NOT_OK(
+      sio::ReadVector(in, static_cast<uint64_t>(t) * width, &z_rows));
+  LONGDP_RETURN_NOT_OK(sio::ExpectTag(in, kEnd, "cumulative checkpoint"));
+  // The increments are validated before any counter sees them. z^tau_b
+  // counts users, so it lies in [0, n], and it is 0 for b > tau (no weight
+  // exceeds the rounds elapsed). Column b sums to the users whose weight
+  // reached b, which the true weight planes fix. Every sum stays below
+  // T * n < 2^48.
+  std::vector<int64_t> reached(width + 1, 0);
+  for (size_t tau = 1; tau <= static_cast<size_t>(t); ++tau) {
+    for (size_t b = 1; b <= width; ++b) {
+      const int64_t z = z_rows[(tau - 1) * width + b - 1];
+      if (z < 0 || z > (b <= tau ? n : 0)) {
+        return Status::InvalidArgument(
+            "checkpoint increment z^t_b out of range at t=" +
+            std::to_string(tau) + ", b=" + std::to_string(b));
       }
-    }
-    LONGDP_RETURN_NOT_OK(synth->bank_->RestoreState(in));
-    if (synth->bank_->steps() != t) {
-      return Status::InvalidArgument(
-          "checkpoint counter bank inconsistent with its round");
-    }
-    // Rebuild: each stored row drives its round's promotions, exactly as
-    // the bank's row did in the live run.
-    for (int64_t tt = 1; tt <= t; ++tt) {
-      synth->t_ = tt;
-      LONGDP_RETURN_NOT_OK(synth->PromoteRound(std::span<const int64_t>(
-          rows.data() + static_cast<size_t>(tt - 1) * width, width)));
-    }
-    // The rebuilt records must reproduce the row at t, which must be the
-    // bank's monotonized row.
-    synth->released_ = synth->prev_released_;
-    if (synth->SyntheticThresholdCounts() != synth->released_ ||
-        synth->bank_->monotone_row() != synth->released_) {
-      return Status::InvalidArgument(
-          "checkpoint released thresholds inconsistent with the counter "
-          "bank");
+      reached[b] += z;
     }
   }
-  synth->t_ = t;
-  LONGDP_RETURN_NOT_OK(sio::ExpectTag(in, kEnd, "cumulative checkpoint"));
+  // InitializeForPopulation creates the bank and charges the full budget,
+  // exactly as the original run did at its first round. A restore sizes
+  // the history for the t rounds it rebuilds, not for the horizon: both
+  // come from the payload, and only t is backed by its rows.
+  LONGDP_RETURN_NOT_OK(synth->InitializeForPopulation(n, t));
+  synth->weight_planes_ = std::move(weight_planes);
+  std::vector<int64_t>& hist = synth->plane_hist_;
+  const uint64_t* plane_ptrs[kMaxPlanes];
+  for (int j = 0; j < planes; ++j) {
+    plane_ptrs[j] = synth->weight_planes_[static_cast<size_t>(j)].data();
+  }
+  util::simd::PlaneHistogram(plane_ptrs, planes, nullptr,
+                             static_cast<size_t>((n + 63) >> 6), hist.data());
+  // Lanes of weight >= w, from the top plane value down; none may exceed T.
+  int64_t at_least = 0;
+  for (size_t w = hist.size() - 1; w >= 1; --w) {
+    at_least += hist[w];
+    if (at_least != (w <= width ? reached[w] : 0)) {
+      return Status::InvalidArgument(
+          "checkpoint increments inconsistent with its weights");
+    }
+  }
+  // Replay: the same bank advance and promotions the live rounds ran.
+  for (size_t tau = 0; tau < static_cast<size_t>(t); ++tau) {
+    LONGDP_RETURN_NOT_OK(synth->ReleaseRound(
+        std::span<const int64_t>(z_rows).subspan(tau * width, width)));
+  }
   return synth;
 }
 

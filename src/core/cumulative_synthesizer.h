@@ -108,23 +108,24 @@ class CumulativeSynthesizer {
   const dp::ZCdpAccountant& accountant() const { return accountant_; }
 
   /// The SaveCheckpoint format version (binary since v5; derived-state
-  /// since v6).
-  static constexpr int kCheckpointVersion = 6;
+  /// since v6; counter-bank input instead of counter state since v7).
+  static constexpr int kCheckpointVersion = 7;
 
   /// Serializes the synthesizer state that cannot be derived — options,
-  /// original-data weight state, every stream counter's internal
-  /// (noise-bearing) state, and the released row Shat^tau of every round —
-  /// as a binary checkpoint (stream/state_io.h), so a release spanning
-  /// months of wall clock can resume in a later process. The synthetic
-  /// records are post-processing of the released rows and are not stored:
+  /// the original data's true weight planes, and the counter bank's input
+  /// z^tau of every round — as a binary checkpoint (stream/state_io.h), so
+  /// a release spanning months of wall clock can resume in a later
+  /// process. The counters, the released rows and the synthetic records
+  /// are all functions of those increments and are not stored:
   /// LoadCheckpoint rebuilds them. Checkpoints are curator state, not
   /// releases: protect them like the input data.
   Status SaveCheckpoint(std::ostream& out) const;
 
-  /// Restores a synthesizer from SaveCheckpoint output, rebuilding the
-  /// synthetic records by re-running stage 2's promotions over the stored
-  /// rows with the same keyed streams, so they equal the saved run's
-  /// record for record. The worker pool is runtime configuration, not
+  /// Restores a synthesizer from SaveCheckpoint output by replaying every
+  /// stored round's increments through ReleaseRound, the live round's own
+  /// bank advance and promotions, with the same keyed streams: counters,
+  /// released rows and synthetic records equal the saved run's. The
+  /// increments are validated against the weight planes first. The worker pool is runtime configuration, not
   /// curator state, so it is NOT persisted: a restored synthesizer runs
   /// serially until set_pool() re-attaches one.
   static Result<std::unique_ptr<CumulativeSynthesizer>> LoadCheckpoint(
@@ -151,12 +152,12 @@ class CumulativeSynthesizer {
   /// The synthetic history is pre-sized for `reserve_rounds` rounds.
   Status InitializeForPopulation(int64_t n, int64_t reserve_rounds);
 
-  /// Stage 2's apply step for round t_: for b descending, promotes
-  /// Shat^t_b - Shat^{t-1}_b uniformly chosen records of weight b-1 (from
-  /// the keyed stream selection_root_.Derive(t_)), then makes `row` the
-  /// previous row. The live round and LoadCheckpoint's rebuild both run
-  /// it; a row that is not a feasible promotion is InvalidArgument.
-  Status PromoteRound(std::span<const int64_t> row);
+  /// Releases round t_ + 1 from its increments z^t_b (b = 1..T): the
+  /// counter bank's advance to Shat^t, then stage 2, which for b descending
+  /// promotes Shat^t_b - Shat^{t-1}_b uniformly chosen records of weight
+  /// b-1 (from the keyed stream selection_root_.Derive(t)). The live round
+  /// and LoadCheckpoint's replay both run it.
+  Status ReleaseRound(std::span<const int64_t> z);
 
   Options options_;
   dp::ZCdpAccountant accountant_;
@@ -189,14 +190,13 @@ class CumulativeSynthesizer {
   /// of group b are weight_groups_[b][group_head_[b]..].
   std::vector<std::vector<int64_t>> weight_groups_;
   std::vector<size_t> group_head_;
-  std::vector<int64_t> z_;              ///< per-round increment scratch
-  std::vector<int64_t> released_;       ///< Shat^t (b = 0..T)
-  std::vector<int64_t> prev_released_;  ///< Shat^{t-1}
-  /// Shat^1, ..., Shat^t back to back (T+1 counts each): the stage-2
-  /// targets checkpoints persist instead of the synthetic records.
-  std::vector<int64_t> released_rows_;
-  /// Per-shard stage-1 increment histograms (reduced into z_ in shard
-  /// order) and the byte-overload packing buffer; both persistent scratch.
+  std::vector<int64_t> released_;  ///< Shat^t (b = 0..T)
+  /// z^1, ..., z^t back to back (T counts each, b = 1..T): the bank's
+  /// input, which checkpoints persist instead of any state derived from it.
+  std::vector<int64_t> z_rows_;
+  /// Per-shard stage-1 weight histograms (reduced into plane_hist_ in
+  /// shard order) and the byte-overload packing buffer; both persistent
+  /// scratch.
   std::vector<std::vector<int64_t>> shard_z_;
   data::PackedRound packed_scratch_;
 };

@@ -41,9 +41,7 @@ Result<std::unique_ptr<FixedWindowSynthesizer>> FixedWindowSynthesizer::Create(
     return Status::InvalidArgument("horizon T must be >= window k");
   }
   LONGDP_RETURN_NOT_OK(CheckHorizonCap(options.horizon));
-  if (!(options.rho > 0.0)) {
-    return Status::InvalidArgument("rho must be > 0");
-  }
+  LONGDP_RETURN_NOT_OK(CheckBudget(options.rho));
   LONGDP_ASSIGN_OR_RETURN(
       double sigma2, theory::FixedWindowSigma2(options.horizon,
                                                options.window_k, options.rho));
@@ -168,12 +166,7 @@ Status FixedWindowSynthesizer::InitialRelease() {
   ++stats_.releases;
   // Negative initial counts cannot seed records; clamp to zero and record
   // the failure event (Theorem 3.2 makes this improbable given n_pad).
-  for (auto& c : noisy) {
-    if (c < 0) {
-      c = 0;
-      ++stats_.negative_clamps;
-    }
-  }
+  LONGDP_RETURN_NOT_OK(ClampCensus(&noisy, &stats_.negative_clamps));
   LONGDP_RETURN_NOT_OK(ApplyTargets(t_, noisy));
   cohort_->ReserveRounds(options_.horizon);
   return Status::OK();

@@ -5,19 +5,18 @@
 // The branch structure (and its determinism argument) lives here once so
 // the binary and categorical synthesizers cannot diverge:
 //
-//  * no histogram wanted (warm-up round)  -> sharded slide only;
 //  * pool present and n >= bins * shards  -> fused slide + per-shard
 //    histograms, reduced into `hist` in shard order (ordered integer sums
 //    over a fixed contiguous partition — identical at every thread count);
-//  * serial                               -> fused single pass;
-//  * pool present but population too small for per-shard zero-fills
-//    (gate depends only on (n, bins, shards), never on timing)
-//                                         -> sharded slide, serial count.
+//  * otherwise (no pool, or a population too small for per-shard
+//    zero-fills; the gate depends only on (n, bins, shards), never on
+//    timing)                              -> one serial fused pass.
 //
-// `update(i)` must advance record i's window state and return its new bin;
-// `bin_of(i)` must return record i's current (already-updated) bin. Both
-// must be RNG-free and touch only record i's state — that disjointness is
-// what makes the shards race-free and the output thread-count invariant.
+// Warm-up rounds, which release nothing, take the same path and ignore
+// the histogram. `update(i)` must advance record i's window state and
+// return its new bin. It must be RNG-free and touch only record i's
+// state — that disjointness is what makes the shards race-free and the
+// output thread-count invariant.
 
 #ifndef LONGDP_CORE_OBSERVE_SHARD_H_
 #define LONGDP_CORE_OBSERVE_SHARD_H_
@@ -31,19 +30,13 @@
 namespace longdp {
 namespace core {
 
-template <typename UpdateFn, typename BinOfFn>
-void ShardedSlideAndCount(util::ThreadPool* pool, int64_t n,
-                          bool want_histogram, size_t bins,
+template <typename UpdateFn>
+void ShardedSlideAndCount(util::ThreadPool* pool, int64_t n, size_t bins,
                           std::vector<int64_t>* hist,
                           std::vector<std::vector<int64_t>>* shard_hist,
-                          UpdateFn&& update, BinOfFn&& bin_of) {
+                          UpdateFn&& update) {
   const int shards = util::NumShards(pool);
-  if (!want_histogram) {
-    util::ShardedFor(pool, n, [&](int, int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) update(i);
-    });
-    return;
-  }
+  hist->assign(bins, 0);
   if (shards > 1 &&
       static_cast<uint64_t>(n) >=
           static_cast<uint64_t>(bins) * static_cast<uint64_t>(shards)) {
@@ -56,21 +49,12 @@ void ShardedSlideAndCount(util::ThreadPool* pool, int64_t n,
       std::fill(h.begin(), h.end(), 0);
       for (int64_t i = lo; i < hi; ++i) ++h[update(i)];
     });
-    hist->assign(bins, 0);
     for (const auto& h : *shard_hist) {
       for (size_t b = 0; b < bins; ++b) (*hist)[b] += h[b];
     }
     return;
   }
-  hist->assign(bins, 0);
-  if (shards == 1) {
-    for (int64_t i = 0; i < n; ++i) ++(*hist)[update(i)];
-    return;
-  }
-  util::ShardedFor(pool, n, [&](int, int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) update(i);
-  });
-  for (int64_t i = 0; i < n; ++i) ++(*hist)[bin_of(i)];
+  for (int64_t i = 0; i < n; ++i) ++(*hist)[update(i)];
 }
 
 }  // namespace core

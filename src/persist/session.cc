@@ -102,6 +102,17 @@ Result<RecoveryReport> RecoveryManager::Recover(
         " but the WAL only holds " + std::to_string(report.wal_rounds) +
         " rounds; release-log frames are missing");
   }
+  // The restored state must re-release the round the log published for
+  // it. A snapshot is rebuilt from its stored targets, so one edited and
+  // re-checksummed can load cleanly and then publish rounds that
+  // contradict the log.
+  if (report.snapshot_round > 0 &&
+      hooks.release_record() !=
+          wal.records[static_cast<size_t>(report.snapshot_round - 1)]) {
+    return Status::DataLoss(
+        "snapshot at round " + std::to_string(report.snapshot_round) +
+        " does not re-release that round's WAL frame");
+  }
   replay->assign(
       wal.records.begin() + static_cast<size_t>(report.snapshot_round),
       wal.records.end());

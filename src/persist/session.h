@@ -17,8 +17,9 @@
 //
 // Recovery (RecoveryManager): read the WAL tolerantly and truncate a torn
 // tail (the one legitimate damage a crash can cause); restore the
-// synthesizer from the snapshot if present (fresh otherwise); the rounds
-// between the snapshot and the WAL head become the REPLAY REGION. The
+// synthesizer from the snapshot if present (fresh otherwise) and check
+// that it re-releases the snapshot round's WAL frame byte for byte; the
+// rounds between the snapshot and the WAL head become the REPLAY REGION. The
 // caller re-feeds those rounds' input data (deterministic pipelines can
 // regenerate it); the session verifies each re-observed release record is
 // byte-identical to the WAL frame — any divergence is DataLoss, because

@@ -1,22 +1,12 @@
 #include "stream/counter_bank.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 
-#include "stream/state_io.h"
 #include "stream/tree_counter.h"
 #include "util/substream.h"
 
 namespace longdp {
 namespace stream {
-
-namespace {
-// The bank embeds mid-stream inside synthesizer checkpoints, so its own
-// trailer sentinel is what catches a truncation that happens to land on a
-// per-counter boundary (every counter restored, but fewer than horizon_).
-constexpr uint64_t kBankEnd = state_io::Tag("bank-end");
-}  // namespace
 
 Result<std::unique_ptr<CounterBank>> CounterBank::Create(
     const Options& options, dp::ZCdpAccountant* accountant) {
@@ -72,7 +62,7 @@ Result<std::unique_ptr<CounterBank>> CounterBank::Create(
   return bank;
 }
 
-Status CounterBank::ObserveRound(const std::vector<int64_t>& z) {
+Status CounterBank::ObserveRound(std::span<const int64_t> z) {
   if (t_ >= horizon_) {
     return Status::OutOfRange("CounterBank past its horizon T=" +
                               std::to_string(horizon_));
@@ -139,41 +129,6 @@ Status CounterBank::ObserveRound(const std::vector<int64_t>& z) {
   }
   prev_monotone_ = monotone_;
   return Status::OK();
-}
-
-Status CounterBank::SaveState(std::ostream& out) const {
-  // Three rows of horizon_ + 1 entries each, then every counter in b order.
-  state_io::WriteInt(out, t_);
-  state_io::WriteArray(out, raw_.data(), raw_.size());
-  state_io::WriteArray(out, monotone_.data(), monotone_.size());
-  state_io::WriteArray(out, prev_monotone_.data(), prev_monotone_.size());
-  for (const auto& counter : counters_) {
-    LONGDP_RETURN_NOT_OK(counter->SaveState(out));
-  }
-  state_io::WriteTag(out, kBankEnd);
-  return out.good() ? Status::OK() : Status::IOError("bank state write");
-}
-
-Status CounterBank::RestoreState(std::istream& in) {
-  LONGDP_ASSIGN_OR_RETURN(
-      t_, state_io::ReadIntIn(in, 0, horizon_, "counter bank round"));
-  LONGDP_RETURN_NOT_OK(state_io::ReadArray(in, raw_.data(), raw_.size()));
-  LONGDP_RETURN_NOT_OK(
-      state_io::ReadArray(in, monotone_.data(), monotone_.size()));
-  LONGDP_RETURN_NOT_OK(
-      state_io::ReadArray(in, prev_monotone_.data(), prev_monotone_.size()));
-  for (size_t i = 0; i < counters_.size(); ++i) {
-    LONGDP_RETURN_NOT_OK(counters_[i]->RestoreState(in));
-    // Counter b's stream starts at round b, so it has taken
-    // max(0, t - b + 1) steps.
-    const int64_t b = static_cast<int64_t>(i) + 1;
-    if (counters_[i]->steps() != std::max<int64_t>(0, t_ - b + 1)) {
-      return Status::InvalidArgument(
-          "counter bank state inconsistent: counter b=" + std::to_string(b) +
-          " is out of step with round " + std::to_string(t_));
-    }
-  }
-  return state_io::ExpectTag(in, kBankEnd, "counter bank state");
 }
 
 double CounterBank::CounterErrorBound(int64_t b, int64_t t,

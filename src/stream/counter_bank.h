@@ -11,7 +11,10 @@
 // SubstreamRng(seed, kCounterNoise).Derive(b) — every counter's noise is
 // addressed, not sequenced, so the bank can advance its counters in
 // parallel across ThreadPool shards (Options::pool) and release exactly
-// the same rows as the serial walk, bit for bit.
+// the same rows as the serial walk, bit for bit. It also makes the bank's
+// whole state a function of its options and the rows z^1..z^t it has
+// observed, so the bank has no serialized form: a checkpoint stores those
+// rows, and a restore feeds them to a fresh bank.
 //
 // Monotonization (computed here, releasing both raw and clamped rows):
 //
@@ -26,8 +29,8 @@
 #ifndef LONGDP_STREAM_COUNTER_BANK_H_
 #define LONGDP_STREAM_COUNTER_BANK_H_
 
-#include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "dp/accountant.h"
@@ -74,7 +77,7 @@ class CounterBank {
   /// virtual Observe. Every counter's noise is keyed by
   /// (seed, b, level, draw-index), so serial and sharded advances release
   /// identical rows.
-  Status ObserveRound(const std::vector<int64_t>& z);
+  Status ObserveRound(std::span<const int64_t> z);
 
   /// Raw (pre-monotonization) row Stilde^t from the last ObserveRound,
   /// indexed b = 0..T. Used by tests of Lemma 4.2.
@@ -90,14 +93,6 @@ class CounterBank {
   /// High-probability error bound of counter b at its step count when the
   /// global time is t (paper Appendix B form). beta is per-(b, t).
   double CounterErrorBound(int64_t b, int64_t t, double beta) const;
-
-  /// Serializes the bank's mutable state (round clock, monotonization rows,
-  /// every counter's state including its substream cursors) for
-  /// checkpointing. Construction parameters are the caller's to persist.
-  Status SaveState(std::ostream& out) const;
-
-  /// Restores SaveState output into a bank created with identical options.
-  Status RestoreState(std::istream& in);
 
   /// Swaps the worker pool (non-owning; null reverts to serial). Noise is
   /// keyed per (b, level, draw), so the shard grid never changes a row.

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "stream/state_io.h"
 #include "util/mathutil.h"
 
 namespace longdp {
@@ -104,36 +103,6 @@ double HonakerCounter::ErrorBound(double beta, int64_t t) const {
   }
   // +0.5 accounts for the final integer rounding of the estimate.
   return std::sqrt(2.0 * var * std::log(2.0 / beta)) + 0.5;
-}
-
-Status HonakerCounter::SaveState(std::ostream& out) const {
-  state_io::WriteInt(out, t_);
-  state_io::WriteArray(out, true_sum_.data(), true_sum_.size());
-  state_io::WriteArray(out, estimate_.data(), estimate_.size());
-  for (bool b : occupied_) {
-    const uint8_t flag = b ? 1 : 0;
-    state_io::WriteArray(out, &flag, 1);
-  }
-  state_io::WriteCursors(out, level_streams_);
-  return out.good() ? Status::OK() : Status::IOError("state write failed");
-}
-
-Status HonakerCounter::RestoreState(std::istream& in) {
-  LONGDP_ASSIGN_OR_RETURN(
-      t_, state_io::ReadIntIn(in, 0, horizon_, "honaker counter step"));
-  LONGDP_RETURN_NOT_OK(
-      state_io::ReadArray(in, true_sum_.data(), true_sum_.size()));
-  LONGDP_RETURN_NOT_OK(
-      state_io::ReadArray(in, estimate_.data(), estimate_.size()));
-  for (size_t i = 0; i < occupied_.size(); ++i) {
-    uint8_t flag = 0;
-    LONGDP_RETURN_NOT_OK(state_io::ReadArray(in, &flag, 1));
-    if (flag > 1) {
-      return Status::InvalidArgument("honaker counter state inconsistent");
-    }
-    occupied_[i] = flag == 1;
-  }
-  return state_io::ReadCursors(in, &level_streams_);
 }
 
 Result<std::unique_ptr<StreamCounter>> HonakerCounterFactory::Create(

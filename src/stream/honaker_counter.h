@@ -41,8 +41,6 @@ class HonakerCounter : public StreamCounter {
   double rho() const override { return rho_; }
   double ErrorBound(double beta, int64_t t) const override;
   std::string name() const override { return "honaker"; }
-  Status SaveState(std::ostream& out) const override;
-  Status RestoreState(std::istream& in) override;
 
   /// Refined estimator variance of a completed level-j node.
   double LevelVariance(int level) const;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "stream/state_io.h"
 #include "util/bits.h"
 #include "util/mathutil.h"
 
@@ -60,23 +59,6 @@ double LaplaceTreeCounter::ErrorBound(double beta, int64_t t) const {
   int m = util::Popcount(static_cast<uint64_t>(t));
   return static_cast<double>(m) * scale_ *
          std::log(2.0 * static_cast<double>(m) / beta);
-}
-
-Status LaplaceTreeCounter::SaveState(std::ostream& out) const {
-  state_io::WriteInt(out, t_);
-  state_io::WriteArray(out, alpha_.data(), alpha_.size());
-  state_io::WriteArray(out, alpha_noisy_.data(), alpha_noisy_.size());
-  state_io::WriteCursors(out, level_streams_);
-  return out.good() ? Status::OK() : Status::IOError("state write failed");
-}
-
-Status LaplaceTreeCounter::RestoreState(std::istream& in) {
-  LONGDP_ASSIGN_OR_RETURN(
-      t_, state_io::ReadIntIn(in, 0, horizon_, "laplace tree counter step"));
-  LONGDP_RETURN_NOT_OK(state_io::ReadArray(in, alpha_.data(), alpha_.size()));
-  LONGDP_RETURN_NOT_OK(
-      state_io::ReadArray(in, alpha_noisy_.data(), alpha_noisy_.size()));
-  return state_io::ReadCursors(in, &level_streams_);
 }
 
 Result<std::unique_ptr<StreamCounter>> LaplaceTreeCounterFactory::Create(

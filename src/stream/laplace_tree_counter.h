@@ -40,8 +40,6 @@ class LaplaceTreeCounter : public StreamCounter {
   double rho() const override { return rho_; }
   double ErrorBound(double beta, int64_t t) const override;
   std::string name() const override { return "laplace-tree"; }
-  Status SaveState(std::ostream& out) const override;
-  Status RestoreState(std::istream& in) override;
 
   /// Total pure-DP budget epsilon = sqrt(2 rho).
   double epsilon() const { return epsilon_; }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "stream/state_io.h"
 
 namespace longdp {
 namespace stream {
@@ -65,26 +64,6 @@ double MatrixCounter::ErrorBound(double beta, int64_t t) const {
   // variance sigma^2 * sum_{k<t} f_k^2; +0.5 for the final rounding.
   double var = sigma2_ * prefix_f2_[static_cast<size_t>(t - 1)];
   return std::sqrt(2.0 * var * std::log(2.0 / beta)) + 0.5;
-}
-
-Status MatrixCounter::SaveState(std::ostream& out) const {
-  // x_ and noisy_u_ both hold exactly t_ entries.
-  state_io::WriteInt(out, t_);
-  state_io::WriteArray(out, x_.data(), x_.size());
-  state_io::WriteArray(out, noisy_u_.data(), noisy_u_.size());
-  state_io::WriteU64(out, stream_.cursor());
-  return out.good() ? Status::OK() : Status::IOError("state write failed");
-}
-
-Status MatrixCounter::RestoreState(std::istream& in) {
-  LONGDP_ASSIGN_OR_RETURN(
-      t_, state_io::ReadIntIn(in, 0, horizon_, "matrix counter step"));
-  const auto steps = static_cast<uint64_t>(t_);
-  LONGDP_RETURN_NOT_OK(state_io::ReadVector(in, steps, &x_));
-  LONGDP_RETURN_NOT_OK(state_io::ReadVector(in, steps, &noisy_u_));
-  LONGDP_ASSIGN_OR_RETURN(const uint64_t cursor, state_io::ReadCursor(in));
-  stream_.set_cursor(cursor);
-  return Status::OK();
 }
 
 Result<std::unique_ptr<StreamCounter>> MatrixCounterFactory::Create(

@@ -44,8 +44,6 @@ class MatrixCounter : public StreamCounter {
   double rho() const override { return rho_; }
   double ErrorBound(double beta, int64_t t) const override;
   std::string name() const override { return "sqrt-matrix"; }
-  Status SaveState(std::ostream& out) const override;
-  Status RestoreState(std::istream& in) override;
 
   /// Squared sensitivity Delta^2 = sum_{k<T} f_k^2.
   double sensitivity2() const { return delta2_; }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "stream/state_io.h"
 
 namespace longdp {
 namespace stream {
@@ -68,38 +67,6 @@ double RecomputeCounter::ErrorBound(double beta, int64_t t) const {
   if (sigma2_ == 0.0) return 0.0;
   if (beta <= 0.0) beta = 1e-12;
   return std::sqrt(2.0 * sigma2_ * std::log(2.0 / beta));
-}
-
-Status InputPerturbationCounter::SaveState(std::ostream& out) const {
-  state_io::WriteInt(out, t_);
-  state_io::WriteInt(out, noisy_sum_);
-  state_io::WriteU64(out, stream_.cursor());
-  return out.good() ? Status::OK() : Status::IOError("state write failed");
-}
-
-Status InputPerturbationCounter::RestoreState(std::istream& in) {
-  LONGDP_ASSIGN_OR_RETURN(t_,
-                          state_io::ReadIntIn(in, 0, horizon_, "counter step"));
-  LONGDP_ASSIGN_OR_RETURN(noisy_sum_, state_io::Read<int64_t>(in));
-  LONGDP_ASSIGN_OR_RETURN(const uint64_t cursor, state_io::ReadCursor(in));
-  stream_.set_cursor(cursor);
-  return Status::OK();
-}
-
-Status RecomputeCounter::SaveState(std::ostream& out) const {
-  state_io::WriteInt(out, t_);
-  state_io::WriteInt(out, true_sum_);
-  state_io::WriteU64(out, stream_.cursor());
-  return out.good() ? Status::OK() : Status::IOError("state write failed");
-}
-
-Status RecomputeCounter::RestoreState(std::istream& in) {
-  LONGDP_ASSIGN_OR_RETURN(t_,
-                          state_io::ReadIntIn(in, 0, horizon_, "counter step"));
-  LONGDP_ASSIGN_OR_RETURN(true_sum_, state_io::Read<int64_t>(in));
-  LONGDP_ASSIGN_OR_RETURN(const uint64_t cursor, state_io::ReadCursor(in));
-  stream_.set_cursor(cursor);
-  return Status::OK();
 }
 
 Result<std::unique_ptr<StreamCounter>> InputPerturbationCounterFactory::Create(

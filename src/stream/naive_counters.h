@@ -36,8 +36,6 @@ class InputPerturbationCounter : public StreamCounter {
   double rho() const override { return rho_; }
   double ErrorBound(double beta, int64_t t) const override;
   std::string name() const override { return "input-perturbation"; }
-  Status SaveState(std::ostream& out) const override;
-  Status RestoreState(std::istream& in) override;
 
  private:
   int64_t horizon_;
@@ -60,8 +58,6 @@ class RecomputeCounter : public StreamCounter {
   double rho() const override { return rho_; }
   double ErrorBound(double beta, int64_t t) const override;
   std::string name() const override { return "recompute"; }
-  Status SaveState(std::ostream& out) const override;
-  Status RestoreState(std::istream& in) override;
 
  private:
   int64_t horizon_;

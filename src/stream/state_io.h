@@ -1,10 +1,11 @@
-// Binary checkpoint codec shared by the synthesizers' SaveCheckpoint /
-// LoadCheckpoint and the stream counters' SaveState / RestoreState.
+// Binary checkpoint codec of the synthesizers' SaveCheckpoint /
+// LoadCheckpoint. Stream counters have no codec of their own: their state
+// is rebuilt from the inputs a checkpoint stores (stream/counter_bank.h).
 //
 // Every field is little-endian and fixed-width, written straight from the
 // in-memory layout and read straight back into it:
 //
-//   int, cursor   8 bytes (int64, uint64)
+//   int, seed     8 bytes (int64, uint64)
 //   double        8 bytes: the raw IEEE-754 bits, so every value (the
 //                 infinities included) round-trips bit-exactly
 //   array         the elements back to back; its length is implied by
@@ -35,7 +36,6 @@
 #include <vector>
 
 #include "util/status.h"
-#include "util/substream.h"
 
 namespace longdp {
 namespace stream {
@@ -119,7 +119,7 @@ inline Status ReadBoundedCounts(std::istream& in, uint64_t count,
 }
 
 inline void WriteInt(std::ostream& out, int64_t v) { WriteArray(out, &v, 1); }
-/// Seeds and substream cursors.
+/// Seeds.
 inline void WriteU64(std::ostream& out, uint64_t v) { WriteArray(out, &v, 1); }
 inline void WriteDouble(std::ostream& out, double v) {
   WriteArray(out, &v, 1);
@@ -142,34 +142,6 @@ inline Result<int64_t> ReadIntIn(std::istream& in, int64_t lo, int64_t hi,
                                    std::to_string(v));
   }
   return v;
-}
-
-/// Substream cursors are draw counts. One at or past 2^63 is a negative
-/// count that wrapped, never a real position (2^63 draws is centuries of
-/// sampling), so it is rejected rather than restored 9 quintillion draws
-/// ahead.
-inline Result<uint64_t> ReadCursor(std::istream& in) {
-  LONGDP_ASSIGN_OR_RETURN(const uint64_t v, Read<uint64_t>(in));
-  if (v >> 63) {
-    return Status::InvalidArgument("wrapped substream cursor in state");
-  }
-  return v;
-}
-
-/// The draw cursors of a counter's per-level substreams, in level order
-/// (the count is the caller's: it is fixed by construction).
-inline void WriteCursors(std::ostream& out,
-                         const std::vector<util::SubstreamRng>& streams) {
-  for (const auto& s : streams) WriteU64(out, s.cursor());
-}
-
-inline Status ReadCursors(std::istream& in,
-                          std::vector<util::SubstreamRng>* streams) {
-  for (auto& s : *streams) {
-    LONGDP_ASSIGN_OR_RETURN(const uint64_t cursor, ReadCursor(in));
-    s.set_cursor(cursor);
-  }
-  return Status::OK();
 }
 
 /// Short names (counter and budget-split names): an 8-byte length, then

@@ -12,10 +12,10 @@
 // Observe therefore takes no RNG: the noise at (counter, level, draw-index)
 // is a pure function of the construction key, which is what lets a bank of
 // counters advance in parallel across ThreadPool shards and still release
-// bit-identical values at any shard or thread count. Checkpoints persist
-// only the substream cursors (keys are re-derived from construction
-// parameters), so a restored counter resumes the exact remaining noise
-// sequence.
+// bit-identical values at any shard or thread count. A counter's state is
+// therefore a pure function of its construction parameters and the z values
+// it has observed, so counters have no serialized form: a checkpoint stores
+// the inputs, and a restore rebuilds each counter by observing them again.
 //
 // Algorithm 2 of the paper is written against this interface (its Section
 // 1.1 explicitly notes the tree counter can be swapped for any stream
@@ -25,7 +25,6 @@
 #define LONGDP_STREAM_STREAM_COUNTER_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -66,18 +65,6 @@ class StreamCounter {
 
   /// Implementation name for reports ("tree", "honaker", ...).
   virtual std::string name() const = 0;
-
-  /// Serializes the counter's mutable state (NOT its construction
-  /// parameters) in the binary state_io encoding, for checkpointing a
-  /// continual release mid-horizon. Substream positions are persisted as
-  /// cursors only — the keys are a function of the construction seed. The
-  /// stream may contain already-drawn noise values — a checkpoint is
-  /// curator state, not a release.
-  virtual Status SaveState(std::ostream& out) const = 0;
-
-  /// Restores state previously written by SaveState into a counter that
-  /// was constructed with the same (horizon, rho, substream).
-  virtual Status RestoreState(std::istream& in) = 0;
 };
 
 /// Factory signature used by CounterBank / CumulativeSynthesizer so the

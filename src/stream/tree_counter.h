@@ -47,8 +47,6 @@ class TreeCounter : public StreamCounter {
   double rho() const override { return rho_; }
   double ErrorBound(double beta, int64_t t) const override;
   std::string name() const override { return "tree"; }
-  Status SaveState(std::ostream& out) const override;
-  Status RestoreState(std::istream& in) override;
 
   /// Non-virtual single-step advance used by CounterBank's batched observe
   /// path (and by Observe after its range check). The caller must ensure

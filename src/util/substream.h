@@ -22,10 +22,11 @@
 //
 // Draw-index discipline: the cursor advances by exactly one per Next() word
 // consumed, and every helper on the Rng surface consumes a documented
-// number of words (see util/rng.h and util/batch_sampler.h). A component
-// that checkpoints mid-stream persists (cursor) — the key is always
-// re-derivable from the construction parameters — and resumes by
-// set_cursor(); stream/state_io.h carries the cursors inside counter state.
+// number of words (see util/rng.h and util/batch_sampler.h). No checkpoint
+// stores a cursor: keys re-derive from the construction parameters, and a
+// restore re-runs the draws (stream counters replay their stored input),
+// so every cursor is reproduced rather than persisted. dp::NoiseSampler
+// reads and advances cursor() / set_cursor() around its chunked reads.
 //
 // SubstreamRng is the one engine behind the util::Rng word-source surface:
 // the sampling algorithms (UniformInt, discrete Gaussian chains,
@@ -94,7 +95,7 @@ class SubstreamRng final : public Rng {
   void FillWords(uint64_t* out, size_t count) override;
 
   uint64_t key() const { return key_; }
-  /// Number of words consumed so far — the checkpointable stream position.
+  /// Number of words consumed so far — the stream position.
   uint64_t cursor() const { return cursor_; }
   void set_cursor(uint64_t cursor) { cursor_ = cursor; }
 

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "core/release_log.h"
 #include "data/generators.h"
 #include "data/longitudinal_dataset.h"
+#include "persist/crc32c.h"
 #include "query/spells.h"
 #include "query/window_query.h"
 #include "util/substream.h"
@@ -316,6 +320,116 @@ TEST(ArchiveTest, FooterCorruptionIsDataLoss) {
   ASSERT_FALSE(damaged.ok());
   EXPECT_TRUE(damaged.status().IsDataLoss()) << damaged.status().ToString();
   std::remove(path.c_str());
+}
+
+// Footer forgeries: `at` is an offset into the footer of a sealed archive
+// holding one 8-bin window release labelled "w". Its layout is the label
+// count (0), the label's length and byte (4), the entry count (9), then
+// the entry (13): kind, label id, t, k, alphabet, npad, true_n, count (61),
+// rounds, offset (77), bytes (85), crc (93).
+constexpr size_t kLabelCountAt = 0;
+constexpr size_t kEntryCountAt = 9;
+constexpr size_t kCountAt = 61;
+constexpr size_t kOffsetAt = 77;
+constexpr size_t kBytesAt = 85;
+constexpr size_t kCrcAt = 93;
+
+/// Writes the one-entry archive above and returns its bytes.
+std::string SealedWindowArchive(const std::string& path) {
+  {
+    auto writer = ArchiveWriter::Create(path);
+    EXPECT_TRUE(writer.ok());
+    EXPECT_TRUE(
+        writer.value().AppendWindowRelease("w", MakeWindow(3, 3, 1, 50)).ok());
+    EXPECT_TRUE(writer.value().Finish().ok());
+  }
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+template <typename T>
+void Put(std::string* bytes, size_t at, T value) {
+  std::memcpy(bytes->data() + at, &value, sizeof(value));
+}
+
+/// Writes the forged `bytes` to `path` and expects both the reader and an
+/// append to refuse them, the reader with DataLoss.
+void ExpectForgeryIsDataLoss(const std::string& path,
+                             const std::string& bytes) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  auto forged = ArchiveReader::Open(path);
+  ASSERT_FALSE(forged.ok());
+  EXPECT_TRUE(forged.status().IsDataLoss()) << forged.status().ToString();
+  EXPECT_FALSE(ArchiveWriter::OpenForAppend(path).ok());
+  std::remove(path.c_str());
+}
+
+/// Applies `forge` to the footer of `bytes` and recomputes the footer CRC
+/// in the tail, so only the reader's own bounds checks stand in the way.
+void ExpectForgedFooterIsDataLoss(
+    const std::string& path, std::string bytes,
+    const std::function<void(std::string* footer)>& forge) {
+  const size_t tail = bytes.size() - kTailBytes;
+  uint64_t footer_offset = 0;
+  std::memcpy(&footer_offset, bytes.data() + tail, sizeof(footer_offset));
+  std::string footer = bytes.substr(footer_offset, tail - footer_offset);
+  ASSERT_EQ(footer.size(), kCrcAt + 4) << "footer layout changed";
+  forge(&footer);
+  bytes.replace(footer_offset, footer.size(), footer);
+  Put(&bytes, tail + 8, persist::Crc32c(footer.data(), footer.size()));
+  ExpectForgeryIsDataLoss(path, bytes);
+}
+
+TEST(ArchiveTest, ForgedEntryOffsetThatWrapsIsDataLoss) {
+  // offset + bytes wraps past 2^64 to a value inside the file.
+  const std::string path = TempArchive("forged_offset");
+  ExpectForgedFooterIsDataLoss(
+      path, SealedWindowArchive(path), [](std::string* footer) {
+        Put(footer, kCountAt, int64_t{1} << 37);
+        Put(footer, kOffsetAt, (uint64_t{0} - (uint64_t{1} << 40)));
+        Put(footer, kBytesAt, uint64_t{1} << 40);
+      });
+}
+
+TEST(ArchiveTest, ForgedLabelCountIsDataLoss) {
+  const std::string path = TempArchive("forged_labels");
+  ExpectForgedFooterIsDataLoss(path, SealedWindowArchive(path),
+                               [](std::string* footer) {
+                                 Put(footer, kLabelCountAt, UINT32_MAX);
+                               });
+}
+
+TEST(ArchiveTest, ForgedEntryCountIsDataLoss) {
+  const std::string path = TempArchive("forged_entries");
+  ExpectForgedFooterIsDataLoss(path, SealedWindowArchive(path),
+                               [](std::string* footer) {
+                                 Put(footer, kEntryCountAt, UINT32_MAX);
+                               });
+}
+
+TEST(ArchiveTest, ForgedValueCountWhoseByteLengthWrapsIsDataLoss) {
+  // 8 * (2^61 + 1) wraps to 8: the entry claims 2^61 + 1 values over the
+  // payload's first 8 bytes, whose CRC it carries.
+  const std::string path = TempArchive("forged_count");
+  const std::string bytes = SealedWindowArchive(path);
+  const uint32_t head_crc = persist::Crc32c(bytes.data() + kHeaderBytes, 8);
+  ExpectForgedFooterIsDataLoss(path, bytes, [&](std::string* footer) {
+    Put(footer, kCountAt, (int64_t{1} << 61) + 1);
+    Put(footer, kBytesAt, uint64_t{8});
+    Put(footer, kCrcAt, head_crc);
+  });
+}
+
+TEST(ArchiveTest, ForgedFooterOffsetThatWrapsIsDataLoss) {
+  // A tail whose footer offset lies just below 2^64: offset plus the
+  // footer and tail sizes wraps to a small number.
+  const std::string path = TempArchive("forged_footer_offset");
+  std::string bytes = SealedWindowArchive(path);
+  Put(&bytes, bytes.size() - kTailBytes, uint64_t{0} - 8);
+  ExpectForgeryIsDataLoss(path, bytes);
 }
 
 TEST(ArchiveTest, OpenForAppendExtendsWithoutRewriting) {

@@ -1,12 +1,15 @@
 // Mutation test for the binary checkpoint decoders: every synthesizer's
-// LoadCheckpoint and every counter type's RestoreState (through a
-// CounterBank) is fed truncations, single-bit flips, and 8-byte fields
+// LoadCheckpoint is fed truncations, single-bit flips, and 8-byte fields
 // overwritten with forged counts, built from small mid-run checkpoints.
+// Stream counters have no decoder of their own: the cumulative loader
+// rebuilds its counter bank by replaying the stored increments, so the
+// cumulative cases below also drive every counter advance a forged
+// payload can reach.
 //
 // Oracle: the decoder returns non-OK, or state that re-saves to exactly
-// the bytes it consumed; a forged release target is always non-OK. No
-// input may crash, hang, or size an allocation from an unchecked count
-// (the ASan/UBSan job runs this suite).
+// the bytes it consumed; a forged release target or increment is always
+// non-OK. No input may crash, hang, or size an allocation from an
+// unchecked count (the ASan/UBSan job runs this suite).
 
 #include <gtest/gtest.h>
 
@@ -19,9 +22,9 @@
 #include "core/categorical_synthesizer.h"
 #include "core/cumulative_synthesizer.h"
 #include "core/fixed_window_synthesizer.h"
+#include "core/limits.h"
 #include "data/generators.h"
 #include "stream/budget_split.h"
-#include "stream/counter_bank.h"
 #include "stream/counter_factory.h"
 #include "stream/state_io.h"
 #include "util/substream.h"
@@ -86,10 +89,11 @@ void MutateAll(const Roundtrip& roundtrip, const std::string& bytes,
   }
 }
 
-/// The release targets a cohort is rebuilt from sit in bytes[begin, end)
-/// as 8-byte fields. Each one forged to 2^31 or 2^62 must be refused: the
-/// rebuild checks every target against its group, and the census against
-/// the record bound, before it sizes anything by them.
+/// The release targets (or cumulative increments) a cohort is rebuilt from
+/// sit in bytes[begin, end) as 8-byte fields. Each one forged to 2^31 or
+/// 2^62 must be refused: the rebuild checks every target against its
+/// group, the census against the record bound, and every increment
+/// against n, before it sizes anything by them.
 void ForgedTargetsAreRefused(const Roundtrip& roundtrip,
                              const std::string& bytes, size_t begin,
                              size_t end, const std::string& name) {
@@ -116,8 +120,8 @@ struct Forgery {
 
 /// Each census bin in bytes[begin, end) forged past the record cap, while
 /// `header` inflates the record bound n + bins * (npad + ceil(40 sigma))
-/// past it too (a huge npad, or a tiny rho with its spend zeroed so the
-/// budget still loads). The bound is capped at kMaxRecords, so every such
+/// (a huge npad past the cap, or the smallest rho Create accepts with its
+/// spend zeroed so the budget still loads). The bound is capped at kMaxRecords, so every such
 /// census must be refused with InvalidArgument before a record exists.
 void ForgedCensusWithInflatedBoundIsRefused(
     const Roundtrip& roundtrip, const std::string& bytes,
@@ -206,7 +210,7 @@ TEST(CheckpointMutationTest, FixedWindowDecoderIsTotal) {
   for (const auto& header :
        {std::vector<Forgery>{{field + 3 * 8, uint64_t{1} << 31}},
         std::vector<Forgery>{{field + 3 * 8, uint64_t{1} << 62}},
-        std::vector<Forgery>{{field + 2 * 8, Bits(1e-300)},
+        std::vector<Forgery>{{field + 2 * 8, Bits(core::kMinRho)},
                              {field + 11 * 8, Bits(0.0)}}}) {
     ForgedCensusWithInflatedBoundIsRefused(roundtrip, bytes, header, census,
                                            census + 8 * 8,
@@ -233,20 +237,17 @@ TEST(CheckpointMutationTest, CumulativeDecoderIsTotal) {
   const std::string bytes = Save(*synth);
   MutateAll(roundtrip, bytes, "cumulative mid-run");
   // After the magic line, horizon, rho, the two names, seed, t, n and the
-  // bit_width(6) = 3 weight planes of two words: the 4 released rows of
-  // T + 1 counts.
+  // bit_width(6) = 3 weight planes of two words: the 4 increment rows of T
+  // counts, then the end tag.
   const std::string split = stream::BudgetSplitName(options.split);
   const size_t rows =
       stream::state_io::Magic("cumulative",
                               core::CumulativeSynthesizer::kCheckpointVersion)
           .size() +
       1 + 8 + 8 + (8 + split.size()) + (8 + 4) + 8 + 8 + 8 + 3 * 2 * 8;
-  int64_t first = 0;
-  std::memcpy(&first, &bytes[rows], sizeof(first));
-  ASSERT_EQ(first, kUsers) << "Shat^1_0 is the population";
-  ForgedTargetsAreRefused(roundtrip, bytes, rows,
-                          rows + 4 * (kHorizon + 1) * 8,
-                          "cumulative released rows");
+  ASSERT_EQ(rows + 4 * kHorizon * 8 + 8, bytes.size());
+  ForgedTargetsAreRefused(roundtrip, bytes, rows, rows + 4 * kHorizon * 8,
+                          "cumulative increments");
 }
 
 TEST(CheckpointMutationTest, CategoricalDecoderIsTotal) {
@@ -290,7 +291,7 @@ TEST(CheckpointMutationTest, CategoricalDecoderIsTotal) {
   for (const auto& header :
        {std::vector<Forgery>{{field + 4 * 8, uint64_t{1} << 31}},
         std::vector<Forgery>{{field + 4 * 8, uint64_t{1} << 62}},
-        std::vector<Forgery>{{field + 3 * 8, Bits(1e-300)},
+        std::vector<Forgery>{{field + 3 * 8, Bits(core::kMinRho)},
                              {field + 12 * 8, Bits(0.0)}}}) {
     ForgedCensusWithInflatedBoundIsRefused(roundtrip, bytes, header, census,
                                            census + 9 * 8,
@@ -358,35 +359,6 @@ TEST(CheckpointMutationTest, ForgedHorizonBeforeFirstReleaseIsRefused) {
           << p.family << ": horizon forged to " << forged << ": "
           << st.ToString();
     }
-  }
-}
-
-TEST(CheckpointMutationTest, CounterBankDecoderIsTotalForEveryCounter) {
-  for (const std::string& name : stream::RegisteredCounterNames()) {
-    stream::CounterBank::Options options;
-    options.horizon = kHorizon;
-    options.population = kUsers;
-    options.total_rho = 4.0;
-    options.seed = 0xBA;
-    options.factory = stream::MakeCounterFactory(name).value();
-    auto bank = stream::CounterBank::Create(options).value();
-    for (int64_t t = 1; t <= 3; ++t) {
-      std::vector<int64_t> z(static_cast<size_t>(kHorizon), 0);
-      for (int64_t b = 1; b <= t; ++b) z[static_cast<size_t>(b - 1)] = b;
-      ASSERT_TRUE(bank->ObserveRound(z).ok()) << name;
-    }
-    std::ostringstream state;
-    ASSERT_TRUE(bank->SaveState(state).ok()) << name;
-    const Roundtrip roundtrip = [&options](std::istream& in,
-                                           std::string* out) -> Status {
-      LONGDP_ASSIGN_OR_RETURN(auto fresh, stream::CounterBank::Create(options));
-      LONGDP_RETURN_NOT_OK(fresh->RestoreState(in));
-      std::ostringstream resaved;
-      LONGDP_RETURN_NOT_OK(fresh->SaveState(resaved));
-      *out = resaved.str();
-      return Status::OK();
-    };
-    MutateAll(roundtrip, state.str(), "counter bank (" + name + ")");
   }
 }
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "core/limits.h"
 #include "util/substream.h"
 
 namespace longdp {
@@ -73,6 +74,12 @@ TEST(CategoricalTest, CreateValidates) {
   EXPECT_FALSE(CategoricalWindowSynthesizer::Create(Opt(2, 3, 3, 0.5)).ok());
   EXPECT_FALSE(
       CategoricalWindowSynthesizer::Create(Opt(12, 3, 3, 0.0)).ok());
+  EXPECT_TRUE(
+      CategoricalWindowSynthesizer::Create(Opt(12, 3, 3, kMinRho / 2))
+          .status()
+          .IsInvalidArgument());
+  EXPECT_TRUE(
+      CategoricalWindowSynthesizer::Create(Opt(12, 3, 3, kMinRho)).ok());
   EXPECT_TRUE(CategoricalWindowSynthesizer::Create(Opt(12, 3, 3, 0.5)).ok());
   EXPECT_TRUE(
       CategoricalWindowSynthesizer::Create(Opt(int64_t{1} << 16, 3, 3, 0.5))

@@ -12,6 +12,7 @@
 #include "core/categorical_synthesizer.h"
 #include "core/cumulative_synthesizer.h"
 #include "core/fixed_window_synthesizer.h"
+#include "core/limits.h"
 #include "data/generators.h"
 #include "query/window_query.h"
 #include "stream/budget_split.h"
@@ -374,7 +375,8 @@ TEST(CheckpointTest, NoisyResumeReproducesRemainingReleaseLog) {
 }
 
 // ---------------------------------------------------------------------------
-// Cumulative synthesizer checkpointing (stream counter noise state included)
+// Cumulative synthesizer checkpointing (counters rebuilt from the stored
+// increments)
 // ---------------------------------------------------------------------------
 
 CumulativeSynthesizer::Options COpt(int64_t horizon, double rho,
@@ -494,9 +496,10 @@ TEST(CumulativeCheckpointTest, FreshSynthesizerRoundTrips) {
   EXPECT_EQ(restored.value()->t(), 0);
 }
 
-// Cumulative v6 layout: the magic line, horizon, rho, the budget-split and
+// Cumulative v7 layout: the magic line, horizon, rho, the budget-split and
 // counter names (8-byte length + bytes each), seed, t, n, the weight
-// planes, then the released rows Shat^1..Shat^t, then the counter bank.
+// planes, then the increment rows z^1..z^t (T counts each), then the end
+// tag.
 size_t CumulativeRows(const CumulativeSynthesizer::Options& options,
                       int64_t n) {
   const std::string split = stream::BudgetSplitName(options.split);
@@ -518,7 +521,7 @@ TEST(CumulativeCheckpointTest, CorruptRhoTokenIsRejectedNotTruncated) {
   const size_t rho_at =
       MagicBytes("cumulative", CumulativeSynthesizer::kCheckpointVersion) + 8;
   ASSERT_EQ(Peek<double>(stream.str(), rho_at), 0.2);
-  for (double bad : {kNaN, 0.0, -0.2}) {
+  for (double bad : {kNaN, 0.0, -0.2, kMinRho / 2}) {
     std::stringstream corrupted(Patch(stream.str(), rho_at, bad));
     auto restored = CumulativeSynthesizer::LoadCheckpoint(corrupted);
     ASSERT_FALSE(restored.ok()) << "rho " << bad << " accepted";
@@ -530,7 +533,8 @@ TEST(CumulativeCheckpointTest, CorruptRhoTokenIsRejectedNotTruncated) {
 TEST(CumulativeCheckpointTest, VersionSkewIsExplicitInvalidArgument) {
   for (const char* old : {"longdp-cumulative-checkpoint-v3\n",
                           "longdp-cumulative-checkpoint-v4\n",
-                          "longdp-cumulative-checkpoint-v5\n"}) {
+                          "longdp-cumulative-checkpoint-v5\n",
+                          "longdp-cumulative-checkpoint-v6\n"}) {
     std::stringstream text(std::string(old) + "12 0.02 0 tree\n");
     auto restored = CumulativeSynthesizer::LoadCheckpoint(text);
     ASSERT_FALSE(restored.ok());
@@ -563,9 +567,10 @@ TEST(CumulativeCheckpointTest, RejectsGarbageAndTampering) {
   std::stringstream wrong("longdp-fixed-window-checkpoint-v1\n");
   EXPECT_FALSE(CumulativeSynthesizer::LoadCheckpoint(wrong).ok());
 
-  // The records are rebuilt from the stored rows: a row the promotions
-  // cannot apply, or a last row that disagrees with the counter bank, is
-  // refused.
+  // Counters, rows and records are rebuilt from the stored increments,
+  // which are checked first: each in [0, n], zero past its round, and each
+  // threshold's column summing to the users the weight planes put at or
+  // above it.
   util::SubstreamRng rng(23, util::substream::kGeneric);
   auto ds = data::BernoulliIid(50, 6, 0.5, &rng).value();
   const auto options = COpt(6, kInf);
@@ -584,29 +589,31 @@ TEST(CumulativeCheckpointTest, RejectsGarbageAndTampering) {
         << what << ": " << restored.status().ToString();
   };
   const size_t rows = CumulativeRows(options, 50);
-  const size_t width = 7 * 8;  // T + 1 counts per row
-  // Shat^1_1 past the population: more promotions than weight-0 records.
-  ASSERT_EQ(Peek<int64_t>(bytes, rows), 50);
-  expect_rejected(Patch(bytes, rows + 8, int64_t{51}), "target above group");
-  // Shat^2_1 below Shat^1_1: a negative promotion count.
-  const auto s11 = Peek<int64_t>(bytes, rows + 8);
-  if (s11 > 0) {
-    expect_rejected(Patch(bytes, rows + width + 8, s11 - 1),
-                    "negative promotion");
-  }
-  // The last row moved by one at b = 0: the promotions still apply, but
-  // the row no longer matches the rebuilt records or the bank.
-  const size_t last = rows + 2 * width;
-  expect_rejected(Patch(bytes, last, Peek<int64_t>(bytes, last) + 1),
-                  "row disagrees with the bank");
+  const size_t width = 6 * 8;  // T counts per row
+  ASSERT_EQ(rows + 3 * width + 8, bytes.size());
+  const auto z11 = Peek<int64_t>(bytes, rows);
+  ASSERT_GT(z11, 0);
+  expect_rejected(Patch(bytes, rows, int64_t{51}), "increment above n");
+  expect_rejected(Patch(bytes, rows, int64_t{-1}), "negative increment");
+  // z^1_2: nobody reaches weight 2 in one round.
+  expect_rejected(Patch(bytes, rows + 8, int64_t{1}), "weight past round");
+  // One unit moved out of round 1's z_1 leaves its column one short of the
+  // users of weight >= 1.
+  expect_rejected(Patch(bytes, rows, z11 - 1), "column sum below weights");
+  // Bit 0 of the first user's weight flipped: the planes disagree with
+  // the increments' sums.
+  const size_t planes = rows - 3 * Words(50) * 8;
+  expect_rejected(Patch(bytes, planes, Peek<uint64_t>(bytes, planes) ^ 1),
+                  "weights disagree with the increments");
   std::stringstream clean(bytes);
   EXPECT_TRUE(CumulativeSynthesizer::LoadCheckpoint(clean).ok());
 }
 
 TEST(CumulativeCheckpointTest, NoisyResumeReproducesRemainingReleaseLog) {
   // Same property as the fixed-window test, per counter implementation:
-  // every counter's noise substream cursors round-trip, so the resumed
-  // release rows match the uninterrupted run exactly under real noise.
+  // the restore rebuilds every counter by replaying the stored increments,
+  // so the resumed release rows match the uninterrupted run exactly under
+  // real noise.
   util::SubstreamRng rng(0xC0DF, util::substream::kGeneric);
   auto ds = data::BernoulliIid(300, 10, 0.35, &rng).value();
   for (const auto& name : stream::RegisteredCounterNames()) {
@@ -952,14 +959,21 @@ TEST(CheckpointRebuildTest, CumulativeRebuildEqualsLiveAtEveryRound) {
       CumulativeSynthesizer::Create(COpt(kRebuildHorizon, 0.05, "tree", 0x7EC))
           .value();
   std::vector<std::string> saved;
+  std::vector<std::vector<int64_t>> raw, released;
   for (int64_t t = 1; t <= kRebuildHorizon; ++t) {
     ASSERT_TRUE(live->ObserveRound(ds.Round(t)).ok());
     saved.push_back(SaveBytes(*live));
+    raw.push_back(live->raw_thresholds());
+    released.push_back(live->released_thresholds());
   }
   for (int64_t t = 1; t <= kRebuildHorizon; ++t) {
     auto restored = LoadExact<CumulativeSynthesizer>(
         saved[static_cast<size_t>(t - 1)], t);
     ASSERT_NE(restored, nullptr);
+    // The replayed bank releases the live rows, raw and monotonized.
+    ASSERT_EQ(restored->raw_thresholds(), raw[static_cast<size_t>(t - 1)]);
+    ASSERT_EQ(restored->released_thresholds(),
+              released[static_cast<size_t>(t - 1)]);
     for (int64_t rec = 0; rec < kRebuildUsers; ++rec) {
       for (int64_t tt = 1; tt <= t; ++tt) {
         ASSERT_EQ(restored->Bit(rec, tt), live->Bit(rec, tt))
@@ -1047,16 +1061,10 @@ TEST(CheckpointLayoutTest, PayloadSizesMatchClosedForm) {
   ASSERT_TRUE(fw->SaveCheckpoint(fw_out).ok());
   EXPECT_EQ(fw_out.str().size(), fw_bytes);
 
-  // Up to the rows (see CumulativeRows): T released rows of T + 1, the
-  // counter bank (round, three rows of T + 1, each tree counter's step,
-  // two level arrays and level cursors, end tag), end tag.
-  size_t bank = 8 + 3 * (T + 1) * 8 + 8;
-  for (int64_t b = 1; b <= T; ++b) {
-    const size_t levels = std::bit_width(static_cast<uint64_t>(T - b + 1));
-    bank += 8 + 3 * levels * 8;
-  }
-  const size_t cum_bytes = CumulativeRows(COpt(T, 1.0, "tree", 2), n) +
-                           T * (T + 1) * 8 + bank + 8;
+  // Up to the rows (see CumulativeRows): T increment rows of T counts,
+  // end tag.
+  const size_t cum_bytes =
+      CumulativeRows(COpt(T, 1.0, "tree", 2), n) + T * T * 8 + 8;
   std::stringstream cum_out;
   ASSERT_TRUE(cum->SaveCheckpoint(cum_out).ok());
   EXPECT_EQ(cum_out.str().size(), cum_bytes);

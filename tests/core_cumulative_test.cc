@@ -38,7 +38,15 @@ Status FeedDataset(CumulativeSynthesizer* synth,
 TEST(CumulativeTest, CreateValidates) {
   EXPECT_FALSE(CumulativeSynthesizer::Create(Opt(0, 0.5)).ok());
   EXPECT_FALSE(CumulativeSynthesizer::Create(Opt(5, 0.0)).ok());
+  EXPECT_TRUE(CumulativeSynthesizer::Create(Opt(5, kMinRho / 2))
+                  .status()
+                  .IsInvalidArgument());
   EXPECT_TRUE(CumulativeSynthesizer::Create(Opt(5, 0.5)).ok());
+  // The smallest budget still draws its (enormous) noise and releases.
+  auto tiny = CumulativeSynthesizer::Create(Opt(4, kMinRho)).value();
+  for (int t = 1; t <= 4; ++t) {
+    ASSERT_TRUE(tiny->ObserveRound(std::vector<uint8_t>(100, 1)).ok());
+  }
   // Weights up to T take bit_width(T) planes, at most kMaxPlanes = 16.
   EXPECT_EQ(kMaxHorizon, (int64_t{1} << 16) - 1);
   EXPECT_TRUE(CumulativeSynthesizer::Create(Opt(kMaxHorizon, 0.5)).ok());

@@ -41,6 +41,10 @@ TEST(FixedWindowTest, CreateValidates) {
   EXPECT_FALSE(FixedWindowSynthesizer::Create(Opt(2, 3, 0.5)).ok());
   EXPECT_FALSE(FixedWindowSynthesizer::Create(Opt(12, 0, 0.5)).ok());
   EXPECT_FALSE(FixedWindowSynthesizer::Create(Opt(12, 3, 0.0)).ok());
+  EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(12, 3, kMinRho / 2))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(12, 3, kMinRho)).ok());
   EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(12, 3, 0.5)).ok());
   EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(40, kMaxPlanes + 1, 0.5))
                   .status()
@@ -49,6 +53,17 @@ TEST(FixedWindowTest, CreateValidates) {
   EXPECT_TRUE(FixedWindowSynthesizer::Create(Opt(kMaxHorizon + 1, 3, 0.5))
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST(FixedWindowTest, OversizedInitialCensusIsRefusedBeforeAllocating) {
+  // At kMinRho a width-8 window's padded, noisy census totals billions of
+  // records, past the 2^32 - 1 a checkpoint can hold. The first release
+  // refuses it instead of allocating the cohort.
+  auto synth = FixedWindowSynthesizer::Create(Opt(100, 8, kMinRho)).value();
+  const std::vector<uint8_t> round(100, 1);
+  for (int t = 1; t < 8; ++t) ASSERT_TRUE(synth->ObserveRound(round).ok());
+  EXPECT_TRUE(synth->ObserveRound(round).IsOutOfRange());
+  EXPECT_FALSE(synth->has_release());
 }
 
 TEST(FixedWindowTest, AutoNpadUsesTheoryFormula) {

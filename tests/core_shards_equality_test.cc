@@ -12,7 +12,7 @@
 // Also pins checkpoint/resume against the shard grid: a run interrupted
 // mid-stream and resumed on a *different* grid must finish with the same
 // log as the uninterrupted serial run, because checkpoints persist only
-// substream cursors, never engine state.
+// the seed and the state draws are rebuilt from, never engine state.
 
 #include <gtest/gtest.h>
 

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -303,6 +304,37 @@ TEST_F(SessionTest, SnapshotAheadOfWalIsDataLoss) {
                                          CumulativeOpts(nullptr));
   EXPECT_TRUE(resumed.status().IsDataLoss()) << resumed.status().ToString();
   EXPECT_NE(resumed.status().message().find("missing"), std::string::npos);
+}
+
+TEST_F(SessionTest, SnapshotContradictingItsWalFrameIsDataLoss) {
+  const auto data = [](int64_t t) { return RoundBits(t); };
+  {
+    auto first = DurableFixedWindow::Open(SessionOpts(Dir("run"), 4),
+                                          FixedWindowOpts(nullptr));
+    ASSERT_TRUE(first.ok());
+    Feed(first->get(), 4, data);  // snapshot at the WAL head, round 4
+  }
+  // Re-wrap the snapshot (valid CRC) with one of round 4's ones targets
+  // lowered by one. The target stays inside its group, so the payload
+  // loads cleanly, but the rebuilt cohort no longer releases the
+  // histogram the WAL holds for round 4; with no rounds to replay, only
+  // the frame check stands between it and round 5.
+  const std::string path = DurableSession::SnapshotPath(Dir("run"));
+  auto snap = ReadSnapshot(path);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  ASSERT_EQ(snap->meta.round, 4);
+  std::string& payload = snap->payload;
+  // The payload ends with round 4's four ones targets, then the end tag.
+  const size_t target = payload.size() - 8 - 4 * 8;
+  int64_t ones = 0;
+  std::memcpy(&ones, payload.data() + target, sizeof(ones));
+  ASSERT_GT(ones, 0);
+  --ones;
+  std::memcpy(payload.data() + target, &ones, sizeof(ones));
+  ASSERT_TRUE(WriteSnapshot(path, snap->meta, payload).ok());
+  auto resumed = DurableFixedWindow::Open(SessionOpts(Dir("run"), 4),
+                                          FixedWindowOpts(nullptr));
+  EXPECT_TRUE(resumed.status().IsDataLoss()) << resumed.status().ToString();
 }
 
 TEST_F(SessionTest, SeedMismatchIsRefused) {

@@ -9,10 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "stream/counter_bank.h"
-#include "stream/counter_factory.h"
-#include "util/substream.h"
-
 namespace longdp {
 namespace stream {
 namespace state_io {
@@ -147,22 +143,6 @@ TEST(StateIoTest, ShortIntIsRejectedNotMisaligned) {
   EXPECT_NE(r.status().message().find("window k"), std::string::npos);
 }
 
-TEST(StateIoTest, NegativeCursorIsRejectedNotWrapped) {
-  // Regression (text era): "-1" wrapped to 18446744073709551615 — a
-  // silently absurd draw cursor. A cursor is a draw count, so a value with
-  // the top bit set is a negative count that wrapped and is refused.
-  for (int64_t bad : {int64_t{-1}, INT64_MIN}) {
-    std::stringstream s;
-    WriteInt(s, bad);
-    EXPECT_FALSE(ReadCursor(s).ok()) << bad;
-  }
-  std::stringstream ok;
-  WriteU64(ok, uint64_t{INT64_MAX});  // the largest real cursor
-  EXPECT_EQ(ReadCursor(ok).value(), uint64_t{INT64_MAX});
-  std::stringstream empty("");
-  EXPECT_FALSE(ReadCursor(empty).ok());
-}
-
 TEST(StateIoTest, ExpectTagMatchesExactlyOnce) {
   constexpr uint64_t kTag = Tag("test-end");
   std::stringstream s;
@@ -234,117 +214,6 @@ TEST(StateIoTest, PlaneRoundTripsAndRejectsBitsPastTheLanes) {
   std::stringstream cut(bytes.substr(0, 12));
   EXPECT_TRUE(ReadPlane(cut, n, &back).IsInvalidArgument());
 }
-
-// ---------------------------------------------------------------------------
-// Mid-stream state round-trips for every registered counter type. A counter
-// serialized at time t and restored into a freshly constructed counter (same
-// keyed substream — the keys re-derive from construction parameters, only
-// the draw cursors travel in the state) must finish the stream with releases
-// identical to the uninterrupted original. This pins the substream cursors
-// each implementation persists, so scratch-buffer and batching refactors
-// that forget to carry a field fail here immediately.
-
-class CounterRoundTripTest : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(CounterRoundTripTest, MidStreamStateRoundTripsStandalone) {
-  const std::string name = GetParam();
-  auto factory = MakeCounterFactory(name).value();
-  const int64_t T = 16;
-  const double rho = 2.0;
-
-  const util::SubstreamRng noise(0x5107 + static_cast<uint64_t>(name.size()),
-                                 util::substream::kCounterNoise);
-  auto original = factory->Create(T, rho, noise).value();
-  util::SubstreamRng data_rng(0xDA7A, util::substream::kGeneric);
-  std::vector<int64_t> stream(static_cast<size_t>(T));
-  for (auto& z : stream) {
-    z = static_cast<int64_t>(data_rng.UniformInt(5));
-  }
-
-  const int64_t split = T / 2;
-  for (int64_t t = 0; t < split; ++t) {
-    ASSERT_TRUE(original->Observe(stream[static_cast<size_t>(t)]).ok());
-  }
-
-  std::stringstream state;
-  ASSERT_TRUE(original->SaveState(state).ok()) << name;
-  auto restored = factory->Create(T, rho, noise).value();
-  ASSERT_TRUE(restored->RestoreState(state).ok()) << name;
-  EXPECT_EQ(restored->steps(), split) << name;
-
-  // The restored counter resumes its keyed substreams at the saved
-  // cursors; every remaining release must match exactly.
-  for (int64_t t = split; t < T; ++t) {
-    auto a = original->Observe(stream[static_cast<size_t>(t)]);
-    auto b = restored->Observe(stream[static_cast<size_t>(t)]);
-    ASSERT_TRUE(a.ok()) << name;
-    ASSERT_TRUE(b.ok()) << name;
-    EXPECT_EQ(a.value(), b.value())
-        << name << ": release diverged at t=" << t + 1;
-  }
-}
-
-TEST_P(CounterRoundTripTest, MidStreamStateRoundTripsThroughBank) {
-  const std::string name = GetParam();
-  const int64_t T = 12;
-  const int64_t n = 60;
-
-  CounterBank::Options opt;
-  opt.horizon = T;
-  opt.population = n;
-  opt.total_rho = 4.0;
-  opt.seed = 0xBA2C + static_cast<uint64_t>(name.size());
-  opt.factory = MakeCounterFactory(name).value();
-
-  auto original = CounterBank::Create(opt).value();
-  util::SubstreamRng data_rng(0xFEED, util::substream::kGeneric);
-
-  // A feasible increment schedule: z[b-1] nonzero only for b <= t, with
-  // small counts so every weight path stays plausible.
-  auto make_round = [&](int64_t t) {
-    std::vector<int64_t> z(static_cast<size_t>(T), 0);
-    for (int64_t b = 1; b <= t; ++b) {
-      z[static_cast<size_t>(b - 1)] =
-          static_cast<int64_t>(data_rng.UniformInt(4));
-    }
-    return z;
-  };
-  std::vector<std::vector<int64_t>> zs;
-  for (int64_t t = 1; t <= T; ++t) zs.push_back(make_round(t));
-
-  const int64_t split = T / 2;
-  for (int64_t t = 0; t < split; ++t) {
-    ASSERT_TRUE(original->ObserveRound(zs[static_cast<size_t>(t)]).ok())
-        << name;
-  }
-
-  std::stringstream state;
-  ASSERT_TRUE(original->SaveState(state).ok()) << name;
-  auto restored = CounterBank::Create(opt).value();
-  ASSERT_TRUE(restored->RestoreState(state).ok()) << name;
-  EXPECT_EQ(restored->steps(), split) << name;
-
-  for (int64_t t = split; t < T; ++t) {
-    ASSERT_TRUE(original->ObserveRound(zs[static_cast<size_t>(t)]).ok())
-        << name;
-    ASSERT_TRUE(restored->ObserveRound(zs[static_cast<size_t>(t)]).ok())
-        << name;
-    EXPECT_EQ(original->monotone_row(), restored->monotone_row())
-        << name << ": bank release diverged at t=" << t + 1;
-    EXPECT_EQ(original->raw_row(), restored->raw_row())
-        << name << ": raw row diverged at t=" << t + 1;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllCounters, CounterRoundTripTest,
-                         ::testing::ValuesIn(RegisteredCounterNames()),
-                         [](const ::testing::TestParamInfo<std::string>& i) {
-                           std::string n = i.param;
-                           for (char& c : n) {
-                             if (c == '-') c = '_';
-                           }
-                           return n;
-                         });
 
 }  // namespace
 }  // namespace state_io
