@@ -3,6 +3,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "core/categorical_synthesizer.h"
 #include "core/cumulative_synthesizer.h"
 #include "core/fixed_window_synthesizer.h"
 #include "core/limits.h"
@@ -11,6 +15,7 @@
 
 namespace {
 
+using longdp::core::CategoricalWindowSynthesizer;
 using longdp::core::CumulativeSynthesizer;
 using longdp::core::FixedWindowSynthesizer;
 using longdp::util::SubstreamRng;
@@ -89,5 +94,29 @@ void BM_FixedWindowSingleRound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FixedWindowSingleRound)->Arg(23374)->Arg(100000);
+
+void BM_CategoricalSingleRound(benchmark::State& state) {
+  // The same steady-state round for the categorical synthesizer, with
+  // sipp_release's alphabet and window (A = 3, k = 3): stage 1 on the
+  // window bit planes, the noise, and the keyed stage 2.
+  const int64_t n = state.range(0);
+  const int64_t T = longdp::core::kMaxHorizon;
+  SubstreamRng data_rng(7, substream::kDataset);
+  std::vector<uint8_t> round(static_cast<size_t>(n));
+  for (auto& s : round) s = static_cast<uint8_t>(data_rng.UniformInt(3));
+  CategoricalWindowSynthesizer::Options opt;
+  opt.horizon = T;
+  opt.window_k = 3;
+  opt.alphabet = 3;
+  opt.rho = 0.5;
+  opt.seed = 8;
+  auto synth = CategoricalWindowSynthesizer::Create(opt).value();
+  for (auto _ : state) {
+    if (synth->t() >= T) break;
+    benchmark::DoNotOptimize(synth->ObserveRound(round).ok());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_CategoricalSingleRound)->Arg(23374)->Arg(100000);
 
 }  // namespace

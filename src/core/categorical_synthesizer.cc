@@ -9,8 +9,9 @@
 #include <string>
 
 #include "core/limits.h"
-#include "core/observe_shard.h"
+#include "core/plane_histogram.h"
 #include "core/theory.h"
+#include "data/round_view.h"
 #include "stream/state_io.h"
 #include "util/batch_sampler.h"
 #include "util/thread_pool.h"
@@ -26,27 +27,31 @@ int64_t FloorDiv(int64_t a, int64_t b) {
   return q;
 }
 
-// v3, the derived-state binary stream/state_io.h encoding (v2 and the
-// text v1 are refused by name). After the magic line:
+// v4, the derived-state binary stream/state_io.h encoding (v1-v3 are
+// refused by name). After the magic line:
 //
 //   options  horizon, k, A, rho, npad (resolved), beta_target, seed
 //   state    t, n, releases, negative_clamps, remainder_draws, spent rho
-//   windows  (n >= 0) n base-A window codes, CodeBytes(A^k) bytes each
+//   windows  (n >= 0) the k * b window planes of n lanes, newest round
+//            first and bit 0 first within a round
 //   (t >= k):
 //   census   the clamped initial census p^k (A^k counts)
-//   rounds   per slide round k+1..t: its census (A^k counts), then a bit
-//            plane over the A^(k-1) overlaps marking the remainder draws
+//   rounds   the census of each slide round k+1..t (A^k counts)
 //   end tag  "catg-end"
 //
 // No cohort and no draw cursors: the cohort is stage 2 applied to the
-// censuses with streams keyed by round number, which LoadCheckpoint
-// re-runs (the remainder bits make it consume the same selection words).
+// censuses with streams keyed by round and overlap, which LoadCheckpoint
+// re-runs. The assignment streams do not depend on the remainder draws,
+// so the rebuild needs nothing else.
 constexpr char kFamily[] = "categorical";
 constexpr uint64_t kEnd = stream::state_io::Tag("catg-end");
 
-// Bytes per stored window code: codes are < num_bins <= 2^24.
-size_t CodeBytes(uint64_t num_bins) {
-  return (static_cast<size_t>(std::bit_width(num_bins - 1)) + 7) / 8;
+/// code_bin_ entry of a binary window code with a digit >= A.
+constexpr uint32_t kNoBin = UINT32_MAX;
+
+/// b, the bits of one symbol.
+int SymbolBits(int alphabet) {
+  return std::bit_width(static_cast<unsigned>(alphabet - 1));
 }
 }  // namespace
 
@@ -55,17 +60,19 @@ Result<uint64_t> CategoricalWindowSynthesizer::NumBins(int window_k,
   if (window_k < 1) {
     return Status::InvalidArgument("window k must be >= 1");
   }
-  if (alphabet < 2) {
-    return Status::InvalidArgument("alphabet size must be >= 2");
+  if (alphabet < 2 || alphabet > 256) {
+    return Status::InvalidArgument(
+        "alphabet size must be in [2, 256] (symbols are bytes)");
+  }
+  const int64_t planes = int64_t{window_k} * SymbolBits(alphabet);
+  if (planes > kMaxPlanes) {
+    return Status::InvalidArgument(
+        "window k * bit_width(A - 1) must be at most " +
+        std::to_string(kMaxPlanes) + " bit planes, got " +
+        std::to_string(planes));
   }
   uint64_t bins = 1;
-  for (int j = 0; j < window_k; ++j) {
-    bins *= static_cast<uint64_t>(alphabet);
-    if (bins > (uint64_t{1} << 24)) {
-      return Status::InvalidArgument(
-          "A^k exceeds 2^24 bins; reduce k or the alphabet");
-    }
-  }
+  for (int j = 0; j < window_k; ++j) bins *= static_cast<uint64_t>(alphabet);
   return bins;
 }
 
@@ -77,7 +84,8 @@ CategoricalWindowSynthesizer::CategoricalWindowSynthesizer(
       rho_per_step_(rho_per_step),
       accountant_(options.rho),
       noise_root_(options.seed, util::substream::kHistogramNoise),
-      selection_root_(options.seed, util::substream::kSelection),
+      rounding_root_(options.seed, util::substream::kRounding),
+      cohort_root_(options.seed, util::substream::kCohort),
       noise_sampler_(dp::NoiseSampler::Gaussian(sigma2)) {}
 
 Result<std::unique_ptr<CategoricalWindowSynthesizer>>
@@ -112,6 +120,26 @@ CategoricalWindowSynthesizer::Create(const Options& options) {
       new CategoricalWindowSynthesizer(options, npad, sigma2, rho_per_step));
   synth->num_bins_ = bins;
   synth->num_overlaps_ = bins / static_cast<uint64_t>(options.alphabet);
+  // The binary-code -> base-A bin map: digit j (the symbol from j rounds
+  // ago) sits in bits [j*b, (j+1)*b) and weighs A^j, so the oldest symbol
+  // is the most significant base-A digit.
+  const int b = SymbolBits(options.alphabet);
+  synth->symbol_bits_ = b;
+  const uint32_t a = static_cast<uint32_t>(options.alphabet);
+  synth->code_bin_.assign(size_t{1} << (options.window_k * b), kNoBin);
+  for (size_t code = 0; code < synth->code_bin_.size(); ++code) {
+    uint32_t bin = 0;
+    uint32_t weight = 1;
+    bool valid = true;
+    for (int j = 0; j < options.window_k && valid; ++j) {
+      const uint32_t digit =
+          static_cast<uint32_t>(code >> (j * b)) & ((1u << b) - 1);
+      valid = digit < a;
+      bin += digit * weight;
+      weight *= a;
+    }
+    if (valid) synth->code_bin_[code] = bin;
+  }
   return synth;
 }
 
@@ -120,40 +148,68 @@ Status CategoricalWindowSynthesizer::ObserveRound(
   if (t_ >= options_.horizon) {
     return Status::OutOfRange("synthesizer past its horizon");
   }
-  if (n_ < 0) {
-    n_ = static_cast<int64_t>(symbols.size());
-    user_window_.assign(symbols.size(), 0);
-  } else if (symbols.size() != static_cast<size_t>(n_)) {
-    return Status::InvalidArgument("round size changed");
+  const int64_t n = static_cast<int64_t>(symbols.size());
+  if (n_ >= 0 && n != n_) {
+    return Status::InvalidArgument(
+        "round size changed; the population is fixed over the horizon");
   }
-  // Validate before mutating: a rejected round must not slide any window.
-  for (uint8_t s : symbols) {
-    if (s >= options_.alphabet) {
-      return Status::InvalidArgument("symbol out of alphabet range");
+  // Validate before mutating: a rejected round, the first one included,
+  // must not fix the population or slide any window.
+  LONGDP_RETURN_NOT_OK(
+      data::CheckSymbols(symbols.data(), n, options_.alphabet));
+  const int k = options_.window_k;
+  const int b = symbol_bits_;
+  if (n_ < 0) {
+    n_ = n;
+    window_planes_.assign(static_cast<size_t>(k * b),
+                          std::vector<uint64_t>(
+                              static_cast<size_t>((n + 63) >> 6), 0));
+    plane_head_ = 0;
+  }
+  // Stage 1, the per-user slide, as in FixedWindowSynthesizer: rotate the
+  // ring head (the expiring oldest slot becomes the newest) and slice the
+  // round into that slot's b planes. Warm-up rounds skip the histogram.
+  plane_head_ = (plane_head_ + k - 1) % k;
+  uint64_t* slot[8];
+  for (int p = 0; p < b; ++p) {
+    slot[p] =
+        window_planes_[static_cast<size_t>(plane_head_ * b + p)].data();
+  }
+  data::SliceSymbols(symbols.data(), n, b, slot);
+  ++t_;
+  if (t_ < k) return Status::OK();
+  // Fold the binary codes into the A^k bins; lanes never hold a digit >= A
+  // (checked at the edge and by LoadCheckpoint).
+  CountPlaneHistogram();
+  window_hist_.assign(num_bins_, 0);
+  for (size_t code = 0; code < code_bin_.size(); ++code) {
+    if (code_bin_[code] != kNoBin) {
+      window_hist_[code_bin_[code]] += plane_hist_[code];
     }
   }
-  // Stage 1, fused per-user base-A slide + histogram count (RNG-free and
-  // index-disjoint; see core/observe_shard.h for the sharding branches and
-  // the thread-count-invariance argument — the per-shard histogram gate
-  // matters here because A^k bins can dwarf a small population).
-  const uint64_t a = static_cast<uint64_t>(options_.alphabet);
-  ShardedSlideAndCount(options_.pool, n_, num_bins_, &window_hist_,
-                       &shard_hist_, [&](int64_t i) {
-                         const size_t ii = static_cast<size_t>(i);
-                         const uint64_t w =
-                             (user_window_[ii] * a + symbols[ii]) % num_bins_;
-                         user_window_[ii] = w;
-                         return w;
-                       });
-  ++t_;
-  if (t_ < options_.window_k) return Status::OK();
-  if (t_ == options_.window_k) return InitialRelease();
+  if (t_ == k) return InitialRelease();
   return SlideRelease();
 }
 
+void CategoricalWindowSynthesizer::CountPlaneHistogram() {
+  const int k = options_.window_k;
+  const int b = symbol_bits_;
+  const uint64_t* planes[kMaxPlanes];
+  for (int j = 0; j < k; ++j) {
+    const int slot = (plane_head_ + j) % k;
+    for (int p = 0; p < b; ++p) {
+      planes[j * b + p] =
+          window_planes_[static_cast<size_t>(slot * b + p)].data();
+    }
+  }
+  ShardedPlaneHistogram(options_.pool, planes, k * b,
+                        window_planes_[0].size(), n_, &plane_hist_,
+                        &shard_hist_);
+}
+
 std::vector<int64_t>& CategoricalWindowSynthesizer::NoisyPaddedHistogram() {
-  // The exact histogram was counted by the fused observe pass; pad and
-  // noise it here. Bin s of round t draws from the keyed substream
+  // The exact histogram was counted from the plane ring; pad and noise it
+  // here. Bin s of round t draws from the keyed substream
   // (seed, kHistogramNoise, t, s), so the per-bin draws shard freely and
   // the noise vector is identical at any shard or thread count.
   noisy_scratch_ = window_hist_;
@@ -190,7 +246,7 @@ Status CategoricalWindowSynthesizer::SeedCohort(int64_t reserve_rounds) {
   groups_.BuildOffsets();
   groups_next_.Reset(num_overlaps_);
   targets_.assign(static_cast<size_t>(options_.alphabet), 0);
-  child_order_.assign(static_cast<size_t>(options_.alphabet), 0);
+  child_order_.resize(static_cast<size_t>(options_.alphabet));
   num_records_ = 0;
   for (uint64_t s = 0; s < num_bins_; ++s) num_records_ += census[s];
   const int k = options_.window_k;
@@ -219,12 +275,6 @@ Status CategoricalWindowSynthesizer::SeedCohort(int64_t reserve_rounds) {
   return Status::OK();
 }
 
-void CategoricalWindowSynthesizer::DrawRemainderOrder(
-    util::BatchSampler* sampler) {
-  for (size_t c = 0; c < child_order_.size(); ++c) child_order_[c] = c;
-  sampler->Shuffle(&child_order_);
-}
-
 Status CategoricalWindowSynthesizer::SlideRelease() {
   LONGDP_RETURN_NOT_OK(accountant_.Charge(
       rho_per_step_, "categorical histogram t=" + std::to_string(t_)));
@@ -235,51 +285,48 @@ Status CategoricalWindowSynthesizer::SlideRelease() {
   release_targets_.resize(release_targets_.size() + num_bins_);
   int64_t* new_counts =
       release_targets_.data() + release_targets_.size() - num_bins_;
-  const size_t plane_words = (num_overlaps_ + 63) / 64;
-  remainder_drew_.resize(remainder_drew_.size() + plane_words, 0);
-  uint64_t* drew = remainder_drew_.data() + remainder_drew_.size() -
-                   plane_words;
   std::vector<int64_t>& targets = targets_;
-  // All stage-2 draws of round t (remainder children, promotion subsets)
-  // come from the round's keyed selection substream, in overlap order.
-  util::SubstreamRng selection =
-      selection_root_.Derive(static_cast<uint64_t>(t_));
-  util::BatchSampler sampler(&selection);
+  // Remainder children draw sequentially, in z order, from this round's
+  // keyed rounding substream.
+  util::SubstreamRng rounding =
+      rounding_root_.Derive(static_cast<uint64_t>(t_));
+  util::BatchSampler sampler(&rounding);
 
   // The census: the per-child assignment counts for every overlap depend
   // only on the noisy census and the current group sizes, not on which
   // record goes where, so they are all computed before AssignRound moves a
-  // record. Remainder draws stay serial, in overlap order.
+  // record.
   for (uint64_t z = 0; z < num_overlaps_; ++z) {
     const int64_t group = groups_.size(z);
     // Children bins of overlap z: codes z*A + a'.
+    const int64_t* child_noisy = noisy.data() + z * static_cast<uint64_t>(a);
     int64_t noisy_sum = 0;
-    for (int64_t c = 0; c < a; ++c) {
-      noisy_sum += noisy[z * static_cast<uint64_t>(a) +
-                         static_cast<uint64_t>(c)];
-    }
+    for (int64_t c = 0; c < a; ++c) noisy_sum += child_noisy[c];
     int64_t num = group - noisy_sum;  // A * Delta_z
     int64_t base = FloorDiv(num, a);
     int64_t rem = num - base * a;  // in [0, A)
     for (int64_t c = 0; c < a; ++c) {
-      targets[static_cast<size_t>(c)] =
-          noisy[z * static_cast<uint64_t>(a) + static_cast<uint64_t>(c)] +
-          base;
+      targets[static_cast<size_t>(c)] = child_noisy[c] + base;
     }
     if (rem != 0) {
       ++stats_.remainder_draws;
-      drew[z >> 6] |= uint64_t{1} << (z & 63);
-      // Give +1 to `rem` uniformly chosen distinct children.
-      DrawRemainderOrder(&sampler);
+      // Give +1 to `rem` uniformly chosen distinct children: the front of
+      // a partial shuffle of A-1..0. At A = 2 that is one Bounded(2) draw,
+      // the word's top bit, picking child 0 exactly when
+      // FixedWindowSynthesizer's rounding.Coin() rounds p_z0 up.
+      for (size_t c = 0; c < child_order_.size(); ++c) {
+        child_order_[c] = child_order_.size() - 1 - c;
+      }
+      sampler.PartialShuffle(child_order_.data(), a, rem);
       for (int64_t r = 0; r < rem; ++r) {
         ++targets[child_order_[static_cast<size_t>(r)]];
       }
     }
     // Water-fill any negatives back from the positive targets, preserving
-    // the group sum (the categorical analogue of the pairwise clamp).
-    // Afterwards the targets sum to the group size exactly: base/rem
-    // construction makes the raw sum equal to `group`, and the fill moves
-    // mass without creating or destroying it.
+    // the group sum (the categorical analogue of the pairwise clamp, which
+    // it equals at A = 2). Afterwards the targets sum to the group size
+    // exactly: base/rem construction makes the raw sum equal to `group`,
+    // and the fill moves mass without creating or destroying it.
     for (size_t c = 0; c < targets.size(); ++c) {
       if (targets[c] < 0) {
         int64_t deficit = -targets[c];
@@ -294,15 +341,13 @@ Status CategoricalWindowSynthesizer::SlideRelease() {
         }
       }
     }
-    for (int64_t c = 0; c < a; ++c) {
-      new_counts[z * static_cast<uint64_t>(a) + static_cast<uint64_t>(c)] =
-          targets[static_cast<size_t>(c)];
-    }
+    std::copy(targets.begin(), targets.end(),
+              new_counts + z * static_cast<uint64_t>(a));
   }
-  return AssignRound(&sampler);
+  return AssignRound(t_);
 }
 
-Status CategoricalWindowSynthesizer::AssignRound(util::BatchSampler* sampler) {
+Status CategoricalWindowSynthesizer::AssignRound(int64_t t) {
   const int64_t a = options_.alphabet;
   const int64_t* census =
       release_targets_.data() + release_targets_.size() - num_bins_;
@@ -338,34 +383,57 @@ Status CategoricalWindowSynthesizer::AssignRound(util::BatchSampler* sampler) {
   }
   groups_next_.BuildOffsets();
 
-  // Assign and scatter. One zero-filled column append for round t_;
-  // assigned symbols are written record-by-record. Instead of a full
-  // shuffle per overlap group, each child takes a uniformly chosen subset
-  // of the records still unassigned (a batched partial shuffle of the
-  // remaining span); the final child absorbs the rest without a draw.
+  // Pass 1, the draws, as SyntheticCohort::AdvanceRound: for c = A-1 down
+  // to 1, child c takes a uniformly chosen subset of the records still
+  // unassigned, put at the front of the remaining span by a partial
+  // shuffle; child 0 absorbs the rest without a draw. Overlap z draws only
+  // from stream.Leaf(z) and permutes only its own members, so the groups
+  // shard freely.
+  const util::SubstreamRng stream =
+      cohort_root_.Derive(static_cast<uint64_t>(t));
+  util::ShardedFor(
+      options_.pool, static_cast<int64_t>(num_overlaps_),
+      [&](int /*shard*/, int64_t begin, int64_t end) {
+        for (int64_t zi = begin; zi < end; ++zi) {
+          const uint64_t z = static_cast<uint64_t>(zi);
+          int64_t* members = groups_.group_data(z);
+          const int64_t group = groups_.size(z);
+          util::SubstreamRng group_stream = stream.Leaf(z);
+          util::BatchSampler sampler(&group_stream);
+          int64_t idx = 0;
+          for (int64_t c = a - 1; c >= 1; --c) {
+            const int64_t take = census[z * static_cast<uint64_t>(a) +
+                                        static_cast<uint64_t>(c)];
+            const int64_t remaining = group - idx;
+            if (take > 0 && take < remaining) {
+              sampler.PartialShuffle(members + idx, remaining, take);
+            }
+            idx += take;
+          }
+        }
+      });
+
+  // Pass 2, the scatter: destination groups interleave across source
+  // overlaps, so the regroup stays serial, in overlap order. Each child is
+  // one ranged append, and only non-zero symbols are written: the appended
+  // column is zero-filled.
   const size_t m = static_cast<size_t>(num_records_);
-  const size_t col_base = static_cast<size_t>(t_ - 1) * m;
+  const size_t col_base = static_cast<size_t>(t - 1) * m;
   history_symbols_.resize(col_base + m, 0);
   uint8_t* col = history_symbols_.data() + col_base;
-
   for (uint64_t z = 0; z < num_overlaps_; ++z) {
-    int64_t* members = groups_.group_data(z);
-    const int64_t group = groups_.size(z);
-    if (group == 0) continue;
+    const int64_t* members = groups_.group_data(z);
     int64_t idx = 0;
-    for (int64_t c = 0; c < a; ++c) {
+    for (int64_t c = a - 1; c >= 0; --c) {
       const uint64_t child =
           z * static_cast<uint64_t>(a) + static_cast<uint64_t>(c);
       const int64_t take = census[child];
-      const int64_t remaining = group - idx;
-      if (take > 0 && take < remaining) {
-        sampler->PartialShuffle(members + idx, remaining, take);
+      if (c != 0) {
+        for (int64_t j = 0; j < take; ++j) {
+          col[members[idx + j]] = static_cast<uint8_t>(c);
+        }
       }
-      for (int64_t j = 0; j < take; ++j) {
-        const int64_t rec = members[idx + j];
-        col[rec] = static_cast<uint8_t>(c);
-        groups_next_.Place(child % num_overlaps_, rec);
-      }
+      groups_next_.PlaceRange(child % num_overlaps_, members + idx, take);
       idx += take;
     }
   }
@@ -400,23 +468,17 @@ Status CategoricalWindowSynthesizer::SaveCheckpoint(std::ostream& out) const {
   sio::WriteInt(out, stats_.remainder_draws);
   sio::WriteDouble(out, accountant_.spent());
   if (n_ >= 0) {
-    const size_t width = CodeBytes(num_bins_);
-    std::vector<uint8_t> codes(user_window_.size() * width);
-    for (size_t i = 0; i < user_window_.size(); ++i) {
-      std::memcpy(&codes[i * width], &user_window_[i], width);
-    }
-    sio::WriteArray(out, codes.data(), codes.size());
-  }
-  if (initialized_) {
-    sio::WriteArray(out, release_targets_.data(), num_bins_);
-    const size_t plane_words = (num_overlaps_ + 63) / 64;
-    for (size_t r = 0; r * plane_words < remainder_drew_.size(); ++r) {
-      sio::WriteArray(out, release_targets_.data() + (r + 1) * num_bins_,
-                      num_bins_);
-      sio::WriteArray(out, remainder_drew_.data() + r * plane_words,
-                      plane_words);
+    // Logical order, so the bytes do not depend on the ring head.
+    const int k = options_.window_k;
+    for (int j = 0; j < k; ++j) {
+      const int slot = (plane_head_ + j) % k;
+      for (int p = 0; p < symbol_bits_; ++p) {
+        sio::WritePlane(
+            out, window_planes_[static_cast<size_t>(slot * symbol_bits_ + p)]);
+      }
     }
   }
+  sio::WriteArray(out, release_targets_.data(), release_targets_.size());
   sio::WriteTag(out, kEnd);
   return out.good() ? Status::OK()
                     : Status::IOError("checkpoint write failed");
@@ -444,7 +506,6 @@ CategoricalWindowSynthesizer::LoadCheckpoint(std::istream& in) {
   LONGDP_ASSIGN_OR_RETURN(auto synth, Create(options));
   const int k = options.window_k;
   const uint64_t bins = synth->num_bins_;
-  const uint64_t overlaps = synth->num_overlaps_;
 
   LONGDP_ASSIGN_OR_RETURN(const int64_t t,
                           sio::ReadIntIn(in, 0, options.horizon, "round"));
@@ -476,21 +537,31 @@ CategoricalWindowSynthesizer::LoadCheckpoint(std::istream& in) {
         synth->accountant_.Charge(spent, "restored-checkpoint"));
   }
   if (n >= 0) {
-    // Before round k a window holds only t symbols.
-    uint64_t limit = 1;
-    for (int64_t j = 0; j < std::min<int64_t>(t, k); ++j) limit *= alphabet;
-    const size_t width = CodeBytes(bins);
-    std::vector<uint8_t> codes;
-    LONGDP_RETURN_NOT_OK(
-        sio::ReadVector(in, static_cast<uint64_t>(n) * width, &codes));
-    synth->user_window_.assign(static_cast<size_t>(n), 0);
-    for (size_t i = 0; i < synth->user_window_.size(); ++i) {
-      uint64_t w = 0;
-      std::memcpy(&w, &codes[i * width], width);
-      if (w >= limit) {
-        return Status::InvalidArgument("window pattern out of range");
+    const int b = synth->symbol_bits_;
+    synth->window_planes_.resize(static_cast<size_t>(k * b));
+    for (int j = 0; j < k; ++j) {
+      for (int p = 0; p < b; ++p) {
+        auto& plane = synth->window_planes_[static_cast<size_t>(j * b + p)];
+        LONGDP_RETURN_NOT_OK(sio::ReadPlane(in, n, &plane));
+        // Planes older than round 1 were never written.
+        if (j >= t && std::any_of(plane.begin(), plane.end(),
+                                  [](uint64_t w) { return w != 0; })) {
+          return Status::InvalidArgument(
+              "categorical checkpoint has window symbols before round 1");
+        }
       }
-      synth->user_window_[i] = w;
+    }
+    synth->plane_head_ = 0;
+    synth->n_ = n;
+    // Every lane's digits must lie in the alphabet: a binary code with a
+    // digit >= A has no bin to fold into.
+    synth->CountPlaneHistogram();
+    for (size_t code = 0; code < synth->code_bin_.size(); ++code) {
+      if (synth->code_bin_[code] == kNoBin && synth->plane_hist_[code] != 0) {
+        return Status::InvalidArgument(
+            "categorical checkpoint window holds a symbol outside the "
+            "alphabet");
+      }
     }
   }
   if (t >= k) {
@@ -506,35 +577,11 @@ CategoricalWindowSynthesizer::LoadCheckpoint(std::istream& in) {
     // rounds' bytes, so it must not size an allocation.
     LONGDP_RETURN_NOT_OK(synth->SeedCohort(k));
     std::vector<int64_t> census;
-    std::vector<uint64_t> drew;
     for (int64_t tt = k + 1; tt <= t; ++tt) {
       LONGDP_RETURN_NOT_OK(sio::ReadVector(in, bins, &census));
-      LONGDP_RETURN_NOT_OK(
-          sio::ReadPlane(in, static_cast<int64_t>(overlaps), &drew));
       targets.insert(targets.end(), census.begin(), census.end());
-      synth->remainder_drew_.insert(synth->remainder_drew_.end(),
-                                    drew.begin(), drew.end());
-      // Replay the round's remainder draws so the assignment draws start
-      // at the same selection word they did live.
-      util::SubstreamRng selection =
-          synth->selection_root_.Derive(static_cast<uint64_t>(tt));
-      util::BatchSampler sampler(&selection);
-      for (uint64_t z = 0; z < overlaps; ++z) {
-        if ((drew[z >> 6] >> (z & 63)) & 1) synth->DrawRemainderOrder(&sampler);
-      }
-      synth->t_ = tt;
-      LONGDP_RETURN_NOT_OK(synth->AssignRound(&sampler));
+      LONGDP_RETURN_NOT_OK(synth->AssignRound(tt));
     }
-  }
-  // Each set bit is one remainder draw of the live run; a flipped bit
-  // would shift every later selection word and rebuild a different member
-  // order.
-  int64_t drawn = 0;
-  for (uint64_t w : synth->remainder_drew_) drawn += std::popcount(w);
-  if (drawn != stats.remainder_draws) {
-    return Status::InvalidArgument(
-        "categorical checkpoint remainder bits inconsistent with its "
-        "remainder draws");
   }
   LONGDP_RETURN_NOT_OK(sio::ExpectTag(in, kEnd, "categorical checkpoint"));
   synth->t_ = t;
@@ -551,7 +598,9 @@ Result<double> CategoricalWindowSynthesizer::DebiasedBinFraction(
   if (s >= num_bins_) {
     return Status::OutOfRange("pattern code out of range");
   }
-  return static_cast<double>(counts_[s] - npad_) / static_cast<double>(n_);
+  const int64_t true_n = n_ > 0 ? n_ : 1;
+  return static_cast<double>(counts_[s] - npad_) /
+         static_cast<double>(true_n);
 }
 
 }  // namespace core

@@ -12,6 +12,16 @@
 // discrepancy evenly over the A children with the integer remainder
 // assigned to uniformly chosen children (the A = 2 case reduces exactly to
 // Algorithm 1's +-1/2 rounding).
+//
+// It runs on FixedWindowSynthesizer's machinery. Stage 1 bit-slices each
+// round into b = bit_width(A - 1) packed planes and keeps every user's
+// window as a ring of k rounds of b planes, counted by the same sharded
+// plane-histogram kernel and folded from binary codes into the A^k bins.
+// Stage 2 draws from the same keyed streams: remainder children from the
+// round's rounding stream, record assignment from one cohort stream per
+// overlap, sharded across the pool. At A = 2 the synthesizer therefore
+// consumes exactly FixedWindowSynthesizer's words and reproduces its
+// releases and its cohort record for record.
 
 #ifndef LONGDP_CORE_CATEGORICAL_SYNTHESIZER_H_
 #define LONGDP_CORE_CATEGORICAL_SYNTHESIZER_H_
@@ -41,22 +51,24 @@ class CategoricalWindowSynthesizer {
   struct Options {
     int64_t horizon = 0;   ///< T, in [k, kMaxHorizon] (core/limits.h)
     int window_k = 0;      ///< window width k
-    int alphabet = 2;      ///< A >= 2; bins = A^k (must stay <= 2^24)
+    /// A in [2, 256]; the window's k * bit_width(A - 1) bit planes must
+    /// fit util::simd::kMaxPlanes (core/limits.h).
+    int alphabet = 2;
     double rho = 0.0;      ///< total zCDP budget
     int64_t npad = -1;     ///< -1: auto-size from beta_target
     double beta_target = 0.05;
-    /// Root seed for every substream the synthesizer draws from: per-bin
-    /// histogram noise is keyed (seed, kHistogramNoise, round, bin, draw)
-    /// and the stage-2 selection draws (remainder children, promotion
-    /// subsets) are keyed (seed, kSelection, round, draw). The release log
-    /// is a pure function of (options, input data) at any shard count.
+    /// Root seed for every substream the synthesizer draws from, keyed as
+    /// in FixedWindowSynthesizer: per-bin histogram noise (seed,
+    /// kHistogramNoise, round, bin, draw), remainder children (seed,
+    /// kRounding, round, draw), and record assignment (seed, kCohort,
+    /// round, overlap, draw). The release log is a pure function of
+    /// (options, input data) at any shard count.
     uint64_t seed = 0;
-    /// Optional worker pool for the stage-1 shards (per-user base-A window
-    /// updates and histogram accumulation) and the per-bin noise draws.
-    /// Non-owning; must outlive the synthesizer. Null runs serially.
-    /// Releases are bit-identical at any shard or thread count: noise is
-    /// keyed per bin, stage-2 draws stay serial, and shard histograms
-    /// reduce in shard order.
+    /// Optional worker pool for the stage-1 plane histogram, the per-bin
+    /// noise draws and the per-overlap assignment shuffles. Non-owning;
+    /// must outlive the synthesizer. Null runs serially. Releases are
+    /// bit-identical at any shard or thread count: draws are keyed by
+    /// substream addresses, and shard histograms reduce in shard order.
     util::ThreadPool* pool = nullptr;
   };
 
@@ -69,7 +81,9 @@ class CategoricalWindowSynthesizer {
   static Result<std::unique_ptr<CategoricalWindowSynthesizer>> Create(
       const Options& options);
 
-  /// Consumes round t's symbols (each in [0, A)). Randomness comes from
+  /// Consumes round t's symbols (each in [0, A); the population size n is
+  /// fixed by the first accepted round). A round with a symbol outside the
+  /// alphabet is refused before any state changes. Randomness comes from
   /// the synthesizer's own substreams (Options::seed).
   Status ObserveRound(const std::vector<uint8_t>& symbols);
 
@@ -87,7 +101,8 @@ class CategoricalWindowSynthesizer {
   const std::vector<int64_t>& SyntheticHistogram() const { return counts_; }
 
   /// Debiased estimate of the fraction of the original population whose
-  /// current window equals base-A pattern code `s`.
+  /// current window equals base-A pattern code `s` (normalized by n, or by
+  /// 1 when n = 0, as FixedWindowSynthesizer's padding_spec does).
   Result<double> DebiasedBinFraction(uint64_t s) const;
 
   /// Symbol of synthetic record `r` at round `tt` (1-based, tt <= t()).
@@ -101,17 +116,16 @@ class CategoricalWindowSynthesizer {
   const dp::ZCdpAccountant& accountant() const { return accountant_; }
 
   /// The SaveCheckpoint format version (binary since v2; derived-state
-  /// since v3).
-  static constexpr int kCheckpointVersion = 3;
+  /// since v3; window bit planes and keyed stage-2 streams since v4).
+  static constexpr int kCheckpointVersion = 4;
 
   /// Serializes the synthesizer state that cannot be derived (options with
-  /// the resolved padding, accountant, per-user windows, and every
-  /// release's census with the overlaps whose remainder drew) as a binary
-  /// checkpoint (stream/state_io.h) ending in a format-specific sentinel.
-  /// The synthetic cohort is post-processing of the censuses and is not
-  /// stored: LoadCheckpoint rebuilds it. No RNG cursors are needed: every
-  /// draw stream is keyed by its round number. Refuses a cohort past
-  /// theory::MaxSyntheticRecords.
+  /// the resolved padding, accountant, the k * b window planes, and every
+  /// release's census) as a binary checkpoint (stream/state_io.h) ending in
+  /// a format-specific sentinel. The synthetic cohort is post-processing of
+  /// the censuses and is not stored: LoadCheckpoint rebuilds it. No RNG
+  /// cursors are needed: every draw stream is keyed by its round number
+  /// (and overlap). Refuses a cohort past theory::MaxSyntheticRecords.
   Status SaveCheckpoint(std::ostream& out) const;
 
   /// Restores a synthesizer saved by SaveCheckpoint, rebuilding the cohort
@@ -126,7 +140,8 @@ class CategoricalWindowSynthesizer {
   /// must outlive the synthesizer. Null runs serially.
   void set_pool(util::ThreadPool* pool) { options_.pool = pool; }
 
-  /// Number of width-k base-A patterns, A^k.
+  /// Number of width-k base-A patterns, A^k. Refuses k < 1, A outside
+  /// [2, 256], and windows of more than kMaxPlanes bit planes.
   static Result<uint64_t> NumBins(int window_k, int alphabet);
 
  private:
@@ -138,14 +153,14 @@ class CategoricalWindowSynthesizer {
   /// Stage 2's apply steps, run by the live release and by
   /// LoadCheckpoint's rebuild. SeedCohort creates census[s] records of
   /// every pattern s, with history capacity for `reserve_rounds` rounds;
-  /// AssignRound moves each overlap group's records to the children the
-  /// round's census names (a group's children must sum to its size),
-  /// drawing from `sampler` after the round's remainder draws. Both take
-  /// the census as the last A^k entries of release_targets_.
+  /// AssignRound moves each overlap group's records to the children round
+  /// t's census names (a group's children must sum to its size), drawing
+  /// from cohort_root_.Derive(t).Leaf(z). Both take the census as the last
+  /// A^k entries of release_targets_.
   Status SeedCohort(int64_t reserve_rounds);
-  Status AssignRound(util::BatchSampler* sampler);
-  /// Shuffles child_order_: one overlap's remainder draw.
-  void DrawRemainderOrder(util::BatchSampler* sampler);
+  Status AssignRound(int64_t t);
+  /// Counts the binary window codes of the plane ring into plane_hist_.
+  void CountPlaneHistogram();
   /// Fills and returns noisy_scratch_ (persistent, never reallocated);
   /// one keyed discrete Gaussian per bin, sharded across Options::pool.
   std::vector<int64_t>& NoisyPaddedHistogram();
@@ -158,23 +173,34 @@ class CategoricalWindowSynthesizer {
   /// Substream roots; round t uses root.Derive(t), so every release's
   /// draws are addressable without any mutable shared stream.
   util::SubstreamRng noise_root_;
-  util::SubstreamRng selection_root_;
+  util::SubstreamRng rounding_root_;
+  util::SubstreamRng cohort_root_;
   /// Batched per-bin histogram noise (same draws as the one-shot sampler).
   dp::NoiseSampler noise_sampler_;
 
   uint64_t num_bins_ = 0;      ///< A^k
   uint64_t num_overlaps_ = 0;  ///< A^(k-1)
+  int symbol_bits_ = 0;        ///< b = bit_width(A - 1)
   int64_t n_ = -1;
   int64_t t_ = 0;
   bool initialized_ = false;
   int64_t num_records_ = 0;
-  std::vector<uint64_t> user_window_;  ///< base-A window code per user
+  /// The original data's windows, bit-sliced as FixedWindowSynthesizer
+  /// keeps them: plane p of the symbol from j rounds ago is
+  /// window_planes_[((plane_head_ + j) % k) * b + p], n lanes each. A round
+  /// rotates the head and slices into the freed slot's b planes.
+  std::vector<std::vector<uint64_t>> window_planes_;
+  int plane_head_ = 0;
+  /// Binary window code (the symbol from j rounds ago in bits [j*b,
+  /// (j+1)*b)) -> its base-A bin, or kNoBin when a digit is >= A. Built in
+  /// Create; 2^(k*b) entries.
+  std::vector<uint32_t> code_bin_;
 
-  // Synthetic cohort state (flattened into the synthesizer: categorical
-  // grouping logic differs enough from the binary cohort to keep separate).
-  // Records live in one flat column-major symbol matrix — round tt's
-  // column is [(tt-1)*m, tt*m) for m = num_records_ — so a round append is
-  // one zero-filled resize plus per-record writes into a contiguous column.
+  // Synthetic cohort state. Records live in one flat column-major symbol
+  // matrix (byte per symbol) — round tt's column is [(tt-1)*m, tt*m) for
+  // m = num_records_ — so a round append is one zero-filled resize plus
+  // writes of the non-zero symbols. At A = 2 record ids, group member
+  // order and histories equal SyntheticCohort's.
   std::vector<uint8_t> history_symbols_;
   /// Records grouped by overlap code, as one flat counting-sorted array.
   /// The slide regroup knows every next-round group size from the child
@@ -186,10 +212,6 @@ class CategoricalWindowSynthesizer {
   /// Every release's census p^t (A^k counts each, round order): the stage-2
   /// targets checkpoints persist instead of the cohort.
   std::vector<int64_t> release_targets_;
-  /// Per slide round, a bit plane over the A^(k-1) overlaps: bit z is set
-  /// when overlap z's remainder drew (consuming selection words before the
-  /// round's assignment draws). ceil(A^(k-1)/64) words per round.
-  std::vector<uint64_t> remainder_drew_;
   Stats stats_;
 
   // Persistent per-round scratch (sized once, reused every release) so the
@@ -198,8 +220,8 @@ class CategoricalWindowSynthesizer {
   std::vector<int64_t> noise_scratch_;              ///< A^k bulk noise draws
   std::vector<int64_t> targets_;                    ///< per-child targets
   std::vector<size_t> child_order_;                 ///< remainder shuffle
-  /// Exact window histogram from the fused slide+count observe pass.
-  std::vector<int64_t> window_hist_;
+  std::vector<int64_t> plane_hist_;    ///< 2^(k*b) binary-code histogram
+  std::vector<int64_t> window_hist_;   ///< A^k exact window histogram
   std::vector<std::vector<int64_t>> shard_hist_;    ///< per-shard histograms
 };
 

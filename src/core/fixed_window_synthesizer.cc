@@ -7,9 +7,9 @@
 #include <ostream>
 
 #include "core/limits.h"
+#include "core/plane_histogram.h"
 #include "core/theory.h"
 #include "stream/state_io.h"
-#include "util/simd/simd.h"
 #include "util/thread_pool.h"
 
 namespace longdp {
@@ -100,10 +100,6 @@ Status FixedWindowSynthesizer::ObserveRound(data::RoundView round) {
 
 void FixedWindowSynthesizer::CountWindowHistogram() {
   const int k = options_.window_k;
-  const size_t bins = util::NumPatterns(k);
-  window_hist_.assign(bins, 0);
-  if (n_ <= 0) return;
-  const size_t num_words = window_planes_[0].size();
   // Plane pointers in bit order: plane 0 (the newest round) is the ring
   // head, matching util::SlideAppend's newest-bit-is-bit-0 encoding.
   const uint64_t* planes[kMaxPlanes];
@@ -111,33 +107,8 @@ void FixedWindowSynthesizer::CountWindowHistogram() {
     planes[j] =
         window_planes_[static_cast<size_t>((plane_head_ + j) % k)].data();
   }
-  const int shards = util::NumShards(options_.pool);
-  if (shards > 1 && num_words >= static_cast<size_t>(shards)) {
-    // Word-range shards: exact integer popcounts over a contiguous
-    // partition, reduced in shard order — identical at every thread count.
-    if (shard_hist_.size() != static_cast<size_t>(shards)) {
-      shard_hist_.assign(static_cast<size_t>(shards),
-                         std::vector<int64_t>(bins, 0));
-    }
-    options_.pool->ParallelFor(
-        static_cast<int64_t>(num_words), [&](int s, int64_t lo, int64_t hi) {
-          auto& h = shard_hist_[static_cast<size_t>(s)];
-          std::fill(h.begin(), h.end(), 0);
-          const uint64_t* sub[kMaxPlanes];
-          for (int j = 0; j < k; ++j) sub[j] = planes[j] + lo;
-          util::simd::PlaneHistogram(sub, k, nullptr,
-                                     static_cast<size_t>(hi - lo), h.data());
-        });
-    for (const auto& h : shard_hist_) {
-      for (size_t b = 0; b < bins; ++b) window_hist_[b] += h[b];
-    }
-  } else {
-    util::simd::PlaneHistogram(planes, k, nullptr, num_words,
-                               window_hist_.data());
-  }
-  // Tail lanes past n in the last word are all-zero in every plane (the
-  // RoundView packing invariant) and were counted into bin 0; remove them.
-  window_hist_[0] -= static_cast<int64_t>(num_words * 64) - n_;
+  ShardedPlaneHistogram(options_.pool, planes, k, window_planes_[0].size(),
+                        n_, &window_hist_, &shard_hist_);
 }
 
 std::vector<int64_t>& FixedWindowSynthesizer::NoisyPaddedHistogram() {

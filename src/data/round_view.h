@@ -12,6 +12,11 @@
 // RoundView is 0/1-clean by construction and downstream code never
 // re-validates. Trailing bits past size() in the last word are always zero
 // (CountOnes and word-level consumers rely on it).
+//
+// CheckSymbols and SliceSymbols are the packer behind Assign, generalized
+// to small alphabets: a round of byte symbols becomes b bit planes in the
+// same layout (plane p holds bit p of every symbol), which is how the
+// categorical window synthesizer stores its rounds.
 
 #ifndef LONGDP_DATA_ROUND_VIEW_H_
 #define LONGDP_DATA_ROUND_VIEW_H_
@@ -82,6 +87,19 @@ class RoundView {
   const uint64_t* words_ = nullptr;
   int64_t num_bits_ = 0;
 };
+
+/// InvalidArgument unless every one of the n symbols is below `limit`
+/// (1 <= limit <= 256). Reads 8 bytes per step and writes nothing, so a
+/// caller can validate a round before any of its state changes.
+Status CheckSymbols(const uint8_t* symbols, int64_t n, int limit);
+
+/// Bit-slices n symbols into `num_planes` (1..8) packed planes: bit p of
+/// symbol i lands at bit i % 64 of planes[p][i / 64]. Each plane receives
+/// exactly (n + 63) / 64 words, whole words, with the bits past lane n
+/// zero. Symbol bits at or above num_planes are dropped, so callers check
+/// the round with CheckSymbols first.
+void SliceSymbols(const uint8_t* symbols, int64_t n, int num_planes,
+                  uint64_t* const* planes);
 
 class PackedRound {
  public:

@@ -267,26 +267,32 @@ TEST(CheckpointMutationTest, CategoricalDecoderIsTotal) {
   const auto roundtrip = SynthRoundtrip<core::CategoricalWindowSynthesizer>();
   MutateAll(roundtrip, Save(*synth), "categorical fresh");
   ASSERT_TRUE(synth->ObserveRound(rounds[0]).ok());
-  MutateAll(roundtrip, Save(*synth), "categorical pre-release");
+  const std::string pre_release = Save(*synth);
+  MutateAll(roundtrip, pre_release, "categorical pre-release");
   for (size_t t = 1; t < 4; ++t) {
     ASSERT_TRUE(synth->ObserveRound(rounds[t]).ok());
   }
   ASSERT_TRUE(synth->has_release());
   const std::string bytes = Save(*synth);
   MutateAll(roundtrip, bytes, "categorical post-release");
-  // Before the end tag: the 9-bin initial census, then rounds 3 and 4 as a
-  // 9-bin census and one remainder plane word each.
-  const size_t targets = 9 * 8 + 2 * (9 * 8 + 8);
-  ForgedTargetsAreRefused(roundtrip, bytes, bytes.size() - 8 - targets,
-                          bytes.size() - 8, "categorical censuses");
   // Header fields after the magic line: horizon, k, A, rho, npad, beta,
-  // seed, t, n, releases, clamps, remainder draws, spent.
+  // seed, t, n, releases, clamps, remainder draws, spent. Then the v4
+  // layout: k * b = 4 window planes of two words (A = 3 takes b = 2 bits;
+  // plane j * b + p holds bit p of the symbol from j rounds ago), and
+  // before the end tag the 9-bin initial census and the 9-bin censuses of
+  // rounds 3 and 4.
   const size_t field = stream::state_io::Magic(
                            "categorical",
                            core::CategoricalWindowSynthesizer::
                                kCheckpointVersion)
                            .size() +
                        1;
+  const size_t plane_bytes = 2 * 8;
+  const size_t planes = field + 13 * 8;
+  const size_t targets = 3 * 9 * 8;
+  ASSERT_EQ(planes + 4 * plane_bytes + targets + 8, bytes.size());
+  ForgedTargetsAreRefused(roundtrip, bytes, bytes.size() - 8 - targets,
+                          bytes.size() - 8, "categorical censuses");
   const size_t census = bytes.size() - 8 - targets;
   for (const auto& header :
        {std::vector<Forgery>{{field + 4 * 8, uint64_t{1} << 31}},
@@ -296,6 +302,48 @@ TEST(CheckpointMutationTest, CategoricalDecoderIsTotal) {
     ForgedCensusWithInflatedBoundIsRefused(roundtrip, bytes, header, census,
                                            census + 9 * 8,
                                            "categorical census");
+  }
+  // Forged window planes. Each must be refused: a lane whose digit is
+  // >= A would index past the code map, tail bits past n break the packing
+  // invariant, and a window symbol older than round 1 was never observed.
+  const auto set_bit = [](std::string mutant, size_t plane, int64_t lane) {
+    const size_t at = plane + static_cast<size_t>(lane / 64) * 8;
+    uint64_t word;
+    std::memcpy(&word, &mutant[at], sizeof(word));
+    word |= uint64_t{1} << (lane % 64);
+    std::memcpy(&mutant[at], &word, sizeof(word));
+    return mutant;
+  };
+  const auto refused = [&](const std::string& mutant,
+                           const std::string& what) {
+    std::istringstream in(mutant);
+    std::string resaved;
+    const Status st = roundtrip(in, &resaved);
+    EXPECT_TRUE(st.IsInvalidArgument()) << what << ": " << st.ToString();
+  };
+  for (int j = 0; j < 2; ++j) {
+    const size_t bit0 = planes + static_cast<size_t>(2 * j) * plane_bytes;
+    const size_t bit1 = bit0 + plane_bytes;
+    for (int64_t lane : {int64_t{0}, int64_t{5}, kUsers - 1}) {
+      // Digit 3 = both bits set, in the symbol from j rounds ago.
+      refused(set_bit(set_bit(bytes, bit0, lane), bit1, lane),
+              "digit 3 at lane " + std::to_string(lane) + " of round -" +
+                  std::to_string(j));
+    }
+    for (int p = 0; p < 2; ++p) {
+      const size_t plane = bit0 + static_cast<size_t>(p) * plane_bytes;
+      for (int64_t lane : {kUsers, int64_t{127}}) {
+        refused(set_bit(bytes, plane, lane),
+                "tail bit " + std::to_string(lane) + " of plane " +
+                    std::to_string(2 * j + p));
+      }
+    }
+  }
+  // After round 1 the second window round is still unobserved.
+  for (size_t plane = planes + 2 * plane_bytes; plane < planes + 4 * plane_bytes;
+       plane += plane_bytes) {
+    refused(set_bit(pre_release, plane, 3),
+            "symbol before round 1 at offset " + std::to_string(plane));
   }
 }
 

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "core/fixed_window_synthesizer.h"
 #include "core/limits.h"
 #include "util/substream.h"
+#include "util/thread_pool.h"
 
 namespace longdp {
 namespace core {
@@ -68,6 +72,13 @@ TEST(CategoricalTest, NumBinsValidation) {
   EXPECT_FALSE(CategoricalWindowSynthesizer::NumBins(0, 3).ok());
   EXPECT_FALSE(CategoricalWindowSynthesizer::NumBins(3, 1).ok());
   EXPECT_FALSE(CategoricalWindowSynthesizer::NumBins(30, 10).ok());
+  // The window's k * bit_width(A - 1) bit planes must fit kMaxPlanes = 16.
+  EXPECT_EQ(CategoricalWindowSynthesizer::NumBins(16, 2).value(), 65536u);
+  EXPECT_EQ(CategoricalWindowSynthesizer::NumBins(2, 256).value(), 65536u);
+  EXPECT_EQ(CategoricalWindowSynthesizer::NumBins(4, 9).value(), 6561u);
+  EXPECT_FALSE(CategoricalWindowSynthesizer::NumBins(17, 2).ok());
+  EXPECT_FALSE(CategoricalWindowSynthesizer::NumBins(3, 64).ok());
+  EXPECT_FALSE(CategoricalWindowSynthesizer::NumBins(1, 257).ok());
 }
 
 TEST(CategoricalTest, CreateValidates) {
@@ -201,6 +212,125 @@ TEST(CategoricalTest, RejectsOutOfAlphabetSymbol) {
       CategoricalWindowSynthesizer::Create(Opt(5, 2, 3, kInf, 0)).value();
   std::vector<uint8_t> bad = {0, 3, 1};
   EXPECT_TRUE(synth->ObserveRound(bad).IsInvalidArgument());
+}
+
+TEST(CategoricalTest, RejectedFirstRoundDoesNotFixThePopulation) {
+  // The rejected round is refused before any state changes, so the first
+  // accepted round, of any size, fixes n, as in FixedWindowSynthesizer.
+  auto synth =
+      CategoricalWindowSynthesizer::Create(Opt(5, 2, 3, kInf, 0)).value();
+  ASSERT_TRUE(synth->ObserveRound({0, 3, 1}).IsInvalidArgument());
+  EXPECT_EQ(synth->t(), 0);
+  EXPECT_EQ(synth->population(), -1);
+  ASSERT_TRUE(synth->ObserveRound({2, 1}).ok());
+  ASSERT_TRUE(synth->ObserveRound({0, 2}).ok());
+  EXPECT_EQ(synth->population(), 2);
+  EXPECT_TRUE(synth->has_release());
+  EXPECT_TRUE(synth->ObserveRound({0, 1, 2}).IsInvalidArgument());
+
+  FixedWindowSynthesizer::Options fixed;
+  fixed.horizon = 5;
+  fixed.window_k = 2;
+  fixed.rho = kInf;
+  fixed.npad = 0;
+  auto binary = FixedWindowSynthesizer::Create(fixed).value();
+  ASSERT_TRUE(binary->ObserveRound(std::vector<uint8_t>{0, 2, 1})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(binary->ObserveRound(std::vector<uint8_t>{1, 1}).ok());
+}
+
+TEST(CategoricalTest, DebiasedBinFractionIsFiniteForAnEmptyPopulation) {
+  auto synth =
+      CategoricalWindowSynthesizer::Create(Opt(4, 2, 3, kInf, 5)).value();
+  for (int t = 0; t < 2; ++t) {
+    ASSERT_TRUE(synth->ObserveRound(std::vector<uint8_t>{}).ok());
+  }
+  ASSERT_TRUE(synth->has_release());
+  // Each bin holds only its padding, normalized by 1 as the fixed-window
+  // padding spec does.
+  for (uint64_t s = 0; s < 9; ++s) {
+    const Result<double> fraction = synth->DebiasedBinFraction(s);
+    ASSERT_TRUE(fraction.ok()) << fraction.status().ToString();
+    EXPECT_EQ(fraction.value(), 0.0) << "s=" << s;
+  }
+}
+
+// At A = 2 the categorical synthesizer consumes FixedWindowSynthesizer's
+// words: same noise, same roundings, same assignment shuffles. Under real
+// noise it must release the same histogram every round and build the same
+// cohort record for record. Adds the run's clamps and rounding draws to
+// *clamps and *draws.
+void ExpectBinaryRunMatchesFixedWindow(int k, int64_t n, int64_t npad,
+                                       int threads, int64_t* clamps,
+                                       int64_t* draws) {
+  const int64_t T = 9;
+  const double rho = 0.02;
+  const uint64_t seed = 0xB1A + static_cast<uint64_t>(k);
+  const std::string where = "k=" + std::to_string(k) +
+                            " n=" + std::to_string(n) +
+                            " npad=" + std::to_string(npad) +
+                            " threads=" + std::to_string(threads);
+  util::SubstreamRng rng(seed, util::substream::kGeneric);
+  const auto rounds = RandomRounds(n, T, 2, &rng);
+  auto pool =
+      threads > 1 ? std::make_unique<util::ThreadPool>(threads) : nullptr;
+  auto cat_opt = Opt(T, k, 2, rho, npad, seed);
+  cat_opt.pool = pool.get();
+  auto cat = CategoricalWindowSynthesizer::Create(cat_opt).value();
+  FixedWindowSynthesizer::Options fw_opt;
+  fw_opt.horizon = T;
+  fw_opt.window_k = k;
+  fw_opt.rho = rho;
+  fw_opt.npad = npad;
+  fw_opt.seed = seed;
+  fw_opt.pool = pool.get();
+  auto fw = FixedWindowSynthesizer::Create(fw_opt).value();
+  ASSERT_EQ(cat->npad(), fw->npad()) << where;
+  ASSERT_EQ(cat->sigma2(), fw->sigma2()) << where;
+  for (int64_t t = 1; t <= T; ++t) {
+    const auto& round = rounds[static_cast<size_t>(t - 1)];
+    ASSERT_TRUE(cat->ObserveRound(round).ok()) << where;
+    ASSERT_TRUE(fw->ObserveRound(round).ok()) << where;
+    ASSERT_EQ(cat->has_release(), fw->has_release()) << where;
+    if (!fw->has_release()) continue;
+    ASSERT_EQ(cat->SyntheticHistogram(), fw->SyntheticHistogram())
+        << where << " t=" << t;
+  }
+  const SyntheticCohort& cohort = fw->cohort();
+  ASSERT_EQ(cat->synthetic_population(), cohort.num_records()) << where;
+  for (int64_t r = 0; r < cohort.num_records(); ++r) {
+    for (int64_t t = 1; t <= T; ++t) {
+      ASSERT_EQ(cat->Symbol(r, t), cohort.Bit(r, t))
+          << where << " record " << r << " t=" << t;
+    }
+  }
+  EXPECT_EQ(cat->stats().negative_clamps, fw->stats().negative_clamps)
+      << where;
+  EXPECT_EQ(cat->stats().remainder_draws, fw->stats().rounding_draws)
+      << where;
+  EXPECT_EQ(cat->stats().releases, fw->stats().releases) << where;
+  *clamps += fw->stats().negative_clamps;
+  *draws += fw->stats().rounding_draws;
+}
+
+TEST(CategoricalTest, BinaryAlphabetReproducesFixedWindow) {
+  // n = 640 fills whole words, n = 333 ends in a partial one; npad = 0
+  // lets this budget clamp.
+  int64_t clamps = 0;
+  int64_t draws = 0;
+  for (int k = 1; k <= 4; ++k) {
+    for (int64_t n : {int64_t{640}, int64_t{333}}) {
+      for (int64_t npad : {int64_t{-1}, int64_t{0}}) {
+        for (int threads : {1, 2, 8}) {
+          ExpectBinaryRunMatchesFixedWindow(k, n, npad, threads, &clamps,
+                                            &draws);
+        }
+      }
+    }
+  }
+  // The sweep exercised both stage-2 branches it compares.
+  EXPECT_GT(clamps, 0);
+  EXPECT_GT(draws, 0);
 }
 
 TEST(CategoricalTest, HistoriesAppendOnly) {

@@ -642,8 +642,8 @@ TEST(CumulativeCheckpointTest, NoisyResumeReproducesRemainingReleaseLog) {
 }
 
 // ---------------------------------------------------------------------------
-// Categorical window synthesizer checkpointing (resolved npad, per-user
-// base-A windows, and the censuses the cohort is rebuilt from)
+// Categorical window synthesizer checkpointing (resolved npad, the window
+// bit planes, and the censuses the cohort is rebuilt from)
 // ---------------------------------------------------------------------------
 
 CategoricalWindowSynthesizer::Options KOpt(int64_t horizon, int k, int A,
@@ -759,10 +759,13 @@ TEST(CategoricalCheckpointTest, PreReleaseAndFreshCheckpointsWork) {
 
 TEST(CategoricalCheckpointTest, VersionSkewIsExplicitInvalidArgument) {
   // v1 was the text format; v2 is binary with the cohort stored, v3 stores
-  // only what the cohort is rebuilt from.
+  // only what the cohort is rebuilt from, with per-user window codes and
+  // remainder-draw planes; v4 stores window bit planes instead and needs
+  // no remainder bits.
   for (const char* old : {"longdp-categorical-checkpoint-v0\n",
                           "longdp-categorical-checkpoint-v1\n",
-                          "longdp-categorical-checkpoint-v2\n"}) {
+                          "longdp-categorical-checkpoint-v2\n",
+                          "longdp-categorical-checkpoint-v3\n"}) {
     std::stringstream text(std::string(old) + "10 2 3 0.05\n");
     auto restored = CategoricalWindowSynthesizer::LoadCheckpoint(text);
     ASSERT_FALSE(restored.ok());
@@ -773,11 +776,10 @@ TEST(CategoricalCheckpointTest, VersionSkewIsExplicitInvalidArgument) {
   }
 }
 
-// Categorical v3 layout: the magic line, seven option fields (horizon, k,
+// Categorical v4 layout: the magic line, seven option fields (horizon, k,
 // A, rho, npad, beta, seed), six state fields (t, n, releases, clamps,
-// remainder draws, spent), the window codes, and once released the A^k
-// initial census, then per slide round its A^k census and a bit plane over
-// the A^(k-1) overlaps.
+// remainder draws, spent), the k * bit_width(A - 1) window planes, and once
+// released the A^k initial census, then each slide round's A^k census.
 size_t KField(int index) {
   return MagicBytes("categorical",
                     CategoricalWindowSynthesizer::kCheckpointVersion) +
@@ -809,7 +811,8 @@ TEST(CategoricalCheckpointTest, RejectsGarbageTamperingAndMissingSentinel) {
 
   // A tampered initial census seeds one record too many for the next
   // round's census to cover.
-  const size_t counts = KField(13) + 80;  // 9 bins: one code byte per user
+  // A = 3, k = 2: four window planes of two words each.
+  const size_t counts = KField(13) + 4 * Words(80) * 8;
   const auto first = Peek<int64_t>(bytes, counts);
   std::stringstream corrupted(Patch(bytes, counts, first + 1));
   EXPECT_FALSE(
@@ -840,11 +843,10 @@ TEST(CategoricalCheckpointTest, CensusContradictingItsGroupsIsRejected) {
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
   const std::string bytes = stream.str();
-  // A = 3, k = 2: 9 bins, 3 overlaps (one plane word). The census at t = 6
-  // sits just before its plane word and the end tag.
-  const size_t census = bytes.size() - 8 - 8 - 9 * 8;
-  ASSERT_EQ(census,
-            KField(13) + static_cast<size_t>(n) + 9 * 8 + 3 * (9 * 8 + 8));
+  // A = 3, k = 2: 9 bins and four window planes. The census at t = 6 sits
+  // just before the end tag.
+  const size_t census = bytes.size() - 8 - 9 * 8;
+  ASSERT_EQ(census, KField(13) + 4 * Words(n) * 8 + 9 * 8 + 3 * 9 * 8);
   const auto child00 = Peek<int64_t>(bytes, census);
   ASSERT_GT(child00, 0);
   const size_t child10 = census + 3 * 8;
@@ -856,20 +858,6 @@ TEST(CategoricalCheckpointTest, CensusContradictingItsGroupsIsRejected) {
   ASSERT_FALSE(restored.ok());
   EXPECT_TRUE(restored.status().IsInvalidArgument())
       << restored.status().ToString();
-  // A flipped remainder bit at t = 6 would replay one remainder draw too
-  // many or too few, rebuilding a different member order; it contradicts
-  // the stored remainder-draw count.
-  const size_t drew = bytes.size() - 8 - 8;
-  const std::string flipped =
-      Patch(bytes, drew, Peek<uint64_t>(bytes, drew) ^ uint64_t{1});
-  std::stringstream flipped_in(flipped);
-  auto reordered = CategoricalWindowSynthesizer::LoadCheckpoint(flipped_in);
-  ASSERT_FALSE(reordered.ok());
-  EXPECT_TRUE(reordered.status().IsInvalidArgument())
-      << reordered.status().ToString();
-  EXPECT_NE(reordered.status().ToString().find("remainder"),
-            std::string::npos)
-      << reordered.status().ToString();
   // The untampered checkpoint still loads.
   std::stringstream clean(bytes);
   EXPECT_TRUE(CategoricalWindowSynthesizer::LoadCheckpoint(clean).ok());
@@ -994,40 +982,47 @@ TEST(CheckpointRebuildTest, CumulativeRebuildEqualsLiveAtEveryRound) {
 }
 
 TEST(CheckpointRebuildTest, CategoricalRebuildEqualsLiveAtEveryRound) {
-  const auto rounds = SymbolRounds(kRebuildUsers, kRebuildHorizon, 3, 0x7ED);
-  auto options = KOpt(kRebuildHorizon, 2, 3, 0.05, 0x7ED);
-  options.npad = 0;
-  auto live = CategoricalWindowSynthesizer::Create(options).value();
-  std::vector<std::string> saved;
-  for (int64_t t = 1; t <= kRebuildHorizon; ++t) {
-    ASSERT_TRUE(live->ObserveRound(rounds[static_cast<size_t>(t - 1)]).ok());
-    saved.push_back(SaveBytes(*live));
-  }
-  ASSERT_GT(live->stats().remainder_draws, 0);
-  ASSERT_GT(live->stats().negative_clamps, 0);
-  for (int64_t t = 1; t <= kRebuildHorizon; ++t) {
-    auto restored = LoadExact<CategoricalWindowSynthesizer>(
-        saved[static_cast<size_t>(t - 1)], t);
-    ASSERT_NE(restored, nullptr);
-    if (restored->has_release()) {
-      ASSERT_EQ(restored->synthetic_population(),
-                live->synthetic_population());
-      for (int64_t rec = 0; rec < live->synthetic_population(); ++rec) {
-        for (int64_t tt = 1; tt <= t; ++tt) {
-          ASSERT_EQ(restored->Symbol(rec, tt), live->Symbol(rec, tt))
-              << "t=" << t << " rec=" << rec << " round " << tt;
+  for (int A : {2, 3, 4}) {
+    const auto rounds =
+        SymbolRounds(kRebuildUsers, kRebuildHorizon, A, 0x7ED);
+    auto options = KOpt(kRebuildHorizon, 2, A, 0.002, 0x7ED);
+    options.npad = 0;
+    auto live = CategoricalWindowSynthesizer::Create(options).value();
+    std::vector<std::string> saved;
+    for (int64_t t = 1; t <= kRebuildHorizon; ++t) {
+      ASSERT_TRUE(
+          live->ObserveRound(rounds[static_cast<size_t>(t - 1)]).ok());
+      saved.push_back(SaveBytes(*live));
+    }
+    ASSERT_GT(live->stats().remainder_draws, 0) << "A=" << A;
+    ASSERT_GT(live->stats().negative_clamps, 0) << "A=" << A;
+    for (int64_t t = 1; t <= kRebuildHorizon; ++t) {
+      auto restored = LoadExact<CategoricalWindowSynthesizer>(
+          saved[static_cast<size_t>(t - 1)], t);
+      ASSERT_NE(restored, nullptr) << "A=" << A;
+      if (restored->has_release()) {
+        ASSERT_EQ(restored->synthetic_population(),
+                  live->synthetic_population());
+        for (int64_t rec = 0; rec < live->synthetic_population(); ++rec) {
+          for (int64_t tt = 1; tt <= t; ++tt) {
+            ASSERT_EQ(restored->Symbol(rec, tt), live->Symbol(rec, tt))
+                << "A=" << A << " t=" << t << " rec=" << rec << " round "
+                << tt;
+          }
         }
       }
-    }
-    for (int64_t tt = t + 1; tt <= kRebuildHorizon; ++tt) {
-      ASSERT_TRUE(
-          restored->ObserveRound(rounds[static_cast<size_t>(tt - 1)]).ok());
-    }
-    ASSERT_EQ(SaveBytes(*restored), saved.back()) << "resumed at t=" << t;
-    for (int64_t rec = 0; rec < live->synthetic_population(); ++rec) {
       for (int64_t tt = t + 1; tt <= kRebuildHorizon; ++tt) {
-        ASSERT_EQ(restored->Symbol(rec, tt), live->Symbol(rec, tt))
-            << "resumed at t=" << t << " rec=" << rec << " round " << tt;
+        ASSERT_TRUE(
+            restored->ObserveRound(rounds[static_cast<size_t>(tt - 1)]).ok());
+      }
+      ASSERT_EQ(SaveBytes(*restored), saved.back())
+          << "A=" << A << " resumed at t=" << t;
+      for (int64_t rec = 0; rec < live->synthetic_population(); ++rec) {
+        for (int64_t tt = t + 1; tt <= kRebuildHorizon; ++tt) {
+          ASSERT_EQ(restored->Symbol(rec, tt), live->Symbol(rec, tt))
+              << "A=" << A << " resumed at t=" << t << " rec=" << rec
+              << " round " << tt;
+        }
       }
     }
   }
@@ -1075,13 +1070,12 @@ TEST(CheckpointLayoutTest, PayloadSizesMatchClosedForm) {
   for (int64_t t = 1; t <= T; ++t) {
     ASSERT_TRUE(cat->ObserveRound(symbols[static_cast<size_t>(t - 1)]).ok());
   }
-  // magic, 13 scalar fields, n one-byte window codes (27 bins), the 27-bin
-  // initial census, T - k rounds of a 27-bin census and one plane word over
-  // the 9 overlaps, end tag.
+  // magic, 13 scalar fields, k * 2 window planes (A = 3 takes two bits),
+  // the 27-bin initial census, T - k rounds of a 27-bin census, end tag.
   const size_t cat_bytes =
       MagicBytes("categorical",
                  CategoricalWindowSynthesizer::kCheckpointVersion) +
-      13 * 8 + n + 27 * 8 + (T - k) * (27 * 8 + 8) + 8;
+      13 * 8 + k * 2 * words * 8 + 27 * 8 + (T - k) * 27 * 8 + 8;
   std::stringstream cat_out;
   ASSERT_TRUE(cat->SaveCheckpoint(cat_out).ok());
   EXPECT_EQ(cat_out.str().size(), cat_bytes);

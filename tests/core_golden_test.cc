@@ -10,8 +10,10 @@
 // moved from a mutable shared xoshiro stream to keyed counter-based
 // substreams (every draw addressed by (seed, purpose, shard, round, index));
 // the statistical acceptance suite passed on the new engine before the
-// re-record, per the golden policy. Any future engine change needs the same
-// two-step: statistical suite green first, then regenerate.
+// re-record, per the golden policy. The categorical golden was re-recorded
+// once more, alone, when its stage 2 moved onto the fixed-window keyed
+// streams (README, "Re-records to date"). Any future engine change needs
+// the same two-step: statistical suite green first, then regenerate.
 // To regenerate after an INTENTIONAL behavior change:
 //
 //   LONGDP_REGEN_GOLDEN=1 ./tests/core_golden_test

@@ -131,6 +131,30 @@ TEST(ShardsEqualityTest, CumulativeLogIdenticalOnEveryGrid) {
 
 // ---------------------------------------------------------------------------
 
+void AppendCategoricalTail(const CategoricalWindowSynthesizer& synth,
+                           std::ostringstream* log) {
+  *log << "clamps=" << synth.stats().negative_clamps
+       << " draws=" << synth.stats().remainder_draws << "\n";
+  for (int64_t r = 0; r < synth.synthetic_population(); ++r) {
+    for (int64_t t = 1; t <= synth.t(); ++t) *log << synth.Symbol(r, t);
+    *log << "\n";
+  }
+}
+
+std::vector<std::vector<uint8_t>> CategoricalRounds(int64_t n, int64_t T,
+                                                    int A, uint64_t seed) {
+  util::SubstreamRng data_rng(seed, util::substream::kGeneric);
+  std::vector<std::vector<uint8_t>> rounds(static_cast<size_t>(T));
+  for (auto& round : rounds) {
+    round.resize(static_cast<size_t>(n));
+    for (auto& s : round) {
+      s = static_cast<uint8_t>(
+          data_rng.UniformInt(static_cast<uint64_t>(A)));
+    }
+  }
+  return rounds;
+}
+
 std::string CategoricalLog(const std::vector<std::vector<uint8_t>>& rounds,
                            int64_t T, int k, int A, util::ThreadPool* pool) {
   CategoricalWindowSynthesizer::Options opt;
@@ -148,25 +172,14 @@ std::string CategoricalLog(const std::vector<std::vector<uint8_t>>& rounds,
     if (!synth->has_release()) continue;
     AppendRow("histogram", t, synth->SyntheticHistogram(), &log);
   }
-  for (int64_t r = 0; r < synth->synthetic_population(); ++r) {
-    for (int64_t t = 1; t <= synth->t(); ++t) log << synth->Symbol(r, t);
-    log << "\n";
-  }
+  AppendCategoricalTail(*synth, &log);
   return log.str();
 }
 
 TEST(ShardsEqualityTest, CategoricalLogIdenticalOnEveryGrid) {
   const int64_t n = 900, T = 9;
   const int k = 2, A = 3;
-  util::SubstreamRng data_rng(0xD44E1u, util::substream::kGeneric);
-  std::vector<std::vector<uint8_t>> rounds(static_cast<size_t>(T));
-  for (auto& round : rounds) {
-    round.resize(static_cast<size_t>(n));
-    for (auto& s : round) {
-      s = static_cast<uint8_t>(
-          data_rng.UniformInt(static_cast<uint64_t>(A)));
-    }
-  }
+  const auto rounds = CategoricalRounds(n, T, A, 0xD44E1u);
   const std::string serial = CategoricalLog(rounds, T, k, A, nullptr);
   for (int shards : kShardCounts) {
     for (int threads : kThreadCounts) {
@@ -260,6 +273,45 @@ TEST(ShardsEqualityTest, CumulativeResumeOnDifferentGridMatchesSerial) {
     for (int64_t t = 1; t <= T; ++t) log << resumed->Bit(r, t);
     log << "\n";
   }
+  EXPECT_EQ(log.str(), serial);
+}
+
+TEST(ShardsEqualityTest, CategoricalResumeOnDifferentGridMatchesSerial) {
+  const int64_t n = 1000, T = 11;
+  const int k = 3, A = 3;
+  const auto rounds = CategoricalRounds(n, T, A, 0xA77B4u);
+  const std::string serial = CategoricalLog(rounds, T, k, A, nullptr);
+
+  CategoricalWindowSynthesizer::Options opt;
+  opt.horizon = T;
+  opt.window_k = k;
+  opt.alphabet = A;
+  opt.rho = 0.25;
+  opt.seed = 0xC33E7u;  // must match CategoricalLog
+  util::ThreadPool first_pool(2, 16);
+  opt.pool = &first_pool;
+  auto first = CategoricalWindowSynthesizer::Create(opt).value();
+  std::ostringstream log;
+  for (int64_t t = 1; t <= T / 2; ++t) {
+    ASSERT_TRUE(first->ObserveRound(rounds[static_cast<size_t>(t - 1)]).ok());
+    if (!first->has_release()) continue;
+    AppendRow("histogram", t, first->SyntheticHistogram(), &log);
+  }
+  std::ostringstream ckpt;
+  ASSERT_TRUE(first->SaveCheckpoint(ckpt).ok());
+  first.reset();
+
+  std::istringstream in(ckpt.str());
+  util::ThreadPool second_pool(8, 4);
+  auto resumed = CategoricalWindowSynthesizer::LoadCheckpoint(in).value();
+  resumed->set_pool(&second_pool);
+  for (int64_t t = T / 2 + 1; t <= T; ++t) {
+    ASSERT_TRUE(
+        resumed->ObserveRound(rounds[static_cast<size_t>(t - 1)]).ok());
+    if (!resumed->has_release()) continue;
+    AppendRow("histogram", t, resumed->SyntheticHistogram(), &log);
+  }
+  AppendCategoricalTail(*resumed, &log);
   EXPECT_EQ(log.str(), serial);
 }
 

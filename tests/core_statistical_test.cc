@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "core/categorical_synthesizer.h"
 #include "core/cumulative_synthesizer.h"
 #include "core/fixed_window_synthesizer.h"
 #include "data/generators.h"
@@ -243,6 +245,52 @@ TEST(StatisticalTest, RoundingTermsAreFair) {
   }
   double sigma2 = (kT - 2 + 1) / (2.0 * kRho);
   EXPECT_NEAR(acc.mean(), 0.0, 5.0 * std::sqrt(sigma2 / kTrials));
+}
+
+TEST(StatisticalTest, CategoricalBinsStayCenteredOnTruth) {
+  // The categorical stage 2 hands each overlap's remainder to uniformly
+  // chosen children and assigns records by keyed partial shuffles. Neither
+  // may drift: after a long run every one of the A^k synthetic bins stays
+  // centered on truth + npad.
+  const int64_t kN = 600, kT = 12;
+  const int kK = 2, kA = 3;
+  const int kTrials = 500;
+  util::SubstreamRng data_rng(19, util::substream::kGeneric);
+  std::vector<std::vector<uint8_t>> rounds(static_cast<size_t>(kT));
+  for (auto& round : rounds) {
+    round.resize(static_cast<size_t>(kN));
+    for (auto& s : round) s = static_cast<uint8_t>(data_rng.UniformInt(kA));
+  }
+  std::vector<int64_t> truth(kA * kA, 0);
+  for (int64_t i = 0; i < kN; ++i) {
+    ++truth[static_cast<size_t>(rounds[kT - 2][static_cast<size_t>(i)] * kA +
+                                rounds[kT - 1][static_cast<size_t>(i)])];
+  }
+  std::vector<util::MomentAccumulator> error(truth.size());
+  int64_t remainder_draws = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    CategoricalWindowSynthesizer::Options opt;
+    opt.horizon = kT;
+    opt.window_k = kK;
+    opt.alphabet = kA;
+    // Little noise, so a bias of a fraction of a record per bin shows.
+    opt.rho = 10.0;
+    opt.seed = 70000 + static_cast<uint64_t>(trial);
+    auto synth = CategoricalWindowSynthesizer::Create(opt).value();
+    for (const auto& round : rounds) {
+      ASSERT_TRUE(synth->ObserveRound(round).ok());
+    }
+    remainder_draws += synth->stats().remainder_draws;
+    for (size_t s = 0; s < truth.size(); ++s) {
+      error[s].Add(static_cast<double>(synth->SyntheticHistogram()[s] -
+                                       (truth[s] + synth->npad())));
+    }
+  }
+  ASSERT_GT(remainder_draws, 0);
+  for (size_t s = 0; s < error.size(); ++s) {
+    const double se = error[s].stddev() / std::sqrt(double{kTrials});
+    EXPECT_NEAR(error[s].mean(), 0.0, 5.0 * se) << "bin " << s;
+  }
 }
 
 }  // namespace

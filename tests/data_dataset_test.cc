@@ -255,6 +255,64 @@ TEST(DatasetTest, PackedRoundValidatesAndRoundTrips) {
   EXPECT_EQ(reuse.view().CountOnes(), 1);
 }
 
+TEST(DatasetTest, RejectedAssignLeavesThePackedRoundUnchanged) {
+  PackedRound round;
+  ASSERT_TRUE(round.Assign({1, 0, 1}).ok());
+  std::vector<uint8_t> bad(100, 1);
+  bad[70] = 255;
+  EXPECT_TRUE(round.Assign(bad).IsInvalidArgument());
+  EXPECT_EQ(round.view().size(), 3);
+  EXPECT_EQ(round.view().num_words(), 1u);
+  EXPECT_EQ(round.view().words()[0], 0b101u);
+}
+
+TEST(DatasetTest, CheckSymbolsMatchesAByteCompareAtEveryLimit) {
+  // Every byte value at every lane of a word, and in a partial tail.
+  for (int limit : {1, 2, 3, 64, 127, 128, 129, 200, 255, 256}) {
+    for (int64_t n : {int64_t{8}, int64_t{13}}) {
+      for (int64_t at = 0; at < n; ++at) {
+        for (int v = 0; v < 256; ++v) {
+          std::vector<uint8_t> symbols(static_cast<size_t>(n), 0);
+          symbols[static_cast<size_t>(at)] = static_cast<uint8_t>(v);
+          EXPECT_EQ(CheckSymbols(symbols.data(), n, limit).ok(), v < limit)
+              << "limit=" << limit << " n=" << n << " at=" << at
+              << " v=" << v;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(CheckSymbols(nullptr, 0, 2).ok());
+}
+
+TEST(DatasetTest, SliceSymbolsPutsBitPOfSymbolIInPlaneP) {
+  util::SubstreamRng rng(0x511CEu, util::substream::kGeneric);
+  for (int planes = 1; planes <= 8; ++planes) {
+    for (int64_t n : {int64_t{0}, int64_t{1}, int64_t{7}, int64_t{64},
+                      int64_t{65}, int64_t{200}}) {
+      std::vector<uint8_t> symbols(static_cast<size_t>(n));
+      for (auto& s : symbols) s = static_cast<uint8_t>(rng.UniformInt(256));
+      const size_t words = static_cast<size_t>((n + 63) / 64);
+      // Pre-filled with ones: every word, tail bits included, is written.
+      std::vector<std::vector<uint64_t>> out(
+          static_cast<size_t>(planes), std::vector<uint64_t>(words, ~0ull));
+      std::vector<uint64_t*> ptrs;
+      for (auto& plane : out) ptrs.push_back(plane.data());
+      SliceSymbols(symbols.data(), n, planes, ptrs.data());
+      for (int p = 0; p < planes; ++p) {
+        for (int64_t i = 0; i < static_cast<int64_t>(words) * 64; ++i) {
+          const uint64_t want =
+              i < n ? (symbols[static_cast<size_t>(i)] >> p) & 1 : 0;
+          ASSERT_EQ((out[static_cast<size_t>(p)][static_cast<size_t>(i / 64)] >>
+                     (i % 64)) & 1,
+                    want)
+              << "planes=" << planes << " n=" << n << " p=" << p
+              << " lane " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(DatasetTest, ForEachSuffixPatternMatchesSuffixPattern) {
   // Includes t < k (zero padding before the first round) and a population
   // spanning multiple words.
