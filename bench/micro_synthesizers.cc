@@ -1,9 +1,11 @@
 // Ablation A6 (part 2): end-to-end synthesizer throughput vs n, T, k —
-// the cost of one full continual release at survey scale.
+// the cost of one full continual release at survey scale — plus the
+// panel materialization and on-demand dataset statistics that consume it.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/categorical_synthesizer.h"
@@ -118,5 +120,68 @@ void BM_CategoricalSingleRound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_CategoricalSingleRound)->Arg(23374)->Arg(100000);
+
+void BM_ToDataset(benchmark::State& state) {
+  // Materializing a finished synthetic panel (n = 100,000, T = 12) as a
+  // dataset: one word copy per round. Arg 0 is the fixed-window cohort,
+  // arg 1 the cumulative synthesizer's records.
+  constexpr int64_t n = 100000;
+  constexpr int64_t T = 12;
+  SubstreamRng data_rng(9, substream::kDataset);
+  auto ds = longdp::data::BernoulliIid(n, T, 0.2, &data_rng).value();
+  std::unique_ptr<FixedWindowSynthesizer> window;
+  std::unique_ptr<CumulativeSynthesizer> cumulative;
+  if (state.range(0) == 0) {
+    FixedWindowSynthesizer::Options opt;
+    opt.horizon = T;
+    opt.window_k = 3;
+    opt.rho = 0.5;
+    opt.seed = 10;
+    window = FixedWindowSynthesizer::Create(opt).value();
+  } else {
+    CumulativeSynthesizer::Options opt;
+    opt.horizon = T;
+    opt.rho = 0.5;
+    opt.seed = 10;
+    cumulative = CumulativeSynthesizer::Create(opt).value();
+  }
+  for (int64_t t = 1; t <= T; ++t) {
+    const longdp::Status st = window != nullptr
+                                  ? window->ObserveRound(ds.Round(t))
+                                  : cumulative->ObserveRound(ds.Round(t));
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      return;
+    }
+  }
+  for (auto _ : state) {
+    auto panel = window != nullptr ? window->cohort().ToDataset(T)
+                                   : cumulative->ToDataset();
+    benchmark::DoNotOptimize(panel.ok());
+  }
+  state.SetItemsProcessed(state.iterations() * n * T);
+}
+BENCHMARK(BM_ToDataset)
+    ->ArgName("cumulative")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_CumulativeCounts(benchmark::State& state) {
+  // The on-demand threshold counts S^T_b of a dataset: T bit-sliced adds
+  // into bit_width(T) weight planes and one plane histogram.
+  const int64_t n = state.range(0);
+  constexpr int64_t T = 12;
+  SubstreamRng data_rng(11, substream::kDataset);
+  auto ds = longdp::data::BernoulliIid(n, T, 0.3, &data_rng).value();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ds.CumulativeCounts(T).ok());
+  }
+  state.SetItemsProcessed(state.iterations() * n * T);
+}
+BENCHMARK(BM_CumulativeCounts)
+    ->Arg(23374)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -13,25 +13,19 @@ namespace archive {
 
 std::vector<const ArchiveEntry*> Exec::Select(const Filter& filter) const {
   std::vector<const ArchiveEntry*> out;
-  for (const ArchiveEntry& e : reader_->entries()) {
-    if (filter.Matches(e)) out.push_back(&e);
-  }
+  ForEachMatch(filter, [&](const ArchiveEntry& e) { out.push_back(&e); });
   return out;
 }
 
 int64_t Exec::CountEntries(const Filter& filter) const {
   int64_t count = 0;
-  for (const ArchiveEntry& e : reader_->entries()) {
-    if (filter.Matches(e)) ++count;
-  }
+  ForEachMatch(filter, [&](const ArchiveEntry&) { ++count; });
   return count;
 }
 
 std::vector<int64_t> Exec::GroupCountByLabel(const Filter& filter) const {
   std::vector<int64_t> counts(reader_->labels().size(), 0);
-  for (const ArchiveEntry& e : reader_->entries()) {
-    if (filter.Matches(e)) ++counts[e.label_id];
-  }
+  ForEachMatch(filter, [&](const ArchiveEntry& e) { ++counts[e.label_id]; });
   return counts;
 }
 

@@ -111,6 +111,23 @@ class Exec {
                                        int64_t t) const;
 
  private:
+  /// Calls fn(entry) for every entry matching `filter`, in append order. A
+  /// label filter visits only that label's entries
+  /// (ArchiveReader::LabelEntries), not the whole index.
+  template <typename Fn>
+  void ForEachMatch(const Filter& filter, Fn&& fn) const {
+    const std::vector<ArchiveEntry>& entries = reader_->entries();
+    if (filter.label_id.has_value()) {
+      for (size_t i : reader_->LabelEntries(*filter.label_id)) {
+        if (filter.Matches(entries[i])) fn(entries[i]);
+      }
+      return;
+    }
+    for (const ArchiveEntry& e : entries) {
+      if (filter.Matches(e)) fn(e);
+    }
+  }
+
   Status RequireKind(const ArchiveEntry& entry, EntryKind kind) const;
 
   const ArchiveReader* reader_;

@@ -101,6 +101,23 @@ Result<ArchiveReader> ArchiveReader::Open(const std::string& path) {
                               " payload checksum mismatch: " + path);
     }
   }
+  // Group the index by label (a counting sort, so each label keeps its
+  // append order): a label-filtered query then visits that label's
+  // entries only, not the whole index.
+  const size_t num_labels = reader.labels_.size();
+  reader.label_starts_.assign(num_labels + 1, 0);
+  for (const ArchiveEntry& e : reader.entries_) {
+    ++reader.label_starts_[size_t{e.label_id} + 1];
+  }
+  for (size_t id = 0; id < num_labels; ++id) {
+    reader.label_starts_[id + 1] += reader.label_starts_[id];
+  }
+  std::vector<size_t> next(reader.label_starts_.begin(),
+                           reader.label_starts_.end() - 1);
+  reader.label_entries_.resize(reader.entries_.size());
+  for (size_t i = 0; i < reader.entries_.size(); ++i) {
+    reader.label_entries_[next[reader.entries_[i].label_id]++] = i;
+  }
   return reader;
 }
 
@@ -110,7 +127,9 @@ ArchiveReader::ArchiveReader(ArchiveReader&& other) noexcept
       map_len_(std::exchange(other.map_len_, 0)),
       footer_offset_(other.footer_offset_),
       labels_(std::move(other.labels_)),
-      entries_(std::move(other.entries_)) {}
+      entries_(std::move(other.entries_)),
+      label_starts_(std::move(other.label_starts_)),
+      label_entries_(std::move(other.label_entries_)) {}
 
 ArchiveReader& ArchiveReader::operator=(ArchiveReader&& other) noexcept {
   if (this != &other) {
@@ -121,6 +140,8 @@ ArchiveReader& ArchiveReader::operator=(ArchiveReader&& other) noexcept {
     footer_offset_ = other.footer_offset_;
     labels_ = std::move(other.labels_);
     entries_ = std::move(other.entries_);
+    label_starts_ = std::move(other.label_starts_);
+    label_entries_ = std::move(other.label_entries_);
   }
   return *this;
 }

@@ -44,6 +44,14 @@ class ArchiveReader {
   /// Dictionary code of `label`; NotFound if no entry carries it.
   Result<uint32_t> FindLabel(const std::string& label) const;
 
+  /// Indices into entries() of the entries stored under label `id`, in
+  /// append order; empty for an id outside the dictionary.
+  std::span<const size_t> LabelEntries(uint32_t id) const {
+    if (id >= labels_.size()) return {};
+    return std::span<const size_t>(label_entries_)
+        .subspan(label_starts_[id], label_starts_[id + 1] - label_starts_[id]);
+  }
+
   /// The int64 column of a histogram/threshold entry, served in place from
   /// the mapping (entry must not be a cohort). Valid while the reader lives.
   std::span<const int64_t> Values(const ArchiveEntry& entry) const;
@@ -83,6 +91,10 @@ class ArchiveReader {
   uint64_t footer_offset_ = 0;
   std::vector<std::string> labels_;
   std::vector<ArchiveEntry> entries_;
+  /// entries_ grouped by label, append order kept: label id's entry
+  /// indices are label_entries_[label_starts_[id], label_starts_[id + 1]).
+  std::vector<size_t> label_starts_;
+  std::vector<size_t> label_entries_;
 };
 
 }  // namespace archive

@@ -35,9 +35,9 @@ Status CumulativeSynthesizer::InitializeForPopulation(int64_t n,
   weight_planes_.assign(static_cast<size_t>(planes),
                         std::vector<uint64_t>(num_words, 0));
   plane_hist_.assign(size_t{1} << planes, 0);
-  history_bits_.clear();
-  history_bits_.reserve(static_cast<size_t>(n) *
-                        static_cast<size_t>(reserve_rounds));
+  words_per_round_ = num_words;
+  history_words_.clear();
+  history_words_.reserve(num_words * static_cast<size_t>(reserve_rounds));
   weight_groups_.assign(static_cast<size_t>(options_.horizon) + 1, {});
   group_head_.assign(static_cast<size_t>(options_.horizon) + 1, 0);
   auto& zero_group = weight_groups_[0];
@@ -143,14 +143,13 @@ Status CumulativeSynthesizer::ReleaseRound(std::span<const int64_t> z) {
   ++t_;
   LONGDP_RETURN_NOT_OK(bank_->ObserveRound(z));
   const std::vector<int64_t>& row = bank_->monotone_row();
-  // Extend every record with a provisional 0 (one zero-filled column
-  // append into the flat matrix), then flip the promoted records.
-  // Descending b keeps selections against the time-(t-1) weight groups
-  // (promotions only move records upward into groups already processed).
-  const size_t col_base =
-      static_cast<size_t>(t_ - 1) * static_cast<size_t>(n_);
-  history_bits_.resize(col_base + static_cast<size_t>(n_), 0);
-  uint8_t* col = history_bits_.data() + col_base;
+  // Extend every record with a provisional 0 (one zero-filled round
+  // append), then set the promoted records' bits. Descending b keeps
+  // selections against the time-(t-1) weight groups (promotions only move
+  // records upward into groups already processed).
+  const size_t col_base = static_cast<size_t>(t_ - 1) * words_per_round_;
+  history_words_.resize(col_base + words_per_round_, 0);
+  uint64_t* col = history_words_.data() + col_base;
   util::SubstreamRng selection =
       selection_root_.Derive(static_cast<uint64_t>(t_));
   util::BatchSampler sampler(&selection);
@@ -171,7 +170,9 @@ Status CumulativeSynthesizer::ReleaseRound(std::span<const int64_t> z) {
     int64_t* live = source.data() + head;
     sampler.PartialShuffle(live, group, zhat);
     auto& target = weight_groups_[ib];
-    for (int64_t i = 0; i < zhat; ++i) col[live[i]] = 1;
+    for (int64_t i = 0; i < zhat; ++i) {
+      col[live[i] >> 6] |= uint64_t{1} << (live[i] & 63);
+    }
     // One ranged append instead of zhat push_backs (same member order).
     target.insert(target.end(), live, live + zhat);
     head += zhat;
@@ -228,18 +229,11 @@ Result<data::LongitudinalDataset> CumulativeSynthesizer::ToDataset() const {
   }
   LONGDP_ASSIGN_OR_RETURN(
       auto ds, data::LongitudinalDataset::Create(n_, options_.horizon));
-  std::vector<uint8_t> round(static_cast<size_t>(n_));
   for (int64_t tt = 1; tt <= t_; ++tt) {
-    // Column-major storage: round tt is one contiguous copy.
-    const uint8_t* col = history_bits_.data() +
-                         static_cast<size_t>(tt - 1) *
-                             static_cast<size_t>(n_);
-    round.assign(col, col + n_);
-    LONGDP_RETURN_NOT_OK(ds.AppendRound(round));
+    LONGDP_RETURN_NOT_OK(ds.AppendPackedRound(Round(tt)));
   }
   return ds;
 }
-
 
 namespace {
 // v7, the binary stream/state_io.h encoding (v5, v6 and the text versions

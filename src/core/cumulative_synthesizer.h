@@ -95,14 +95,21 @@ class CumulativeSynthesizer {
   /// tests assert this equals released_thresholds() exactly (invariant 4).
   std::vector<int64_t> SyntheticThresholdCounts() const;
 
-  /// Bit of synthetic record `r` at round `tt` (1-based, tt <= t()).
-  int Bit(int64_t r, int64_t tt) const {
-    return history_bits_[static_cast<size_t>(tt - 1) *
-                             static_cast<size_t>(n_) +
-                         static_cast<size_t>(r)];
+  /// Bit of synthetic record `r` at round `tt` (r 0-based, tt 1-based;
+  /// tt <= t()).
+  int Bit(int64_t r, int64_t tt) const { return Round(tt).bit(r); }
+
+  /// Zero-copy packed view of every synthetic record's bit at round tt
+  /// (1-based, tt <= t()). Valid until the next round, which may
+  /// reallocate the history.
+  data::RoundView Round(int64_t tt) const {
+    return data::RoundView(
+        history_words_.data() + static_cast<size_t>(tt - 1) * words_per_round_,
+        n_);
   }
 
-  /// Materializes the synthetic records as a dataset (n users, t() rounds).
+  /// Materializes the synthetic records as a dataset (n users, t() rounds),
+  /// one word copy per round.
   Result<data::LongitudinalDataset> ToDataset() const;
 
   const dp::ZCdpAccountant& accountant() const { return accountant_; }
@@ -169,6 +176,7 @@ class CumulativeSynthesizer {
 
   int64_t n_ = -1;
   int64_t t_ = 0;
+  size_t words_per_round_ = 0;  ///< ceil(n / 64)
   /// True prefix weights, bit-sliced: bit j of record i's weight is bit
   /// i%64 of weight_planes_[j][i/64]. Stage 1's weight histogram is then a
   /// masked SIMD bit-plane count and the weight increments are one
@@ -177,12 +185,12 @@ class CumulativeSynthesizer {
   /// planes.
   std::vector<std::vector<uint64_t>> weight_planes_;
   std::vector<int64_t> plane_hist_;  ///< 2^NumWeightPlanes() scratch
-  /// Synthetic records as one flat column-major bit matrix: round tt's
-  /// column occupies [(tt-1)*n, tt*n). A round extension is then a single
-  /// zero-filled resize plus scattered writes for the promoted records,
-  /// instead of n separate vector push_backs (the dominant cost of the
-  /// pre-optimization observe loop).
-  std::vector<uint8_t> history_bits_;
+  /// Synthetic records as packed rounds in the data::RoundView layout:
+  /// round tt occupies words [(tt-1)*wpr, tt*wpr), record r at bit r % 64
+  /// of word r / 64, and the bits past n are zero. A round extension
+  /// appends wpr zero words (n/8 bytes) and sets the promoted records'
+  /// bits.
+  std::vector<uint64_t> history_words_;
   /// Records by current synthetic weight. Promotions consume a group's
   /// prefix; group_head_[b] marks how much of weight_groups_[b] is spent,
   /// so per-round maintenance is O(promotions) with amortized compaction

@@ -26,7 +26,7 @@ using util::simd::kMaxPlanes;
 /// synthesizers share the cap: a checkpoint taken before the first release
 /// carries nothing that backs its horizon, and the first release sizes the
 /// synthetic history by it, so every loader validates it through Create.
-inline constexpr int64_t kMaxHorizon = (int64_t{1} << kMaxPlanes) - 1;
+using util::simd::kMaxHorizon;
 
 /// InvalidArgument if `horizon` exceeds kMaxHorizon.
 inline Status CheckHorizonCap(int64_t horizon) {

@@ -1,11 +1,30 @@
 #include "core/synthetic_cohort.h"
 
-#include <cstring>
-
 #include "util/batch_sampler.h"
 
 namespace longdp {
 namespace core {
+
+namespace {
+
+/// Sets bits [begin, end) of a packed round: whole words in the middle,
+/// masked words at the ends.
+void SetBitRange(uint64_t* words, int64_t begin, int64_t end) {
+  if (begin >= end) return;
+  const int64_t first = begin >> 6;
+  const int64_t last = (end - 1) >> 6;
+  const uint64_t head = ~uint64_t{0} << (begin & 63);
+  const uint64_t tail = ~uint64_t{0} >> (63 - ((end - 1) & 63));
+  if (first == last) {
+    words[first] |= head & tail;
+    return;
+  }
+  words[first] |= head;
+  for (int64_t w = first + 1; w < last; ++w) words[w] = ~uint64_t{0};
+  words[last] |= tail;
+}
+
+}  // namespace
 
 Result<SyntheticCohort> SyntheticCohort::Create(
     int window_k, const std::vector<int64_t>& initial_counts) {
@@ -34,23 +53,23 @@ Result<SyntheticCohort> SyntheticCohort::Create(
   int64_t total = 0;
   for (int64_t c : initial_counts) total += c;
   cohort.num_records_ = total;
-  const size_t m = static_cast<size_t>(total);
-  cohort.history_bits_.assign(m * static_cast<size_t>(window_k), 0);
+  const size_t wpr = static_cast<size_t>((total + 63) >> 6);
+  cohort.words_per_round_ = wpr;
+  cohort.history_words_.assign(wpr * static_cast<size_t>(window_k), 0);
   // Pattern s seeds initial_counts[s] consecutive record ids, so each
   // group placement is one sequence append and each record's history is a
-  // per-round run fill (the matrix is already zero-filled; only 1-runs
-  // need writes). Same record ids, member order, and bits as the
+  // per-round bit-range fill (the rounds are already zero-filled; only
+  // 1-runs need writes). Same record ids, member order, and bits as the
   // per-record loop this replaces.
   int64_t next_record = 0;
   for (util::Pattern s = 0; s < initial_counts.size(); ++s) {
     const int64_t c = initial_counts[s];
     if (c == 0) continue;
     cohort.groups_.PlaceSequence(util::Overlap(s, window_k), next_record, c);
-    const size_t base = static_cast<size_t>(next_record);
     for (int j = 0; j < window_k; ++j) {
       if ((s >> (window_k - 1 - j)) & 1) {
-        std::memset(&cohort.history_bits_[static_cast<size_t>(j) * m + base],
-                    1, static_cast<size_t>(c));
+        SetBitRange(cohort.history_words_.data() + static_cast<size_t>(j) * wpr,
+                    next_record, next_record + c);
       }
     }
     next_record += c;
@@ -97,10 +116,9 @@ Status SyntheticCohort::AdvanceRound(const std::vector<int64_t>& ones_target,
   }
   groups_next_.BuildOffsets();
 
-  const size_t m = static_cast<size_t>(num_records_);
-  const size_t col_base = static_cast<size_t>(rounds_) * m;
-  history_bits_.resize(col_base + m, 0);
-  uint8_t* col = history_bits_.data() + col_base;
+  const size_t col_base = static_cast<size_t>(rounds_) * words_per_round_;
+  history_words_.resize(col_base + words_per_round_, 0);
+  uint64_t* col = history_words_.data() + col_base;
   // Pass 1 — the draws: uniformly choose which records get the
   // 1-extension by a batched partial shuffle that puts a random
   // `target`-subset at the group's front. Overlap z draws only from its
@@ -127,13 +145,15 @@ Status SyntheticCohort::AdvanceRound(const std::vector<int64_t>& ones_target,
   // regroup stays serial, in overlap order. Within a source overlap the
   // shuffle left the promoted subset at the front, so the per-record loop
   // collapses to two ranged appends (ones first, zeros second — the same
-  // member order) plus the 1-bit column writes; the zero extensions need
-  // no writes at all, the appended column is already zero-filled.
+  // member order) plus the 1-bit writes; the zero extensions need no
+  // writes at all, the appended round is already zero-filled.
   for (util::Pattern z = 0; z < num_overlaps; ++z) {
     int64_t* members = groups_.group_data(z);
     const int64_t target = ones_target[z];
     const int64_t group = groups_.size(z);
-    for (int64_t i = 0; i < target; ++i) col[members[i]] = 1;
+    for (int64_t i = 0; i < target; ++i) {
+      col[members[i] >> 6] |= uint64_t{1} << (members[i] & 63);
+    }
     groups_next_.PlaceRange(util::Overlap((z << 1) | 1, k_), members,
                             target);
     groups_next_.PlaceRange(util::Overlap(z << 1, k_), members + target,
@@ -156,14 +176,8 @@ Result<data::LongitudinalDataset> SyntheticCohort::ToDataset(
   }
   LONGDP_ASSIGN_OR_RETURN(
       auto ds, data::LongitudinalDataset::Create(num_records_, horizon));
-  std::vector<uint8_t> round(static_cast<size_t>(num_records_));
   for (int64_t t = 1; t <= rounds_; ++t) {
-    // Column-major storage: each round is one contiguous copy.
-    const uint8_t* col = history_bits_.data() +
-                         static_cast<size_t>(t - 1) *
-                             static_cast<size_t>(num_records_);
-    round.assign(col, col + num_records_);
-    LONGDP_RETURN_NOT_OK(ds.AppendRound(round));
+    LONGDP_RETURN_NOT_OK(ds.AppendPackedRound(Round(t)));
   }
   return ds;
 }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "data/longitudinal_dataset.h"
+#include "data/round_view.h"
 #include "util/bits.h"
 #include "util/flat_groups.h"
 #include "util/status.h"
@@ -59,26 +60,32 @@ class SyntheticCohort {
     return groups_.size(static_cast<size_t>(z));
   }
 
-  /// Bit of record `r` at round `t` (both 1-based times; t <= rounds()).
-  int Bit(int64_t r, int64_t t) const {
-    return history_bits_[static_cast<size_t>(t - 1) *
-                             static_cast<size_t>(num_records_) +
-                         static_cast<size_t>(r)];
+  /// Bit of record `r` at round `t` (r 0-based, t 1-based; t <= rounds()).
+  int Bit(int64_t r, int64_t t) const { return Round(t).bit(r); }
+
+  /// Zero-copy packed view of every record's bit at round t (1-based,
+  /// t <= rounds()). Valid until the next AdvanceRound, which may
+  /// reallocate the history.
+  data::RoundView Round(int64_t t) const {
+    return data::RoundView(
+        history_words_.data() + static_cast<size_t>(t - 1) * words_per_round_,
+        num_records_);
   }
 
-  /// Pre-sizes the flat history storage for `total_rounds` rounds so the
-  /// per-round column appends of AdvanceRound never reallocate. Optional —
-  /// the synthesizer calls it with its horizon at the initial release.
+  /// Pre-sizes the history storage for `total_rounds` rounds so the
+  /// per-round appends of AdvanceRound never reallocate. Optional — the
+  /// synthesizer calls it with its horizon at the initial release.
   void ReserveRounds(int64_t total_rounds) {
     if (total_rounds > rounds_) {
-      history_bits_.reserve(static_cast<size_t>(total_rounds) *
-                            static_cast<size_t>(num_records_));
+      history_words_.reserve(static_cast<size_t>(total_rounds) *
+                             words_per_round_);
     }
   }
 
   /// Materializes the cohort as a LongitudinalDataset of num_records()
   /// users and rounds() rounds (horizon is set to `horizon`, which must be
-  /// >= rounds()).
+  /// >= rounds()). The history is already in the dataset's layout, so this
+  /// is one word copy per round.
   Result<data::LongitudinalDataset> ToDataset(int64_t horizon) const;
 
  private:
@@ -87,11 +94,13 @@ class SyntheticCohort {
   int k_ = 0;
   int64_t num_records_ = 0;
   int64_t rounds_ = 0;
-  /// All record histories as one flat column-major bit matrix: round t's
-  /// column is [(t-1)*m, t*m) for m = num_records_. Extending the cohort by
-  /// a round is a single zero-filled resize plus scattered writes for the
-  /// 1-extensions — no per-record vector churn on the hot path.
-  std::vector<uint8_t> history_bits_;
+  size_t words_per_round_ = 0;  ///< ceil(num_records_ / 64)
+  /// All record histories as packed rounds in the data::RoundView layout:
+  /// round t occupies words [(t-1)*wpr, t*wpr), record r at bit r % 64 of
+  /// word r / 64, and the bits past num_records_ are zero. Extending the
+  /// cohort by a round appends wpr zero words and sets the 1-extensions'
+  /// bits — m/8 bytes per round, no per-record vector churn.
+  std::vector<uint64_t> history_words_;
   /// Records grouped by current overlap z, as one flat counting-sorted
   /// array. AdvanceRound knows every next-round group size from the
   /// targets alone, so the regroup is a count/prefix-sum/scatter pass into

@@ -1,5 +1,11 @@
 #include "data/longitudinal_dataset.h"
 
+#include <algorithm>
+#include <bit>
+#include <string>
+
+#include "util/simd/simd.h"
+
 namespace longdp {
 namespace data {
 
@@ -11,37 +17,46 @@ Result<LongitudinalDataset> LongitudinalDataset::Create(int64_t num_users,
   if (horizon < 1) {
     return Status::InvalidArgument("horizon must be >= 1");
   }
-  return LongitudinalDataset(num_users, horizon);
+  if (horizon > util::simd::kMaxHorizon) {
+    return Status::InvalidArgument(
+        "horizon must be below 2^" + std::to_string(util::simd::kMaxPlanes) +
+        ", got " + std::to_string(horizon));
+  }
+  LongitudinalDataset ds(num_users, horizon);
+  ds.words_.reserve(static_cast<size_t>(horizon) * ds.words_per_round_);
+  return ds;
 }
 
-Status LongitudinalDataset::AppendRound(const std::vector<uint8_t>& bits) {
+Status LongitudinalDataset::CheckNextRound(int64_t size) const {
   if (rounds_ >= horizon_) {
     return Status::OutOfRange("dataset already holds all " +
                               std::to_string(horizon_) + " rounds");
   }
-  if (bits.size() != static_cast<size_t>(num_users_)) {
+  if (size != num_users_) {
     return Status::InvalidArgument(
         "round must contain exactly one bit per user (" +
-        std::to_string(num_users_) + "), got " + std::to_string(bits.size()));
+        std::to_string(num_users_) + "), got " + std::to_string(size));
   }
-  for (uint8_t b : bits) {
-    if (b > 1) {
-      return Status::InvalidArgument("round entries must be 0 or 1");
-    }
-  }
-  std::vector<int32_t> w(static_cast<size_t>(num_users_), 0);
-  if (!weights_.empty()) {
-    const auto& prev = weights_.back();
-    for (size_t i = 0; i < w.size(); ++i) w[i] = prev[i] + bits[i];
-  } else {
-    for (size_t i = 0; i < w.size(); ++i) w[i] = bits[i];
-  }
+  return Status::OK();
+}
+
+Status LongitudinalDataset::AppendRound(const std::vector<uint8_t>& bits) {
+  LONGDP_RETURN_NOT_OK(CheckNextRound(static_cast<int64_t>(bits.size())));
+  // Validated before the storage grows, so a rejected round leaves the
+  // dataset unchanged.
+  LONGDP_RETURN_NOT_OK(CheckSymbols(bits.data(), num_users_, 2));
   const size_t col = words_.size();
-  words_.resize(col + words_per_round_, 0);
-  for (size_t i = 0; i < bits.size(); ++i) {
-    words_[col + (i >> 6)] |= static_cast<uint64_t>(bits[i]) << (i & 63);
-  }
-  weights_.push_back(std::move(w));
+  words_.resize(col + words_per_round_);
+  uint64_t* plane = words_.data() + col;
+  SliceSymbols(bits.data(), num_users_, 1, &plane);
+  ++rounds_;
+  return Status::OK();
+}
+
+Status LongitudinalDataset::AppendPackedRound(RoundView round) {
+  LONGDP_RETURN_NOT_OK(CheckNextRound(round.size()));
+  words_.insert(words_.end(), round.words(),
+                round.words() + words_per_round_);
   ++rounds_;
   return Status::OK();
 }
@@ -56,11 +71,6 @@ util::Pattern LongitudinalDataset::SuffixPattern(int64_t user, int64_t t,
   return p;
 }
 
-int64_t LongitudinalDataset::HammingWeight(int64_t user, int64_t t) const {
-  if (t <= 0) return 0;
-  return weights_[static_cast<size_t>(t - 1)][static_cast<size_t>(user)];
-}
-
 Result<std::vector<int64_t>> LongitudinalDataset::WindowHistogram(
     int64_t t, int k) const {
   LONGDP_RETURN_NOT_OK(util::ValidateWindow(k));
@@ -73,20 +83,39 @@ Result<std::vector<int64_t>> LongitudinalDataset::WindowHistogram(
   return hist;
 }
 
+std::vector<int64_t> LongitudinalDataset::WeightHistogram(
+    int64_t t, const uint64_t* mask) const {
+  // Weights through t are at most t, so bit_width(t) planes hold them all
+  // (one plane at t = 0, whose weights are all zero).
+  const int planes =
+      std::max(1, static_cast<int>(std::bit_width(static_cast<uint64_t>(t))));
+  const size_t wpr = words_per_round_;
+  std::vector<uint64_t> weights(static_cast<size_t>(planes) * wpr, 0);
+  uint64_t* plane_ptrs[util::simd::kMaxPlanes];
+  for (int j = 0; j < planes; ++j) {
+    plane_ptrs[j] = weights.data() + static_cast<size_t>(j) * wpr;
+  }
+  for (int64_t tt = 1; tt <= t; ++tt) {
+    util::simd::PlaneAdd(plane_ptrs, planes, Round(tt).words(), wpr);
+  }
+  std::vector<int64_t> hist(size_t{1} << planes, 0);
+  util::simd::PlaneHistogram(plane_ptrs, planes, mask, wpr, hist.data());
+  // Unmasked, the all-zero tail lanes past num_users_ counted as weight 0.
+  if (mask == nullptr) hist[0] -= static_cast<int64_t>(wpr * 64) - num_users_;
+  return hist;
+}
+
 Result<std::vector<int64_t>> LongitudinalDataset::CumulativeCounts(
     int64_t t) const {
   if (t < 1 || t > rounds_) {
     return Status::OutOfRange("CumulativeCounts requires 1 <= t <= rounds()");
   }
-  std::vector<int64_t> exact(static_cast<size_t>(horizon_) + 1, 0);
-  const auto& w = weights_[static_cast<size_t>(t - 1)];
-  for (int64_t i = 0; i < num_users_; ++i) {
-    ++exact[static_cast<size_t>(w[static_cast<size_t>(i)])];
-  }
-  // Suffix-sum the exact-weight histogram into >=-threshold counts.
+  // Suffix-sum the exact-weight histogram into >=-threshold counts. Its
+  // entries past t (<= horizon) are zero.
+  const std::vector<int64_t> exact = WeightHistogram(t, nullptr);
   std::vector<int64_t> cum(static_cast<size_t>(horizon_) + 1, 0);
   int64_t running = 0;
-  for (int64_t b = horizon_; b >= 0; --b) {
+  for (int64_t b = t; b >= 0; --b) {
     running += exact[static_cast<size_t>(b)];
     cum[static_cast<size_t>(b)] = running;
   }
@@ -98,17 +127,12 @@ Result<std::vector<int64_t>> LongitudinalDataset::WeightIncrements(
   if (t < 1 || t > rounds_) {
     return Status::OutOfRange("WeightIncrements requires 1 <= t <= rounds()");
   }
+  // The users set at round t, histogrammed by their weight through t - 1:
+  // each reaches weight w + 1 = b exactly at time t. Weights through t - 1
+  // are below t <= horizon, so the first t entries carry every count.
+  const std::vector<int64_t> hist = WeightHistogram(t - 1, Round(t).words());
   std::vector<int64_t> z(static_cast<size_t>(horizon_), 0);
-  // Only the round's set bits contribute; the packed view skips the rest.
-  if (t == 1) {
-    z[0] = Round(1).CountOnes();
-    return z;
-  }
-  const auto& w_prev = weights_[static_cast<size_t>(t - 2)];
-  Round(t).ForEachOne([&](int64_t i) {
-    // The user reaches weight w_prev + 1 = b exactly at time t.
-    z[static_cast<size_t>(w_prev[static_cast<size_t>(i)])] += 1;
-  });
+  std::copy(hist.begin(), hist.begin() + t, z.begin());
   return z;
 }
 

@@ -3,8 +3,11 @@
 // uint64_t words (64 users per word) because both synthesizers consume the
 // data one round at a time: Round(t) is a zero-copy RoundView whose
 // word-level iteration and popcount counting replace the old byte-per-bit
-// column scans. Per-user prefix Hamming weights are maintained incrementally
-// so the cumulative-query statistics of Algorithm 2 are O(n) per round.
+// column scans. The packed words are the only per-user state: the
+// cumulative-query statistics of Algorithm 2 (CumulativeCounts,
+// WeightIncrements) are computed on demand by adding rounds into
+// bit-sliced weight planes (util::simd::PlaneAdd) and counting them with
+// one util::simd::PlaneHistogram, O(t * n / 64 * log T) word operations.
 //
 // The same container is used for original data and for materialized
 // synthetic data (the synthetic population size m may differ from n).
@@ -26,7 +29,9 @@ namespace data {
 class LongitudinalDataset {
  public:
   /// An empty dataset over `num_users` individuals and a horizon of at most
-  /// `horizon` rounds. Rounds are appended via AppendRound.
+  /// `horizon` rounds, 1 <= horizon <= util::simd::kMaxHorizon. Rounds are
+  /// appended via AppendRound; the word storage for all of them is
+  /// reserved up front.
   static Result<LongitudinalDataset> Create(int64_t num_users,
                                             int64_t horizon);
 
@@ -35,8 +40,16 @@ class LongitudinalDataset {
   /// Rounds appended so far (the current time t).
   int64_t rounds() const { return rounds_; }
 
-  /// Appends round t+1. `bits` must have one 0/1 entry per user.
+  /// Appends round t+1. `bits` must have one 0/1 entry per user; any other
+  /// entry is InvalidArgument, with the dataset left unchanged.
   Status AppendRound(const std::vector<uint8_t>& bits);
+
+  /// Appends round t+1 as a copy of the view's words. A RoundView is
+  /// 0/1-clean with zero tail bits by construction, so only its size is
+  /// checked; the view must not alias this dataset's own rounds. (Not an
+  /// AppendRound overload: a braced byte round such as {0, 1} would be
+  /// ambiguous against RoundView's constructor.)
+  Status AppendPackedRound(RoundView round);
 
   /// Bit of `user` at round `t` (1-based, t <= rounds()).
   int Bit(int64_t user, int64_t t) const {
@@ -52,15 +65,14 @@ class LongitudinalDataset {
   /// the paper's convention x^t = 0 for t <= 0.
   util::Pattern SuffixPattern(int64_t user, int64_t t, int k) const;
 
-  /// Prefix Hamming weight of `user` through round t (0 for t == 0).
-  int64_t HammingWeight(int64_t user, int64_t t) const;
-
   /// Histogram over {0,1}^k of users' length-k suffixes at time t:
   /// result[s] = #{ i : (x^{t-k+1}_i, ..., x^t_i) = s }. Requires t >= k.
   Result<std::vector<int64_t>> WindowHistogram(int64_t t, int k) const;
 
   /// Cumulative threshold counts S^t_b = #{ i : weight_i(t) >= b } for
-  /// b = 0..horizon (so the result has horizon+1 entries; entry 0 is n).
+  /// b = 0..horizon (so the result has horizon+1 entries; entry 0 is n),
+  /// where weight_i(t) is user i's prefix Hamming weight through round t.
+  /// Requires 1 <= t <= rounds().
   Result<std::vector<int64_t>> CumulativeCounts(int64_t t) const;
 
   /// The Algorithm-2 increments for round t:
@@ -112,6 +124,16 @@ class LongitudinalDataset {
         horizon_(horizon),
         words_per_round_(static_cast<size_t>((num_users + 63) >> 6)) {}
 
+  /// OutOfRange once all horizon rounds are held; InvalidArgument unless a
+  /// round of `size` entries has one per user.
+  Status CheckNextRound(int64_t size) const;
+
+  /// Exact-weight histogram of rounds 1..t: result[w] counts the users
+  /// whose prefix weight through t equals w (2^bit_width(t) entries, at
+  /// least 2). With a non-null `mask` (one round's words) only the users
+  /// whose mask bit is set count.
+  std::vector<int64_t> WeightHistogram(int64_t t, const uint64_t* mask) const;
+
   int64_t num_users_;
   int64_t horizon_;
   size_t words_per_round_;
@@ -119,7 +141,6 @@ class LongitudinalDataset {
   /// Bit-packed rounds, one words_per_round_ stretch per round: bit of
   /// `user` at round t is words_[(t-1)*wpr + user/64] >> (user%64) & 1.
   std::vector<uint64_t> words_;
-  std::vector<std::vector<int32_t>> weights_;  // [t-1][user] prefix weights
 };
 
 }  // namespace data

@@ -13,11 +13,9 @@ Result<double> EvaluateCumulativeOnDataset(
   }
   if (dataset.num_users() == 0) return 0.0;
   if (b == 0) return 1.0;
-  int64_t count = 0;
-  for (int64_t i = 0; i < dataset.num_users(); ++i) {
-    if (dataset.HammingWeight(i, t) >= b) ++count;
-  }
-  return static_cast<double>(count) /
+  LONGDP_ASSIGN_OR_RETURN(const std::vector<int64_t> counts,
+                          dataset.CumulativeCounts(t));
+  return static_cast<double>(counts[static_cast<size_t>(b)]) /
          static_cast<double>(dataset.num_users());
 }
 

@@ -64,6 +64,11 @@ bool ScalarForced();
 /// 16 planes, so a histogram has at most 2^16 bins.
 inline constexpr int kMaxPlanes = 16;
 
+/// The horizon cap: at most 2^kMaxPlanes - 1 rounds, so a prefix Hamming
+/// weight (at most the horizon) always fits kMaxPlanes planes. Datasets and
+/// synthesizers refuse longer horizons (core/limits.h refers to it).
+inline constexpr int64_t kMaxHorizon = (int64_t{1} << kMaxPlanes) - 1;
+
 /// out[i] = SplitMix64Finalize(key + (cursor + 1 + i) * gamma) for
 /// i in [0, count) — the next `count` words of the substream at (key,
 /// cursor), without mutating any engine state. Matches

@@ -514,6 +514,26 @@ TEST(ArchiveExecTest, SelectCountAndGroupBy) {
   ASSERT_EQ(by_label.size(), 2u);
   EXPECT_EQ(by_label[reader.value().FindLabel("r0").value()], 4);
   EXPECT_EQ(by_label[reader.value().FindLabel("r1").value()], 0);
+
+  // Label filters over the interleaved appends: the label's entries only,
+  // in append order; an id outside the dictionary matches nothing.
+  Exec::Filter r1_range;
+  r1_range.label_id = reader.value().FindLabel("r1").value();
+  r1_range.t_min = 4;
+  r1_range.t_max = 5;
+  auto r1_selected = exec.Select(r1_range);
+  ASSERT_EQ(r1_selected.size(), 2u);
+  EXPECT_EQ(r1_selected[0], &reader.value().entries()[3]);
+  EXPECT_EQ(r1_selected[1], &reader.value().entries()[5]);
+  Exec::Filter r0_only;
+  r0_only.label_id = reader.value().FindLabel("r0").value();
+  EXPECT_EQ(exec.CountEntries(r0_only), 4);
+  EXPECT_EQ(exec.GroupCountByLabel(r0_only),
+            (std::vector<int64_t>{4, 0}));
+  Exec::Filter unknown;
+  unknown.label_id = 7;
+  EXPECT_TRUE(exec.Select(unknown).empty());
+  EXPECT_EQ(exec.CountEntries(unknown), 0);
   std::remove(path.c_str());
 }
 

@@ -173,6 +173,35 @@ TEST(CumulativeTest, PopulationPreserved) {
   EXPECT_EQ(synth_ds.rounds(), 6);
 }
 
+TEST(CumulativeTest, PackedHistoryIsTheDatasetsWordsWithCleanTails) {
+  // n is not a word multiple: the last word of every round has tail lanes,
+  // which must stay zero because the archive CRCs whole words.
+  constexpr int64_t kN = 200, kT = 9;
+  util::SubstreamRng rng(41, util::substream::kGeneric);
+  auto ds = data::BernoulliIid(kN, kT, 0.45, &rng).value();
+  auto synth = CumulativeSynthesizer::Create(Opt(kT, 0.5, 41)).value();
+  ASSERT_TRUE(FeedDataset(synth.get(), ds).ok());
+  auto panel = synth->ToDataset().value();
+  ASSERT_EQ(panel.num_users(), kN);
+  ASSERT_EQ(panel.rounds(), kT);
+  for (int64_t t = 1; t <= kT; ++t) {
+    const data::RoundView own = synth->Round(t);
+    const data::RoundView copy = panel.Round(t);
+    ASSERT_EQ(own.size(), kN);
+    ASSERT_EQ(copy.num_words(), own.num_words());
+    for (size_t w = 0; w < own.num_words(); ++w) {
+      ASSERT_EQ(copy.words()[w], own.words()[w]) << "t=" << t << " w=" << w;
+    }
+    for (int64_t r = 0; r < kN; ++r) {
+      ASSERT_EQ(synth->Bit(r, t),
+                static_cast<int>((own.words()[r >> 6] >> (r & 63)) & 1))
+          << "t=" << t << " r=" << r;
+    }
+    EXPECT_EQ(own.words()[own.num_words() - 1] >> (kN & 63), 0u)
+        << "t=" << t;
+  }
+}
+
 TEST(CumulativeTest, ToDatasetMatchesAnswers) {
   // The materialized dataset's cumulative fractions equal the released
   // answers at the final time.

@@ -261,6 +261,37 @@ TEST(FixedWindowTest, ErrorWithinTheoremBound) {
   EXPECT_LE(violations, static_cast<int>(kTrials * kBeta * 3) + 1);
 }
 
+TEST(FixedWindowTest, PackedHistoryIsTheDatasetsWordsWithCleanTails) {
+  // Padded (npad > 0) so m = n + noise + 2^k * npad is not a word
+  // multiple: the last word of every round has tail lanes, which must stay
+  // zero because the archive CRCs whole words.
+  util::SubstreamRng rng(31, util::substream::kGeneric);
+  auto ds = data::BernoulliIid(300, 10, 0.4, &rng).value();
+  auto synth = FixedWindowSynthesizer::Create(Opt(10, 3, 1.0, 5, 31)).value();
+  ASSERT_TRUE(FeedDataset(synth.get(), ds).ok());
+  const SyntheticCohort& cohort = synth->cohort();
+  const int64_t m = cohort.num_records();
+  ASSERT_NE(m % 64, 0) << "m=" << m;
+  auto panel = cohort.ToDataset(10).value();
+  ASSERT_EQ(panel.num_users(), m);
+  ASSERT_EQ(panel.rounds(), 10);
+  for (int64_t t = 1; t <= 10; ++t) {
+    const data::RoundView own = cohort.Round(t);
+    const data::RoundView copy = panel.Round(t);
+    ASSERT_EQ(own.size(), m);
+    ASSERT_EQ(copy.num_words(), own.num_words());
+    for (size_t w = 0; w < own.num_words(); ++w) {
+      ASSERT_EQ(copy.words()[w], own.words()[w]) << "t=" << t << " w=" << w;
+    }
+    for (int64_t r = 0; r < m; ++r) {
+      ASSERT_EQ(cohort.Bit(r, t),
+                static_cast<int>((own.words()[r >> 6] >> (r & 63)) & 1))
+          << "t=" << t << " r=" << r;
+    }
+    EXPECT_EQ(own.words()[own.num_words() - 1] >> (m & 63), 0u) << "t=" << t;
+  }
+}
+
 TEST(FixedWindowTest, RecordsPersistAcrossReleases) {
   // Invariant 2 at the synthesizer level: prefixes never change.
   util::SubstreamRng rng(29, util::substream::kGeneric);

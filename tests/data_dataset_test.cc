@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/simd/simd.h"
 #include "util/substream.h"
 
 namespace longdp {
@@ -23,10 +24,22 @@ LongitudinalDataset MakeSmall() {
   return ds;
 }
 
+/// Prefix Hamming weight of `user` through round t, by brute force.
+int64_t PrefixWeight(const LongitudinalDataset& ds, int64_t user, int64_t t) {
+  int64_t w = 0;
+  for (int64_t tt = 1; tt <= t; ++tt) w += ds.Bit(user, tt);
+  return w;
+}
+
 TEST(DatasetTest, CreateValidates) {
   EXPECT_FALSE(LongitudinalDataset::Create(-1, 5).ok());
   EXPECT_FALSE(LongitudinalDataset::Create(5, 0).ok());
   EXPECT_TRUE(LongitudinalDataset::Create(0, 1).ok());
+  // The horizon cap the plane kernels and the synthesizers share.
+  EXPECT_TRUE(LongitudinalDataset::Create(3, util::simd::kMaxHorizon).ok());
+  EXPECT_TRUE(LongitudinalDataset::Create(3, util::simd::kMaxHorizon + 1)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(DatasetTest, AppendRoundValidates) {
@@ -36,6 +49,38 @@ TEST(DatasetTest, AppendRoundValidates) {
   EXPECT_TRUE(ds.AppendRound({0, 1}).IsInvalidArgument());
   EXPECT_TRUE(ds.AppendRound({1, 1, 1}).ok());
   EXPECT_TRUE(ds.AppendRound({0, 0, 0}).IsOutOfRange());
+}
+
+TEST(DatasetTest, RejectedRoundLeavesTheDatasetUnchanged) {
+  // A bad entry past the first word: nothing of the round is published,
+  // and the next good round lands at t = 2 with clean words.
+  auto ds = LongitudinalDataset::Create(70, 3).value();
+  ASSERT_TRUE(ds.AppendRound(std::vector<uint8_t>(70, 1)).ok());
+  std::vector<uint8_t> bad(70, 0);
+  bad[66] = 3;
+  EXPECT_TRUE(ds.AppendRound(bad).IsInvalidArgument());
+  EXPECT_EQ(ds.rounds(), 1);
+  std::vector<uint8_t> good(70, 0);
+  good[66] = 1;
+  ASSERT_TRUE(ds.AppendRound(good).ok());
+  EXPECT_EQ(ds.rounds(), 2);
+  EXPECT_EQ(ds.Round(2).words()[0], 0u);
+  EXPECT_EQ(ds.Round(2).words()[1], uint64_t{1} << 2);
+}
+
+TEST(DatasetTest, AppendPackedRoundCopiesTheWords) {
+  auto src = LongitudinalDataset::Create(70, 2).value();
+  std::vector<uint8_t> bits(70, 0);
+  for (size_t i = 0; i < bits.size(); i += 3) bits[i] = 1;
+  ASSERT_TRUE(src.AppendRound(bits).ok());
+  auto dst = LongitudinalDataset::Create(70, 1).value();
+  ASSERT_TRUE(dst.AppendPackedRound(src.Round(1)).ok());
+  EXPECT_EQ(dst.Round(1).words()[0], src.Round(1).words()[0]);
+  EXPECT_EQ(dst.Round(1).words()[1], src.Round(1).words()[1]);
+  EXPECT_TRUE(dst.AppendPackedRound(src.Round(1)).IsOutOfRange());
+  auto other = LongitudinalDataset::Create(69, 1).value();
+  EXPECT_TRUE(other.AppendPackedRound(src.Round(1)).IsInvalidArgument());
+  EXPECT_EQ(other.rounds(), 0);
 }
 
 TEST(DatasetTest, BitAccess) {
@@ -49,13 +94,15 @@ TEST(DatasetTest, BitAccess) {
 }
 
 TEST(DatasetTest, HammingWeights) {
+  // Weights at t = 1 are (1, 0, 0, 1) and at t = 5 (5, 2, 0, 3); the
+  // threshold counts carry them.
   auto ds = MakeSmall();
-  EXPECT_EQ(ds.HammingWeight(0, 5), 5);
-  EXPECT_EQ(ds.HammingWeight(1, 5), 2);
-  EXPECT_EQ(ds.HammingWeight(2, 5), 0);
-  EXPECT_EQ(ds.HammingWeight(3, 5), 3);
-  EXPECT_EQ(ds.HammingWeight(3, 1), 1);
-  EXPECT_EQ(ds.HammingWeight(3, 0), 0);
+  EXPECT_EQ(PrefixWeight(ds, 0, 5), 5);
+  EXPECT_EQ(PrefixWeight(ds, 3, 5), 3);
+  EXPECT_EQ(ds.CumulativeCounts(1).value(),
+            (std::vector<int64_t>{4, 2, 0, 0, 0, 0}));
+  EXPECT_EQ(ds.CumulativeCounts(5).value(),
+            (std::vector<int64_t>{4, 3, 3, 2, 1, 1}));
 }
 
 TEST(DatasetTest, SuffixPatternOldestFirst) {
@@ -143,6 +190,39 @@ TEST(DatasetTest, IncrementsSumToCumulativeProperty) {
       EXPECT_EQ(running[static_cast<size_t>(b - 1)],
                 counts.value()[static_cast<size_t>(b)])
           << "t=" << t << " b=" << b;
+    }
+  }
+}
+
+TEST(DatasetTest, OnDemandStatisticsMatchPerUserSums) {
+  // CumulativeCounts and WeightIncrements against per-user prefix weights
+  // at every t, across populations at and around word boundaries.
+  for (int64_t n : {0, 1, 63, 64, 65, 1000}) {
+    for (int64_t horizon : {1, 12, 100}) {
+      util::SubstreamRng rng(static_cast<uint64_t>(n * 1000 + horizon),
+                             util::substream::kGeneric);
+      auto ds = LongitudinalDataset::Create(n, horizon).value();
+      std::vector<uint8_t> round(static_cast<size_t>(n));
+      for (int64_t t = 1; t <= horizon; ++t) {
+        for (auto& b : round) b = rng.Bernoulli(0.6) ? 1 : 0;
+        ASSERT_TRUE(ds.AppendRound(round).ok());
+      }
+      std::vector<int64_t> weight(static_cast<size_t>(n), 0);
+      for (int64_t t = 1; t <= horizon; ++t) {
+        std::vector<int64_t> z(static_cast<size_t>(horizon), 0);
+        for (int64_t i = 0; i < n; ++i) {
+          int64_t& w = weight[static_cast<size_t>(i)];
+          if (ds.Bit(i, t) == 1) ++z[static_cast<size_t>(w++)];
+        }
+        std::vector<int64_t> counts(static_cast<size_t>(horizon) + 1, 0);
+        for (int64_t w : weight) {
+          for (int64_t b = 0; b <= w; ++b) ++counts[static_cast<size_t>(b)];
+        }
+        ASSERT_EQ(ds.CumulativeCounts(t).value(), counts)
+            << "n=" << n << " T=" << horizon << " t=" << t;
+        ASSERT_EQ(ds.WeightIncrements(t).value(), z)
+            << "n=" << n << " T=" << horizon << " t=" << t;
+      }
     }
   }
 }

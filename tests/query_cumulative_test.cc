@@ -64,6 +64,33 @@ TEST(CumulativeQueryTest, RangeChecks) {
   EXPECT_FALSE(EvaluateCumulativeOnDataset(ds, 2, 5).ok());
 }
 
+TEST(CumulativeQueryTest, MatchesPerUserSums) {
+  // Every (t, b) against a brute-force count of per-user prefix weights,
+  // across populations at and around word boundaries.
+  for (int64_t n : {0, 1, 63, 64, 65, 1000}) {
+    for (int64_t horizon : {1, 12, 100}) {
+      auto ds = data::BernoulliIid(n, horizon, 0.4,
+                                   static_cast<uint64_t>(n + horizon))
+                    .value();
+      std::vector<int64_t> weight(static_cast<size_t>(n), 0);
+      for (int64_t t = 1; t <= horizon; ++t) {
+        for (int64_t i = 0; i < n; ++i) {
+          weight[static_cast<size_t>(i)] += ds.Bit(i, t);
+        }
+        for (int64_t b = 0; b <= horizon; ++b) {
+          int64_t count = 0;
+          for (int64_t w : weight) count += w >= b ? 1 : 0;
+          const double want =
+              n == 0 ? 0.0
+                     : static_cast<double>(count) / static_cast<double>(n);
+          ASSERT_EQ(EvaluateCumulativeOnDataset(ds, t, b).value(), want)
+              << "n=" << n << " T=" << horizon << " t=" << t << " b=" << b;
+        }
+      }
+    }
+  }
+}
+
 TEST(CumulativeQueryTest, AgreesWithCumulativeCounts) {
   util::SubstreamRng rng(2, util::substream::kGeneric);
   auto ds = data::BernoulliIid(300, 6, 0.5, &rng).value();

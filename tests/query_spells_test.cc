@@ -142,9 +142,7 @@ TEST(SpellsTest, HistogramTotalsMatchPopulationWeight) {
       weighted += static_cast<int64_t>(l) * hist[l];
     }
     int64_t ones = 0;
-    for (int64_t i = 0; i < ds.num_users(); ++i) {
-      ones += ds.HammingWeight(i, t);
-    }
+    for (int64_t tt = 1; tt <= t; ++tt) ones += ds.Round(tt).CountOnes();
     EXPECT_EQ(weighted, ones) << "t=" << t;
   }
 }
