@@ -61,7 +61,7 @@ Status Run(const harness::Flags& flags, harness::BenchReport* report) {
     }
     // True final histogram.
     uint64_t bins =
-        core::CategoricalWindowSynthesizer::NumBins(k, alphabet).value();
+        core::SyntheticCohort::NumBins(k, alphabet).value();
     std::vector<int64_t> truth(bins, 0);
     for (int64_t i = 0; i < n; ++i) {
       uint64_t code = 0;

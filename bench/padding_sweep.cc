@@ -18,8 +18,9 @@ Status Run(const harness::Flags& flags, harness::BenchReport* report) {
   const int64_t T = 12;
   const int k = 3;
   LONGDP_ASSIGN_OR_RETURN(auto ds, data::ExtremeAllZeros(n, T));
-  LONGDP_ASSIGN_OR_RETURN(int64_t recommended,
-                          core::theory::RecommendedNpad(T, k, rho, 0.05));
+  LONGDP_ASSIGN_OR_RETURN(
+      int64_t recommended,
+      core::theory::RecommendedNpad(T, k, rho, 0.05, util::NumPatterns(k)));
 
   report->set_description("A5: padding sweep on all-zeros data");
   report->SetParam("n", n);

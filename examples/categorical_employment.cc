@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
   std::printf("\nnegative clamps: %lld, remainder draws: %lld, zCDP spent: "
               "%.6f\n",
               static_cast<long long>(synth->stats().negative_clamps),
-              static_cast<long long>(synth->stats().remainder_draws),
+              static_cast<long long>(synth->stats().rounding_draws),
               synth->accountant().spent());
   return 0;
 }

@@ -118,6 +118,10 @@ Result<ArchiveReader> ArchiveReader::Open(const std::string& path) {
   for (size_t i = 0; i < reader.entries_.size(); ++i) {
     reader.label_entries_[next[reader.entries_[i].label_id]++] = i;
   }
+  reader.label_ids_.reserve(num_labels);
+  for (uint32_t id = 0; id < num_labels; ++id) {
+    reader.label_ids_.emplace(reader.labels_[id], id);  // first id wins
+  }
   return reader;
 }
 
@@ -129,7 +133,8 @@ ArchiveReader::ArchiveReader(ArchiveReader&& other) noexcept
       labels_(std::move(other.labels_)),
       entries_(std::move(other.entries_)),
       label_starts_(std::move(other.label_starts_)),
-      label_entries_(std::move(other.label_entries_)) {}
+      label_entries_(std::move(other.label_entries_)),
+      label_ids_(std::move(other.label_ids_)) {}
 
 ArchiveReader& ArchiveReader::operator=(ArchiveReader&& other) noexcept {
   if (this != &other) {
@@ -142,6 +147,7 @@ ArchiveReader& ArchiveReader::operator=(ArchiveReader&& other) noexcept {
     entries_ = std::move(other.entries_);
     label_starts_ = std::move(other.label_starts_);
     label_entries_ = std::move(other.label_entries_);
+    label_ids_ = std::move(other.label_ids_);
   }
   return *this;
 }
@@ -151,9 +157,8 @@ ArchiveReader::~ArchiveReader() {
 }
 
 Result<uint32_t> ArchiveReader::FindLabel(const std::string& label) const {
-  for (uint32_t id = 0; id < labels_.size(); ++id) {
-    if (labels_[id] == label) return id;
-  }
+  const auto it = label_ids_.find(label);
+  if (it != label_ids_.end()) return it->second;
   return Status::NotFound("no label '" + label + "' in archive " + path_);
 }
 

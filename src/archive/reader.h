@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "archive/format.h"
@@ -95,6 +96,9 @@ class ArchiveReader {
   /// indices are label_entries_[label_starts_[id], label_starts_[id + 1]).
   std::vector<size_t> label_starts_;
   std::vector<size_t> label_entries_;
+  /// Label -> dictionary code for FindLabel; the first code wins should a
+  /// forged footer repeat a label.
+  std::unordered_map<std::string, uint32_t> label_ids_;
 };
 
 }  // namespace archive

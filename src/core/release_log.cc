@@ -154,8 +154,8 @@ Status CloseBuilder(const std::string& kind, ReleaseBuilder* b,
   } else {  // categorical
     LONGDP_ASSIGN_OR_RETURN(
         const uint64_t bins,
-        CategoricalWindowSynthesizer::NumBins(static_cast<int>(b->k),
-                                              static_cast<int>(b->alphabet)));
+        SyntheticCohort::NumBins(static_cast<int>(b->k),
+                                 static_cast<int>(b->alphabet)));
     if (b->values.size() != bins) {
       return Status::InvalidArgument(
           "incomplete categorical release t=" + std::to_string(b->t) +

@@ -1,11 +1,20 @@
 #include "core/synthetic_cohort.h"
 
+#include <bit>
+#include <string>
+
+#include "core/limits.h"
 #include "util/batch_sampler.h"
 
 namespace longdp {
 namespace core {
 
 namespace {
+
+/// b, the bits of one symbol.
+int SymbolBits(int alphabet) {
+  return std::bit_width(static_cast<unsigned>(alphabet - 1));
+}
 
 /// Sets bits [begin, end) of a packed round: whole words in the middle,
 /// masked words at the ends.
@@ -26,13 +35,33 @@ void SetBitRange(uint64_t* words, int64_t begin, int64_t end) {
 
 }  // namespace
 
-Result<SyntheticCohort> SyntheticCohort::Create(
-    int window_k, const std::vector<int64_t>& initial_counts) {
-  LONGDP_RETURN_NOT_OK(util::ValidateWindow(window_k));
-  if (initial_counts.size() != util::NumPatterns(window_k)) {
-    return Status::InvalidArgument("initial_counts size must be 2^k");
+Result<uint64_t> SyntheticCohort::NumBins(int window_k, int alphabet) {
+  if (window_k < 1) {
+    return Status::InvalidArgument("window k must be >= 1");
   }
-  for (int64_t c : initial_counts) {
+  if (alphabet < 2 || alphabet > 256) {
+    return Status::InvalidArgument(
+        "alphabet size must be in [2, 256] (symbols are bytes)");
+  }
+  const int64_t planes = int64_t{window_k} * SymbolBits(alphabet);
+  if (planes > kMaxPlanes) {
+    return Status::InvalidArgument(
+        "window k * bit_width(A - 1) must be at most " +
+        std::to_string(kMaxPlanes) + " bit planes, got " +
+        std::to_string(planes));
+  }
+  uint64_t bins = 1;
+  for (int j = 0; j < window_k; ++j) bins *= static_cast<uint64_t>(alphabet);
+  return bins;
+}
+
+Result<SyntheticCohort> SyntheticCohort::Create(
+    int window_k, int alphabet, const std::vector<int64_t>& census) {
+  LONGDP_ASSIGN_OR_RETURN(const uint64_t bins, NumBins(window_k, alphabet));
+  if (census.size() != bins) {
+    return Status::InvalidArgument("census size must be A^k");
+  }
+  for (int64_t c : census) {
     if (c < 0) {
       return Status::InvalidArgument(
           "initial cohort counts must be non-negative (pad the histogram)");
@@ -40,36 +69,45 @@ Result<SyntheticCohort> SyntheticCohort::Create(
   }
   SyntheticCohort cohort;
   cohort.k_ = window_k;
+  cohort.alphabet_ = alphabet;
+  cohort.symbol_bits_ = SymbolBits(alphabet);
+  cohort.num_overlaps_ = bins / static_cast<uint64_t>(alphabet);
   cohort.rounds_ = window_k;
-  cohort.pattern_count_ = initial_counts;
+  cohort.pattern_count_ = census;
   // Counting-sort build: per-overlap totals are one pass over the census,
   // then records scatter straight into their flat group slots.
-  cohort.groups_.Reset(util::NumPatterns(window_k - 1));
-  for (util::Pattern s = 0; s < initial_counts.size(); ++s) {
-    cohort.groups_.AddCount(util::Overlap(s, window_k), initial_counts[s]);
+  cohort.groups_.Reset(cohort.num_overlaps_);
+  for (uint64_t s = 0; s < bins; ++s) {
+    cohort.groups_.AddCount(s % cohort.num_overlaps_, census[s]);
   }
   cohort.groups_.BuildOffsets();
-  cohort.groups_next_.Reset(util::NumPatterns(window_k - 1));
+  cohort.groups_next_.Reset(cohort.num_overlaps_);
   int64_t total = 0;
-  for (int64_t c : initial_counts) total += c;
+  for (int64_t c : census) total += c;
   cohort.num_records_ = total;
   const size_t wpr = static_cast<size_t>((total + 63) >> 6);
+  const int b = cohort.symbol_bits_;
   cohort.words_per_round_ = wpr;
-  cohort.history_words_.assign(wpr * static_cast<size_t>(window_k), 0);
-  // Pattern s seeds initial_counts[s] consecutive record ids, so each
-  // group placement is one sequence append and each record's history is a
-  // per-round bit-range fill (the rounds are already zero-filled; only
-  // 1-runs need writes). Same record ids, member order, and bits as the
-  // per-record loop this replaces.
+  cohort.history_words_.assign(wpr * static_cast<size_t>(window_k * b), 0);
+  // Pattern s seeds census[s] consecutive record ids, so each group
+  // placement is one sequence append and each history plane a bit-range
+  // fill (the rounds are already zero-filled; only set bits need writes).
+  const uint64_t a = static_cast<uint64_t>(alphabet);
   int64_t next_record = 0;
-  for (util::Pattern s = 0; s < initial_counts.size(); ++s) {
-    const int64_t c = initial_counts[s];
+  for (uint64_t s = 0; s < bins; ++s) {
+    const int64_t c = census[s];
     if (c == 0) continue;
-    cohort.groups_.PlaceSequence(util::Overlap(s, window_k), next_record, c);
-    for (int j = 0; j < window_k; ++j) {
-      if ((s >> (window_k - 1 - j)) & 1) {
-        SetBitRange(cohort.history_words_.data() + static_cast<size_t>(j) * wpr,
-                    next_record, next_record + c);
+    cohort.groups_.PlaceSequence(s % cohort.num_overlaps_, next_record, c);
+    uint64_t code = s;
+    for (int j = window_k - 1; j >= 0; --j) {
+      const uint64_t digit = code % a;
+      code /= a;
+      for (int p = 0; p < b; ++p) {
+        if ((digit >> p) & 1) {
+          SetBitRange(cohort.history_words_.data() +
+                          static_cast<size_t>(j * b + p) * wpr,
+                      next_record, next_record + c);
+        }
       }
     }
     next_record += c;
@@ -77,100 +115,110 @@ Result<SyntheticCohort> SyntheticCohort::Create(
   return cohort;
 }
 
-Status SyntheticCohort::AdvanceRound(const std::vector<int64_t>& ones_target,
+Status SyntheticCohort::AdvanceRound(const std::vector<int64_t>& census,
                                      const util::SubstreamRng& stream,
                                      util::ThreadPool* pool) {
-  size_t num_overlaps = util::NumPatterns(k_ - 1);
-  if (ones_target.size() != num_overlaps) {
-    return Status::InvalidArgument("ones_target size must be 2^(k-1)");
+  const uint64_t a = static_cast<uint64_t>(alphabet_);
+  const uint64_t bins = num_overlaps_ * a;
+  if (census.size() != bins) {
+    return Status::InvalidArgument("census size must be A^k");
   }
-  for (util::Pattern z = 0; z < num_overlaps; ++z) {
-    int64_t target = ones_target[z];
-    int64_t group = GroupSize(z);
-    if (target < 0 || target > group) {
+  // Every child count is non-negative and each overlap's children split
+  // exactly its group (checked without overflow: a stored census is
+  // untrusted).
+  for (uint64_t z = 0; z < num_overlaps_; ++z) {
+    const int64_t group = GroupSize(z);
+    int64_t assigned = 0;
+    for (uint64_t c = 0; c < a; ++c) {
+      const int64_t take = census[z * a + c];
+      if (take < 0 || take > group - assigned) {
+        return Status::InvalidArgument("census overruns overlap group " +
+                                       std::to_string(z));
+      }
+      assigned += take;
+    }
+    if (assigned != group) {
       return Status::InvalidArgument(
-          "ones_target[" + util::PatternToString(z, k_ - 1) + "]=" +
-          std::to_string(target) + " outside [0, group=" +
-          std::to_string(group) + "]");
+          "census does not cover overlap group " + std::to_string(z) +
+          ": assigned " + std::to_string(assigned) + " of " +
+          std::to_string(group));
     }
   }
 
-  // Counting-sort regroup: every next-round pattern count — and therefore
-  // every next-round overlap group size — is known arithmetically from the
-  // targets before any record moves, so the regroup is count/prefix-sum/
-  // scatter into the flat double buffer. The new round itself is one
-  // zero-filled column append into the flat history matrix.
-  const util::Pattern half = util::Pattern{1} << (k_ - 1);
-  std::vector<int64_t>& new_counts = count_scratch_;
-  new_counts.assign(util::NumPatterns(k_), 0);
-  groups_next_.Reset(num_overlaps);
-  for (util::Pattern z = 0; z < num_overlaps; ++z) {
-    const int64_t group = GroupSize(z);
-    const int64_t target = ones_target[z];
-    new_counts[(z << 1)] = group - target;      // width-k pattern z then 0
-    new_counts[(z << 1) | 1] = target;          // width-k pattern z then 1
-  }
-  for (util::Pattern o = 0; o < num_overlaps; ++o) {
-    // Width-k patterns whose low k-1 bits equal o: o itself and o | half.
-    groups_next_.AddCount(o, new_counts[o] + new_counts[o | half]);
+  // Counting-sort regroup plan: next-round overlap sizes are the column
+  // sums of the census (children with the same low k-1 digits share an
+  // overlap), prefix-summed into flat offsets.
+  groups_next_.Reset(num_overlaps_);
+  for (uint64_t child = 0; child < bins; ++child) {
+    groups_next_.AddCount(child % num_overlaps_, census[child]);
   }
   groups_next_.BuildOffsets();
 
-  const size_t col_base = static_cast<size_t>(rounds_) * words_per_round_;
-  history_words_.resize(col_base + words_per_round_, 0);
-  uint64_t* col = history_words_.data() + col_base;
-  // Pass 1 — the draws: uniformly choose which records get the
-  // 1-extension by a batched partial shuffle that puts a random
-  // `target`-subset at the group's front. Overlap z draws only from its
-  // keyed substream stream.Leaf(z) and mutates only its own member slice,
-  // so the groups shard freely; the target == 0 and target == group
-  // (whole-group) edges need no draw at all.
+  // Pass 1 — the draws: for c = A-1 down to 1, child c takes a uniformly
+  // chosen subset of the records still unassigned, put at the front of the
+  // remaining span by a batched partial shuffle; child 0 absorbs the rest
+  // without a draw. Overlap z draws only from its keyed substream
+  // stream.Leaf(z) and permutes only its own member slice, so the groups
+  // shard freely; a take of 0 or of everything left needs no draw at all.
   util::ShardedFor(
-      pool, static_cast<int64_t>(num_overlaps),
+      pool, static_cast<int64_t>(num_overlaps_),
       [&](int /*shard*/, int64_t begin, int64_t end) {
         for (int64_t zi = begin; zi < end; ++zi) {
-          const util::Pattern z = static_cast<util::Pattern>(zi);
-          const int64_t target = ones_target[z];
+          const uint64_t z = static_cast<uint64_t>(zi);
+          int64_t* members = groups_.group_data(z);
           const int64_t group = groups_.size(z);
-          if (target > 0 && target < group) {
-            util::SubstreamRng group_stream =
-                stream.Leaf(static_cast<uint64_t>(z));
-            util::BatchSampler sampler(&group_stream);
-            sampler.PartialShuffle(groups_.group_data(z), group, target);
+          util::SubstreamRng group_stream = stream.Leaf(z);
+          util::BatchSampler sampler(&group_stream);
+          int64_t idx = 0;
+          for (uint64_t c = a - 1; c >= 1; --c) {
+            const int64_t take = census[z * a + c];
+            const int64_t remaining = group - idx;
+            if (take > 0 && take < remaining) {
+              sampler.PartialShuffle(members + idx, remaining, take);
+            }
+            idx += take;
           }
         }
       });
+
   // Pass 2 — the scatter: destination groups interleave across source
-  // overlaps (z0 and z1 of different z can share an overlap), so the
-  // regroup stays serial, in overlap order. Within a source overlap the
-  // shuffle left the promoted subset at the front, so the per-record loop
-  // collapses to two ranged appends (ones first, zeros second — the same
-  // member order) plus the 1-bit writes; the zero extensions need no
-  // writes at all, the appended round is already zero-filled.
-  for (util::Pattern z = 0; z < num_overlaps; ++z) {
-    int64_t* members = groups_.group_data(z);
-    const int64_t target = ones_target[z];
-    const int64_t group = groups_.size(z);
-    for (int64_t i = 0; i < target; ++i) {
-      col[members[i] >> 6] |= uint64_t{1} << (members[i] & 63);
+  // overlaps, so the regroup stays serial, in overlap order. Each child is
+  // one ranged append plus the writes of its symbol's set bits; child 0
+  // needs no writes at all, the appended round is already zero-filled.
+  const size_t b = static_cast<size_t>(symbol_bits_);
+  const size_t col_base =
+      static_cast<size_t>(rounds_) * b * words_per_round_;
+  history_words_.resize(col_base + b * words_per_round_, 0);
+  uint64_t* col = history_words_.data() + col_base;
+  for (uint64_t z = 0; z < num_overlaps_; ++z) {
+    const int64_t* members = groups_.group_data(z);
+    int64_t idx = 0;
+    for (uint64_t c = a; c-- > 0;) {
+      const uint64_t child = z * a + c;
+      const int64_t take = census[child];
+      for (size_t p = 0; p < b; ++p) {
+        if (((c >> p) & 1) == 0) continue;
+        uint64_t* plane = col + p * words_per_round_;
+        for (int64_t j = idx; j < idx + take; ++j) {
+          plane[members[j] >> 6] |= uint64_t{1} << (members[j] & 63);
+        }
+      }
+      groups_next_.PlaceRange(child % num_overlaps_, members + idx, take);
+      idx += take;
     }
-    groups_next_.PlaceRange(util::Overlap((z << 1) | 1, k_), members,
-                            target);
-    groups_next_.PlaceRange(util::Overlap(z << 1, k_), members + target,
-                            group - target);
   }
   groups_.swap(groups_next_);
-  pattern_count_.swap(new_counts);
+  pattern_count_ = census;
   ++rounds_;
   return Status::OK();
 }
 
-std::vector<int64_t> SyntheticCohort::WindowHistogram() const {
-  return pattern_count_;
-}
-
 Result<data::LongitudinalDataset> SyntheticCohort::ToDataset(
     int64_t horizon) const {
+  if (alphabet_ != 2) {
+    return Status::FailedPrecondition(
+        "only a binary cohort materializes as a dataset");
+  }
   if (horizon < rounds_) {
     return Status::InvalidArgument("horizon must be >= rounds()");
   }

@@ -25,6 +25,17 @@ Status ValidateFixedWindowArgs(int64_t horizon, int window_k, double rho,
   }
   return Status::OK();
 }
+
+/// Theorem 3.2's bound for a histogram of `bins` bins.
+Result<double> BinCountErrorBound(int64_t horizon, int window_k, double rho,
+                                  double beta, uint64_t bins) {
+  LONGDP_RETURN_NOT_OK(ValidateFixedWindowArgs(horizon, window_k, rho, beta));
+  if (std::isinf(rho)) return 0.0;
+  double steps = static_cast<double>(horizon - window_k + 1);
+  double lead = std::sqrt(steps / rho) + 1.0 / std::sqrt(2.0);
+  double log_arg = std::log(static_cast<double>(bins) * steps / beta);
+  return lead * std::sqrt(log_arg);
+}
 }  // namespace
 
 Result<double> FixedWindowSigma2(int64_t horizon, int window_k, double rho) {
@@ -36,21 +47,15 @@ Result<double> FixedWindowSigma2(int64_t horizon, int window_k, double rho) {
 
 Result<double> MaxBinCountErrorBound(int64_t horizon, int window_k, double rho,
                                      double beta) {
-  LONGDP_RETURN_NOT_OK(ValidateFixedWindowArgs(horizon, window_k, rho, beta));
-  if (std::isinf(rho)) return 0.0;
-  double steps = static_cast<double>(horizon - window_k + 1);
-  double lead = std::sqrt(steps / rho) + 1.0 / std::sqrt(2.0);
-  double log_arg =
-      std::log(static_cast<double>(util::NumPatterns(window_k)) * steps /
-               beta);
-  return lead * std::sqrt(log_arg);
+  return BinCountErrorBound(horizon, window_k, rho, beta,
+                            util::NumPatterns(window_k));
 }
 
 Result<int64_t> RecommendedNpad(int64_t horizon, int window_k, double rho,
-                                double beta) {
+                                double beta, uint64_t bins) {
   if (std::isinf(rho)) return int64_t{0};
   LONGDP_ASSIGN_OR_RETURN(
-      double bound, MaxBinCountErrorBound(horizon, window_k, rho, beta));
+      double bound, BinCountErrorBound(horizon, window_k, rho, beta, bins));
   return static_cast<int64_t>(std::ceil(bound));
 }
 

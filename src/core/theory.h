@@ -17,12 +17,14 @@ namespace theory {
 ///   sigma^2 = (T - k + 1) / (2 rho).
 Result<double> FixedWindowSigma2(int64_t horizon, int window_k, double rho);
 
-/// The paper's recommended padding (Section 3.1):
-///   n_pad = ( sqrt((T-k+1)/rho) + 1/sqrt(2) ) * sqrt( log(2^k (T-k+1)/beta) ),
+/// The paper's recommended padding (Section 3.1) for a histogram of `bins`
+/// bins (2^k for Algorithm 1, A^k for its categorical extension):
+///   n_pad = ( sqrt((T-k+1)/rho) + 1/sqrt(2) )
+///           * sqrt( log(bins (T-k+1)/beta) ),
 /// which by Theorem 3.2 keeps every noisy count non-negative with
 /// probability >= 1 - beta over the whole run. Returned rounded up.
 Result<int64_t> RecommendedNpad(int64_t horizon, int window_k, double rho,
-                                double beta);
+                                double beta, uint64_t bins);
 
 /// Theorem 3.2: with probability >= 1 - beta,
 ///   max_{s,t} | p^t_s - (C^t_s + n_pad) |

@@ -46,9 +46,7 @@ class LongitudinalDataset {
 
   /// Appends round t+1 as a copy of the view's words. A RoundView is
   /// 0/1-clean with zero tail bits by construction, so only its size is
-  /// checked; the view must not alias this dataset's own rounds. (Not an
-  /// AppendRound overload: a braced byte round such as {0, 1} would be
-  /// ambiguous against RoundView's constructor.)
+  /// checked; the view must not alias this dataset's own rounds.
   Status AppendPackedRound(RoundView round);
 
   /// Bit of `user` at round `t` (1-based, t <= rounds()).

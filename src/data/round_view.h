@@ -22,6 +22,7 @@
 #define LONGDP_DATA_ROUND_VIEW_H_
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <vector>
 
@@ -35,8 +36,11 @@ class RoundView {
   RoundView() = default;
   /// `words` must hold (num_bits + 63) / 64 entries and stay alive for the
   /// lifetime of the view; bits past num_bits in the last word must be 0.
-  RoundView(const uint64_t* words, int64_t num_bits)
-      : words_(words), num_bits_(num_bits) {}
+  /// An integer never binds to `words`, so a braced byte round such as
+  /// {0, 1} selects a byte overload instead of being ambiguous with this.
+  template <typename P>
+    requires std::convertible_to<P, const uint64_t*> && (!std::integral<P>)
+  RoundView(P words, int64_t num_bits) : words_(words), num_bits_(num_bits) {}
 
   int64_t size() const { return num_bits_; }
   const uint64_t* words() const { return words_; }

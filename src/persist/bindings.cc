@@ -19,6 +19,13 @@ std::string HistogramRecord(int64_t t, bool has_release,
   for (int64_t h : hist) out << " " << h;
   return out.str();
 }
+
+/// Both window synthesizers publish their synthetic histogram.
+template <typename Synth>
+std::string WindowRecord(const Synth& synth) {
+  return HistogramRecord(synth.t(), synth.has_release(),
+                         synth.SyntheticHistogram());
+}
 }  // namespace
 
 std::string CumulativeTraits::ReleaseRecord(const Synth& synth) {
@@ -27,18 +34,11 @@ std::string CumulativeTraits::ReleaseRecord(const Synth& synth) {
 }
 
 std::string FixedWindowTraits::ReleaseRecord(const Synth& synth) {
-  // SyntheticHistogram() materializes by value; skip it pre-release.
-  if (!synth.has_release()) {
-    return HistogramRecord(synth.t(), false, {});
-  }
-  return HistogramRecord(synth.t(), true, synth.SyntheticHistogram());
+  return WindowRecord(synth);
 }
 
 std::string CategoricalTraits::ReleaseRecord(const Synth& synth) {
-  if (!synth.has_release()) {
-    return HistogramRecord(synth.t(), false, {});
-  }
-  return HistogramRecord(synth.t(), true, synth.SyntheticHistogram());
+  return WindowRecord(synth);
 }
 
 }  // namespace persist

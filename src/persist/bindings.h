@@ -11,9 +11,11 @@
 //
 // Release record formats (one WAL frame per observed round):
 //   cumulative:   "<t> S0 S1 ... ST"      released threshold counts
-//   fixed-window: "<t> h0 ... h{2^k-1}"   synthetic histogram, or
+//   fixed-window, "<t> c0 ... c{A^k-1}"   synthetic histogram (A = 2 for
+//   categorical:                          fixed-window), or
 //                 "<t> -"                 before the first release (t < k)
-//   categorical:  "<t> c0 ... c{A^k-1}"   synthetic histogram, or "<t> -"
+// The two window kinds are one synthesizer at different alphabets and
+// share one record body.
 
 #ifndef LONGDP_PERSIST_BINDINGS_H_
 #define LONGDP_PERSIST_BINDINGS_H_

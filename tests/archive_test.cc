@@ -410,6 +410,78 @@ TEST(ArchiveTest, ForgedEntryCountIsDataLoss) {
                                });
 }
 
+TEST(ArchiveTest, FindLabelResolvesEveryLabelOfALargeDictionary) {
+  const std::string path = TempArchive("many_labels");
+  constexpr int kLabels = 1000;
+  {
+    auto writer = ArchiveWriter::Create(path);
+    ASSERT_TRUE(writer.ok());
+    for (int i = 0; i < kLabels; ++i) {
+      ASSERT_TRUE(writer.value()
+                      .AppendWindowRelease("run-" + std::to_string(i),
+                                           MakeWindow(1, 1, 0, 10))
+                      .ok());
+    }
+    ASSERT_TRUE(writer.value().Finish().ok());
+  }
+  auto reader = ArchiveReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_EQ(reader.value().labels().size(), static_cast<size_t>(kLabels));
+  for (uint32_t id = 0; id < kLabels; ++id) {
+    auto found = reader.value().FindLabel(reader.value().label(id));
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_EQ(found.value(), id);
+  }
+  EXPECT_TRUE(reader.value().FindLabel("run-1000").status().IsNotFound());
+  EXPECT_TRUE(reader.value().FindLabel("").status().IsNotFound());
+  std::remove(path.c_str());
+}
+
+TEST(ArchiveTest, FindLabelReturnsTheFirstIdOfARepeatedLabel) {
+  // A footer forged (with a matching CRC) to repeat a label still opens;
+  // the label resolves to its first dictionary code.
+  const std::string path = TempArchive("repeated_label");
+  {
+    auto writer = ArchiveWriter::Create(path);
+    ASSERT_TRUE(writer.ok());
+    for (const char* label : {"a", "b", "c"}) {
+      ASSERT_TRUE(
+          writer.value().AppendWindowRelease(label, MakeWindow(1, 1, 0, 10))
+              .ok());
+    }
+    ASSERT_TRUE(writer.value().Finish().ok());
+  }
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const size_t tail = bytes.size() - kTailBytes;
+  uint64_t footer_offset = 0;
+  std::memcpy(&footer_offset, bytes.data() + tail, sizeof(footer_offset));
+  std::vector<std::string> labels;
+  std::vector<ArchiveEntry> entries;
+  ASSERT_TRUE(DecodeFooter(std::string_view(bytes).substr(
+                               footer_offset, tail - footer_offset),
+                           &labels, &entries)
+                  .ok());
+  labels = {"b", "a", "b"};  // same lengths, so the footer keeps its size
+  const std::string footer = EncodeFooter(labels, entries);
+  ASSERT_EQ(footer.size(), tail - footer_offset);
+  bytes.replace(footer_offset, footer.size(), footer);
+  Put(&bytes, tail + 8, persist::Crc32c(footer.data(), footer.size()));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  auto reader = ArchiveReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader.value().FindLabel("b").value(), 0u);
+  EXPECT_EQ(reader.value().FindLabel("a").value(), 1u);
+  EXPECT_TRUE(reader.value().FindLabel("c").status().IsNotFound());
+  std::remove(path.c_str());
+}
+
 TEST(ArchiveTest, ForgedValueCountWhoseByteLengthWrapsIsDataLoss) {
   // 8 * (2^61 + 1) wraps to 8: the entry claims 2^61 + 1 values over the
   // payload's first 8 bytes, whose CRC it carries.

@@ -195,12 +195,14 @@ TEST(CheckpointMutationTest, FixedWindowDecoderIsTotal) {
   ASSERT_TRUE(synth->has_release());
   const std::string bytes = Save(*synth);
   MutateAll(roundtrip, bytes, "fixed-window post-release");
-  // Before the end tag: the 8-bin census, then round 4's 4 ones targets.
-  const size_t targets = (8 + 4) * 8;
+  // Before the end tag: the 8-bin initial census, then round 4's 8-bin
+  // census.
+  const size_t targets = (8 + 8) * 8;
   ForgedTargetsAreRefused(roundtrip, bytes, bytes.size() - 8 - targets,
                           bytes.size() - 8, "fixed-window targets");
-  // Header fields after the magic line: horizon, k, rho, npad, beta, seed,
-  // t, n, releases, clamps, rounding draws, spent.
+  // Header fields after the magic line (the categorical v4 layout):
+  // horizon, k, A, rho, npad, beta, seed, t, n, releases, clamps, rounding
+  // draws, spent.
   const size_t field = stream::state_io::Magic(
                            "fixed-window",
                            core::FixedWindowSynthesizer::kCheckpointVersion)
@@ -208,13 +210,25 @@ TEST(CheckpointMutationTest, FixedWindowDecoderIsTotal) {
                        1;
   const size_t census = bytes.size() - 8 - targets;
   for (const auto& header :
-       {std::vector<Forgery>{{field + 3 * 8, uint64_t{1} << 31}},
-        std::vector<Forgery>{{field + 3 * 8, uint64_t{1} << 62}},
-        std::vector<Forgery>{{field + 2 * 8, Bits(core::kMinRho)},
-                             {field + 11 * 8, Bits(0.0)}}}) {
+       {std::vector<Forgery>{{field + 4 * 8, uint64_t{1} << 31}},
+        std::vector<Forgery>{{field + 4 * 8, uint64_t{1} << 62}},
+        std::vector<Forgery>{{field + 3 * 8, Bits(core::kMinRho)},
+                             {field + 12 * 8, Bits(0.0)}}}) {
     ForgedCensusWithInflatedBoundIsRefused(roundtrip, bytes, header, census,
                                            census + 8 * 8,
                                            "fixed-window census");
+  }
+  // The family stores the binary alphabet only: any other A is refused,
+  // even where its A^k census would parse.
+  for (uint64_t alphabet : {uint64_t{3}, uint64_t{4}, uint64_t{256}}) {
+    std::string mutant = bytes;
+    std::memcpy(&mutant[field + 2 * 8], &alphabet, sizeof(alphabet));
+    std::istringstream in(mutant);
+    std::string resaved;
+    const Status st = roundtrip(in, &resaved);
+    EXPECT_TRUE(st.IsInvalidArgument())
+        << "fixed-window alphabet forged to " << alphabet << ": "
+        << st.ToString();
   }
 }
 

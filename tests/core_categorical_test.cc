@@ -9,6 +9,7 @@
 
 #include "core/fixed_window_synthesizer.h"
 #include "core/limits.h"
+#include "data/round_view.h"
 #include "util/substream.h"
 #include "util/thread_pool.h"
 
@@ -67,18 +68,18 @@ std::vector<int64_t> TrueHistogram(
 }
 
 TEST(CategoricalTest, NumBinsValidation) {
-  EXPECT_EQ(CategoricalWindowSynthesizer::NumBins(3, 3).value(), 27u);
-  EXPECT_EQ(CategoricalWindowSynthesizer::NumBins(2, 5).value(), 25u);
-  EXPECT_FALSE(CategoricalWindowSynthesizer::NumBins(0, 3).ok());
-  EXPECT_FALSE(CategoricalWindowSynthesizer::NumBins(3, 1).ok());
-  EXPECT_FALSE(CategoricalWindowSynthesizer::NumBins(30, 10).ok());
+  EXPECT_EQ(SyntheticCohort::NumBins(3, 3).value(), 27u);
+  EXPECT_EQ(SyntheticCohort::NumBins(2, 5).value(), 25u);
+  EXPECT_FALSE(SyntheticCohort::NumBins(0, 3).ok());
+  EXPECT_FALSE(SyntheticCohort::NumBins(3, 1).ok());
+  EXPECT_FALSE(SyntheticCohort::NumBins(30, 10).ok());
   // The window's k * bit_width(A - 1) bit planes must fit kMaxPlanes = 16.
-  EXPECT_EQ(CategoricalWindowSynthesizer::NumBins(16, 2).value(), 65536u);
-  EXPECT_EQ(CategoricalWindowSynthesizer::NumBins(2, 256).value(), 65536u);
-  EXPECT_EQ(CategoricalWindowSynthesizer::NumBins(4, 9).value(), 6561u);
-  EXPECT_FALSE(CategoricalWindowSynthesizer::NumBins(17, 2).ok());
-  EXPECT_FALSE(CategoricalWindowSynthesizer::NumBins(3, 64).ok());
-  EXPECT_FALSE(CategoricalWindowSynthesizer::NumBins(1, 257).ok());
+  EXPECT_EQ(SyntheticCohort::NumBins(16, 2).value(), 65536u);
+  EXPECT_EQ(SyntheticCohort::NumBins(2, 256).value(), 65536u);
+  EXPECT_EQ(SyntheticCohort::NumBins(4, 9).value(), 6561u);
+  EXPECT_FALSE(SyntheticCohort::NumBins(17, 2).ok());
+  EXPECT_FALSE(SyntheticCohort::NumBins(3, 64).ok());
+  EXPECT_FALSE(SyntheticCohort::NumBins(1, 257).ok());
 }
 
 TEST(CategoricalTest, CreateValidates) {
@@ -179,7 +180,7 @@ TEST(CategoricalTest, PopulationConstantUnderNoise) {
     for (int64_t c : synth->SyntheticHistogram()) total += c;
     if (population < 0) {
       population = total;
-      EXPECT_EQ(population, synth->synthetic_population());
+      EXPECT_EQ(population, synth->cohort().num_records());
     } else {
       EXPECT_EQ(total, population) << "t=" << t;
     }
@@ -212,6 +213,21 @@ TEST(CategoricalTest, RejectsOutOfAlphabetSymbol) {
       CategoricalWindowSynthesizer::Create(Opt(5, 2, 3, kInf, 0)).value();
   std::vector<uint8_t> bad = {0, 3, 1};
   EXPECT_TRUE(synth->ObserveRound(bad).IsInvalidArgument());
+}
+
+TEST(CategoricalTest, PackedRoundsNeedTheBinaryAlphabet) {
+  // A packed round is one plane of bits: only A = 2 can read it, and any
+  // other alphabet refuses it before the population is fixed.
+  const auto round = data::PackedRound::FromBytes({0, 1, 1}).value();
+  auto ternary =
+      CategoricalWindowSynthesizer::Create(Opt(5, 2, 3, kInf, 0)).value();
+  EXPECT_TRUE(ternary->ObserveRound(round.view()).IsFailedPrecondition());
+  EXPECT_EQ(ternary->t(), 0);
+  EXPECT_EQ(ternary->population(), -1);
+  auto binary =
+      CategoricalWindowSynthesizer::Create(Opt(5, 1, 2, kInf, 0)).value();
+  ASSERT_TRUE(binary->ObserveRound(round.view()).ok());
+  EXPECT_EQ(binary->SyntheticHistogram(), (std::vector<int64_t>{1, 2}));
 }
 
 TEST(CategoricalTest, RejectedFirstRoundDoesNotFixThePopulation) {
@@ -255,11 +271,12 @@ TEST(CategoricalTest, DebiasedBinFractionIsFiniteForAnEmptyPopulation) {
   }
 }
 
-// At A = 2 the categorical synthesizer consumes FixedWindowSynthesizer's
-// words: same noise, same roundings, same assignment shuffles. Under real
-// noise it must release the same histogram every round and build the same
-// cohort record for record. Adds the run's clamps and rounding draws to
-// *clamps and *draws.
+// FixedWindowSynthesizer is the A = 2 engine fed packed rounds; fed the
+// same rounds as bytes, sliced into one plane per round, the categorical
+// synthesizer must consume the same words: same noise, same roundings,
+// same assignment shuffles. Under real noise it must release the same
+// histogram every round and build the same cohort record for record. Adds
+// the run's clamps and rounding draws to *clamps and *draws.
 void ExpectBinaryRunMatchesFixedWindow(int k, int64_t n, int64_t npad,
                                        int threads, int64_t* clamps,
                                        int64_t* draws) {
@@ -290,23 +307,26 @@ void ExpectBinaryRunMatchesFixedWindow(int k, int64_t n, int64_t npad,
   for (int64_t t = 1; t <= T; ++t) {
     const auto& round = rounds[static_cast<size_t>(t - 1)];
     ASSERT_TRUE(cat->ObserveRound(round).ok()) << where;
-    ASSERT_TRUE(fw->ObserveRound(round).ok()) << where;
+    ASSERT_TRUE(
+        fw->ObserveRound(data::PackedRound::FromBytes(round).value().view())
+            .ok())
+        << where;
     ASSERT_EQ(cat->has_release(), fw->has_release()) << where;
     if (!fw->has_release()) continue;
     ASSERT_EQ(cat->SyntheticHistogram(), fw->SyntheticHistogram())
         << where << " t=" << t;
   }
   const SyntheticCohort& cohort = fw->cohort();
-  ASSERT_EQ(cat->synthetic_population(), cohort.num_records()) << where;
+  ASSERT_EQ(cat->cohort().num_records(), cohort.num_records()) << where;
   for (int64_t r = 0; r < cohort.num_records(); ++r) {
     for (int64_t t = 1; t <= T; ++t) {
-      ASSERT_EQ(cat->Symbol(r, t), cohort.Bit(r, t))
+      ASSERT_EQ(cat->cohort().Symbol(r, t), cohort.Bit(r, t))
           << where << " record " << r << " t=" << t;
     }
   }
   EXPECT_EQ(cat->stats().negative_clamps, fw->stats().negative_clamps)
       << where;
-  EXPECT_EQ(cat->stats().remainder_draws, fw->stats().rounding_draws)
+  EXPECT_EQ(cat->stats().rounding_draws, fw->stats().rounding_draws)
       << where;
   EXPECT_EQ(cat->stats().releases, fw->stats().releases) << where;
   *clamps += fw->stats().negative_clamps;
@@ -345,15 +365,17 @@ TEST(CategoricalTest, HistoriesAppendOnly) {
         synth->ObserveRound(rounds[static_cast<size_t>(t)]).ok());
     if (!synth->has_release()) continue;
     if (prefixes.empty()) {
-      prefixes.resize(static_cast<size_t>(synth->synthetic_population()));
+      prefixes.resize(static_cast<size_t>(synth->cohort().num_records()));
     }
-    for (int64_t r = 0; r < synth->synthetic_population(); ++r) {
+    for (int64_t r = 0; r < synth->cohort().num_records(); ++r) {
       auto& p = prefixes[static_cast<size_t>(r)];
       for (size_t j = 0; j < p.size(); ++j) {
-        ASSERT_EQ(synth->Symbol(r, static_cast<int64_t>(j + 1)), p[j]);
+        ASSERT_EQ(synth->cohort().Symbol(r, static_cast<int64_t>(j + 1)),
+                  p[j]);
       }
       while (p.size() < static_cast<size_t>(t + 1)) {
-        p.push_back(synth->Symbol(r, static_cast<int64_t>(p.size() + 1)));
+        p.push_back(
+            synth->cohort().Symbol(r, static_cast<int64_t>(p.size() + 1)));
       }
     }
   }

@@ -189,9 +189,11 @@ TEST(CheckpointTest, RejectsGarbage) {
       "longdp-fixed-window-checkpoint-v2\n12 3 0.005 124 0.05 7\n");
   EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(v2).ok());
   // v4 was the last text format; v5 is binary with the cohort stored,
-  // v6 stores only what the cohort is rebuilt from.
+  // v6 stores only what the cohort is rebuilt from, as ones targets; v7
+  // stores the categorical layout at A = 2.
   for (const char* old : {"longdp-fixed-window-checkpoint-v4\n",
-                          "longdp-fixed-window-checkpoint-v5\n"}) {
+                          "longdp-fixed-window-checkpoint-v5\n",
+                          "longdp-fixed-window-checkpoint-v6\n"}) {
     std::stringstream text(std::string(old) + "12 3 0.005 124 0.05 7\n");
     EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(text).ok()) << old;
   }
@@ -203,7 +205,8 @@ TEST(CheckpointTest, VersionSkewIsExplicitInvalidArgument) {
   // "this is not a checkpoint at all".
   for (const char* old : {"longdp-fixed-window-checkpoint-v3\n",
                           "longdp-fixed-window-checkpoint-v4\n",
-                          "longdp-fixed-window-checkpoint-v5\n"}) {
+                          "longdp-fixed-window-checkpoint-v5\n",
+                          "longdp-fixed-window-checkpoint-v6\n"}) {
     std::stringstream text(std::string(old) + "12 3 0.005 124 0.05 7\n");
     auto restored = FixedWindowSynthesizer::LoadCheckpoint(text);
     ASSERT_FALSE(restored.ok());
@@ -240,10 +243,10 @@ TEST(CheckpointTest, MissingEndSentinelIsRejected) {
   EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(wrong).ok());
 }
 
-// Fixed-window v6 layout: the magic line, then six option fields
-// (horizon, k, rho, npad, beta, seed) and six state fields (t, n,
-// releases, clamps, rounding draws, spent), the k window planes, the
-// census p^k and each later round's 2^(k-1) ones targets.
+// Fixed-window v7 layout, the categorical one at A = 2: the magic line,
+// then seven option fields (horizon, k, A, rho, npad, beta, seed) and six
+// state fields (t, n, releases, clamps, rounding draws, spent), the k
+// window planes, the census p^k and each later round's 2^k census.
 size_t FwField(int index) {
   return MagicBytes("fixed-window",
                     FixedWindowSynthesizer::kCheckpointVersion) +
@@ -263,10 +266,10 @@ TEST(CheckpointTest, CorruptSpentTokenIsRejectedNotZeroed) {
   ASSERT_GT(synth->accountant().spent(), 0.0);
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
-  ASSERT_EQ(Peek<double>(stream.str(), FwField(11)),
+  ASSERT_EQ(Peek<double>(stream.str(), FwField(12)),
             synth->accountant().spent());
   for (double bad : {kNaN, -0.01, kInf, -kInf}) {
-    std::stringstream corrupted(Patch(stream.str(), FwField(11), bad));
+    std::stringstream corrupted(Patch(stream.str(), FwField(12), bad));
     auto restored = FixedWindowSynthesizer::LoadCheckpoint(corrupted);
     ASSERT_FALSE(restored.ok()) << "spent " << bad << " accepted";
   }
@@ -281,9 +284,9 @@ TEST(CheckpointTest, CorruptRhoTokenIsRejectedNotTruncated) {
   ASSERT_TRUE(synth->ObserveRound(ds.Round(1)).ok());
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
-  ASSERT_EQ(Peek<double>(stream.str(), FwField(2)), 0.1);
+  ASSERT_EQ(Peek<double>(stream.str(), FwField(3)), 0.1);
   for (double bad : {kNaN, 0.0, -0.1, -kInf}) {
-    std::stringstream corrupted(Patch(stream.str(), FwField(2), bad));
+    std::stringstream corrupted(Patch(stream.str(), FwField(3), bad));
     auto restored = FixedWindowSynthesizer::LoadCheckpoint(corrupted);
     ASSERT_FALSE(restored.ok()) << "rho " << bad << " accepted";
     EXPECT_TRUE(restored.status().IsInvalidArgument())
@@ -304,11 +307,11 @@ TEST(CheckpointTest, RejectsTamperedTargets) {
   std::stringstream stream;
   ASSERT_TRUE(synth->SaveCheckpoint(stream).ok());
   const std::string bytes = stream.str();
-  // After the k = 2 window planes: the 4-bin census p^2, then the 2 ones
-  // targets of rounds 3 and 4.
-  const size_t census = FwField(12) + 2 * Words(40) * 8;
-  const size_t round4 = census + 4 * 8 + 2 * 8;
-  ASSERT_EQ(bytes.size(), round4 + 2 * 8 + 8);
+  // After the k = 2 window planes: the 4-bin census p^2, then the 4-bin
+  // censuses of rounds 3 and 4.
+  const size_t census = FwField(13) + 2 * Words(40) * 8;
+  const size_t round4 = census + 4 * 8 + 4 * 8;
+  ASSERT_EQ(bytes.size(), round4 + 4 * 8 + 8);
   auto expect_rejected = [](const std::string& tampered, const char* what) {
     std::stringstream in(tampered);
     auto restored = FixedWindowSynthesizer::LoadCheckpoint(in);
@@ -316,17 +319,64 @@ TEST(CheckpointTest, RejectsTamperedTargets) {
     EXPECT_TRUE(restored.status().IsInvalidArgument())
         << what << ": " << restored.status().ToString();
   };
-  // Round 4's target for overlap 0 above the group it splits (which is at
-  // most the whole cohort).
-  expect_rejected(Patch(bytes, round4, synth->cohort().num_records() + 1),
-                  "target above its group");
-  expect_rejected(Patch(bytes, round4, int64_t{-1}), "negative target");
+  // Round 4's ones target for overlap 0 (child 01) above the group it
+  // splits (which is at most the whole cohort).
+  expect_rejected(
+      Patch(bytes, round4 + 8, synth->cohort().num_records() + 1),
+      "target above its group");
+  expect_rejected(Patch(bytes, round4 + 8, int64_t{-1}), "negative target");
+  // A census whose children no longer sum to their group.
+  expect_rejected(Patch(bytes, round4, Peek<int64_t>(bytes, round4) + 1),
+                  "census past its group");
   // A negative census bin, and one past n + bins * (npad + ceil(40 sigma)).
   expect_rejected(Patch(bytes, census, int64_t{-1}), "negative census");
   expect_rejected(Patch(bytes, census, int64_t{1} << 40), "census past bound");
   // The untampered bytes still load.
   std::stringstream clean(bytes);
   EXPECT_TRUE(FixedWindowSynthesizer::LoadCheckpoint(clean).ok());
+}
+
+TEST(CheckpointTest, OnlyTheBinaryAlphabetLoads) {
+  // The fixed-window family is the categorical layout at A = 2: a forged
+  // alphabet is refused, and neither family loads as the other.
+  util::SubstreamRng rng(8, util::substream::kGeneric);
+  auto ds = data::BernoulliIid(50, 5, 0.5, &rng).value();
+  auto synth = FixedWindowSynthesizer::Create(Opt(5, 2, 0.1, -1, 61)).value();
+  CategoricalWindowSynthesizer::Options copt;
+  copt.horizon = 5;
+  copt.window_k = 2;
+  copt.rho = 0.1;
+  copt.seed = 61;
+  auto cat = CategoricalWindowSynthesizer::Create(copt).value();
+  for (int64_t t = 1; t <= 3; ++t) {
+    ASSERT_TRUE(synth->ObserveRound(ds.Round(t)).ok());
+    ASSERT_TRUE(cat->ObserveRound(ds.Round(t)).ok());
+  }
+  std::stringstream fw_out, cat_out;
+  ASSERT_TRUE(synth->SaveCheckpoint(fw_out).ok());
+  ASSERT_TRUE(cat->SaveCheckpoint(cat_out).ok());
+  const std::string bytes = fw_out.str();
+  ASSERT_EQ(Peek<int64_t>(bytes, FwField(2)), 2);
+  for (int64_t alphabet : {int64_t{3}, int64_t{4}}) {
+    std::stringstream forged(Patch(bytes, FwField(2), alphabet));
+    EXPECT_TRUE(FixedWindowSynthesizer::LoadCheckpoint(forged)
+                    .status()
+                    .IsInvalidArgument())
+        << "A=" << alphabet;
+  }
+  // Same payload past the magic line, different family and sentinel.
+  const size_t fw_magic =
+      MagicBytes("fixed-window", FixedWindowSynthesizer::kCheckpointVersion);
+  const size_t cat_magic = MagicBytes(
+      "categorical", CategoricalWindowSynthesizer::kCheckpointVersion);
+  const std::string cat_bytes = cat_out.str();
+  EXPECT_EQ(bytes.substr(fw_magic, bytes.size() - fw_magic - 8),
+            cat_bytes.substr(cat_magic, cat_bytes.size() - cat_magic - 8));
+  std::stringstream as_categorical(bytes);
+  EXPECT_FALSE(
+      CategoricalWindowSynthesizer::LoadCheckpoint(as_categorical).ok());
+  std::stringstream as_fixed(cat_out.str());
+  EXPECT_FALSE(FixedWindowSynthesizer::LoadCheckpoint(as_fixed).ok());
 }
 
 TEST(CheckpointTest, InfiniteRhoRoundTrips) {
@@ -687,13 +737,13 @@ TEST(CategoricalCheckpointTest, RoundTripPreservesState) {
   EXPECT_EQ(r.t(), 6);
   EXPECT_EQ(r.population(), 300);
   EXPECT_EQ(r.npad(), synth->npad());
-  EXPECT_EQ(r.synthetic_population(), synth->synthetic_population());
+  EXPECT_EQ(r.cohort().num_records(), synth->cohort().num_records());
   EXPECT_EQ(r.stats().releases, synth->stats().releases);
   EXPECT_NEAR(r.accountant().spent(), synth->accountant().spent(), 1e-12);
   EXPECT_EQ(r.SyntheticHistogram(), synth->SyntheticHistogram());
-  for (int64_t rec = 0; rec < r.synthetic_population(); ++rec) {
+  for (int64_t rec = 0; rec < r.cohort().num_records(); ++rec) {
     for (int64_t t = 1; t <= 6; ++t) {
-      ASSERT_EQ(r.Symbol(rec, t), synth->Symbol(rec, t))
+      ASSERT_EQ(r.cohort().Symbol(rec, t), synth->cohort().Symbol(rec, t))
           << "rec=" << rec << " t=" << t;
     }
   }
@@ -725,8 +775,8 @@ TEST(CategoricalCheckpointTest, NoisyResumeReproducesRemainingReleaseLog) {
         resumed->ObserveRound(rounds[static_cast<size_t>(t - 1)]).ok());
     EXPECT_EQ(resumed->SyntheticHistogram(), tail[i]) << "t=" << t;
   }
-  EXPECT_EQ(resumed->stats().remainder_draws,
-            straight->stats().remainder_draws);
+  EXPECT_EQ(resumed->stats().rounding_draws,
+            straight->stats().rounding_draws);
 }
 
 TEST(CategoricalCheckpointTest, PreReleaseAndFreshCheckpointsWork) {
@@ -994,18 +1044,19 @@ TEST(CheckpointRebuildTest, CategoricalRebuildEqualsLiveAtEveryRound) {
           live->ObserveRound(rounds[static_cast<size_t>(t - 1)]).ok());
       saved.push_back(SaveBytes(*live));
     }
-    ASSERT_GT(live->stats().remainder_draws, 0) << "A=" << A;
+    ASSERT_GT(live->stats().rounding_draws, 0) << "A=" << A;
     ASSERT_GT(live->stats().negative_clamps, 0) << "A=" << A;
     for (int64_t t = 1; t <= kRebuildHorizon; ++t) {
       auto restored = LoadExact<CategoricalWindowSynthesizer>(
           saved[static_cast<size_t>(t - 1)], t);
       ASSERT_NE(restored, nullptr) << "A=" << A;
       if (restored->has_release()) {
-        ASSERT_EQ(restored->synthetic_population(),
-                  live->synthetic_population());
-        for (int64_t rec = 0; rec < live->synthetic_population(); ++rec) {
+        ASSERT_EQ(restored->cohort().num_records(),
+                  live->cohort().num_records());
+        for (int64_t rec = 0; rec < live->cohort().num_records(); ++rec) {
           for (int64_t tt = 1; tt <= t; ++tt) {
-            ASSERT_EQ(restored->Symbol(rec, tt), live->Symbol(rec, tt))
+            ASSERT_EQ(restored->cohort().Symbol(rec, tt),
+                      live->cohort().Symbol(rec, tt))
                 << "A=" << A << " t=" << t << " rec=" << rec << " round "
                 << tt;
           }
@@ -1017,9 +1068,10 @@ TEST(CheckpointRebuildTest, CategoricalRebuildEqualsLiveAtEveryRound) {
       }
       ASSERT_EQ(SaveBytes(*restored), saved.back())
           << "A=" << A << " resumed at t=" << t;
-      for (int64_t rec = 0; rec < live->synthetic_population(); ++rec) {
+      for (int64_t rec = 0; rec < live->cohort().num_records(); ++rec) {
         for (int64_t tt = t + 1; tt <= kRebuildHorizon; ++tt) {
-          ASSERT_EQ(restored->Symbol(rec, tt), live->Symbol(rec, tt))
+          ASSERT_EQ(restored->cohort().Symbol(rec, tt),
+                    live->cohort().Symbol(rec, tt))
               << "A=" << A << " resumed at t=" << t << " rec=" << rec
               << " round " << tt;
         }
@@ -1047,11 +1099,11 @@ TEST(CheckpointLayoutTest, PayloadSizesMatchClosedForm) {
     ASSERT_TRUE(fw->ObserveRound(ds.Round(t)).ok());
     ASSERT_TRUE(cum->ObserveRound(ds.Round(t)).ok());
   }
-  // magic, 12 scalar fields, k window planes, the 2^k census, T - k
-  // rounds of 2^(k-1) ones targets, end tag.
+  // magic, 13 scalar fields, k window planes, the 2^k census, T - k
+  // rounds of a 2^k census, end tag.
   const size_t fw_bytes =
       MagicBytes("fixed-window", FixedWindowSynthesizer::kCheckpointVersion) +
-      12 * 8 + k * words * 8 + 8 * 8 + (T - k) * 4 * 8 + 8;
+      13 * 8 + k * words * 8 + 8 * 8 + (T - k) * 8 * 8 + 8;
   std::stringstream fw_out;
   ASSERT_TRUE(fw->SaveCheckpoint(fw_out).ok());
   EXPECT_EQ(fw_out.str().size(), fw_bytes);

@@ -55,6 +55,14 @@ TEST(CumulativeTest, CreateValidates) {
                   .IsInvalidArgument());
 }
 
+TEST(CumulativeTest, BracedByteRoundSelectsTheByteOverload) {
+  // The literal 0 of {0, 1} must not bind to RoundView's word pointer.
+  auto synth = CumulativeSynthesizer::Create(Opt(2, kInf)).value();
+  ASSERT_TRUE(synth->ObserveRound({0, 1}).ok());
+  EXPECT_EQ(synth->population(), 2);
+  EXPECT_TRUE(synth->ObserveRound({0, 2}).IsInvalidArgument());
+}
+
 TEST(CumulativeTest, ZeroNoiseReproducesTrueCounts) {
   util::SubstreamRng rng(1, util::substream::kGeneric);
   auto ds = data::BernoulliIid(400, 10, 0.3, &rng).value();

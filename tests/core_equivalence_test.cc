@@ -150,7 +150,7 @@ TEST(ZeroNoiseEquivalenceTest, CategoricalBinaryMatchesRecomputeBaseline) {
       EXPECT_EQ(synth->SyntheticHistogram(), baseline->CurrentHistogram())
           << "trial " << trial << " (n=" << c.n << " T=" << c.T
           << " k=" << c.k << ") at t=" << t;
-      EXPECT_EQ(synth->synthetic_population(), c.n);
+      EXPECT_EQ(synth->cohort().num_records(), c.n);
     }
     EXPECT_EQ(synth->stats().negative_clamps, 0);
   }
@@ -188,7 +188,7 @@ TEST(ZeroNoiseEquivalenceTest, CategoricalMatchesExactHistogram) {
     copt.pool = pool.get();
     auto synth = CategoricalWindowSynthesizer::Create(copt).value();
     const uint64_t bins =
-        CategoricalWindowSynthesizer::NumBins(k, A).value();
+        SyntheticCohort::NumBins(k, A).value();
 
     std::vector<uint64_t> window(static_cast<size_t>(n), 0);
     for (int64_t t = 1; t <= T; ++t) {

@@ -68,7 +68,7 @@ TEST(FixedWindowTest, OversizedInitialCensusIsRefusedBeforeAllocating) {
 
 TEST(FixedWindowTest, AutoNpadUsesTheoryFormula) {
   auto synth = FixedWindowSynthesizer::Create(Opt(12, 3, 0.005)).value();
-  auto expected = theory::RecommendedNpad(12, 3, 0.005, 0.05).value();
+  auto expected = theory::RecommendedNpad(12, 3, 0.005, 0.05, 8).value();
   EXPECT_EQ(synth->npad(), expected);
 }
 
@@ -206,6 +206,15 @@ TEST(FixedWindowTest, RejectsNonBinaryInput) {
   auto synth = FixedWindowSynthesizer::Create(Opt(3, 2, kInf, 0)).value();
   std::vector<uint8_t> bad = {0, 2, 1};
   EXPECT_TRUE(synth->ObserveRound(bad).IsInvalidArgument());
+}
+
+TEST(FixedWindowTest, BracedByteRoundSelectsTheByteOverload) {
+  // The literal 0 of {0, 1} must not bind to RoundView's word pointer.
+  auto synth = FixedWindowSynthesizer::Create(Opt(2, 1, kInf, 0)).value();
+  ASSERT_TRUE(synth->ObserveRound({0, 1}).ok());
+  EXPECT_EQ(synth->population(), 2);
+  EXPECT_EQ(synth->SyntheticHistogram(), (std::vector<int64_t>{1, 1}));
+  EXPECT_TRUE(synth->ObserveRound({0, 2}).IsInvalidArgument());
 }
 
 TEST(FixedWindowTest, QueriesBeforeReleaseFail) {

@@ -226,16 +226,17 @@ TEST(GoldenTest, CategoricalReleaseLog) {
           if (!synth->has_release()) continue;
           AppendRow("histogram", t, synth->SyntheticHistogram(), &log);
         }
+        // The recorded golden names the draw count remainder_draws.
         log << "stats releases=" << synth->stats().releases
             << " negative_clamps=" << synth->stats().negative_clamps
-            << " remainder_draws=" << synth->stats().remainder_draws
+            << " remainder_draws=" << synth->stats().rounding_draws
             << "\n";
-        log << "records " << synth->synthetic_population() << " "
+        log << "records " << synth->cohort().num_records() << " "
             << synth->t() << "\n";
-        for (int64_t r = 0; r < synth->synthetic_population(); ++r) {
+        for (int64_t r = 0; r < synth->cohort().num_records(); ++r) {
           std::string line;
           for (int64_t t = 1; t <= synth->t(); ++t) {
-            line += static_cast<char>('0' + synth->Symbol(r, t));
+            line += static_cast<char>('0' + synth->cohort().Symbol(r, t));
           }
           log << line << "\n";
         }

@@ -134,9 +134,11 @@ TEST(ShardsEqualityTest, CumulativeLogIdenticalOnEveryGrid) {
 void AppendCategoricalTail(const CategoricalWindowSynthesizer& synth,
                            std::ostringstream* log) {
   *log << "clamps=" << synth.stats().negative_clamps
-       << " draws=" << synth.stats().remainder_draws << "\n";
-  for (int64_t r = 0; r < synth.synthetic_population(); ++r) {
-    for (int64_t t = 1; t <= synth.t(); ++t) *log << synth.Symbol(r, t);
+       << " draws=" << synth.stats().rounding_draws << "\n";
+  for (int64_t r = 0; r < synth.cohort().num_records(); ++r) {
+    for (int64_t t = 1; t <= synth.t(); ++t) {
+      *log << synth.cohort().Symbol(r, t);
+    }
     *log << "\n";
   }
 }
@@ -177,15 +179,18 @@ std::string CategoricalLog(const std::vector<std::vector<uint8_t>>& rounds,
 }
 
 TEST(ShardsEqualityTest, CategoricalLogIdenticalOnEveryGrid) {
+  // A = 5 takes three planes per symbol, whose codes 5..7 are no symbol.
   const int64_t n = 900, T = 9;
-  const int k = 2, A = 3;
-  const auto rounds = CategoricalRounds(n, T, A, 0xD44E1u);
-  const std::string serial = CategoricalLog(rounds, T, k, A, nullptr);
-  for (int shards : kShardCounts) {
-    for (int threads : kThreadCounts) {
-      auto pool = MakeGrid(threads, shards);
-      EXPECT_EQ(CategoricalLog(rounds, T, k, A, pool.get()), serial)
-          << "shards=" << shards << " threads=" << threads;
+  const int k = 2;
+  for (int A : {3, 5}) {
+    const auto rounds = CategoricalRounds(n, T, A, 0xD44E1u);
+    const std::string serial = CategoricalLog(rounds, T, k, A, nullptr);
+    for (int shards : kShardCounts) {
+      for (int threads : kThreadCounts) {
+        auto pool = MakeGrid(threads, shards);
+        EXPECT_EQ(CategoricalLog(rounds, T, k, A, pool.get()), serial)
+            << "A=" << A << " shards=" << shards << " threads=" << threads;
+      }
     }
   }
 }
@@ -278,41 +283,44 @@ TEST(ShardsEqualityTest, CumulativeResumeOnDifferentGridMatchesSerial) {
 
 TEST(ShardsEqualityTest, CategoricalResumeOnDifferentGridMatchesSerial) {
   const int64_t n = 1000, T = 11;
-  const int k = 3, A = 3;
-  const auto rounds = CategoricalRounds(n, T, A, 0xA77B4u);
-  const std::string serial = CategoricalLog(rounds, T, k, A, nullptr);
+  const int k = 3;
+  for (int A : {3, 5}) {
+    const auto rounds = CategoricalRounds(n, T, A, 0xA77B4u);
+    const std::string serial = CategoricalLog(rounds, T, k, A, nullptr);
 
-  CategoricalWindowSynthesizer::Options opt;
-  opt.horizon = T;
-  opt.window_k = k;
-  opt.alphabet = A;
-  opt.rho = 0.25;
-  opt.seed = 0xC33E7u;  // must match CategoricalLog
-  util::ThreadPool first_pool(2, 16);
-  opt.pool = &first_pool;
-  auto first = CategoricalWindowSynthesizer::Create(opt).value();
-  std::ostringstream log;
-  for (int64_t t = 1; t <= T / 2; ++t) {
-    ASSERT_TRUE(first->ObserveRound(rounds[static_cast<size_t>(t - 1)]).ok());
-    if (!first->has_release()) continue;
-    AppendRow("histogram", t, first->SyntheticHistogram(), &log);
-  }
-  std::ostringstream ckpt;
-  ASSERT_TRUE(first->SaveCheckpoint(ckpt).ok());
-  first.reset();
+    CategoricalWindowSynthesizer::Options opt;
+    opt.horizon = T;
+    opt.window_k = k;
+    opt.alphabet = A;
+    opt.rho = 0.25;
+    opt.seed = 0xC33E7u;  // must match CategoricalLog
+    util::ThreadPool first_pool(2, 16);
+    opt.pool = &first_pool;
+    auto first = CategoricalWindowSynthesizer::Create(opt).value();
+    std::ostringstream log;
+    for (int64_t t = 1; t <= T / 2; ++t) {
+      ASSERT_TRUE(
+          first->ObserveRound(rounds[static_cast<size_t>(t - 1)]).ok());
+      if (!first->has_release()) continue;
+      AppendRow("histogram", t, first->SyntheticHistogram(), &log);
+    }
+    std::ostringstream ckpt;
+    ASSERT_TRUE(first->SaveCheckpoint(ckpt).ok());
+    first.reset();
 
-  std::istringstream in(ckpt.str());
-  util::ThreadPool second_pool(8, 4);
-  auto resumed = CategoricalWindowSynthesizer::LoadCheckpoint(in).value();
-  resumed->set_pool(&second_pool);
-  for (int64_t t = T / 2 + 1; t <= T; ++t) {
-    ASSERT_TRUE(
-        resumed->ObserveRound(rounds[static_cast<size_t>(t - 1)]).ok());
-    if (!resumed->has_release()) continue;
-    AppendRow("histogram", t, resumed->SyntheticHistogram(), &log);
+    std::istringstream in(ckpt.str());
+    util::ThreadPool second_pool(8, 4);
+    auto resumed = CategoricalWindowSynthesizer::LoadCheckpoint(in).value();
+    resumed->set_pool(&second_pool);
+    for (int64_t t = T / 2 + 1; t <= T; ++t) {
+      ASSERT_TRUE(
+          resumed->ObserveRound(rounds[static_cast<size_t>(t - 1)]).ok());
+      if (!resumed->has_release()) continue;
+      AppendRow("histogram", t, resumed->SyntheticHistogram(), &log);
+    }
+    AppendCategoricalTail(*resumed, &log);
+    EXPECT_EQ(log.str(), serial) << "A=" << A;
   }
-  AppendCategoricalTail(*resumed, &log);
-  EXPECT_EQ(log.str(), serial);
 }
 
 }  // namespace

@@ -280,7 +280,7 @@ TEST(StatisticalTest, CategoricalBinsStayCenteredOnTruth) {
     for (const auto& round : rounds) {
       ASSERT_TRUE(synth->ObserveRound(round).ok());
     }
-    remainder_draws += synth->stats().remainder_draws;
+    remainder_draws += synth->stats().rounding_draws;
     for (size_t s = 0; s < truth.size(); ++s) {
       error[s].Add(static_cast<double>(synth->SyntheticHistogram()[s] -
                                        (truth[s] + synth->npad())));

@@ -55,9 +55,14 @@ TEST(TheoryTest, BoundGrowsWithHorizonAndWindow) {
 
 TEST(TheoryTest, RecommendedNpadCeilsTheBound) {
   auto bound = MaxBinCountErrorBound(12, 3, 0.005, 0.05).value();
-  auto npad = RecommendedNpad(12, 3, 0.005, 0.05).value();
+  auto npad = RecommendedNpad(12, 3, 0.005, 0.05, 8).value();
   EXPECT_EQ(npad, static_cast<int64_t>(std::ceil(bound)));
-  EXPECT_EQ(RecommendedNpad(12, 3, kInf, 0.05).value(), 0);
+  EXPECT_EQ(RecommendedNpad(12, 3, kInf, 0.05, 8).value(), 0);
+  // The categorical extension's A^k bins enter only inside the log.
+  const double lead = std::sqrt(10 / 0.005) + 1 / std::sqrt(2.0);
+  EXPECT_EQ(RecommendedNpad(12, 3, 0.005, 0.05, 27).value(),
+            static_cast<int64_t>(
+                std::ceil(lead * std::sqrt(std::log(27 * 10 / 0.05)))));
 }
 
 TEST(TheoryTest, DebiasedFractionBoundScalesInverseN) {

@@ -149,8 +149,10 @@ std::string CategoricalLog(const std::vector<std::vector<uint8_t>>& rounds,
     if (!synth->has_release()) continue;
     AppendRow("histogram", t, synth->SyntheticHistogram(), &log);
   }
-  for (int64_t r = 0; r < synth->synthetic_population(); ++r) {
-    for (int64_t t = 1; t <= synth->t(); ++t) log << synth->Symbol(r, t);
+  for (int64_t r = 0; r < synth->cohort().num_records(); ++r) {
+    for (int64_t t = 1; t <= synth->t(); ++t) {
+      log << synth->cohort().Symbol(r, t);
+    }
     log << "\n";
   }
   return log.str();

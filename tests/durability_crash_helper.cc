@@ -10,7 +10,8 @@
 //   durability_crash_helper <kind> <dir> <last_round> <kill|run>
 //                           <threads> <shards>
 //
-//   kind        cumulative | fixed-window | categorical
+//   kind        cumulative | fixed-window | categorical | categorical-5
+//               (categorical runs A = 3, categorical-5 runs A = 5)
 //   last_round  observe rounds up to this one (resuming from whatever the
 //               session recovers to); "kill" raises SIGKILL right after it
 //   threads     0 runs serially; otherwise a ThreadPool(threads, shards)
@@ -56,20 +57,24 @@ std::vector<uint8_t> RoundBits(int64_t t) {
   return bits;
 }
 
-// Categorical symbols over a 3-letter alphabet from two keyed bit streams.
-std::vector<uint8_t> RoundSymbols(int64_t t) {
-  static const longdp::data::LongitudinalDataset lo =
+// Categorical symbols over an alphabet of 3 or 5 letters from three keyed
+// bit streams.
+std::vector<uint8_t> RoundSymbols(int64_t t, int alphabet) {
+  static const longdp::data::LongitudinalDataset bits[3] = {
       longdp::data::BernoulliIid(kUsers, kHorizon, 0.5, kDataSeed + 1,
                                  nullptr)
-          .value();
-  static const longdp::data::LongitudinalDataset hi =
+          .value(),
       longdp::data::BernoulliIid(kUsers, kHorizon, 0.5, kDataSeed + 2,
                                  nullptr)
-          .value();
+          .value(),
+      longdp::data::BernoulliIid(kUsers, kHorizon, 0.5, kDataSeed + 3,
+                                 nullptr)
+          .value()};
   std::vector<uint8_t> symbols(static_cast<size_t>(kUsers));
   for (int64_t i = 0; i < kUsers; ++i) {
-    const int code = lo.Bit(i, t) + 2 * hi.Bit(i, t);
-    symbols[static_cast<size_t>(i)] = static_cast<uint8_t>(code % 3);
+    int code = bits[0].Bit(i, t) + 2 * bits[1].Bit(i, t);
+    if (alphabet > 4) code += 4 * bits[2].Bit(i, t);
+    symbols[static_cast<size_t>(i)] = static_cast<uint8_t>(code % alphabet);
   }
   return symbols;
 }
@@ -140,16 +145,17 @@ int main(int argc, char** argv) {
     return Drive<longdp::persist::DurableFixedWindow>(
         dir, last, kill, opts, [](int64_t t) { return RoundBits(t); });
   }
-  if (kind == "categorical") {
+  if (kind == "categorical" || kind == "categorical-5") {
     longdp::core::CategoricalWindowSynthesizer::Options opts;
     opts.horizon = kHorizon;
     opts.window_k = 2;
-    opts.alphabet = 3;
+    opts.alphabet = kind == "categorical" ? 3 : 5;
     opts.rho = 0.25;
     opts.seed = kRunSeed;
     opts.pool = pool.get();
     return Drive<longdp::persist::DurableCategorical>(
-        dir, last, kill, opts, [](int64_t t) { return RoundSymbols(t); });
+        dir, last, kill, opts,
+        [&opts](int64_t t) { return RoundSymbols(t, opts.alphabet); });
   }
   std::fprintf(stderr, "unknown kind '%s'\n", kind.c_str());
   return 64;

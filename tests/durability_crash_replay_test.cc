@@ -110,7 +110,8 @@ class CrashReplayTest : public ::testing::Test {
 };
 
 TEST_F(CrashReplayTest, KillAtEveryRoundThenRecoverMatchesUninterrupted) {
-  for (const char* kind : {"cumulative", "fixed-window", "categorical"}) {
+  for (const char* kind :
+       {"cumulative", "fixed-window", "categorical", "categorical-5"}) {
     const std::vector<std::string> want = Reference(kind);
     ASSERT_EQ(want.size(), static_cast<size_t>(kHorizon)) << kind;
     for (int64_t kill_at = 1; kill_at <= kHorizon; ++kill_at) {
@@ -154,7 +155,8 @@ TEST_F(CrashReplayTest, RecoveryOntoDifferentGridIsByteIdentical) {
   // The killed run used 16 shards x 2 threads; recovery finishes the run
   // on 4 shards x 8 threads. Keyed substreams make the replayed and new
   // releases byte-identical anyway — the acceptance clause of the ISSUE.
-  for (const char* kind : {"cumulative", "fixed-window", "categorical"}) {
+  for (const char* kind :
+       {"cumulative", "fixed-window", "categorical", "categorical-5"}) {
     const std::vector<std::string> want = Reference(kind);
     const std::string dir = Dir(std::string(kind) + "-grid");
     HelperResult crashed = RunHelper(kind, dir, 7, /*kill=*/true,

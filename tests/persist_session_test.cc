@@ -314,23 +314,25 @@ TEST_F(SessionTest, SnapshotContradictingItsWalFrameIsDataLoss) {
     ASSERT_TRUE(first.ok());
     Feed(first->get(), 4, data);  // snapshot at the WAL head, round 4
   }
-  // Re-wrap the snapshot (valid CRC) with one of round 4's ones targets
-  // lowered by one. The target stays inside its group, so the payload
-  // loads cleanly, but the rebuilt cohort no longer releases the
-  // histogram the WAL holds for round 4; with no rounds to replay, only
-  // the frame check stands between it and round 5.
+  // Re-wrap the snapshot (valid CRC) with one record of round 4's census
+  // moved from child 01 to child 00: overlap 0's ones target lowered by
+  // one. The children still split their group, so the payload loads
+  // cleanly, but the rebuilt cohort no longer releases the histogram the
+  // WAL holds for round 4; with no rounds to replay, only the frame check
+  // stands between it and round 5.
   const std::string path = DurableSession::SnapshotPath(Dir("run"));
   auto snap = ReadSnapshot(path);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   ASSERT_EQ(snap->meta.round, 4);
   std::string& payload = snap->payload;
-  // The payload ends with round 4's four ones targets, then the end tag.
-  const size_t target = payload.size() - 8 - 4 * 8;
-  int64_t ones = 0;
-  std::memcpy(&ones, payload.data() + target, sizeof(ones));
-  ASSERT_GT(ones, 0);
-  --ones;
-  std::memcpy(payload.data() + target, &ones, sizeof(ones));
+  // The payload ends with round 4's 2^k = 8-bin census, then the end tag.
+  const size_t census = payload.size() - 8 - 8 * 8;
+  int64_t children[2] = {0, 0};
+  std::memcpy(children, payload.data() + census, sizeof(children));
+  ASSERT_GT(children[1], 0);
+  ++children[0];
+  --children[1];
+  std::memcpy(payload.data() + census, children, sizeof(children));
   ASSERT_TRUE(WriteSnapshot(path, snap->meta, payload).ok());
   auto resumed = DurableFixedWindow::Open(SessionOpts(Dir("run"), 4),
                                           FixedWindowOpts(nullptr));
