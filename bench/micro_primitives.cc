@@ -193,8 +193,9 @@ void BM_RegroupCountingSort(benchmark::State& state) {
     out.Reset(groups);
     for (size_t g = 0; g < groups; ++g) out.AddCount(g, group_counts[g]);
     out.BuildOffsets();
+    uint32_t* slots = out.data();
     for (size_t r = 0; r < m; ++r) {
-      out.Place(key[r], static_cast<int64_t>(r));
+      slots[out.Claim(key[r], 1)] = static_cast<uint32_t>(r);
     }
     benchmark::DoNotOptimize(out.group_data(0));
   }

@@ -12,14 +12,17 @@
 #include "core/cumulative_synthesizer.h"
 #include "core/fixed_window_synthesizer.h"
 #include "core/limits.h"
+#include "core/synthetic_cohort.h"
 #include "data/generators.h"
 #include "util/substream.h"
+#include "util/thread_pool.h"
 
 namespace {
 
 using longdp::core::CategoricalWindowSynthesizer;
 using longdp::core::CumulativeSynthesizer;
 using longdp::core::FixedWindowSynthesizer;
+using longdp::core::SyntheticCohort;
 using longdp::util::SubstreamRng;
 namespace substream = longdp::util::substream;
 
@@ -120,6 +123,65 @@ void BM_CategoricalSingleRound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_CategoricalSingleRound)->Arg(23374)->Arg(100000);
+
+void BM_CohortAdvance(benchmark::State& state) {
+  // Stage 2 of the window synthesizers alone: one SyntheticCohort advance
+  // (the keyed draws, then the regroup and the new round's symbol bits) at
+  // k = 3 over an alphabet of A symbols, n records and `lanes` execution
+  // lanes (1 = no pool). Every overlap group splits evenly among its
+  // children, so the group sizes stay near n / A^(k-1). The cohort is
+  // rebuilt, untimed, once its history reaches 64 rounds.
+  const int alphabet = static_cast<int>(state.range(0));
+  const int64_t n = state.range(1);
+  const int lanes = static_cast<int>(state.range(2));
+  constexpr int k = 3;
+  const auto a = static_cast<uint64_t>(alphabet);
+  const uint64_t bins = SyntheticCohort::NumBins(k, alphabet).value();
+  const uint64_t overlaps = bins / a;
+  std::vector<int64_t> initial(bins);
+  for (uint64_t s = 0; s < bins; ++s) {
+    initial[s] = n / static_cast<int64_t>(bins) +
+                 (s < static_cast<uint64_t>(n) % bins ? 1 : 0);
+  }
+  std::unique_ptr<longdp::util::ThreadPool> pool;
+  if (lanes > 1) pool = std::make_unique<longdp::util::ThreadPool>(lanes);
+  const SubstreamRng root(12, substream::kCohort);
+  constexpr int64_t horizon = 64;
+  auto cohort = SyntheticCohort::Create(k, alphabet, initial).value();
+  cohort.ReserveRounds(horizon);
+  std::vector<int64_t> census(bins);
+  for (auto _ : state) {
+    if (cohort.rounds() >= horizon) {
+      state.PauseTiming();
+      cohort = SyntheticCohort::Create(k, alphabet, initial).value();
+      cohort.ReserveRounds(horizon);
+      state.ResumeTiming();
+    }
+    for (uint64_t z = 0; z < overlaps; ++z) {
+      int64_t left = cohort.GroupSize(z);
+      for (uint64_t c = a; c-- > 0;) {
+        const int64_t take = left / static_cast<int64_t>(c + 1);
+        census[z * a + c] = take;
+        left -= take;
+      }
+    }
+    const longdp::Status st = cohort.AdvanceRound(
+        census, root.Derive(static_cast<uint64_t>(cohort.rounds())),
+        pool.get());
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      return;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_CohortAdvance)
+    ->ArgNames({"A", "n", "lanes"})
+    ->Args({2, 23374, 1})
+    ->Args({3, 23374, 1})
+    ->Args({2, 1000000, 4})
+    ->Args({3, 1000000, 4})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ToDataset(benchmark::State& state) {
   // Materializing a finished synthetic panel (n = 100,000, T = 12) as a

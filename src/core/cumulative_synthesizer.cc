@@ -42,7 +42,9 @@ Status CumulativeSynthesizer::InitializeForPopulation(int64_t n,
   group_head_.assign(static_cast<size_t>(options_.horizon) + 1, 0);
   auto& zero_group = weight_groups_[0];
   zero_group.reserve(static_cast<size_t>(n));
-  for (int64_t r = 0; r < n; ++r) zero_group.push_back(r);
+  for (int64_t r = 0; r < n; ++r) {
+    zero_group.push_back(static_cast<uint32_t>(r));
+  }
 
   stream::CounterBank::Options bank_options;
   bank_options.horizon = options_.horizon;
@@ -76,6 +78,12 @@ Status CumulativeSynthesizer::ObserveRound(data::RoundView round) {
                               std::to_string(options_.horizon));
   }
   if (n_ < 0) {
+    // Record ids are uint32_t; refuse a population they cannot hold before
+    // anything is sized for it.
+    if (round.size() > stream::state_io::kMaxRecords) {
+      return Status::InvalidArgument(
+          "population exceeds 2^32 - 1 records (record ids are 32-bit)");
+    }
     LONGDP_RETURN_NOT_OK(
         InitializeForPopulation(round.size(), options_.horizon));
   } else if (round.size() != n_) {
@@ -167,7 +175,7 @@ Status CumulativeSynthesizer::ReleaseRound(std::span<const int64_t> z) {
     // Fisher-Yates over the live suffix [head, end). The sampler handles
     // the zhat == group (full-group promotion) edge internally, skipping
     // the degenerate final draw.
-    int64_t* live = source.data() + head;
+    uint32_t* live = source.data() + head;
     sampler.PartialShuffle(live, group, zhat);
     auto& target = weight_groups_[ib];
     for (int64_t i = 0; i < zhat; ++i) {

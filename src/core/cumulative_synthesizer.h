@@ -191,12 +191,13 @@ class CumulativeSynthesizer {
   /// appends wpr zero words (n/8 bytes) and sets the promoted records'
   /// bits.
   std::vector<uint64_t> history_words_;
-  /// Records by current synthetic weight. Promotions consume a group's
-  /// prefix; group_head_[b] marks how much of weight_groups_[b] is spent,
-  /// so per-round maintenance is O(promotions) with amortized compaction
+  /// Record ids (uint32_t: n is capped at stream::state_io::kMaxRecords)
+  /// by current synthetic weight. Promotions consume a group's prefix;
+  /// group_head_[b] marks how much of weight_groups_[b] is spent, so
+  /// per-round maintenance is O(promotions) with amortized compaction
   /// instead of an O(group) erase-from-front every round. The live members
   /// of group b are weight_groups_[b][group_head_[b]..].
-  std::vector<std::vector<int64_t>> weight_groups_;
+  std::vector<std::vector<uint32_t>> weight_groups_;
   std::vector<size_t> group_head_;
   std::vector<int64_t> released_;  ///< Shat^t (b = 0..T)
   /// z^1, ..., z^t back to back (T counts each, b = 1..T): the bank's

@@ -1,9 +1,11 @@
 #include "core/synthetic_cohort.h"
 
+#include <algorithm>
 #include <bit>
 #include <string>
 
 #include "core/limits.h"
+#include "stream/state_io.h"
 #include "util/batch_sampler.h"
 
 namespace longdp {
@@ -61,11 +63,17 @@ Result<SyntheticCohort> SyntheticCohort::Create(
   if (census.size() != bins) {
     return Status::InvalidArgument("census size must be A^k");
   }
+  int64_t total = 0;
   for (int64_t c : census) {
     if (c < 0) {
       return Status::InvalidArgument(
           "initial cohort counts must be non-negative (pad the histogram)");
     }
+    if (c > stream::state_io::kMaxRecords - total) {
+      return Status::InvalidArgument(
+          "initial cohort exceeds 2^32 - 1 records (record ids are 32-bit)");
+    }
+    total += c;
   }
   SyntheticCohort cohort;
   cohort.k_ = window_k;
@@ -82,8 +90,6 @@ Result<SyntheticCohort> SyntheticCohort::Create(
   }
   cohort.groups_.BuildOffsets();
   cohort.groups_next_.Reset(cohort.num_overlaps_);
-  int64_t total = 0;
-  for (int64_t c : census) total += c;
   cohort.num_records_ = total;
   const size_t wpr = static_cast<size_t>((total + 63) >> 6);
   const int b = cohort.symbol_bits_;
@@ -97,7 +103,8 @@ Result<SyntheticCohort> SyntheticCohort::Create(
   for (uint64_t s = 0; s < bins; ++s) {
     const int64_t c = census[s];
     if (c == 0) continue;
-    cohort.groups_.PlaceSequence(s % cohort.num_overlaps_, next_record, c);
+    cohort.groups_.PlaceSequence(s % cohort.num_overlaps_,
+                                 static_cast<uint32_t>(next_record), c);
     uint64_t code = s;
     for (int j = window_k - 1; j >= 0; --j) {
       const uint64_t digit = code % a;
@@ -145,14 +152,31 @@ Status SyntheticCohort::AdvanceRound(const std::vector<int64_t>& census,
     }
   }
 
-  // Counting-sort regroup plan: next-round overlap sizes are the column
-  // sums of the census (children with the same low k-1 digits share an
-  // overlap), prefix-summed into flat offsets.
+  // Regroup plan. The next-round overlap sizes are the column sums of the
+  // census (children with the same low k-1 digits share an overlap),
+  // prefix-summed into flat offsets. After pass 1, group z's slice of
+  // groups_ holds child A-1's records first and child 0's last, so the
+  // positions [0, m) are the runs (z, c), z ascending and c = A-1 .. 0,
+  // back to back. Each run claims its destination in that same order,
+  // which fixes every next-round group's member order.
   groups_next_.Reset(num_overlaps_);
   for (uint64_t child = 0; child < bins; ++child) {
     groups_next_.AddCount(child % num_overlaps_, census[child]);
   }
   groups_next_.BuildOffsets();
+  run_src_.resize(bins + 1);
+  run_dst_.resize(bins);
+  int64_t src = 0;
+  for (uint64_t z = 0; z < num_overlaps_; ++z) {
+    for (uint64_t c = a; c-- > 0;) {
+      const uint64_t child = z * a + c;
+      const size_t run = static_cast<size_t>(z * a + (a - 1 - c));
+      run_src_[run] = src;
+      run_dst_[run] = groups_next_.Claim(child % num_overlaps_, census[child]);
+      src += census[child];
+    }
+  }
+  run_src_[bins] = src;
 
   // Pass 1 — the draws: for c = A-1 down to 1, child c takes a uniformly
   // chosen subset of the records still unassigned, put at the front of the
@@ -165,7 +189,7 @@ Status SyntheticCohort::AdvanceRound(const std::vector<int64_t>& census,
       [&](int /*shard*/, int64_t begin, int64_t end) {
         for (int64_t zi = begin; zi < end; ++zi) {
           const uint64_t z = static_cast<uint64_t>(zi);
-          int64_t* members = groups_.group_data(z);
+          uint32_t* members = groups_.group_data(z);
           const int64_t group = groups_.size(z);
           util::SubstreamRng group_stream = stream.Leaf(z);
           util::BatchSampler sampler(&group_stream);
@@ -181,31 +205,74 @@ Status SyntheticCohort::AdvanceRound(const std::vector<int64_t>& census,
         }
       });
 
-  // Pass 2 — the scatter: destination groups interleave across source
-  // overlaps, so the regroup stays serial, in overlap order. Each child is
-  // one ranged append plus the writes of its symbol's set bits; child 0
-  // needs no writes at all, the appended round is already zero-filled.
+  // Pass 2 — the scatter, sharded over record positions [0, m): a shard
+  // copies its part of every run it overlaps to the run's destination
+  // (claims are disjoint, so shards never write the same slot) and sets
+  // the bits of the run's symbol for those records. Records land anywhere
+  // in the round, so shard s > 0 sets them in its own zeroed scratch
+  // planes and a word-range pass ORs the scratch into the round; shard 0
+  // writes the round directly. Child 0 sets no bits: the appended round is
+  // already zero-filled. The gate depends only on the pool's grid and m,
+  // and a single shard is the same body over [0, m).
   const size_t b = static_cast<size_t>(symbol_bits_);
-  const size_t col_base =
-      static_cast<size_t>(rounds_) * b * words_per_round_;
-  history_words_.resize(col_base + b * words_per_round_, 0);
+  const size_t wpr = words_per_round_;
+  const size_t col_base = static_cast<size_t>(rounds_) * b * wpr;
+  history_words_.resize(col_base + b * wpr, 0);
   uint64_t* col = history_words_.data() + col_base;
-  for (uint64_t z = 0; z < num_overlaps_; ++z) {
-    const int64_t* members = groups_.group_data(z);
-    int64_t idx = 0;
-    for (uint64_t c = a; c-- > 0;) {
-      const uint64_t child = z * a + c;
-      const int64_t take = census[child];
-      for (size_t p = 0; p < b; ++p) {
-        if (((c >> p) & 1) == 0) continue;
-        uint64_t* plane = col + p * words_per_round_;
-        for (int64_t j = idx; j < idx + take; ++j) {
-          plane[members[j] >> 6] |= uint64_t{1} << (members[j] & 63);
+  const int pool_shards = util::NumShards(pool);
+  const int shards =
+      pool_shards > 1 && wpr >= static_cast<size_t>(pool_shards) ? pool_shards
+                                                                  : 1;
+  shard_planes_.resize(static_cast<size_t>(shards - 1) * b * wpr);
+  const uint32_t* from = groups_.data();
+  uint32_t* to = groups_next_.data();
+  util::ShardedFor(
+      shards > 1 ? pool : nullptr, num_records_,
+      [&](int shard, int64_t begin, int64_t end) {
+        uint64_t* planes = col;
+        if (shard > 0) {
+          planes = shard_planes_.data() +
+                   static_cast<size_t>(shard - 1) * b * wpr;
+          std::fill(planes, planes + b * wpr, uint64_t{0});
         }
-      }
-      groups_next_.PlaceRange(child % num_overlaps_, members + idx, take);
-      idx += take;
-    }
+        if (begin >= end) return;
+        // The run holding `begin`: the last one starting at or before it
+        // (an empty run never holds a position).
+        size_t run = static_cast<size_t>(
+            std::upper_bound(run_src_.begin(), run_src_.end(), begin) -
+            run_src_.begin() - 1);
+        for (int64_t pos = begin; pos < end; ++run) {
+          const int64_t stop = std::min(run_src_[run + 1], end);
+          if (pos >= stop) continue;
+          const uint32_t* records = from + pos;
+          const int64_t count = stop - pos;
+          std::copy(records, records + count,
+                    to + run_dst_[run] + (pos - run_src_[run]));
+          const uint64_t c = a - 1 - run % a;
+          for (size_t p = 0; p < b; ++p) {
+            if (((c >> p) & 1) == 0) continue;
+            uint64_t* plane = planes + p * wpr;
+            for (int64_t j = 0; j < count; ++j) {
+              plane[records[j] >> 6] |= uint64_t{1} << (records[j] & 63);
+            }
+          }
+          pos = stop;
+        }
+      });
+  if (shards > 1) {
+    util::ShardedFor(
+        pool, static_cast<int64_t>(wpr),
+        [&](int /*shard*/, int64_t begin, int64_t end) {
+          for (size_t p = 0; p < b; ++p) {
+            uint64_t* plane = col + p * wpr;
+            for (int s = 1; s < shards; ++s) {
+              const uint64_t* scratch =
+                  shard_planes_.data() +
+                  (static_cast<size_t>(s - 1) * b + p) * wpr;
+              for (int64_t w = begin; w < end; ++w) plane[w] |= scratch[w];
+            }
+          }
+        });
   }
   groups_.swap(groups_next_);
   pattern_count_ = census;

@@ -37,7 +37,9 @@ class SyntheticCohort {
   /// Creates the initial cohort at time t = k from a census over the A^k
   /// window patterns (base-A codes, oldest symbol most significant):
   /// census[s] consecutive records are created with history spelling s.
-  /// Counts must be non-negative.
+  /// Counts must be non-negative and sum to at most
+  /// stream::state_io::kMaxRecords (record ids are uint32_t); both are
+  /// checked before anything is allocated.
   static Result<SyntheticCohort> Create(int window_k, int alphabet,
                                         const std::vector<int64_t>& census);
 
@@ -55,8 +57,13 @@ class SyntheticCohort {
   ///
   /// For a = A-1 down to 1, child a takes a uniformly chosen subset of the
   /// group's records not yet assigned, drawn from stream.Leaf(z); child 0
-  /// takes the rest. The per-group shuffles are independent and shard
-  /// across `pool` (may be null), so the extended histories are
+  /// takes the rest. The per-group shuffles are independent and shard over
+  /// the overlaps of `pool` (may be null). The regroup that follows is
+  /// planned serially as one source and one destination offset per
+  /// (group, child) run, then shards over record positions: each shard
+  /// copies its part of every run and sets its records' symbol bits into
+  /// its own scratch planes, which a word-range pass ORs into the round.
+  /// The extended histories and the groups' member order are therefore
   /// bit-identical at any shard or thread count. The caller passes a fresh
   /// per-round stream (e.g. root.Derive(t)).
   Status AdvanceRound(const std::vector<int64_t>& census,
@@ -134,12 +141,21 @@ class SyntheticCohort {
   /// and sets the non-zero symbols' bits.
   std::vector<uint64_t> history_words_;
   /// Records grouped by current overlap z, as one flat counting-sorted
-  /// array. AdvanceRound knows every next-round group size from the census
-  /// alone, so the regroup is a count/prefix-sum/scatter pass into
-  /// groups_next_ followed by a swap — no ragged per-group vectors.
+  /// array of uint32_t ids. AdvanceRound knows every next-round group size
+  /// from the census alone, so the regroup is a count/prefix-sum/claim
+  /// plan into groups_next_, a sharded copy, and a swap — no ragged
+  /// per-group vectors.
   util::FlatGroups groups_;
   util::FlatGroups groups_next_;        ///< regroup double buffer
   std::vector<int64_t> pattern_count_;  ///< current histogram p_s
+  /// Regroup plan scratch: run i = z * A + (A-1-c) of child c of group z
+  /// starts at position run_src_[i] of groups_ and lands at run_dst_[i]
+  /// of groups_next_; run_src_ ends with a sentinel m.
+  std::vector<int64_t> run_src_;
+  std::vector<int64_t> run_dst_;
+  /// Symbol-bit scratch of regroup shards 1..S-1 (shard 0 writes the
+  /// round itself): b planes of words_per_round_ words per shard.
+  std::vector<uint64_t> shard_planes_;
 };
 
 }  // namespace core

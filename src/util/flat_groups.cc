@@ -14,7 +14,7 @@ void FlatGroups::BuildOffsets() {
   for (size_t g = 0; g < groups; ++g) {
     offsets_[g] = running;
     running += cursor_[g];
-    // Arm the scatter cursor at the group's start.
+    // Arm the claim cursor at the group's start.
     cursor_[g] = offsets_[g];
   }
   offsets_[groups] = running;

@@ -8,21 +8,24 @@
 // vectors; with a counting sort it is the classic three-phase pass over one
 // contiguous array:
 //
-//   1. count:   AddCount(g, c) — per-group totals, known arithmetically
+//   1. count:   AddCount(g, c)  — per-group totals, known arithmetically
 //               from the slide targets before any record moves;
-//   2. offsets: BuildOffsets() — one exclusive prefix sum;
-//   3. scatter: Place(g, rec)  — each record written once at its group
-//               cursor.
+//   2. offsets: BuildOffsets()  — one exclusive prefix sum;
+//   3. plan:    Claim(g, c)     — hands out the next c slots of group g as
+//               an offset into data(), in call order.
 //
-// Scatter order is whatever order the caller emits records in, so a
-// deterministic emission order gives a deterministic regrouping. Two
-// FlatGroups double-buffer across rounds (swap), and Reset keeps capacity,
-// so the steady state allocates nothing.
+// Claims only compute offsets, so the caller can plan every run of records
+// first and then fill the claimed ranges in any order, or from several
+// threads at once: distinct claims never overlap. A deterministic claim
+// order gives a deterministic regrouping. Record ids are uint32_t: a
+// population is capped at stream::state_io::kMaxRecords = 2^32 - 1, which
+// halves the arrays against int64_t ids. Two FlatGroups double-buffer
+// across rounds (swap), and Reset keeps capacity, so the steady state
+// allocates nothing.
 
 #ifndef LONGDP_UTIL_FLAT_GROUPS_H_
 #define LONGDP_UTIL_FLAT_GROUPS_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -41,42 +44,41 @@ class FlatGroups {
   void AddCount(size_t g, int64_t c) { cursor_[g] += c; }
 
   /// Prefix-sums the declared counts into group offsets and arms the
-  /// per-group scatter cursors. Call exactly once per Reset, after all
+  /// per-group claim cursors. Call exactly once per Reset, after all
   /// AddCount calls.
   void BuildOffsets();
 
-  /// Scatter phase: appends `rec` to group `g`. The caller must not place
-  /// more records into a group than it declared.
-  void Place(size_t g, int64_t rec) {
-    records_[static_cast<size_t>(cursor_[g]++)] = rec;
+  /// Plan phase: reserves the next `count` slots of group `g` and returns
+  /// the offset of the first one in data(). The caller must not claim
+  /// more slots of a group than it declared.
+  int64_t Claim(size_t g, int64_t count) {
+    const int64_t at = cursor_[g];
+    cursor_[g] += count;
+    return at;
   }
 
-  /// Scatter phase: appends `count` records from `recs` to group `g` in
-  /// one ranged copy — same result as `count` Place calls in order.
-  void PlaceRange(size_t g, const int64_t* recs, int64_t count) {
-    std::copy(recs, recs + count,
-              records_.data() + static_cast<size_t>(cursor_[g]));
-    cursor_[g] += count;
-  }
-
-  /// Scatter phase: appends the consecutive record ids first, first + 1,
-  /// ..., first + count - 1 to group `g`.
-  void PlaceSequence(size_t g, int64_t first, int64_t count) {
-    int64_t* dst = records_.data() + static_cast<size_t>(cursor_[g]);
-    for (int64_t i = 0; i < count; ++i) dst[i] = first + i;
-    cursor_[g] += count;
+  /// Claims `count` slots of group `g` and fills them with the consecutive
+  /// record ids first, first + 1, ..., first + count - 1.
+  void PlaceSequence(size_t g, uint32_t first, int64_t count) {
+    uint32_t* dst = records_.data() + static_cast<size_t>(Claim(g, count));
+    for (int64_t i = 0; i < count; ++i) {
+      dst[i] = first + static_cast<uint32_t>(i);
+    }
   }
 
   size_t num_groups() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
   int64_t size(size_t g) const { return offsets_[g + 1] - offsets_[g]; }
   int64_t total() const { return offsets_.empty() ? 0 : offsets_.back(); }
 
-  /// Mutable view of group g's records (valid after BuildOffsets; contents
-  /// meaningful once the scatter phase has filled them).
-  int64_t* group_data(size_t g) {
+  /// All groups' records, concatenated in group order (valid after
+  /// BuildOffsets; contents meaningful once the claimed slots are filled).
+  uint32_t* data() { return records_.data(); }
+
+  /// Mutable view of group g's records.
+  uint32_t* group_data(size_t g) {
     return records_.data() + static_cast<size_t>(offsets_[g]);
   }
-  const int64_t* group_data(size_t g) const {
+  const uint32_t* group_data(size_t g) const {
     return records_.data() + static_cast<size_t>(offsets_[g]);
   }
 
@@ -87,9 +89,9 @@ class FlatGroups {
   }
 
  private:
-  std::vector<int64_t> records_;  ///< all groups, concatenated
-  std::vector<int64_t> offsets_;  ///< num_groups + 1 boundaries
-  /// Counts during the count phase, then per-group write cursors.
+  std::vector<uint32_t> records_;  ///< all groups, concatenated
+  std::vector<int64_t> offsets_;   ///< num_groups + 1 boundaries
+  /// Counts during the count phase, then per-group claim cursors.
   std::vector<int64_t> cursor_;
 };
 

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <utility>
 
 namespace longdp {
 namespace util {
@@ -146,26 +148,30 @@ class Parser {
         return JsonValue(std::move(s));
       }
       case 't':
-        if (text_.compare(pos_, 4, "true") == 0) {
-          pos_ += 4;
-          return JsonValue(true);
-        }
-        return Error("invalid literal");
       case 'f':
-        if (text_.compare(pos_, 5, "false") == 0) {
-          pos_ += 5;
-          return JsonValue(false);
-        }
-        return Error("invalid literal");
       case 'n':
-        if (text_.compare(pos_, 4, "null") == 0) {
-          pos_ += 4;
-          return JsonValue();
-        }
-        return Error("invalid literal");
+        return ParseLiteral();
       default:
         return ParseNumber();
     }
+  }
+
+  /// true, false or null. Each result is a copy of a constant: a
+  /// temporary JsonValue moved into the Result makes GCC 12 under
+  /// -fsanitize=address report the variant's string and array
+  /// alternatives as maybe-uninitialized.
+  Result<JsonValue> ParseLiteral() {
+    static const JsonValue kTrue(true), kFalse(false), kNull;
+    const std::pair<const char*, const JsonValue*> literals[] = {
+        {"true", &kTrue}, {"false", &kFalse}, {"null", &kNull}};
+    for (const auto& [word, value] : literals) {
+      const size_t len = std::char_traits<char>::length(word);
+      if (text_.compare(pos_, len, word) == 0) {
+        pos_ += len;
+        return *value;
+      }
+    }
+    return Error("invalid literal");
   }
 
   Result<JsonValue> ParseObject(int depth) {

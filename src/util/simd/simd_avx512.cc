@@ -13,6 +13,19 @@
 #error "simd_avx512.cc must be compiled with -mavx512{f,dq,bw,vl}"
 #endif
 
+// GCC 12's AVX-512 intrinsics (_mm512_srli_epi64, _mm512_andnot_si512,
+// _mm512_broadcast_i32x4, the extracts inside _mm512_reduce_add_epi64)
+// pass _mm512_undefined_epi32() as the unused merge source of their masked
+// builtins, and that function self-initializes (`__m512i __Y = __Y;`).
+// Inlined here, -Wmaybe-uninitialized reports every such __Y, although the
+// all-ones mask never reads it. The suppression covers this translation
+// unit only (the intrinsic headers are first included here) and is popped
+// at its end.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
 #include <immintrin.h>
 
 #include "util/simd/simd_kernels.h"
@@ -74,5 +87,9 @@ const Backend kAvx512Backend = {
 }  // namespace simd
 }  // namespace util
 }  // namespace longdp
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 #endif  // LONGDP_SIMD_X86

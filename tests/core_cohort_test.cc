@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "stream/state_io.h"
 #include "util/substream.h"
+#include "util/thread_pool.h"
 
 namespace longdp {
 namespace core {
@@ -31,6 +35,22 @@ TEST(CohortTest, CreateValidates) {
       SyntheticCohort::Create(2, 2, {1, -1, 0, 0}).ok());  // negative
   EXPECT_FALSE(SyntheticCohort::Create(2, 1, {1}).ok());  // alphabet
   EXPECT_TRUE(SyntheticCohort::Create(2, 2, {1, 2, 3, 4}).ok());
+}
+
+TEST(CohortTest, CreateRefusesPastRecordCap) {
+  // Record ids are 32-bit: a census summing past kMaxRecords is refused
+  // before anything is allocated for it, overflowing sums included.
+  constexpr int64_t kCap = stream::state_io::kMaxRecords;
+  EXPECT_TRUE(SyntheticCohort::Create(2, 2, {kCap, 1, 0, 0})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(SyntheticCohort::Create(2, 2, {0, kCap / 2, 0, kCap / 2 + 2})
+                  .status()
+                  .IsInvalidArgument());
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_TRUE(SyntheticCohort::Create(2, 2, {kMax, kMax, kMax, kMax})
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(CohortTest, InitialHistogramMatchesCounts) {
@@ -329,6 +349,79 @@ TEST(CohortTest, CategoricalCensusMustSplitEveryGroup) {
     EXPECT_TRUE(cohort.AdvanceRound(valid, stream).ok()) << where;
     EXPECT_EQ(cohort.rounds(), 3) << where;
     EXPECT_TRUE(cohort.ToDataset(3).status().IsFailedPrecondition()) << where;
+  }
+}
+
+TEST(CohortTest, ShardedAdvanceEqualsSerial) {
+  // The regroup shards over record positions with per-shard symbol-bit
+  // scratch, and the shard grid must not show in the result: every
+  // history word, every group size, and (through the draws, which permute
+  // the member arrays in place) every later advance equal the serial run.
+  // m covers one record, one word, a word and a bit, and shard boundaries
+  // inside words; the grids are threads x shards, and the small-m grids
+  // fall back to one shard by the words-per-shard gate.
+  struct Grid {
+    int threads;
+    int shards;
+  };
+  const std::vector<Grid> grids = {{1, 1}, {2, 2}, {3, 8}, {8, 16}};
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  for (const Grid& g : grids) {
+    pools.push_back(std::make_unique<util::ThreadPool>(g.threads, g.shards));
+  }
+  constexpr int k = 3;
+  constexpr int kRounds = 4;
+  for (int a : {2, 3, 5}) {
+    const int b = std::bit_width(static_cast<unsigned>(a - 1));
+    const uint64_t bins = SyntheticCohort::NumBins(k, a).value();
+    for (int64_t m : {1, 63, 64, 65, 1000, 4097}) {
+      util::SubstreamRng census_rng(static_cast<uint64_t>(a * 10007 + m),
+                                    util::substream::kGeneric);
+      std::vector<int64_t> initial(bins, 0);
+      for (int64_t r = 0; r < m; ++r) ++initial[census_rng.UniformInt(bins)];
+      auto serial = SyntheticCohort::Create(k, a, initial).value();
+      std::vector<SyntheticCohort> sharded(pools.size(), serial);
+      const util::SubstreamRng root(static_cast<uint64_t>(m),
+                                    util::substream::kCohort);
+      for (int round = 0; round < kRounds; ++round) {
+        const std::vector<int64_t> census =
+            RandomCensus(serial, &census_rng);
+        const util::SubstreamRng stream =
+            root.Derive(static_cast<uint64_t>(round));
+        ASSERT_TRUE(serial.AdvanceRound(census, stream).ok());
+        for (size_t i = 0; i < pools.size(); ++i) {
+          const std::string where =
+              "A=" + std::to_string(a) + " m=" + std::to_string(m) +
+              " grid=" + std::to_string(grids[i].threads) + "x" +
+              std::to_string(grids[i].shards) + " round " +
+              std::to_string(round);
+          SyntheticCohort& cohort = sharded[i];
+          ASSERT_TRUE(
+              cohort.AdvanceRound(census, stream, pools[i].get()).ok())
+              << where;
+          ASSERT_EQ(cohort.rounds(), serial.rounds()) << where;
+          for (int64_t t = 1; t <= serial.rounds(); ++t) {
+            for (int p = 0; p < b; ++p) {
+              const data::RoundView want = serial.Plane(t, p);
+              const data::RoundView got = cohort.Plane(t, p);
+              ASSERT_EQ(std::vector<uint64_t>(got.words(),
+                                              got.words() + got.num_words()),
+                        std::vector<uint64_t>(
+                            want.words(), want.words() + want.num_words()))
+                  << where << " history round " << t << " plane " << p;
+            }
+          }
+          for (uint64_t z = 0; z < bins / static_cast<uint64_t>(a); ++z) {
+            ASSERT_EQ(cohort.GroupSize(z), serial.GroupSize(z))
+                << where << " group " << z;
+          }
+          EXPECT_EQ(cohort.WindowHistogram(), serial.WindowHistogram())
+              << where;
+        }
+      }
+      ExpectPackedHistory(serial, "serial A=" + std::to_string(a) +
+                                      " m=" + std::to_string(m));
+    }
   }
 }
 

@@ -295,6 +295,20 @@ TEST(CumulativeTest, RejectsBadInputs) {
   EXPECT_TRUE(synth->ObserveRound(round).IsOutOfRange());
 }
 
+TEST(CumulativeTest, FirstRoundRefusesPopulationPastRecordCap) {
+  // Record ids are 32-bit, so the first round refuses n > kMaxRecords
+  // before sizing anything for it: the view's one word is never read.
+  auto synth = CumulativeSynthesizer::Create(Opt(2, kInf)).value();
+  const uint64_t word = 0;
+  const data::RoundView huge(&word, stream::state_io::kMaxRecords + 1);
+  EXPECT_TRUE(synth->ObserveRound(huge).IsInvalidArgument());
+  EXPECT_EQ(synth->population(), -1);
+  EXPECT_EQ(synth->t(), 0);
+  // The refusal leaves the synthesizer able to take a real first round.
+  ASSERT_TRUE(synth->ObserveRound(std::vector<uint8_t>{0, 1, 1}).ok());
+  EXPECT_EQ(synth->population(), 3);
+}
+
 TEST(CumulativeTest, AnswerValidation) {
   auto synth = CumulativeSynthesizer::Create(Opt(3, kInf)).value();
   EXPECT_TRUE(synth->Answer(1).status().IsFailedPrecondition());

@@ -175,6 +175,11 @@ TEST(BatchSamplerTest, ShuffleMatchesPartialShuffleFullSpan) {
   EXPECT_EQ(va, vb);
 }
 
+// Claims one slot of group g and writes record `rec` into it.
+void Place(FlatGroups* groups, size_t g, uint32_t rec) {
+  groups->data()[groups->Claim(g, 1)] = rec;
+}
+
 TEST(FlatGroupsTest, CountPrefixScatterRoundTrip) {
   FlatGroups g;
   g.Reset(3);
@@ -187,17 +192,17 @@ TEST(FlatGroupsTest, CountPrefixScatterRoundTrip) {
   EXPECT_EQ(g.size(1), 0);
   EXPECT_EQ(g.size(2), 3);
   EXPECT_EQ(g.total(), 6);
-  // Scatter out of group order; within-group order follows Place order.
-  g.Place(2, 100);
-  g.Place(0, 10);
-  g.Place(2, 101);
-  g.Place(0, 11);
-  g.Place(0, 12);
-  g.Place(2, 102);
-  EXPECT_EQ(std::vector<int64_t>(g.group_data(0), g.group_data(0) + 3),
-            (std::vector<int64_t>{10, 11, 12}));
-  EXPECT_EQ(std::vector<int64_t>(g.group_data(2), g.group_data(2) + 3),
-            (std::vector<int64_t>{100, 101, 102}));
+  // Claim out of group order; within-group order follows claim order.
+  Place(&g, 2, 100);
+  Place(&g, 0, 10);
+  Place(&g, 2, 101);
+  Place(&g, 0, 11);
+  Place(&g, 0, 12);
+  Place(&g, 2, 102);
+  EXPECT_EQ(std::vector<uint32_t>(g.group_data(0), g.group_data(0) + 3),
+            (std::vector<uint32_t>{10, 11, 12}));
+  EXPECT_EQ(std::vector<uint32_t>(g.group_data(2), g.group_data(2) + 3),
+            (std::vector<uint32_t>{100, 101, 102}));
 }
 
 TEST(FlatGroupsTest, ResetKeepsNothingAndSupportsReuse) {
@@ -205,15 +210,15 @@ TEST(FlatGroupsTest, ResetKeepsNothingAndSupportsReuse) {
   g.Reset(2);
   g.AddCount(0, 4);
   g.BuildOffsets();
-  for (int64_t r = 0; r < 4; ++r) g.Place(0, r);
+  for (uint32_t r = 0; r < 4; ++r) Place(&g, 0, r);
   g.Reset(5);
   EXPECT_EQ(g.num_groups(), 5u);
   for (size_t i = 0; i < 5; ++i) EXPECT_EQ(g.size(i), 0);
   g.AddCount(4, 1);
   g.BuildOffsets();
-  g.Place(4, 9);
+  Place(&g, 4, 9);
   EXPECT_EQ(g.total(), 1);
-  EXPECT_EQ(g.group_data(4)[0], 9);
+  EXPECT_EQ(g.group_data(4)[0], 9u);
 }
 
 TEST(FlatGroupsTest, SwapExchangesContents) {
@@ -221,14 +226,14 @@ TEST(FlatGroupsTest, SwapExchangesContents) {
   a.Reset(1);
   a.AddCount(0, 1);
   a.BuildOffsets();
-  a.Place(0, 42);
+  Place(&a, 0, 42);
   b.Reset(2);
   b.BuildOffsets();
   a.swap(b);
   EXPECT_EQ(a.num_groups(), 2u);
   EXPECT_EQ(a.total(), 0);
   EXPECT_EQ(b.num_groups(), 1u);
-  EXPECT_EQ(b.group_data(0)[0], 42);
+  EXPECT_EQ(b.group_data(0)[0], 42u);
 }
 
 TEST(FlatGroupsTest, EmptyGroupsHaveValidZeroState) {
