@@ -85,7 +85,7 @@ Status Run(const harness::Flags& flags, harness::BenchReport* report) {
         LONGDP_ASSIGN_OR_RETURN(
             auto memo, local::LocalFrequencyOracle::Create(memo_opt));
 
-        // The local oracles keep the mutable Rng* interface; key a
+        // The local oracles take a mutable SubstreamRng*; key a
         // per-repetition local stream off the repetition seed.
         util::SubstreamRng lrng(rep_seed, util::substream::kLocal);
         double central_max = 0.0, fresh_max = 0.0, memo_max = 0.0;

@@ -77,11 +77,11 @@ void BM_RngUniformInt(benchmark::State& state) {
 BENCHMARK(BM_RngUniformInt);
 
 // ---------------------------------------------------------------------------
-// Batched stage-2 sampling phases: the per-draw Rng::UniformInt baseline
-// (one rejection-threshold division per draw — the pre-BatchSampler stage-2
-// idiom) against util::BatchSampler's Lemire multiply-shift bulk path. The
-// acceptance bar for the batched engine is >= 1.5x on the bounded-uniform
-// fill at stage-2-typical bounds.
+// Batched stage-2 sampling phases: the per-draw SubstreamRng::UniformInt
+// baseline (one rejection-threshold division per draw — the pre-BatchSampler
+// stage-2 idiom) against util::BatchSampler's Lemire multiply-shift bulk
+// path. The acceptance bar for the batched engine is >= 1.5x on the
+// bounded-uniform fill at stage-2-typical bounds.
 
 void BM_BoundedUniformPerDraw(benchmark::State& state) {
   const uint64_t bound = static_cast<uint64_t>(state.range(0));
@@ -113,7 +113,8 @@ void BM_BoundedUniformBatched(benchmark::State& state) {
 BENCHMARK(BM_BoundedUniformBatched)->Arg(713)->Arg(12345)->Arg(1 << 20);
 
 // The stage-2 selection shapes: a partial Fisher-Yates promoting k of n
-// records, hand-rolled on Rng::UniformInt (old) vs BatchSampler (new).
+// records, hand-rolled on SubstreamRng::UniformInt (old) vs BatchSampler
+// (new).
 
 void BM_PartialShufflePerDraw(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -15,8 +15,8 @@ namespace {
 // Simple 3-state monthly transition chain.
 constexpr int kEmployed = 0, kUnemployed = 1, kOutOfLf = 2;
 
-std::vector<std::vector<uint8_t>> SimulatePanel(int64_t n, int64_t horizon,
-                                                longdp::util::Rng* rng) {
+std::vector<std::vector<uint8_t>> SimulatePanel(
+    int64_t n, int64_t horizon, longdp::util::SubstreamRng* rng) {
   // Transition matrix rows (from-state): to employed/unemployed/out.
   const double P[3][3] = {
       {0.96, 0.02, 0.02},  // employed is sticky

@@ -25,13 +25,13 @@ Status ValidateMixture(const std::vector<MixtureComponent>& components) {
   }
   double total_share = 0.0;
   for (const auto& c : components) {
-    if (c.share < 0.0) {
-      return Status::InvalidArgument("mixture shares must be >= 0");
+    if (!std::isfinite(c.share) || c.share < 0.0) {
+      return Status::InvalidArgument("mixture shares must be finite and >= 0");
     }
     LONGDP_RETURN_NOT_OK(ValidateMarkovParams(c.params));
     total_share += c.share;
   }
-  if (std::fabs(total_share - 1.0) > 1e-6) {
+  if (!std::isfinite(total_share) || std::fabs(total_share - 1.0) > 1e-6) {
     return Status::InvalidArgument("mixture shares must sum to 1, got " +
                                    std::to_string(total_share));
   }
@@ -67,8 +67,8 @@ Result<LongitudinalDataset> ExtremeAllZeros(int64_t num_users,
 }
 
 Result<LongitudinalDataset> BernoulliIid(int64_t num_users, int64_t horizon,
-                                         double p, util::Rng* rng) {
-  if (p < 0.0 || p > 1.0) {
+                                         double p, util::SubstreamRng* rng) {
+  if (!(p >= 0.0 && p <= 1.0)) {
     return Status::InvalidArgument("Bernoulli p must be in [0,1]");
   }
   LONGDP_ASSIGN_OR_RETURN(auto ds,
@@ -84,7 +84,7 @@ Result<LongitudinalDataset> BernoulliIid(int64_t num_users, int64_t horizon,
 Result<LongitudinalDataset> BernoulliIid(int64_t num_users, int64_t horizon,
                                          double p, uint64_t seed,
                                          util::ThreadPool* pool) {
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {
     return Status::InvalidArgument("Bernoulli p must be in [0,1]");
   }
   LONGDP_ASSIGN_OR_RETURN(auto ds,
@@ -120,7 +120,7 @@ Status ValidateMarkovParams(const MarkovParams& params) {
 
 Result<LongitudinalDataset> TwoStateMarkov(int64_t num_users, int64_t horizon,
                                            const MarkovParams& params,
-                                           util::Rng* rng) {
+                                           util::SubstreamRng* rng) {
   LONGDP_RETURN_NOT_OK(ValidateMarkovParams(params));
   std::vector<MixtureComponent> one = {{1.0, params}};
   return SubpopulationMixture(num_users, horizon, one, rng);
@@ -137,7 +137,7 @@ Result<LongitudinalDataset> TwoStateMarkov(int64_t num_users, int64_t horizon,
 
 Result<LongitudinalDataset> SubpopulationMixture(
     int64_t num_users, int64_t horizon,
-    const std::vector<MixtureComponent>& components, util::Rng* rng) {
+    const std::vector<MixtureComponent>& components, util::SubstreamRng* rng) {
   LONGDP_RETURN_NOT_OK(ValidateMixture(components));
   std::vector<size_t> component_of = AssignComponents(num_users, components);
 

@@ -1,9 +1,10 @@
 // Synthetic workload generators for the paper's simulated experiments
 // (Appendix C.1) and for stress/property testing.
 //
-// All generators produce a full LongitudinalDataset from an explicit Rng, so
-// experiments are reproducible. Each corresponds to a distinct stochastic
-// model of individual trajectories:
+// All generators produce a full LongitudinalDataset from an explicit
+// util::SubstreamRng (or a seed that keys one), so experiments are
+// reproducible. Each corresponds to a distinct stochastic model of
+// individual trajectories:
 //
 //  * ExtremeAllOnes   — every bit 1 (Appendix C.1's "rather extreme" data):
 //                       concentrates all mass in one histogram bin, the
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "data/longitudinal_dataset.h"
-#include "util/rng.h"
 #include "util/substream.h"
 
 namespace longdp {
@@ -42,7 +42,7 @@ Result<LongitudinalDataset> ExtremeAllZeros(int64_t num_users,
 
 /// Each bit independently Bernoulli(p). Draws sequentially from `rng`.
 Result<LongitudinalDataset> BernoulliIid(int64_t num_users, int64_t horizon,
-                                         double p, util::Rng* rng);
+                                         double p, util::SubstreamRng* rng);
 
 /// Keyed overload: the bit of user i at round t draws from the addressable
 /// substream (seed, kDataset, t, i), so generation shards across `pool`
@@ -65,7 +65,7 @@ Status ValidateMarkovParams(const MarkovParams& params);
 /// Per-user independent two-state Markov chains.
 Result<LongitudinalDataset> TwoStateMarkov(int64_t num_users, int64_t horizon,
                                            const MarkovParams& params,
-                                           util::Rng* rng);
+                                           util::SubstreamRng* rng);
 
 /// Keyed overload (see BernoulliIid above for the addressing contract).
 Result<LongitudinalDataset> TwoStateMarkov(int64_t num_users, int64_t horizon,
@@ -83,7 +83,7 @@ struct MixtureComponent {
 /// remainder to the last component) and evolve independently.
 Result<LongitudinalDataset> SubpopulationMixture(
     int64_t num_users, int64_t horizon,
-    const std::vector<MixtureComponent>& components, util::Rng* rng);
+    const std::vector<MixtureComponent>& components, util::SubstreamRng* rng);
 
 /// Keyed overload (see BernoulliIid above for the addressing contract).
 Result<LongitudinalDataset> SubpopulationMixture(

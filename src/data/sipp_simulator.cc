@@ -4,8 +4,8 @@ namespace longdp {
 namespace data {
 
 Result<LongitudinalDataset> SimulateSipp(const SippOptions& options,
-                                         util::Rng* rng) {
-  if (options.chronic_share < 0.0 || options.chronic_share > 1.0) {
+                                         util::SubstreamRng* rng) {
+  if (!(options.chronic_share >= 0.0 && options.chronic_share <= 1.0)) {
     return Status::InvalidArgument("chronic_share must be in [0,1]");
   }
   std::vector<MixtureComponent> components = {
@@ -16,14 +16,14 @@ Result<LongitudinalDataset> SimulateSipp(const SippOptions& options,
                               components, rng);
 }
 
-Result<LongitudinalDataset> SimulateSippDefault(util::Rng* rng) {
+Result<LongitudinalDataset> SimulateSippDefault(util::SubstreamRng* rng) {
   return SimulateSipp(SippOptions{}, rng);
 }
 
 Result<LongitudinalDataset> SimulateSipp(const SippOptions& options,
                                          uint64_t seed,
                                          util::ThreadPool* pool) {
-  if (options.chronic_share < 0.0 || options.chronic_share > 1.0) {
+  if (!(options.chronic_share >= 0.0 && options.chronic_share <= 1.0)) {
     return Status::InvalidArgument("chronic_share must be in [0,1]");
   }
   std::vector<MixtureComponent> components = {

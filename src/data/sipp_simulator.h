@@ -31,7 +31,7 @@
 
 #include "data/generators.h"
 #include "data/longitudinal_dataset.h"
-#include "util/rng.h"
+#include "util/substream.h"
 
 namespace longdp {
 namespace data {
@@ -53,10 +53,10 @@ struct SippOptions {
 
 /// Generates a SIPP-like dataset with the calibration above.
 Result<LongitudinalDataset> SimulateSipp(const SippOptions& options,
-                                         util::Rng* rng);
+                                         util::SubstreamRng* rng);
 
 /// SimulateSipp with default options.
-Result<LongitudinalDataset> SimulateSippDefault(util::Rng* rng);
+Result<LongitudinalDataset> SimulateSippDefault(util::SubstreamRng* rng);
 
 /// Keyed overload: household i's round-t indicator draws from the
 /// addressable substream (seed, kDataset, t, i), so generation shards

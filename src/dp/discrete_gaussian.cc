@@ -5,7 +5,7 @@
 namespace longdp {
 namespace dp {
 
-bool SampleBernoulliExpNeg(double gamma, util::Rng* rng) {
+bool SampleBernoulliExpNeg(double gamma, util::SubstreamRng* rng) {
   if (gamma <= 0.0) return true;
   if (gamma <= 1.0) {
     // CKS'20 Algorithm 1: K <- 1; while Bernoulli(gamma/K) succeeds, K++.
@@ -26,7 +26,7 @@ bool SampleBernoulliExpNeg(double gamma, util::Rng* rng) {
   return SampleBernoulliExpNeg(gamma - whole, rng);
 }
 
-int64_t SampleDiscreteLaplace(double s, util::Rng* rng) {
+int64_t SampleDiscreteLaplace(double s, util::SubstreamRng* rng) {
   // !(s > 0.0) instead of s <= 0.0: also catches NaN. Identical behavior in
   // debug and release — see the header contract.
   if (!(s > 0.0)) return 0;
@@ -46,7 +46,7 @@ int64_t SampleDiscreteLaplace(double s, util::Rng* rng) {
   }
 }
 
-int64_t SampleDiscreteGaussian(double sigma2, util::Rng* rng) {
+int64_t SampleDiscreteGaussian(double sigma2, util::SubstreamRng* rng) {
   // !(sigma2 > 0.0) instead of sigma2 <= 0.0: also catches NaN. Identical
   // behavior in debug and release — see the header contract.
   if (!(sigma2 > 0.0)) return 0;

@@ -18,7 +18,8 @@
 // production path: no library code calls them. Every noise draw in a
 // release comes from dp::NoiseSampler (dp/noise_sampler.h), which runs the
 // same chain batched and is pinned against these functions word for word
-// by dp_noise_sampler_test. All samplers take an explicit util::Rng for
+// by dp_noise_sampler_test, which also holds both to one known-answer
+// table. All samplers take an explicit util::SubstreamRng for
 // reproducibility.
 
 #ifndef LONGDP_DP_DISCRETE_GAUSSIAN_H_
@@ -26,8 +27,8 @@
 
 #include <cstdint>
 
-#include "util/rng.h"
 #include "util/status.h"
+#include "util/substream.h"
 
 namespace longdp {
 namespace dp {
@@ -35,7 +36,7 @@ namespace dp {
 /// Samples Bernoulli(exp(-gamma)) exactly (up to double rounding) for any
 /// gamma >= 0, via the alternating-series acceptance loop of CKS'20 Alg. 1.
 /// gamma < 0 is treated as 0 (always returns true).
-bool SampleBernoulliExpNeg(double gamma, util::Rng* rng);
+bool SampleBernoulliExpNeg(double gamma, util::SubstreamRng* rng);
 
 /// Samples the discrete Laplace distribution with scale s > 0:
 ///   Pr[X = x] proportional to exp(-|x| / s),  x in Z.
@@ -46,7 +47,7 @@ bool SampleBernoulliExpNeg(double gamma, util::Rng* rng);
 /// strictly positive (zero, negative, or NaN) returns 0 deterministically
 /// without consuming a draw. Before this guard a negative s underflowed the
 /// offset bound computation (undefined negative-double-to-uint64 cast).
-int64_t SampleDiscreteLaplace(double s, util::Rng* rng);
+int64_t SampleDiscreteLaplace(double s, util::SubstreamRng* rng);
 
 /// Samples the discrete Gaussian N_Z(0, sigma2):
 ///   Pr[X = x] proportional to exp(-x^2 / (2 sigma2)),  x in Z.
@@ -58,7 +59,7 @@ int64_t SampleDiscreteLaplace(double s, util::Rng* rng);
 /// documented zero-noise path; negative/NaN indicate a caller bug upstream
 /// (e.g. a corrupted budget) and degrade to the same harmless zero rather
 /// than debug-abort/release-UB. Pinned by dp_edge_case regression tests.
-int64_t SampleDiscreteGaussian(double sigma2, util::Rng* rng);
+int64_t SampleDiscreteGaussian(double sigma2, util::SubstreamRng* rng);
 
 /// Exact probability mass Pr[X = x] for X ~ N_Z(0, sigma2). Computed by
 /// direct series normalization; used only by tests (goodness-of-fit).

@@ -14,7 +14,7 @@ namespace {
 // from the table; bounds the constructor cost for enormous scales.
 constexpr uint64_t kMaxGammaTable = 4096;
 
-// Rng::UniformDouble's exact mapping of a raw word to [0, 1).
+// SubstreamRng::UniformDouble's exact mapping of a raw word to [0, 1).
 inline double ToUnitDouble(uint64_t word) {
   return static_cast<double>(word >> 11) * 0x1.0p-53;
 }
@@ -92,8 +92,8 @@ NoiseSampler::NoiseSampler(Kind kind, double param)
 }
 
 // Mirrors SampleBernoulliExpNeg's gamma <= 1 branch (the k-loop of CKS'20
-// Alg. 1), including Rng::Bernoulli's no-word shortcuts: p >= 1 succeeds
-// without consuming a word (reachable at k == 1 with gamma == 1.0).
+// Alg. 1), including SubstreamRng::Bernoulli's no-word shortcuts: p >= 1
+// succeeds without consuming a word (reachable at k == 1 with gamma == 1.0).
 bool NoiseSampler::ExpNegLE1(double gamma, WordBuffer& wb) const {
   if (gamma <= 0.0) return true;
   uint64_t k = 1;
@@ -129,7 +129,8 @@ bool NoiseSampler::ExpNegGeo(WordBuffer& wb) const {
 
 int64_t NoiseSampler::DrawLaplace(WordBuffer& wb) const {
   for (;;) {
-    // Offset U ~ Uniform{0..t-1}: Rng::UniformInt's exact rejection loop.
+    // Offset U ~ Uniform{0..t-1}: SubstreamRng::UniformInt's exact rejection
+    // loop.
     uint64_t u;
     for (;;) {
       const uint64_t r = wb.Next();
@@ -146,7 +147,7 @@ int64_t NoiseSampler::DrawLaplace(WordBuffer& wb) const {
     uint64_t v = 0;
     while (ExpNegGeo(wb)) ++v;
     const uint64_t magnitude = u + t_ * v;
-    const bool negative = (wb.Next() >> 63) != 0;  // Rng::Coin
+    const bool negative = (wb.Next() >> 63) != 0;  // SubstreamRng::Coin
     if (negative && magnitude == 0) continue;  // avoid double-counting zero
     return negative ? -static_cast<int64_t>(magnitude)
                     : static_cast<int64_t>(magnitude);

@@ -55,7 +55,7 @@ Result<std::unique_ptr<LocalFrequencyOracle>> LocalFrequencyOracle::Create(
 }
 
 Result<double> LocalFrequencyOracle::ObserveRound(data::RoundView round,
-                                                  util::Rng* rng) {
+                                                  util::SubstreamRng* rng) {
   if (t_ >= options_.horizon) {
     return Status::OutOfRange("local oracle past its horizon");
   }

@@ -33,8 +33,8 @@
 #include <vector>
 
 #include "data/longitudinal_dataset.h"
-#include "util/rng.h"
 #include "util/status.h"
+#include "util/substream.h"
 
 namespace longdp {
 namespace local {
@@ -64,7 +64,7 @@ class LocalFrequencyOracle {
 
   /// Consumes round t's true bits (population fixed by the first call) and
   /// returns the server's unbiased estimate of the round-t mean.
-  Result<double> ObserveRound(data::RoundView round, util::Rng* rng);
+  Result<double> ObserveRound(data::RoundView round, util::SubstreamRng* rng);
 
   int64_t t() const { return t_; }
 

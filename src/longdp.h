@@ -51,9 +51,7 @@
 #include "stream/tree_counter.h"
 #include "util/bits.h"
 #include "util/csv.h"
-#include "util/logging.h"
 #include "util/mathutil.h"
-#include "util/rng.h"
 #include "util/status.h"
 #include "util/substream.h"
 #include "util/thread_pool.h"

@@ -1,12 +1,12 @@
-// Batched bounded-uniform sampling over a util::Rng word stream.
+// Batched bounded-uniform sampling over a util::SubstreamRng word stream.
 //
-// Rng::UniformInt pays a 64-bit division per draw (the classic rejection
-// threshold `(-bound) % bound` is computed up front, every time). Stage 2 of
-// every synthesizer is a long run of such draws — per-group Fisher-Yates
-// promotion selections and cohort partial shuffles — so the division
-// dominates once stage 1 is word-parallel. BatchSampler replaces the hot
-// path with Lemire's multiply-shift rejection (Lemire, "Fast random integer
-// generation in an interval", TOMACS 2019):
+// SubstreamRng::UniformInt pays a 64-bit division per draw (the classic
+// rejection threshold `(-bound) % bound` is computed up front, every time).
+// Stage 2 of every synthesizer is a long run of such draws — per-group
+// Fisher-Yates promotion selections and cohort partial shuffles — so the
+// division dominates once stage 1 is word-parallel. BatchSampler replaces
+// the hot path with Lemire's multiply-shift rejection (Lemire, "Fast random
+// integer generation in an interval", TOMACS 2019):
 //
 //   m  = x * bound            (64x64 -> 128-bit product)
 //   hi = m >> 64              (the candidate draw, already in [0, bound))
@@ -15,22 +15,22 @@
 // The division for the exact rejection threshold `2^64 mod bound` is only
 // evaluated when `lo < bound` — probability bound / 2^64, i.e. essentially
 // never for the group sizes stage 2 sees — so the common path is one
-// multiply and one compare. Bulk fills additionally prefetch raw Rng words
-// in chunks through Rng::FillWords (SIMD-batched for SubstreamRng), so word
-// generation is not interleaved with the multiply/store work of each
-// conversion.
+// multiply and one compare. Bulk fills additionally prefetch raw words in
+// chunks through SubstreamRng::FillWords (SIMD-batched), so word generation
+// is not interleaved with the multiply/store work of each conversion.
 //
-// Stream discipline: every method consumes Rng words in stream order and
+// Stream discipline: every method consumes words in stream order and
 // consumes EXACTLY one word per accepted draw plus one per rejection —
 // prefetched chunks are sized by the number of draws still owed, so no word
 // is ever fetched and discarded. Results are therefore a deterministic
 // function of (seed, call sequence) on every platform, like everything else
-// built on util::Rng.
+// built on util::SubstreamRng.
 //
 // Edge semantics (the bounds the old hand-rolled loops special-cased):
 //   * Bounded(0) == 0 and Bounded(1) == 0, consuming NO words — a
-//     single-element range has one representable answer. (Rng::UniformInt(1)
-//     consumes a word; BatchSampler deliberately does not.)
+//     single-element range has one representable answer.
+//     (SubstreamRng::UniformInt(1) consumes a word; BatchSampler
+//     deliberately does not.)
 //   * PartialShuffle clamps k to n and skips the final bound-1 draw, so a
 //     full shuffle (k == n) and a maximal partial shuffle (k == n-1) consume
 //     identical streams and both leave a uniform permutation.
@@ -44,7 +44,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/rng.h"
+#include "util/substream.h"
 
 namespace longdp {
 namespace util {
@@ -53,15 +53,15 @@ class BatchSampler {
  public:
   /// Non-owning; `rng` must outlive the sampler. The sampler holds no
   /// buffered words between calls — interleaving BatchSampler draws with
-  /// direct Rng draws is safe and deterministic.
-  explicit BatchSampler(Rng* rng) : rng_(rng) {}
+  /// direct SubstreamRng draws is safe and deterministic.
+  explicit BatchSampler(SubstreamRng* rng) : rng_(rng) {}
 
   /// One uniform draw in [0, bound) via multiply-shift rejection.
   /// bound <= 1 returns 0 without consuming a word.
   uint64_t Bounded(uint64_t bound);
 
   /// Fills out[0..count) with iid uniform draws in [0, bound), prefetching
-  /// Rng words in chunks. bound <= 1 zero-fills without consuming words.
+  /// words in chunks. bound <= 1 zero-fills without consuming words.
   void BoundedBulk(uint64_t bound, uint64_t* out, size_t count);
 
   /// Partial Fisher-Yates: after the call, data[0..min(k, n)) is a
@@ -94,8 +94,6 @@ class BatchSampler {
                    static_cast<int64_t>(v->size()));
   }
 
-  Rng* rng() const { return rng_; }
-
  private:
   static constexpr size_t kChunkWords = 256;
 
@@ -104,7 +102,7 @@ class BatchSampler {
   size_t FillDecreasingDraws(uint64_t n, uint64_t start, size_t count,
                              uint64_t* out);
 
-  Rng* rng_;
+  SubstreamRng* rng_;
 };
 
 }  // namespace util

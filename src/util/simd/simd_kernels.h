@@ -33,7 +33,8 @@ namespace internal {
 inline constexpr uint64_t kStreamGamma = 0x9E3779B97F4A7C15ULL;
 
 /// Local inline mirror of util::SplitMix64Finalize (which lives out-of-line
-/// in rng.cc); the stream-equality unit test pins the two functions equal.
+/// in substream.cc); the stream-equality unit test pins the two functions
+/// equal.
 inline uint64_t Finalize64(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;

@@ -1,4 +1,7 @@
-// Keyed counter-based RNG substreams — the library's production engine.
+// Keyed counter-based RNG substreams — the library's one engine.
+//
+// Every randomized component in the library draws from an explicitly passed
+// SubstreamRng so that experiments are reproducible from a single seed.
 //
 // A substream is a pair (key, cursor). The word stream is the stateless
 // SplitMix64-keyed block function
@@ -21,28 +24,33 @@
 // construction: no draw order exists to perturb — only addresses.
 //
 // Draw-index discipline: the cursor advances by exactly one per Next() word
-// consumed, and every helper on the Rng surface consumes a documented
-// number of words (see util/rng.h and util/batch_sampler.h). No checkpoint
-// stores a cursor: keys re-derive from the construction parameters, and a
-// restore re-runs the draws (stream counters replay their stored input),
-// so every cursor is reproduced rather than persisted. dp::NoiseSampler
-// reads and advances cursor() / set_cursor() around its chunked reads.
+// consumed, and every sampling helper below (UniformInt, UniformDouble,
+// Bernoulli, Coin) and in util/batch_sampler.h consumes a documented number
+// of words. No checkpoint stores a cursor: keys re-derive from the
+// construction parameters, and a restore re-runs the draws (stream counters
+// replay their stored input), so every cursor is reproduced rather than
+// persisted. dp::NoiseSampler reads and advances cursor() / set_cursor()
+// around its chunked reads.
 //
-// SubstreamRng is the one engine behind the util::Rng word-source surface:
-// the sampling algorithms (UniformInt, discrete Gaussian chains,
-// BatchSampler's Lemire rejection, ...) consume it through Rng, so a
-// different engine (e.g. a CSPRNG) could be swapped in without touching
-// them.
+// NOTE ON PRIVACY: a cryptographically secure generator would be required for
+// a production privacy deployment. This library is a research reproduction;
+// the sampling *algorithms* (exact discrete Gaussian etc.) are
+// production-grade, and the block function is the one place a CSPRNG would
+// go if one is needed.
 
 #ifndef LONGDP_UTIL_SUBSTREAM_H_
 #define LONGDP_UTIL_SUBSTREAM_H_
 
+#include <cstddef>
 #include <cstdint>
-
-#include "util/rng.h"
 
 namespace longdp {
 namespace util {
+
+/// The SplitMix64 output (finalizer) function: a fixed bijective 64-bit mix
+/// with full avalanche. SubstreamRng's keyed block function and key
+/// derivation are built from it.
+uint64_t SplitMix64Finalize(uint64_t z);
 
 namespace substream {
 
@@ -62,7 +70,7 @@ inline constexpr uint64_t kRepetition = 8;      ///< harness repetitions
 
 }  // namespace substream
 
-class SubstreamRng final : public Rng {
+class SubstreamRng {
  public:
   /// Root substream for (seed, purpose). Purposes are the substream::k*
   /// constants; kGeneric is for code (tests, examples) with no coordinate
@@ -80,26 +88,36 @@ class SubstreamRng final : public Rng {
   /// Derive(i) and Leaf(i) never alias.
   SubstreamRng Leaf(uint64_t index) const;
 
-  /// A child substream keyed by the next word of this stream (consumes one
-  /// draw). For call sites that need an unbounded number of children and
-  /// have no natural index.
-  SubstreamRng ForkSubstream();
-
   /// The keyed block function: word(key, cursor++).
-  uint64_t Next() override;
+  uint64_t Next();
 
   /// Bulk word generation through the util/simd layer: identical sequence
   /// and cursor advance to `count` Next() calls, several words per cycle on
   /// vector backends (the block function is random-access, so whole chunks
   /// are evaluated with no serial dependence).
-  void FillWords(uint64_t* out, size_t count) override;
+  void FillWords(uint64_t* out, size_t count);
+
+  /// Uniform integer in [0, bound) without modulo bias. bound == 0 (an
+  /// empty range) returns 0 without consuming a draw.
+  uint64_t UniformInt(uint64_t bound);
+
+  /// Uniform double in [0, 1) with 53 bits of precision.
+  double UniformDouble();
+
+  /// Bernoulli(p) for p in [0, 1].
+  bool Bernoulli(double p);
+
+  /// Fair coin.
+  bool Coin() { return (Next() >> 63) != 0; }
 
   uint64_t key() const { return key_; }
   /// Number of words consumed so far — the stream position.
   uint64_t cursor() const { return cursor_; }
   void set_cursor(uint64_t cursor) { cursor_ = cursor; }
 
-  /// Rebuilds a substream from persisted (key, cursor) state.
+  /// A substream at a raw (key, cursor), outside the key tree. Only the
+  /// SplitMix64 known-answer test needs one; longdp-substream-discipline
+  /// flags every call outside this file.
   static SubstreamRng FromState(uint64_t key, uint64_t cursor);
 
  private:

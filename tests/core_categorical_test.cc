@@ -35,7 +35,7 @@ CategoricalWindowSynthesizer::Options Opt(int64_t horizon, int k, int alphabet,
 // Random categorical rounds over alphabet A.
 std::vector<std::vector<uint8_t>> RandomRounds(int64_t n, int64_t horizon,
                                                int alphabet,
-                                               util::Rng* rng) {
+                                               util::SubstreamRng* rng) {
   std::vector<std::vector<uint8_t>> rounds;
   for (int64_t t = 0; t < horizon; ++t) {
     std::vector<uint8_t> round(static_cast<size_t>(n));

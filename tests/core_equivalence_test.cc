@@ -55,7 +55,7 @@ struct Config {
   double p;
 };
 
-Config RandomConfig(util::Rng* meta) {
+Config RandomConfig(util::SubstreamRng* meta) {
   Config c;
   c.k = static_cast<int>(meta->UniformInt(4)) + 1;       // 1..4
   c.T = c.k + static_cast<int64_t>(meta->UniformInt(14));  // k..k+13
@@ -65,7 +65,7 @@ Config RandomConfig(util::Rng* meta) {
 }
 
 std::vector<std::vector<uint8_t>> RandomRounds(const Config& c,
-                                               util::Rng* meta) {
+                                               util::SubstreamRng* meta) {
   std::vector<std::vector<uint8_t>> rounds(static_cast<size_t>(c.T));
   for (auto& round : rounds) {
     round.resize(static_cast<size_t>(c.n));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "query/cumulative_query.h"
 #include "util/substream.h"
 #include "util/thread_pool.h"
@@ -9,6 +11,8 @@
 namespace longdp {
 namespace data {
 namespace {
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
 TEST(GeneratorsTest, ExtremeAllOnes) {
   auto ds = ExtremeAllOnes(50, 6).value();
@@ -24,6 +28,8 @@ TEST(GeneratorsTest, BernoulliValidatesP) {
   util::SubstreamRng rng(1, util::substream::kGeneric);
   EXPECT_FALSE(BernoulliIid(10, 3, -0.1, &rng).ok());
   EXPECT_FALSE(BernoulliIid(10, 3, 1.1, &rng).ok());
+  EXPECT_FALSE(BernoulliIid(10, 3, kNan, &rng).ok());
+  EXPECT_FALSE(BernoulliIid(10, 3, kNan, uint64_t{1}).ok());
 }
 
 TEST(GeneratorsTest, BernoulliRateClose) {
@@ -77,6 +83,8 @@ TEST(GeneratorsTest, MixtureValidatesShares) {
   EXPECT_FALSE(SubpopulationMixture(100, 3, {}, &rng).ok());
   std::vector<MixtureComponent> negative = {{-0.5, {}}, {1.5, {}}};
   EXPECT_FALSE(SubpopulationMixture(100, 3, negative, &rng).ok());
+  std::vector<MixtureComponent> nan_share = {{kNan, {}}, {1.0, {}}};
+  EXPECT_FALSE(SubpopulationMixture(100, 3, nan_share, &rng).ok());
 }
 
 TEST(GeneratorsTest, MixtureComponentsBehaveDistinctly) {
@@ -146,6 +154,8 @@ TEST(GeneratorsTest, KeyedMixtureValidatesShares) {
   std::vector<MixtureComponent> bad = {{0.5, {}}, {0.2, {}}};
   EXPECT_FALSE(SubpopulationMixture(100, 3, bad, uint64_t{1}).ok());
   EXPECT_FALSE(SubpopulationMixture(100, 3, {}, uint64_t{1}).ok());
+  std::vector<MixtureComponent> nan_share = {{kNan, {}}, {1.0, {}}};
+  EXPECT_FALSE(SubpopulationMixture(100, 3, nan_share, uint64_t{1}).ok());
 }
 
 // Parameterized sweep over Markov parameter corners.

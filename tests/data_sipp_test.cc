@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "data/sipp_csv.h"
 #include "query/cumulative_query.h"
@@ -41,6 +42,9 @@ TEST(SippSimulatorTest, ValidatesChronicShare) {
   SippOptions opt;
   opt.chronic_share = 1.5;
   EXPECT_FALSE(SimulateSipp(opt, &rng).ok());
+  opt.chronic_share = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(SimulateSipp(opt, &rng).ok());
+  EXPECT_FALSE(SimulateSipp(opt, uint64_t{2}).ok());
 }
 
 TEST(SippSimulatorTest, CalibrationMatchesPaperGroundTruth) {

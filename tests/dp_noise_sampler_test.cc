@@ -53,6 +53,45 @@ TEST(NoiseSamplerTest, LaplaceDrawMatchesOneShotWordForWord) {
   }
 }
 
+// Known answers at one fixed key: each row is a draw and the stream cursor
+// after it, from a fresh stream. NoiseSampler and the one-shot chain must
+// both reproduce the table, so a slip in either shows here, not only in the
+// end-to-end goldens.
+struct KnownDraw {
+  int64_t value;
+  uint64_t cursor;
+};
+
+constexpr uint64_t kKnownSeed = 0x4B41u;
+
+TEST(NoiseSamplerTest, GaussianKnownAnswers) {
+  const KnownDraw kDraws[] = {{-2, 7},  {-4, 14}, {-6, 41}, {2, 81},
+                              {0, 126}, {0, 140}, {-1, 158}, {4, 189}};
+  const NoiseSampler sampler = NoiseSampler::Gaussian(7.0);
+  util::SubstreamRng batched(kKnownSeed, util::substream::kCounterNoise);
+  util::SubstreamRng serial(kKnownSeed, util::substream::kCounterNoise);
+  for (const KnownDraw& want : kDraws) {
+    EXPECT_EQ(sampler.Draw(&batched), want.value);
+    EXPECT_EQ(batched.cursor(), want.cursor);
+    EXPECT_EQ(SampleDiscreteGaussian(7.0, &serial), want.value);
+    EXPECT_EQ(serial.cursor(), want.cursor);
+  }
+}
+
+TEST(NoiseSamplerTest, LaplaceKnownAnswers) {
+  const KnownDraw kDraws[] = {{-2, 7}, {-4, 13}, {2, 17},  {1, 27},
+                              {0, 30}, {-4, 36}, {-8, 52}, {-5, 64}};
+  const NoiseSampler sampler = NoiseSampler::Laplace(3.3);
+  util::SubstreamRng batched(kKnownSeed, util::substream::kCounterNoise);
+  util::SubstreamRng serial(kKnownSeed, util::substream::kCounterNoise);
+  for (const KnownDraw& want : kDraws) {
+    EXPECT_EQ(sampler.Draw(&batched), want.value);
+    EXPECT_EQ(batched.cursor(), want.cursor);
+    EXPECT_EQ(SampleDiscreteLaplace(3.3, &serial), want.value);
+    EXPECT_EQ(serial.cursor(), want.cursor);
+  }
+}
+
 TEST(NoiseSamplerTest, FillLeavesMatchesPerLeafOneShot) {
   const double sigma2 = 49.0;
   const NoiseSampler sampler = NoiseSampler::Gaussian(sigma2);

@@ -1,14 +1,14 @@
 // Must produce longdp-substream-discipline findings on the three marked
-// lines: a named declaration, a brace-initialized member-style declaration,
-// and a temporary. (This file is lint data, never compiled.)
-#include "util/rng.h"
+// lines: engines minted from raw keys by SubstreamRng::FromState — named,
+// re-minted from another engine's key, and a temporary. (Lint data only.)
+#include "util/substream.h"
 
 namespace longdp {
 
 uint64_t DrawOutsideTheFactory() {
-  util::Rng rng(42);  // 1 finding: named construction
-  util::Rng forked = rng.Fork();  // 1 finding: second engine minted
-  return rng.Next() ^ util::Rng(7).Next();  // 1 finding: temporary
+  util::SubstreamRng rng = util::SubstreamRng::FromState(42, 0);  // named
+  auto forked = util::SubstreamRng::FromState(rng.key(), 9);  // second mint
+  return forked.Next() ^ util::SubstreamRng::FromState(7, 0).Next();  // temp
 }
 
 }  // namespace longdp

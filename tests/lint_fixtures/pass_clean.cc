@@ -1,7 +1,8 @@
-// Must produce zero findings: draws flow through util::Rng, the unordered
-// map is only probed (never iterated), and every Status is consumed.
-#include "util/rng.h"
+// Must produce zero findings: draws flow through util::SubstreamRng, the
+// unordered map is only probed (never iterated), and every Status is
+// consumed.
 #include "util/status.h"
+#include "util/substream.h"
 
 #include <string>
 #include <unordered_map>
@@ -11,7 +12,7 @@ namespace longdp {
 
 Status SaveThing(const std::string& path);
 
-Status UseEverything(util::Rng* rng) {
+Status UseEverything(util::SubstreamRng* rng) {
   std::unordered_map<std::string, int> lookup;
   lookup["a"] = 1;
   const bool hit = lookup.count("a") > 0;

@@ -3,17 +3,16 @@
 // qualifications, or constructed as keyed SubstreamRng substreams.
 #include <memory>
 
-#include "util/rng.h"
 #include "util/substream.h"
 
 namespace longdp {
 
-class Rng;  // forward declaration is not a construction
+class SubstreamRng;  // forward declaration is not a construction
 
-double Consume(util::Rng* rng, util::Rng& other) {
+double Consume(util::SubstreamRng* rng, util::SubstreamRng& other) {
   util::SubstreamRng stream(1, util::substream::kGeneric);
   const util::SubstreamRng leaf = stream.Derive(3).Leaf(5);
-  std::unique_ptr<util::Rng> owned;
+  std::unique_ptr<util::SubstreamRng> owned;
   (void)owned;
   return rng->UniformDouble() + other.UniformDouble() +
          static_cast<double>(leaf.key() % 97);

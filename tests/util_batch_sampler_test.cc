@@ -31,7 +31,8 @@ TEST(BatchSamplerTest, BoundedStaysInRange) {
 
 TEST(BatchSamplerTest, BoundedDegenerateBoundsConsumeNoWords) {
   // bound 0 and bound 1 have a single representable answer; the stream
-  // must not advance (unlike Rng::UniformInt(1), which burns a word).
+  // must not advance (unlike SubstreamRng::UniformInt(1), which burns a
+  // word).
   SubstreamRng rng(7), reference(7);
   BatchSampler sampler(&rng);
   EXPECT_EQ(sampler.Bounded(0), 0u);

@@ -1,11 +1,11 @@
-#include "util/rng.h"
+#include "util/substream.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <vector>
 
-#include "util/substream.h"
+#include "util/batch_sampler.h"
 
 namespace longdp {
 namespace util {
@@ -31,10 +31,43 @@ TEST(RngTest, SplitMix64KnownValues) {
   // Word i of the substream with raw key k is the i-th SplitMix64 output
   // from state k. Reference values from the canonical SplitMix64
   // implementation with seed state 0.
+  // NOLINTNEXTLINE(longdp-substream-discipline): raw key 0 is the reference
   SubstreamRng rng = SubstreamRng::FromState(/*key=*/0, /*cursor=*/0);
   EXPECT_EQ(rng.Next(), 0xE220A8397B1DCDAFULL);
   EXPECT_EQ(rng.Next(), 0x6E789E6AA1B965F4ULL);
   EXPECT_EQ(rng.Next(), 0x06C45D188009454FULL);
+}
+
+TEST(RngTest, HelpersKnownAnswers) {
+  // Values and cursors of every sampling helper, drawn in sequence from one
+  // fixed root. Any change to the words a helper consumes, or to how it maps
+  // them to a value, moves a value or a cursor here.
+  SubstreamRng rng(0x4B41u, substream::kGeneric);
+  EXPECT_EQ(rng.UniformInt(0), 0u);  // empty range: no word
+  EXPECT_EQ(rng.cursor(), 0u);
+  EXPECT_EQ(rng.UniformInt(1), 0u);  // one word, even with one answer
+  EXPECT_EQ(rng.cursor(), 1u);
+  EXPECT_EQ(rng.UniformInt(7), 1u);
+  EXPECT_EQ(rng.cursor(), 2u);
+  // Threshold 2^63 - 1: this draw rejects two words before accepting.
+  EXPECT_EQ(rng.UniformInt((1ULL << 63) + 1), 2696259290676296825ULL);
+  EXPECT_EQ(rng.cursor(), 5u);
+  EXPECT_EQ(rng.UniformDouble(), 0x1.09014e262d4fp-4);
+  EXPECT_EQ(rng.cursor(), 6u);
+  EXPECT_FALSE(rng.Bernoulli(0.0));  // no word
+  EXPECT_EQ(rng.cursor(), 6u);
+  EXPECT_TRUE(rng.Bernoulli(1.0));  // no word
+  EXPECT_EQ(rng.cursor(), 6u);
+  EXPECT_TRUE(rng.Bernoulli(0.3));
+  EXPECT_EQ(rng.cursor(), 7u);
+  EXPECT_FALSE(rng.Coin());
+  EXPECT_EQ(rng.cursor(), 8u);
+
+  BatchSampler sampler(&rng);
+  std::vector<int> v = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  sampler.PartialShuffle(v.data(), 10, 4);
+  EXPECT_EQ(v, (std::vector<int>{2, 6, 5, 0, 4, 3, 1, 7, 8, 9}));
+  EXPECT_EQ(rng.cursor(), 12u);
 }
 
 TEST(RngTest, UniformIntInRange) {
@@ -118,16 +151,6 @@ TEST(RngTest, CoinIsFair) {
     if (rng.Coin()) ++heads;
   }
   EXPECT_NEAR(static_cast<double>(heads) / kDraws, 0.5, 0.01);
-}
-
-TEST(RngTest, ForkProducesIndependentStream) {
-  SubstreamRng a(37);
-  SubstreamRng b = a.ForkSubstream();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (a.Next() == b.Next()) ++same;
-  }
-  EXPECT_LT(same, 2);
 }
 
 }  // namespace

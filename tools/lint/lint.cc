@@ -262,16 +262,8 @@ bool PathContains(const std::string& path, const std::string& sub) {
 
 bool RuleExempt(const std::string& rule, const std::string& path,
                 const Options& options) {
-  if (rule == kRuleRawRng &&
-      (PathContains(path, "src/util/rng.h") ||
-       PathContains(path, "src/util/rng.cc"))) {
-    return true;
-  }
   if (rule == kRuleNoiseViaDp && PathContains(path, "src/dp/")) return true;
-  if (rule == kRuleSubstream &&
-      (PathContains(path, "src/util/rng.h") ||
-       PathContains(path, "src/util/rng.cc") ||
-       PathContains(path, "src/util/substream"))) {
+  if (rule == kRuleSubstream && PathContains(path, "src/util/substream")) {
     return true;
   }
   if (rule == kRuleSimdContained && PathContains(path, "src/util/simd")) {
@@ -301,14 +293,14 @@ void CheckRawRng(const LexedFile& file, std::vector<Finding>* findings) {
     if (kEngines.count(s)) {
       findings->push_back(
           {file.path, t[i].line, kRuleRawRng,
-           "raw RNG '" + s + "'; draw through util::Rng instead"});
+           "raw RNG '" + s + "'; draw through util::SubstreamRng instead"});
       continue;
     }
     if (s == "srand" || (s == "rand" && i >= 2 && TokIs(t, i - 1, "::") &&
                          TokIs(t, i - 2, "std"))) {
       findings->push_back({file.path, t[i].line, kRuleRawRng,
                            "C library RNG '" + s +
-                               "'; draw through util::Rng instead"});
+                               "'; draw through util::SubstreamRng instead"});
       continue;
     }
     if (s == "time" && TokIs(t, i + 1, "(") &&
@@ -438,19 +430,55 @@ void CheckUnorderedIteration(const LexedFile& file,
   }
 }
 
-// Direct construction of a util::Rng engine outside the engine /
-// substream sources: `Rng name(...)`, `Rng name{...}`, `Rng name;` and
-// temporaries `Rng(...)`. Pointer / reference parameters (`Rng*`, `Rng&`),
-// qualifications (`Rng::`), template arguments (`<Rng>`), and
-// `class Rng` / `~Rng` declarations stay legal — code may *consume* an
-// engine handed to it, but only the substream factory may mint one, so
-// every draw keeps a (seed, purpose, shard, round, draw) address.
-// SubstreamRng lexes as a distinct identifier and is never flagged.
+// True when the innermost top-level tree named in `path` is src/ (the
+// library). Judged by the last tree-named component, so a checkout that
+// itself sits under some `.../src/...` directory still scopes correctly.
+bool InLibrarySources(const std::string& path) {
+  static const std::set<std::string> kTrees = {
+      "src", "tests", "bench", "examples", "tools", "perfbench"};
+  std::string tree;
+  size_t begin = 0;
+  while (begin < path.size()) {
+    size_t end = path.find('/', begin);
+    if (end == std::string::npos) end = path.size();
+    const std::string part = path.substr(begin, end - begin);
+    if (kTrees.count(part)) tree = part;
+    begin = end + 1;
+  }
+  return tree == "src";
+}
+
+// Engines minted around the key tree, outside src/util/substream.*:
+//   (a) `SubstreamRng::FromState(` anywhere — it rebuilds an engine from a
+//       raw key and cursor, so its draws have no (seed, purpose, ...)
+//       address;
+//   (b) under src/, a root `SubstreamRng` built with one argument — named
+//       (`SubstreamRng s(seed)`, `s{seed}`) or temporary
+//       (`SubstreamRng(seed)`) — which silently takes the kGeneric purpose
+//       and can collide with any other purpose-less root on the same seed.
+// Consuming an engine (`SubstreamRng*`, `SubstreamRng&`, template
+// arguments), two-argument roots, and copies written `s = parent.Leaf(i)`
+// stay legal. A one-argument list holding a parameter declaration (two
+// adjacent identifiers, as in `SubstreamRng Stream(int64_t round)`) is a
+// function declaration, not a construction. Tokens cannot tell a seed from
+// an engine, so `SubstreamRng s(other)` reads as a seed-only root too:
+// write copies with `=`.
 void CheckSubstreamDiscipline(const LexedFile& file,
                               std::vector<Finding>* findings) {
   const std::vector<Token>& t = file.tokens;
+  const bool library = InLibrarySources(file.path);
   for (size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind != Token::kIdent || t[i].text != "Rng") continue;
+    if (t[i].kind != Token::kIdent || t[i].text != "SubstreamRng") continue;
+    if (TokIs(t, i + 1, "::") && TokIs(t, i + 2, "FromState") &&
+        TokIs(t, i + 3, "(")) {
+      findings->push_back(
+          {file.path, t[i].line, kRuleSubstream,
+           "SubstreamRng::FromState mints an engine from a raw key and "
+           "cursor; derive a keyed substream (SubstreamRng(seed, purpose), "
+           "Derive, Leaf) so draws stay addressable"});
+      continue;
+    }
+    if (!library) continue;
     if (i > 0) {
       const std::string& prev = t[i - 1].text;
       if (prev == "class" || prev == "struct" || prev == "friend" ||
@@ -458,18 +486,32 @@ void CheckSubstreamDiscipline(const LexedFile& file,
         continue;
       }
     }
-    const bool decl = TokIsIdent(t, i + 1);           // Rng name...
-    const bool temp = TokIs(t, i + 1, "(");           // Rng(...)
-    if (!decl && !temp) continue;
-    // `Rng name(` where name is immediately called could also be a
-    // function declaration returning Rng — equally a discipline breach
-    // outside the engine sources: only the exempt substream factory hands
-    // out engines by value.
+    size_t open = i + 1;               // temporary: SubstreamRng(...)
+    if (TokIsIdent(t, open)) ++open;   // named: SubstreamRng name(...)
+    if (!TokIs(t, open, "(") && !TokIs(t, open, "{")) continue;
+    // Count the top-level arguments up to the matching closer.
+    int depth = 0;
+    int args = 0;
+    bool params = false;
+    for (size_t j = open + 1; j < t.size(); ++j) {
+      const std::string& s = t[j].text;
+      if (depth == 0 && (s == ")" || s == "}")) break;
+      if (args == 0) args = 1;
+      if (s == "(" || s == "{" || s == "[") {
+        ++depth;
+      } else if (s == ")" || s == "}" || s == "]") {
+        --depth;
+      } else if (depth == 0) {
+        if (s == ",") ++args;
+        if (TokIsIdent(t, j) && TokIsIdent(t, j + 1)) params = true;
+      }
+    }
+    if (args != 1 || params) continue;
     findings->push_back(
         {file.path, t[i].line, kRuleSubstream,
-         "direct construction of util::Rng; derive a keyed "
-         "util::SubstreamRng (seed, purpose) instead so draws stay "
-         "addressable and shard-invariant"});
+         "root SubstreamRng built from a seed alone takes the kGeneric "
+         "purpose; pass a substream::k* purpose so library draws cannot "
+         "collide across components"});
   }
 }
 

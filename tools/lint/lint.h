@@ -6,10 +6,9 @@
 //
 //   longdp-no-raw-rng            No std::rand/srand, std::random_device,
 //                                std::mt19937-family engines, or argless
-//                                time()/clock() seeding outside
-//                                src/util/rng.{h,cc}. Every draw must flow
-//                                through util::Rng so releases replay
-//                                bit-identically.
+//                                time()/clock() seeding, anywhere. Every
+//                                draw must flow through util::SubstreamRng
+//                                so releases replay bit-identically.
 //   longdp-no-unordered-iteration
 //                                No range-for or begin()/cbegin() iteration
 //                                over std::unordered_{map,set} variables.
@@ -25,15 +24,18 @@
 //                                the [[nodiscard]] attribute at lint time
 //                                (and, unlike the compiler, refuses the
 //                                (void)-cast escape hatch).
-//   longdp-substream-discipline  No direct construction of util::Rng (the
-//                                engine surface) outside src/util/rng.*
-//                                and src/util/substream.*.
-//                                Noise and sampling must come from keyed
-//                                util::SubstreamRng substreams so every
-//                                draw has a (seed, purpose, shard, round,
-//                                draw) address and releases are
+//   longdp-substream-discipline  Outside src/util/substream.*: no
+//                                SubstreamRng::FromState (an engine minted
+//                                from a raw key and cursor) anywhere, and
+//                                under src/ no root SubstreamRng built from
+//                                a seed alone (the implicit kGeneric
+//                                purpose). Noise and sampling must come
+//                                from keyed substreams so every draw has a
+//                                (seed, purpose, shard, round, draw)
+//                                address and releases are
 //                                shard-count-invariant. Consuming an engine
-//                                via `Rng*` / `Rng&` stays legal.
+//                                via `SubstreamRng*` / `SubstreamRng&`
+//                                stays legal.
 //   longdp-simd-contained        No raw vendor intrinsics (_mm*/__m*
 //                                identifiers, *intrin.h headers, arm_neon)
 //                                outside src/util/simd/. Hot loops must call
@@ -90,8 +92,10 @@ struct Options {
   std::vector<std::string> excludes;
 
   /// Extra per-rule allowlist entries: a file whose path contains `.second`
-  /// is exempt from rule `.first`. Built-in exemptions (src/util/rng.* for
-  /// longdp-no-raw-rng, src/dp/ for longdp-noise-via-dp) are always active.
+  /// is exempt from rule `.first`. Built-in exemptions (src/dp/ for
+  /// longdp-noise-via-dp, src/util/substream.* for
+  /// longdp-substream-discipline, src/util/simd/ for longdp-simd-contained)
+  /// are always active.
   std::vector<std::pair<std::string, std::string>> allow;
 };
 

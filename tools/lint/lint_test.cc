@@ -247,42 +247,87 @@ TEST(LintScanSourceTest, CrossFileStatusDeclarationsAreResolved) {
 }
 
 TEST(LintScanSourceTest, BuiltinExemptionsApply) {
-  EXPECT_TRUE(
-      ScanSource("src/util/rng.cc", "std::mt19937 gen;", {}).empty());
+  EXPECT_TRUE(ScanSource("src/util/substream.cc",
+                         "auto s = SubstreamRng::FromState(k, 0);", {})
+                  .empty());
   EXPECT_TRUE(ScanSource("src/dp/mechanisms.cc",
                          "std::normal_distribution<double> d(0.0, 1.0);", {})
                   .empty());
   // The same content elsewhere is a finding.
-  EXPECT_EQ(ScanSource("src/core/x.cc", "std::mt19937 gen;", {}).size(), 1u);
+  EXPECT_EQ(ScanSource("src/core/x.cc",
+                       "auto s = SubstreamRng::FromState(k, 0);", {})
+                .size(),
+            1u);
   EXPECT_EQ(ScanSource("src/core/x.cc",
                        "std::normal_distribution<double> d(0.0, 1.0);", {})
                 .size(),
             1u);
+  // No file is exempt from the raw-RNG rule, the engine's own included.
+  EXPECT_EQ(
+      ScanSource("src/util/substream.cc", "std::mt19937 gen;", {}).size(),
+      1u);
+  EXPECT_EQ(ScanSource("src/core/x.cc", "std::mt19937 gen;", {}).size(), 1u);
 }
 
 TEST(LintScanSourceTest, SubstreamDisciplineContexts) {
-  // Construction of the raw engine is flagged, named or temporary.
-  EXPECT_EQ(ScanSource("src/core/x.cc", "util::Rng rng(1);", {}).size(), 1u);
+  // A purpose-less root in the library is flagged, named or temporary.
   EXPECT_EQ(
-      ScanSource("src/core/x.cc", "auto v = util::Rng(1).Next();", {}).size(),
+      ScanSource("src/core/x.cc", "util::SubstreamRng rng(1);", {}).size(),
       1u);
+  EXPECT_EQ(
+      ScanSource("src/core/x.cc", "util::SubstreamRng rng{seed};", {}).size(),
+      1u);
+  EXPECT_EQ(ScanSource("src/core/x.cc",
+                       "util::SubstreamRng rng(Mix(seed, 3));", {})
+                .size(),
+            1u);
+  EXPECT_EQ(ScanSource("src/core/x.cc",
+                       "auto v = util::SubstreamRng(1).Next();", {})
+                .size(),
+            1u);
+  // FromState is flagged everywhere, tests included.
+  EXPECT_EQ(ScanSource("tests/x.cc",
+                       "auto s = util::SubstreamRng::FromState(k, 0);", {})
+                .size(),
+            1u);
   // Consuming an engine through a pointer/reference, naming the type in a
-  // template argument, or constructing a keyed substream is fine.
-  EXPECT_TRUE(
-      ScanSource("src/core/x.cc", "void F(util::Rng* r, util::Rng& s);", {})
-          .empty());
-  EXPECT_TRUE(
-      ScanSource("src/core/x.cc", "std::unique_ptr<util::Rng> p;", {})
-          .empty());
+  // template argument, constructing a keyed substream, copying a derived
+  // one, or declaring a function that returns one is fine.
+  EXPECT_TRUE(ScanSource("src/core/x.cc",
+                         "void F(util::SubstreamRng* r, SubstreamRng& s);", {})
+                  .empty());
+  EXPECT_TRUE(ScanSource("src/core/x.cc",
+                         "std::unique_ptr<util::SubstreamRng> p;", {})
+                  .empty());
   EXPECT_TRUE(ScanSource("src/core/x.cc",
                          "util::SubstreamRng s(1, util::substream::kGeneric);",
                          {})
                   .empty());
-  // The engine and substream sources may mint engines.
-  EXPECT_TRUE(ScanSource("src/util/rng.h", "Rng Fork();", {}).empty());
+  EXPECT_TRUE(ScanSource("src/core/x.cc",
+                         "util::SubstreamRng leaf = parent.Leaf(3);", {})
+                  .empty());
+  EXPECT_TRUE(ScanSource("src/core/x.h",
+                         "util::SubstreamRng Stream(int64_t round) const;", {})
+                  .empty());
+  // Seed-only roots outside the library (benches, tests, examples) are
+  // fine, judged by the innermost tree even under an outer src/ directory.
   EXPECT_TRUE(
-      ScanSource("src/util/substream.cc", "Rng base(SubclassTag{});", {})
-          .empty());
+      ScanSource("bench/x.cc", "util::SubstreamRng rng(1);", {}).empty());
+  EXPECT_TRUE(ScanSource("/home/u/src/longdp/bench/x.cc",
+                         "util::SubstreamRng rng(1);", {})
+                  .empty());
+  EXPECT_EQ(ScanSource("/home/u/src/longdp/src/core/x.cc",
+                       "util::SubstreamRng rng(1);", {})
+                .size(),
+            1u);
+  // The substream sources may mint engines.
+  EXPECT_TRUE(ScanSource("src/util/substream.cc",
+                         "SubstreamRng SubstreamRng::FromState(uint64_t k) {",
+                         {})
+                  .empty());
+  EXPECT_TRUE(ScanSource("src/util/substream.cc",
+                         "SubstreamRng root(seed);", {})
+                  .empty());
 }
 
 TEST(LintScanSourceTest, SimdContainedExemptsOnlyTheSimdLayer) {
