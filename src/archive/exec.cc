@@ -57,8 +57,8 @@ Result<double> Exec::DebiasedWindowFraction(
 Result<double> Exec::BiasedWindowFraction(
     const ArchiveEntry& entry, const query::WindowPredicate& pred) const {
   LONGDP_ASSIGN_OR_RETURN(const int64_t count, WindowCount(entry, pred));
-  int64_t population = 0;
-  for (int64_t c : reader_->Values(entry)) population += c;
+  LONGDP_ASSIGN_OR_RETURN(const int64_t population,
+                          query::HistogramPopulation(reader_->Values(entry)));
   return query::BiasedFraction(count, population);
 }
 
@@ -96,13 +96,7 @@ Result<double> Exec::CategoricalBinFraction(const ArchiveEntry& entry,
   if (code >= hist.size()) {
     return Status::OutOfRange("pattern code out of range");
   }
-  if (entry.true_n <= 0) {
-    return Status::InvalidArgument("released true_n must be > 0");
-  }
-  // int64 subtract, then cast — the synthesizer's and ReleaseAnalyzer's
-  // exact arithmetic.
-  return static_cast<double>(hist[code] - entry.npad) /
-         static_cast<double>(entry.true_n);
+  return query::DebiasedBinFraction(hist[code], entry.npad, entry.true_n);
 }
 
 Result<std::vector<data::RoundView>> Exec::CohortRounds(

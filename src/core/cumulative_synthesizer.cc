@@ -21,8 +21,12 @@ Result<std::unique_ptr<CumulativeSynthesizer>> CumulativeSynthesizer::Create(
   }
   LONGDP_RETURN_NOT_OK(CheckHorizonCap(options.horizon));
   LONGDP_RETURN_NOT_OK(CheckBudget(options.rho));
+  Options resolved = options;
+  if (!resolved.counter_factory) {
+    resolved.counter_factory = stream::DefaultCounterFactory();
+  }
   return std::unique_ptr<CumulativeSynthesizer>(
-      new CumulativeSynthesizer(options));
+      new CumulativeSynthesizer(resolved));
 }
 
 Status CumulativeSynthesizer::InitializeForPopulation(int64_t n,
@@ -279,9 +283,7 @@ Status CumulativeSynthesizer::SaveCheckpoint(std::ostream& out) const {
   sio::WriteInt(out, options_.horizon);
   sio::WriteDouble(out, options_.rho);
   sio::WriteString(out, stream::BudgetSplitName(options_.split));
-  sio::WriteString(out, options_.counter_factory
-                            ? options_.counter_factory->name()
-                            : std::string("tree"));
+  sio::WriteString(out, options_.counter_factory->name());
   sio::WriteU64(out, options_.seed);
   sio::WriteInt(out, t_);
   sio::WriteInt(out, n_);

@@ -41,7 +41,8 @@ class CumulativeSynthesizer {
     int64_t horizon = 0;  ///< T, in [1, kMaxHorizon] (core/limits.h)
     double rho = 0.0;     ///< total zCDP budget (+infinity = zero-noise)
     stream::BudgetSplit split = stream::BudgetSplit::kCubicLogLevels;
-    /// Stream counter implementation; tree counter when null.
+    /// Stream counter implementation; Create resolves null to
+    /// stream::DefaultCounterFactory().
     std::shared_ptr<const stream::StreamCounterFactory> counter_factory;
     /// Root seed for every substream the synthesizer draws from: counter
     /// noise is keyed (seed, kCounterNoise, b, level, draw) and stage-2

@@ -65,8 +65,8 @@ Result<double> ReleaseAnalyzer::BiasedWindowFraction(
   LONGDP_ASSIGN_OR_RETURN(
       int64_t count,
       query::CountOnHistogram(pred, release.histogram, release.window_k));
-  int64_t population = 0;
-  for (int64_t c : release.histogram) population += c;
+  LONGDP_ASSIGN_OR_RETURN(const int64_t population,
+                          query::HistogramPopulation(release.histogram));
   return query::BiasedFraction(count, population);
 }
 
@@ -112,14 +112,10 @@ Result<double> ReleaseAnalyzer::CategoricalBinFraction(int64_t t,
   if (code >= release.histogram.size()) {
     return Status::OutOfRange("pattern code out of range");
   }
-  if (release.true_n <= 0) {
-    return Status::InvalidArgument("released true_n must be > 0");
-  }
-  // Subtract in int64 and THEN cast, exactly as the synthesizer's
-  // DebiasedBinFraction does — the archive executor mirrors this too, so
-  // all three paths agree bit-for-bit.
-  return static_cast<double>(release.histogram[code] - release.npad) /
-         static_cast<double>(release.true_n);
+  // The archive executor answers through the same helper, so the two
+  // analyst paths agree bit-for-bit.
+  return query::DebiasedBinFraction(release.histogram[code], release.npad,
+                                    release.true_n);
 }
 
 }  // namespace core

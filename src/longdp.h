@@ -44,7 +44,6 @@
 #include "stream/counter_bank.h"
 #include "stream/counter_factory.h"
 #include "stream/honaker_counter.h"
-#include "stream/laplace_tree_counter.h"
 #include "stream/matrix_counter.h"
 #include "stream/naive_counters.h"
 #include "stream/stream_counter.h"

@@ -30,8 +30,13 @@ Result<int64_t> CountOccExactFromThresholds(
     return Status::InvalidArgument(
         "threshold rows must have equal size > b");
   }
-  return thresholds_t2[static_cast<size_t>(b)] -
-         thresholds_t1[static_cast<size_t>(b - 1)];
+  int64_t count = 0;
+  if (__builtin_sub_overflow(thresholds_t2[static_cast<size_t>(b)],
+                             thresholds_t1[static_cast<size_t>(b - 1)],
+                             &count)) {
+    return Status::InvalidArgument("CountOcc_=b difference overflows int64");
+  }
+  return count;
 }
 
 Result<int64_t> CountOccExactFromThresholds(

@@ -31,7 +31,8 @@ Result<double> EvaluateCumulativeOnDataset(
 /// count rows (index = b, as produced by CumulativeCounts or a synthesizer's
 /// released Shat rows). Requires b >= 1 and both rows of equal size > b.
 /// The span form is the primitive; it serves threshold rows in place (e.g.
-/// straight off an mmap'd release archive).
+/// straight off an mmap'd release archive). InvalidArgument if the
+/// difference overflows int64 (forged rows).
 Result<int64_t> CountOccExactFromThresholds(
     std::span<const int64_t> thresholds_t2,
     std::span<const int64_t> thresholds_t1, int64_t b);

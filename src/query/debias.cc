@@ -43,8 +43,33 @@ Result<double> DebiasedFraction(int64_t synthetic_count,
                                 const WindowPredicate& pred,
                                 const PaddingSpec& spec) {
   LONGDP_ASSIGN_OR_RETURN(int64_t pad, PaddingCount(pred, spec));
-  return static_cast<double>(synthetic_count - pad) /
-         static_cast<double>(spec.true_n);
+  int64_t debiased = 0;
+  if (__builtin_sub_overflow(synthetic_count, pad, &debiased)) {
+    return Status::InvalidArgument("debiased count overflows int64");
+  }
+  return static_cast<double>(debiased) / static_cast<double>(spec.true_n);
+}
+
+Result<double> DebiasedBinFraction(int64_t bin_count, int64_t npad,
+                                   int64_t true_n) {
+  if (true_n <= 0) {
+    return Status::InvalidArgument("released true_n must be > 0");
+  }
+  int64_t debiased = 0;
+  if (__builtin_sub_overflow(bin_count, npad, &debiased)) {
+    return Status::InvalidArgument("debiased bin count overflows int64");
+  }
+  return static_cast<double>(debiased) / static_cast<double>(true_n);
+}
+
+Result<int64_t> HistogramPopulation(std::span<const int64_t> hist) {
+  int64_t population = 0;
+  for (const int64_t c : hist) {
+    if (__builtin_add_overflow(population, c, &population)) {
+      return Status::InvalidArgument("histogram population overflows int64");
+    }
+  }
+  return population;
 }
 
 Result<double> BiasedFraction(int64_t synthetic_count,

@@ -16,6 +16,7 @@
 #define LONGDP_QUERY_DEBIAS_H_
 
 #include <cstdint>
+#include <span>
 
 #include "query/window_query.h"
 #include "util/status.h"
@@ -38,9 +39,22 @@ Result<int64_t> PaddingCount(const WindowPredicate& pred,
                              const PaddingSpec& spec);
 
 /// Debiased proportion estimate: (synthetic_count - PaddingCount) / true_n.
+/// InvalidArgument if the subtraction overflows int64 (a forged count).
 Result<double> DebiasedFraction(int64_t synthetic_count,
                                 const WindowPredicate& pred,
                                 const PaddingSpec& spec);
+
+/// Debiased fraction of one released categorical bin,
+/// (bin_count - npad) / true_n, subtracted in int64 and then cast, as the
+/// synthesizer's own CategoricalWindowSynthesizer::DebiasedBinFraction
+/// does. InvalidArgument if true_n <= 0 or the subtraction overflows int64.
+Result<double> DebiasedBinFraction(int64_t bin_count, int64_t npad,
+                                   int64_t true_n);
+
+/// The synthetic population of a released histogram: the sum of its bins.
+/// Released values read from disk are not trusted, so a sum that overflows
+/// int64 is InvalidArgument rather than a wrapped population.
+Result<int64_t> HistogramPopulation(std::span<const int64_t> hist);
 
 /// Raw (biased) proportion: synthetic_count / synthetic_population. Provided
 /// for symmetry so experiment code reads declaratively. InvalidArgument when

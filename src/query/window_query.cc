@@ -131,8 +131,9 @@ Result<int64_t> CountOnHistogram(const WindowPredicate& pred,
   }
   int64_t count = 0;
   for (util::Pattern s = 0; s < hist.size(); ++s) {
-    if (pred.Matches(util::Suffix(s, pred.width()))) {
-      count += hist[s];
+    if (pred.Matches(util::Suffix(s, pred.width())) &&
+        __builtin_add_overflow(count, hist[s], &count)) {
+      return Status::InvalidArgument("histogram count overflows int64");
     }
   }
   return count;

@@ -72,7 +72,8 @@ Result<double> EvaluateOnDataset(const WindowPredicate& pred,
 /// `hist_width` patterns (hist_width >= pred.width()): sums the bins whose
 /// suffix matches. The span form is the primitive — it runs in place over
 /// any contiguous int64 column (including a release served straight off an
-/// mmap'd archive, with no rehydration copy).
+/// mmap'd archive, with no rehydration copy). InvalidArgument if the sum
+/// overflows int64, which only a forged histogram can make it do.
 Result<int64_t> CountOnHistogram(const WindowPredicate& pred,
                                  std::span<const int64_t> hist,
                                  int hist_width);

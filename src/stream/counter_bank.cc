@@ -19,8 +19,8 @@ Result<std::unique_ptr<CounterBank>> CounterBank::Create(
   if (!(options.total_rho > 0.0)) {
     return Status::InvalidArgument("CounterBank total_rho must be > 0");
   }
-  std::shared_ptr<const StreamCounterFactory> factory = options.factory;
-  if (!factory) factory = std::make_shared<TreeCounterFactory>();
+  const std::shared_ptr<const StreamCounterFactory> factory =
+      options.factory ? options.factory : DefaultCounterFactory();
 
   LONGDP_ASSIGN_OR_RETURN(
       auto shares,
@@ -129,14 +129,6 @@ Status CounterBank::ObserveRound(std::span<const int64_t> z) {
   }
   prev_monotone_ = monotone_;
   return Status::OK();
-}
-
-double CounterBank::CounterErrorBound(int64_t b, int64_t t,
-                                      double beta) const {
-  if (b < 1 || b > horizon_) return 0.0;
-  int64_t local_t = t - b + 1;  // counter b's own clock
-  if (local_t < 1) return 0.0;
-  return counters_[static_cast<size_t>(b - 1)]->ErrorBound(beta, local_t);
 }
 
 }  // namespace stream

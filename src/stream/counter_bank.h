@@ -35,6 +35,7 @@
 
 #include "dp/accountant.h"
 #include "stream/budget_split.h"
+#include "stream/counter_factory.h"
 #include "stream/stream_counter.h"
 #include "util/thread_pool.h"
 
@@ -50,7 +51,7 @@ class CounterBank {
     int64_t population = 0;  ///< n, number of (synthetic) individuals
     double total_rho = 0.0;  ///< zCDP budget across all counters
     BudgetSplit split = BudgetSplit::kCubicLogLevels;
-    /// Counter implementation; defaults to the tree counter when null.
+    /// Counter implementation; DefaultCounterFactory() ("tree") when null.
     std::shared_ptr<const StreamCounterFactory> factory;
     /// Root seed for the bank's noise substreams: counter b draws from
     /// SubstreamRng(seed, substream::kCounterNoise).Derive(b).
@@ -71,8 +72,8 @@ class CounterBank {
   /// across Options::pool when set) and monotonizes into the bank-owned
   /// rows, read back via monotone_row() (Shat^t, indexed b = 0..T with
   /// entry 0 fixed at n) and raw_row(); they are valid until the next
-  /// call. Counters built by the default tree factory advance through
-  /// TreeCounter::Step with their noise scales precomputed at Create — no
+  /// call. Tree counters ("tree" and "laplace-tree") advance through
+  /// TreeCounter::Step with their node noise samplers built at Create — no
   /// per-counter virtual dispatch; other implementations fall back to the
   /// virtual Observe. Every counter's noise is keyed by
   /// (seed, b, level, draw-index), so serial and sharded advances release
@@ -90,10 +91,6 @@ class CounterBank {
   int64_t horizon() const { return horizon_; }
   const std::vector<double>& budget_shares() const { return shares_; }
 
-  /// High-probability error bound of counter b at its step count when the
-  /// global time is t (paper Appendix B form). beta is per-(b, t).
-  double CounterErrorBound(int64_t b, int64_t t, double beta) const;
-
   /// Swaps the worker pool (non-owning; null reverts to serial). Noise is
   /// keyed per (b, level, draw), so the shard grid never changes a row.
   void set_pool(util::ThreadPool* pool) { pool_ = pool; }
@@ -108,8 +105,8 @@ class CounterBank {
   std::vector<double> shares_;
   std::vector<std::unique_ptr<StreamCounter>> counters_;  // index b-1
   /// Non-owning fast-path view of counters_: entry b-1 is non-null iff
-  /// counter b is a TreeCounter (resolved once at Create so the per-round
-  /// loop never pays dynamic dispatch for the default configuration).
+  /// counter b is a TreeCounter of either noise family (resolved once at
+  /// Create so the per-round loop never pays dynamic dispatch for them).
   std::vector<TreeCounter*> tree_fast_;
   std::vector<int64_t> raw_;
   std::vector<int64_t> monotone_;

@@ -64,14 +64,6 @@ class HonakerCounter : public StreamCounter {
   std::vector<util::SubstreamRng> level_streams_;
 };
 
-class HonakerCounterFactory : public StreamCounterFactory {
- public:
-  Result<std::unique_ptr<StreamCounter>> Create(
-      int64_t horizon, double rho,
-      const util::SubstreamRng& stream) const override;
-  std::string name() const override { return "honaker"; }
-};
-
 }  // namespace stream
 }  // namespace longdp
 

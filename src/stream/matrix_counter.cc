@@ -66,22 +66,5 @@ double MatrixCounter::ErrorBound(double beta, int64_t t) const {
   return std::sqrt(2.0 * var * std::log(2.0 / beta)) + 0.5;
 }
 
-Result<std::unique_ptr<StreamCounter>> MatrixCounterFactory::Create(
-    int64_t horizon, double rho, const util::SubstreamRng& stream) const {
-  if (horizon < 1) {
-    return Status::InvalidArgument("stream horizon must be >= 1, got " +
-                                   std::to_string(horizon));
-  }
-  if (!(rho > 0.0)) {
-    return Status::InvalidArgument("stream counter rho must be > 0");
-  }
-  if (horizon > (int64_t{1} << 16)) {
-    return Status::InvalidArgument(
-        "sqrt-matrix counter is O(T^2); use the tree counter beyond T=65536");
-  }
-  return std::unique_ptr<StreamCounter>(
-      new MatrixCounter(horizon, rho, stream));
-}
-
 }  // namespace stream
 }  // namespace longdp

@@ -70,14 +70,6 @@ class MatrixCounter : public StreamCounter {
   util::SubstreamRng stream_;    ///< one draw per step (no level structure)
 };
 
-class MatrixCounterFactory : public StreamCounterFactory {
- public:
-  Result<std::unique_ptr<StreamCounter>> Create(
-      int64_t horizon, double rho,
-      const util::SubstreamRng& stream) const override;
-  std::string name() const override { return "sqrt-matrix"; }
-};
-
 }  // namespace stream
 }  // namespace longdp
 

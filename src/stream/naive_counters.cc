@@ -2,22 +2,8 @@
 
 #include <cmath>
 
-
 namespace longdp {
 namespace stream {
-
-namespace {
-Status ValidateCounterArgs(int64_t horizon, double rho) {
-  if (horizon < 1) {
-    return Status::InvalidArgument("stream horizon must be >= 1, got " +
-                                   std::to_string(horizon));
-  }
-  if (!(rho > 0.0)) {
-    return Status::InvalidArgument("stream counter rho must be > 0");
-  }
-  return Status::OK();
-}
-}  // namespace
 
 InputPerturbationCounter::InputPerturbationCounter(
     int64_t horizon, double rho, const util::SubstreamRng& stream)
@@ -67,20 +53,6 @@ double RecomputeCounter::ErrorBound(double beta, int64_t t) const {
   if (sigma2_ == 0.0) return 0.0;
   if (beta <= 0.0) beta = 1e-12;
   return std::sqrt(2.0 * sigma2_ * std::log(2.0 / beta));
-}
-
-Result<std::unique_ptr<StreamCounter>> InputPerturbationCounterFactory::Create(
-    int64_t horizon, double rho, const util::SubstreamRng& stream) const {
-  LONGDP_RETURN_NOT_OK(ValidateCounterArgs(horizon, rho));
-  return std::unique_ptr<StreamCounter>(
-      new InputPerturbationCounter(horizon, rho, stream));
-}
-
-Result<std::unique_ptr<StreamCounter>> RecomputeCounterFactory::Create(
-    int64_t horizon, double rho, const util::SubstreamRng& stream) const {
-  LONGDP_RETURN_NOT_OK(ValidateCounterArgs(horizon, rho));
-  return std::unique_ptr<StreamCounter>(
-      new RecomputeCounter(horizon, rho, stream));
 }
 
 }  // namespace stream

@@ -69,22 +69,6 @@ class RecomputeCounter : public StreamCounter {
   util::SubstreamRng stream_;
 };
 
-class InputPerturbationCounterFactory : public StreamCounterFactory {
- public:
-  Result<std::unique_ptr<StreamCounter>> Create(
-      int64_t horizon, double rho,
-      const util::SubstreamRng& stream) const override;
-  std::string name() const override { return "input-perturbation"; }
-};
-
-class RecomputeCounterFactory : public StreamCounterFactory {
- public:
-  Result<std::unique_ptr<StreamCounter>> Create(
-      int64_t horizon, double rho,
-      const util::SubstreamRng& stream) const override;
-  std::string name() const override { return "recompute"; }
-};
-
 }  // namespace stream
 }  // namespace longdp
 

@@ -7,7 +7,7 @@
 // relation.
 //
 // Randomness: every counter owns keyed substreams derived from the
-// SubstreamRng handed to its factory (util/substream.h) — tree-shaped
+// SubstreamRng handed to its constructor (util/substream.h) — tree-shaped
 // counters hold one substream per binary level, flat counters hold one.
 // Observe therefore takes no RNG: the noise at (counter, level, draw-index)
 // is a pure function of the construction key, which is what lets a bank of
@@ -19,13 +19,16 @@
 //
 // Algorithm 2 of the paper is written against this interface (its Section
 // 1.1 explicitly notes the tree counter can be swapped for any stream
-// counter); bench/counter_ablation exercises all implementations.
+// counter). The implementations are chosen by name through the one
+// registry table in stream/counter_factory.h — "tree" and "laplace-tree"
+// (TreeCounter with discrete Gaussian or discrete Laplace node noise),
+// "honaker", "input-perturbation", "recompute" and "sqrt-matrix" — and
+// bench/counter_ablation exercises all of them.
 
 #ifndef LONGDP_STREAM_STREAM_COUNTER_H_
 #define LONGDP_STREAM_STREAM_COUNTER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "util/status.h"
@@ -37,7 +40,9 @@ namespace stream {
 /// \brief Interface for rho-zCDP continual counting.
 ///
 /// Implementations are single-use: construct, then call Observe exactly once
-/// per time step in order. They are deliberately not thread-safe (one counter
+/// per time step in order. Constructors trust their arguments;
+/// StreamCounterFactory::Create (stream/counter_factory.h) is the checked
+/// way to build one. They are deliberately not thread-safe (one counter
 /// per stream; CounterBank parallelizes across counters, the harness across
 /// repetitions).
 class StreamCounter {
@@ -64,23 +69,6 @@ class StreamCounter {
   virtual double ErrorBound(double beta, int64_t t) const = 0;
 
   /// Implementation name for reports ("tree", "honaker", ...).
-  virtual std::string name() const = 0;
-};
-
-/// Factory signature used by CounterBank / CumulativeSynthesizer so the
-/// counter implementation is a run-time choice.
-class StreamCounterFactory {
- public:
-  virtual ~StreamCounterFactory() = default;
-
-  /// Creates a counter for streams of length at most `horizon` with total
-  /// privacy cost `rho`, drawing noise from substreams derived off
-  /// `stream` (the counter keys per-level children via stream.Leaf).
-  /// Returns InvalidArgument for horizon < 1 or rho <= 0 (rho == +infinity
-  /// is the zero-noise test path).
-  virtual Result<std::unique_ptr<StreamCounter>> Create(
-      int64_t horizon, double rho, const util::SubstreamRng& stream) const = 0;
-
   virtual std::string name() const = 0;
 };
 

@@ -8,14 +8,27 @@
 namespace longdp {
 namespace stream {
 
+namespace {
+
+using Kind = dp::NoiseSampler::Kind;
+
+// The per-node noise parameter for a tree of `levels` levels at total
+// budget rho (see the header): sigma^2 = L / (2 rho) for Gaussian, scale
+// L / epsilon with epsilon = sqrt(2 rho) for Laplace.
+double NodeNoiseParam(Kind kind, int levels, double rho) {
+  if (std::isinf(rho)) return 0.0;
+  const double l = static_cast<double>(levels);
+  return kind == Kind::kGaussian ? l / (2.0 * rho) : l / std::sqrt(2.0 * rho);
+}
+
+}  // namespace
+
 TreeCounter::TreeCounter(int64_t horizon, double rho,
-                         const util::SubstreamRng& stream)
+                         const util::SubstreamRng& stream, Kind noise)
     : horizon_(horizon),
       rho_(rho),
       levels_(util::FloorLog2(static_cast<uint64_t>(horizon)) + 1),
-      sigma2_(std::isinf(rho) ? 0.0
-                              : static_cast<double>(levels_) / (2.0 * rho)),
-      noise_(dp::NoiseSampler::Gaussian(sigma2_)),
+      noise_(noise, NodeNoiseParam(noise, levels_, rho)),
       alpha_(static_cast<size_t>(levels_), 0),
       alpha_noisy_(static_cast<size_t>(levels_), 0) {
   level_streams_.reserve(static_cast<size_t>(levels_));
@@ -24,35 +37,35 @@ TreeCounter::TreeCounter(int64_t horizon, double rho,
   }
 }
 
+std::string TreeCounter::name() const {
+  return noise_.kind() == Kind::kGaussian ? "tree" : "laplace-tree";
+}
+
 Result<int64_t> TreeCounter::Observe(int64_t z) {
   if (t_ >= horizon_) {
-    return Status::OutOfRange("tree counter past its horizon T=" +
+    return Status::OutOfRange(name() + " counter past its horizon T=" +
                               std::to_string(horizon_));
   }
   return Step(z);
 }
 
 double TreeCounter::ErrorBound(double beta, int64_t t) const {
-  if (sigma2_ == 0.0) return 0.0;
+  const double param = noise_.param();
+  if (param == 0.0) return 0.0;
   if (t < 1) t = 1;
   if (beta <= 0.0) beta = 1e-12;
-  // S~_t - S_t is a sum of popcount(t) independent discrete Gaussians, each
-  // subgaussian with parameter sigma^2; two-sided tail bound.
-  int m = util::Popcount(static_cast<uint64_t>(t));
-  double var = static_cast<double>(m) * sigma2_;
+  // S~_t - S_t is a sum of m = popcount(t) independent node noises.
+  const int m = util::Popcount(static_cast<uint64_t>(t));
+  if (noise_.kind() == Kind::kLaplace) {
+    // Each discrete Laplace(scale) term is subexponential; a per-term union
+    // bound gives |X_i| <= scale * ln(2m/beta) each with prob 1 - beta/m.
+    return static_cast<double>(m) * param *
+           std::log(2.0 * static_cast<double>(m) / beta);
+  }
+  // Each discrete Gaussian is subgaussian with parameter sigma^2;
+  // two-sided tail bound.
+  const double var = static_cast<double>(m) * param;
   return std::sqrt(2.0 * var * std::log(2.0 / beta));
-}
-
-Result<std::unique_ptr<StreamCounter>> TreeCounterFactory::Create(
-    int64_t horizon, double rho, const util::SubstreamRng& stream) const {
-  if (horizon < 1) {
-    return Status::InvalidArgument("stream horizon must be >= 1, got " +
-                                   std::to_string(horizon));
-  }
-  if (!(rho > 0.0)) {
-    return Status::InvalidArgument("stream counter rho must be > 0");
-  }
-  return std::unique_ptr<StreamCounter>(new TreeCounter(horizon, rho, stream));
 }
 
 }  // namespace stream

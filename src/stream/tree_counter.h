@@ -1,5 +1,6 @@
 // Tree-based aggregation stream counter (paper Algorithm 3; Dwork-Naor-
-// Pitassi-Rothblum '10, Chan-Shi-Song '11), with discrete Gaussian noise.
+// Pitassi-Rothblum '10, Chan-Shi-Song '11), with discrete Gaussian or
+// discrete Laplace node noise chosen at construction.
 //
 // The streaming formulation keeps one pending partial sum alpha_j per binary
 // level j. At step t, the lowest set bit of t determines the level i whose
@@ -9,10 +10,18 @@
 // the set bits rather than by scanning every level.
 //
 // Privacy: one user changes one z_t by 1, which touches at most L =
-// floor(log2 T) + 1 noisy nodes (one per level containing leaf t). With
-// per-node variance sigma^2 = L / (2 rho), composition gives rho-zCDP for
-// the whole output sequence. (The paper states sigma^2 = log T / (2 rho);
-// we use the exact level count.)
+// floor(log2 T) + 1 noisy nodes (one per level containing leaf t).
+//  * Gaussian ("tree"): per-node variance sigma^2 = L / (2 rho), so
+//    composition gives rho-zCDP for the whole output sequence. (The paper
+//    states sigma^2 = log T / (2 rho); we use the exact level count.)
+//  * Laplace ("laplace-tree"), the original pure-DP instantiation that
+//    preceded the Gaussian variant: the zCDP budget converts to a pure-DP
+//    one through "epsilon-DP implies (epsilon^2/2)-zCDP" (Bun-Steinke '16,
+//    Prop. 1.4), so the tree targets epsilon = sqrt(2 rho) in total, split
+//    evenly across the L levels: per-node scale L / epsilon (sensitivity 1
+//    per node). The release sequence is (epsilon, 0)-DP and rho-zCDP at
+//    once; at equal rho it pays heavier tails than the Gaussian tree
+//    (visible in bench/counter_ablation) for the stronger guarantee.
 //
 // Randomness: level j's noise comes from its own substream stream.Leaf(j),
 // so the node completing at step t draws word number (completions of level
@@ -20,9 +29,9 @@
 // every other counter in a bank, which is what lets CounterBank advance its
 // counters across ThreadPool shards without perturbing any release.
 //
-// Hot path: stream::CounterBank advances a whole bank of tree counters per
-// round through the non-virtual Step() below, with the node noise scale
-// precomputed once at construction (node_sigma2()).
+// Hot path: stream::CounterBank advances a bank of tree counters of either
+// noise family per round through the non-virtual Step() below, with the
+// node noise sampler built once at construction (node_noise()).
 
 #ifndef LONGDP_STREAM_TREE_COUNTER_H_
 #define LONGDP_STREAM_TREE_COUNTER_H_
@@ -38,21 +47,23 @@ namespace stream {
 
 class TreeCounter : public StreamCounter {
  public:
-  /// Prefer TreeCounterFactory::Create, which validates arguments.
-  TreeCounter(int64_t horizon, double rho, const util::SubstreamRng& stream);
+  /// Prefer MakeCounterFactory("tree" or "laplace-tree")->Create, which
+  /// validates arguments.
+  TreeCounter(int64_t horizon, double rho, const util::SubstreamRng& stream,
+              dp::NoiseSampler::Kind noise = dp::NoiseSampler::Kind::kGaussian);
 
   Result<int64_t> Observe(int64_t z) override;
   int64_t steps() const override { return t_; }
   int64_t horizon() const override { return horizon_; }
   double rho() const override { return rho_; }
   double ErrorBound(double beta, int64_t t) const override;
-  std::string name() const override { return "tree"; }
+  /// "tree" for Gaussian node noise, "laplace-tree" for Laplace.
+  std::string name() const override;
 
   /// Non-virtual single-step advance used by CounterBank's batched observe
   /// path (and by Observe after its range check). The caller must ensure
-  /// steps() < horizon(); behavior is identical to Observe. One discrete
-  /// Gaussian draw per call from the completing level's substream, scale
-  /// taken from the cached level sigmas.
+  /// steps() < horizon(); behavior is identical to Observe. One node-noise
+  /// draw per call from the completing level's substream.
   int64_t Step(int64_t z) {
     ++t_;
     const uint64_t ut = static_cast<uint64_t>(t_);
@@ -79,32 +90,21 @@ class TreeCounter : public StreamCounter {
 
   /// Number of binary levels L = floor(log2 T) + 1.
   int levels() const { return levels_; }
-  /// The noise variance L / (2 rho) shared by every level, computed once
-  /// at construction — the hot path never recomputes a scale.
-  double node_sigma2() const { return sigma2_; }
+  /// The node noise every level shares, built once at construction: its
+  /// kind, and its param() — sigma^2 = L / (2 rho) for Gaussian, scale
+  /// L / sqrt(2 rho) for Laplace, 0 on the rho = +infinity path.
+  const dp::NoiseSampler& node_noise() const { return noise_; }
 
  private:
   int64_t horizon_;
   double rho_;
   int levels_;
-  double sigma2_;  // per-node noise scale, cached at construction
-  // Batched sampler for sigma2_: same draws as the one-shot function, with
-  // the scale constants and chunked word generation amortized (see
-  // dp/noise_sampler.h).
   dp::NoiseSampler noise_;
   int64_t t_ = 0;
   std::vector<int64_t> alpha_;        // pending true partial sums per level
   std::vector<int64_t> alpha_noisy_;  // their released noisy values
   // Per-level noise substreams, keyed stream.Leaf(j) at construction.
   std::vector<util::SubstreamRng> level_streams_;
-};
-
-class TreeCounterFactory : public StreamCounterFactory {
- public:
-  Result<std::unique_ptr<StreamCounter>> Create(
-      int64_t horizon, double rho,
-      const util::SubstreamRng& stream) const override;
-  std::string name() const override { return "tree"; }
 };
 
 }  // namespace stream

@@ -38,22 +38,6 @@ std::string PatternToString(Pattern p, int k) {
   return out;
 }
 
-Result<Pattern> PatternFromString(const std::string& s) {
-  if (s.empty() || s.size() > static_cast<size_t>(kMaxWindow)) {
-    return Status::InvalidArgument("pattern string length must be in [1, " +
-                                   std::to_string(kMaxWindow) + "]");
-  }
-  Pattern p = 0;
-  for (char c : s) {
-    if (c != '0' && c != '1') {
-      return Status::InvalidArgument("pattern string must be binary, got '" +
-                                     s + "'");
-    }
-    p = (p << 1) | static_cast<Pattern>(c == '1');
-  }
-  return p;
-}
-
 bool HasOnesRun(Pattern p, int k, int run) {
   if (run <= 0) return true;
   if (run > k) return false;
@@ -66,11 +50,6 @@ bool HasOnesRun(Pattern p, int k, int run) {
     }
   }
   return false;
-}
-
-bool HasAtLeastOnes(Pattern p, int k, int m) {
-  (void)k;
-  return Popcount(p) >= m;
 }
 
 Status ValidateWindow(int k) {

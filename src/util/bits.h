@@ -74,15 +74,9 @@ constexpr Pattern Suffix(Pattern p, int kp) { return p & LowMask(kp); }
 /// Renders the pattern oldest-bit-first, e.g. k=3 code 0b011 -> "011".
 std::string PatternToString(Pattern p, int k);
 
-/// Parses an oldest-bit-first binary string such as "0110".
-Result<Pattern> PatternFromString(const std::string& s);
-
 /// True iff the k-wide pattern contains a run of at least `run` consecutive
 /// 1-bits. run >= 1.
 bool HasOnesRun(Pattern p, int k, int run);
-
-/// True iff the k-wide pattern contains at least `m` 1-bits.
-bool HasAtLeastOnes(Pattern p, int k, int m);
 
 /// Validates a window width for histogram-based synthesis (1 <= k <= 30 so
 /// that 2^k bins fit comfortably in memory); returns InvalidArgument

@@ -1,20 +1,11 @@
 #include "util/mathutil.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace longdp {
 namespace util {
-
-int CeilLog2(uint64_t x) {
-  int l = 0;
-  uint64_t v = 1;
-  while (v < x) {
-    v <<= 1;
-    ++l;
-  }
-  return l;
-}
 
 int FloorLog2(uint64_t x) {
   int l = 0;
@@ -25,7 +16,10 @@ int FloorLog2(uint64_t x) {
   return l;
 }
 
-int TreeLevels(uint64_t x) { return std::max(CeilLog2(x), 1); }
+int TreeLevels(uint64_t x) {
+  // ceil(log2(x)) = bit_width(x - 1) for x >= 2.
+  return x <= 2 ? 1 : static_cast<int>(std::bit_width(x - 1));
+}
 
 void MomentAccumulator::Add(double x) {
   if (count_ == 0) {
@@ -69,12 +63,6 @@ double Mean(const std::vector<double>& values) {
   double s = 0.0;
   for (double v : values) s += v;
   return s / static_cast<double>(values.size());
-}
-
-double MaxAbs(const std::vector<double>& values) {
-  double m = 0.0;
-  for (double v : values) m = std::max(m, std::fabs(v));
-  return m;
 }
 
 }  // namespace util

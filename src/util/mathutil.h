@@ -1,6 +1,6 @@
-// Small numeric helpers shared across the library: integer log2 ceilings,
-// streaming moment accumulation (Welford), and quantiles (R type-7, matching
-// the paper's R-based evaluation scripts).
+// Small numeric helpers shared across the library: integer log2 floors and
+// tree-level counts, streaming moment accumulation (Welford), and quantiles
+// (R type-7, matching the paper's R-based evaluation scripts).
 
 #ifndef LONGDP_UTIL_MATHUTIL_H_
 #define LONGDP_UTIL_MATHUTIL_H_
@@ -10,9 +10,6 @@
 
 namespace longdp {
 namespace util {
-
-/// ceil(log2(x)) for x >= 1; returns 0 for x == 1.
-int CeilLog2(uint64_t x);
 
 /// floor(log2(x)) for x >= 1.
 int FloorLog2(uint64_t x);
@@ -50,9 +47,6 @@ double Median(std::vector<double> values);
 
 /// Arithmetic mean; 0 for empty input.
 double Mean(const std::vector<double>& values);
-
-/// Maximum absolute value; 0 for empty input.
-double MaxAbs(const std::vector<double>& values);
 
 }  // namespace util
 }  // namespace longdp

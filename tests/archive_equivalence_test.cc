@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -182,6 +183,84 @@ TEST(ArchiveEquivalenceTest, CategoricalQueriesMatchCsvPathBitForBit) {
           << "t=" << e->t << " code=" << code;
     }
   }
+}
+
+TEST(ArchiveEquivalenceTest, OverflowingReleasedValuesAreRefusedOnBothPaths) {
+  // Released values read back from disk are not trusted: a forged log whose
+  // sums leave int64 must be refused, identically, by the archive executor
+  // and by the analyzer over the CSV it was written next to.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  core::ReleaseLog log;
+  core::WindowRelease wrapping_count;
+  wrapping_count.t = 1;
+  wrapping_count.window_k = 1;
+  wrapping_count.true_n = 10;
+  wrapping_count.histogram = {kMax, kMax};
+  ASSERT_TRUE(log.Append(wrapping_count).ok());
+  core::WindowRelease wrapping_pad;
+  wrapping_pad.t = 2;
+  wrapping_pad.window_k = 1;
+  wrapping_pad.npad = 2;
+  wrapping_pad.true_n = 10;
+  wrapping_pad.histogram = {0, -kMax};
+  ASSERT_TRUE(log.Append(wrapping_pad).ok());
+  ASSERT_TRUE(log.Append(core::CumulativeRelease{1, {-kMax, 5}}).ok());
+  ASSERT_TRUE(log.Append(core::CumulativeRelease{2, {kMax, kMax}}).ok());
+  core::CategoricalRelease categorical;
+  categorical.t = 1;
+  categorical.window_k = 1;
+  categorical.alphabet = 3;
+  categorical.npad = 2;
+  categorical.true_n = 10;
+  categorical.histogram = {-kMax, 0, 0};
+  ASSERT_TRUE(log.Append(categorical).ok());
+
+  Paths p("equiv_forged");
+  core::ReleaseLog csv_log;
+  std::unique_ptr<ArchiveReader> reader;
+  Persist(log, p, &csv_log, &reader);
+  core::ReleaseAnalyzer analyzer(csv_log);
+  Exec exec(*reader);
+
+  Exec::Filter windows;
+  windows.kind = EntryKind::kWindow;
+  auto window_entries = exec.Select(windows);
+  ASSERT_EQ(window_entries.size(), 2u);
+  auto every_bin = query::MakeAtLeastOnes(1, 0);
+  auto ones = query::MakeAllOnes(1);
+  const ArchiveEntry& w1 = *window_entries[0];
+  const ArchiveEntry& w2 = *window_entries[1];
+  ASSERT_EQ(w1.t, 1);
+  EXPECT_TRUE(exec.WindowCount(w1, *every_bin).status().IsInvalidArgument());
+  EXPECT_TRUE(exec.DebiasedWindowFraction(w1, *every_bin)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      analyzer.WindowFraction(1, *every_bin).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      exec.BiasedWindowFraction(w1, *ones).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      analyzer.BiasedWindowFraction(1, *ones).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      exec.DebiasedWindowFraction(w2, *ones).status().IsInvalidArgument());
+  EXPECT_TRUE(analyzer.WindowFraction(2, *ones).status().IsInvalidArgument());
+
+  Exec::Filter cumulative;
+  cumulative.kind = EntryKind::kCumulative;
+  auto rows = exec.Select(cumulative);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_TRUE(
+      exec.CountOccExact(*rows[0], *rows[1], 1).status().IsInvalidArgument());
+  EXPECT_TRUE(analyzer.CountOccExact(1, 2, 1).status().IsInvalidArgument());
+
+  Exec::Filter categorical_filter;
+  categorical_filter.kind = EntryKind::kCategorical;
+  auto bins = exec.Select(categorical_filter);
+  ASSERT_EQ(bins.size(), 1u);
+  EXPECT_TRUE(
+      exec.CategoricalBinFraction(*bins[0], 0).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      analyzer.CategoricalBinFraction(1, 0).status().IsInvalidArgument());
 }
 
 TEST(ArchiveEquivalenceTest, CohortSpellsMatchMaterializedDataset) {

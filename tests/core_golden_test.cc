@@ -34,7 +34,7 @@
 #include "core/cumulative_synthesizer.h"
 #include "core/fixed_window_synthesizer.h"
 #include "data/generators.h"
-#include "stream/honaker_counter.h"
+#include "stream/counter_factory.h"
 #include "util/substream.h"
 #include "util/thread_pool.h"
 
@@ -259,8 +259,7 @@ TEST(GoldenTest, CumulativeHonakerReleaseLog) {
         CumulativeSynthesizer::Options opt;
         opt.horizon = T;
         opt.rho = 1.0;
-        opt.counter_factory =
-            std::make_shared<stream::HonakerCounterFactory>();
+        opt.counter_factory = stream::MakeCounterFactory("honaker").value();
         opt.pool = pool;
         opt.seed = 20240614u;
         auto synth = CumulativeSynthesizer::Create(opt).value();

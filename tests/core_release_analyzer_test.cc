@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <limits>
 
 #include "data/generators.h"
@@ -116,6 +118,53 @@ TEST_F(ReleaseAnalyzerTest, SurvivesCsvRoundTrip) {
   double truth = query::EvaluateOnDataset(*pred, *ds_, 6).value();
   EXPECT_NEAR(analyzer.WindowFraction(6, *pred).value(), truth, 1e-12);
   std::remove(path.c_str());
+}
+
+// A hostile release log read from disk: LoadCsv accepts any int64 bin, so
+// every answer that adds or subtracts released values must refuse a result
+// that leaves int64; wrapped, the all-bins count below reads as -2, a
+// plausible-looking fraction of -0.2.
+TEST(ReleaseAnalyzerForgedLogTest, OverflowingReleasedValuesAreRefused) {
+  const std::string max = std::to_string(std::numeric_limits<int64_t>::max());
+  const std::string neg_max = "-" + max;
+  const std::string path = ::testing::TempDir() + "/longdp_forged_log.csv";
+  {
+    std::ofstream out(path);
+    out << "kind,t,k,alphabet,npad,true_n,index,value\n"
+        << "window,1,1,0,0,10,0," << max << "\n"
+        << "window,1,1,0,0,10,1," << max << "\n"
+        << "window,2,1,0,2,10,0,0\n"
+        << "window,2,1,0,2,10,1," << neg_max << "\n"
+        << "cumulative,1,0,0,0,0,0," << neg_max << "\n"
+        << "cumulative,1,0,0,0,0,1,5\n"
+        << "cumulative,2,0,0,0,0,0," << max << "\n"
+        << "cumulative,2,0,0,0,0,1," << max << "\n"
+        << "categorical,1,1,3,2,10,0," << neg_max << "\n"
+        << "categorical,1,1,3,2,10,1,0\n"
+        << "categorical,1,1,3,2,10,2,0\n";
+  }
+  auto loaded = ReleaseLog::LoadCsv(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ReleaseAnalyzer analyzer(loaded.value());
+
+  auto every_bin = query::MakeAtLeastOnes(1, 0);
+  auto ones = query::MakeAllOnes(1);
+  // Histogram count: INT64_MAX + INT64_MAX.
+  EXPECT_TRUE(analyzer.WindowFraction(1, *every_bin).status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(analyzer.BiasedWindowFraction(1, *every_bin).status()
+                  .IsInvalidArgument());
+  // Population sum: the count of one bin fits, the total does not.
+  EXPECT_TRUE(analyzer.BiasedWindowFraction(1, *ones).status()
+                  .IsInvalidArgument());
+  // Debiasing: -INT64_MAX - npad.
+  EXPECT_TRUE(analyzer.WindowFraction(2, *ones).status().IsInvalidArgument());
+  // CountOcc: INT64_MAX - (-INT64_MAX).
+  EXPECT_TRUE(analyzer.CountOccExact(1, 2, 1).status().IsInvalidArgument());
+  // Categorical debiasing: -INT64_MAX - npad.
+  EXPECT_TRUE(analyzer.CategoricalBinFraction(1, 0).status()
+                  .IsInvalidArgument());
 }
 
 }  // namespace

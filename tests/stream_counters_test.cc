@@ -5,10 +5,12 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
+#include <vector>
 
+#include "stream/counter_bank.h"
 #include "stream/counter_factory.h"
 #include "stream/honaker_counter.h"
-#include "stream/laplace_tree_counter.h"
 #include "stream/matrix_counter.h"
 #include "stream/naive_counters.h"
 #include "stream/tree_counter.h"
@@ -27,6 +29,14 @@ util::SubstreamRng NoiseStream(uint64_t i) {
   return util::SubstreamRng(0xC0F3EE + i, util::substream::kCounterNoise);
 }
 
+// A registered counter built through its factory.
+std::unique_ptr<StreamCounter> MakeByName(const std::string& name,
+                                          int64_t horizon, double rho,
+                                          const util::SubstreamRng& stream) {
+  auto f = MakeCounterFactory(name).value();
+  return f->Create(horizon, rho, stream).value();
+}
+
 class CounterContractTest : public ::testing::TestWithParam<std::string> {
  protected:
   std::unique_ptr<StreamCounter> Make(int64_t horizon, double rho,
@@ -38,6 +48,15 @@ class CounterContractTest : public ::testing::TestWithParam<std::string> {
     return std::move(c).value();
   }
 };
+
+TEST_P(CounterContractTest, FactoryValidatesArgs) {
+  auto f = MakeCounterFactory(GetParam()).value();
+  EXPECT_FALSE(f->Create(0, 1.0, NoiseStream(0)).ok());
+  EXPECT_FALSE(f->Create(10, 0.0, NoiseStream(0)).ok());
+  EXPECT_FALSE(f->Create(10, -1.0, NoiseStream(0)).ok());
+  EXPECT_FALSE(f->Create(10, std::nan(""), NoiseStream(0)).ok());
+  EXPECT_TRUE(f->Create(1, 0.1, NoiseStream(0)).ok());
+}
 
 TEST_P(CounterContractTest, NameMatchesRegistry) {
   auto counter = Make(8, 1.0);
@@ -108,6 +127,90 @@ TEST_P(CounterContractTest, EmpiricalErrorWithinBound) {
   EXPECT_LT(static_cast<double>(violations) / checks, kBeta * 1.5 + 0.01);
 }
 
+// Known answers at one fixed key: every registered counter's outputs,
+// standalone at two horizons and as monotone rows of a CounterBank (which
+// takes the Step path for tree counters and Observe for the rest). A
+// refactor of the counters or the registry must keep every value; a
+// change to them changes released data.
+struct CounterKnownAnswers {
+  std::vector<int64_t> t12;   // Observe outputs, T = 12, rho = 0.5
+  std::vector<int64_t> t33;   // Observe outputs, T = 33, rho = 0.5
+  std::vector<int64_t> bank;  // monotone rows t = 1..6, b = 0..6
+};
+
+const CounterKnownAnswers& KnownAnswers(const std::string& name) {
+  static const std::map<std::string, CounterKnownAnswers> kAnswers = {
+      {"tree",
+       {{6, 7, 9, 11, 11, 17, 21, 15, 19, 18, 24, 24},
+        {6, 7, 7, 11, 12, 17, 13, 15, 10, 18, 22, 24, 25, 27, 26, 34, 33, 37,
+         40, 43, 48, 45, 45, 48, 47, 55, 60, 56, 61, 63, 68, 63, 61},
+        {40, 4, 0, 0, 0, 0, 0, 40, 4, 4, 0, 0, 0, 0, 40, 4, 4, 0, 0, 0, 0, 40,
+         5, 4, 4, 0, 0, 0, 40, 7, 5, 4, 3, 0, 0, 40, 9, 7, 4, 4, 0, 0}}},
+      {"honaker",
+       {{6, 8, 7, 11, 13, 17, 19, 17, 21, 21, 24, 26},
+        {6, 7, 7, 10, 3, 12, 15, 15, 15, 19, 24, 26, 24, 30, 33, 34, 34, 35,
+         34, 35, 41, 39, 40, 46, 46, 54, 56, 57, 61, 60, 65, 65, 64},
+        {40, 4, 0, 0, 0, 0, 0, 40, 4, 4, 0, 0, 0, 0, 40, 4, 4, 0, 0, 0, 0, 40,
+         5, 4, 4, 0, 0, 0, 40, 8, 5, 4, 1, 0, 0, 40, 9, 8, 4, 3, 0, 0}}},
+      {"input-perturbation",
+       {{3, 4, 5, 8, 9, 11, 14, 13, 13, 12, 15, 16},
+        {3, 4, 5, 8, 9, 11, 14, 13, 13, 12, 15, 16, 17, 20, 21, 24, 26, 27, 30,
+         29, 32, 34, 32, 36, 37, 40, 43, 42, 45, 45, 48, 48, 48},
+        {40, 3, 0, 0, 0, 0, 0, 40, 3, 2, 0, 0, 0, 0, 40, 5, 3, 2, 0, 0, 0, 40,
+         7, 5, 3, 0, 0, 0, 40, 11, 7, 5, 0, 0, 0, 40, 11, 11, 6, 0, 0, 0}}},
+      {"recompute",
+       {{2, 5, 7, 12, 12, 13, 21, 16, 20, 20, 24, 24},
+        {-2, 3, 2, 9, 4, 14, 13, 20, 20, 25, 17, 29, 31, 33, 19, 32, 29, 47,
+         44, 45, 45, 29, 46, 50, 55, 51, 52, 61, 68, 53, 66, 56, 69},
+        {40, 5, 0, 0, 0, 0, 0, 40, 5, 5, 0, 0, 0, 0, 40, 6, 5, 2, 0, 0, 0, 40,
+         7, 5, 5, 0, 0, 0, 40, 11, 6, 5, 1, 0, 0, 40, 11, 6, 6, 1, 1, 0}}},
+      {"laplace-tree",
+       {{2, -5, -8, 12, -5, 25, 22, 15, 20, 17, 26, 27},
+        {-2, 8, 2, 14, 12, 15, 24, 14, 11, 19, 27, 22, 29, 25, 26, 21, 23, 20,
+         18, 33, 33, 40, 53, 47, 55, 48, 20, 37, 41, 44, 44, 67, 72},
+        {40, 4, 0, 0, 0, 0, 0, 40, 4, 4, 0, 0, 0, 0, 40, 4, 4, 2, 0, 0, 0, 40,
+         5, 4, 4, 0, 0, 0, 40, 6, 4, 4, 3, 0, 0, 40, 12, 6, 4, 4, 3, 0}}},
+      {"sqrt-matrix",
+       {{3, 5, 6, 9, 13, 15, 19, 19, 22, 21, 22, 25},
+        {3, 5, 6, 9, 10, 14, 18, 18, 21, 17, 20, 23, 23, 28, 28, 30, 33, 33,
+         36, 37, 42, 45, 45, 47, 48, 53, 54, 55, 57, 58, 62, 63, 62},
+        {40, 4, 0, 0, 0, 0, 0, 40, 4, 2, 0, 0, 0, 0, 40, 4, 4, 2, 0, 0, 0, 40,
+         6, 4, 4, 0, 0, 0, 40, 9, 6, 4, 0, 0, 0, 40, 9, 9, 4, 2, 0, 0}}},
+  };
+  return kAnswers.at(name);
+}
+
+TEST_P(CounterContractTest, KnownAnswersAtFixedKey) {
+  const CounterKnownAnswers& want = KnownAnswers(GetParam());
+  for (const int64_t horizon : {int64_t{12}, int64_t{33}}) {
+    auto counter = Make(horizon, 0.5, 7);
+    std::vector<int64_t> got;
+    for (int64_t t = 1; t <= horizon; ++t) {
+      got.push_back(counter->Observe((3 * t + 1) % 5).value());
+    }
+    EXPECT_EQ(got, horizon == 12 ? want.t12 : want.t33) << "T=" << horizon;
+  }
+
+  CounterBank::Options options;
+  options.horizon = 6;
+  options.population = 40;
+  options.total_rho = 2.0;
+  options.seed = 0xBA4C;
+  options.factory = MakeCounterFactory(GetParam()).value();
+  auto bank = CounterBank::Create(options).value();
+  std::vector<int64_t> rows;
+  for (int64_t t = 1; t <= 6; ++t) {
+    std::vector<int64_t> z(6, 0);
+    for (int64_t b = 1; b <= t; ++b) {
+      z[static_cast<size_t>(b - 1)] = (t + 2 * b) % 4;
+    }
+    ASSERT_TRUE(bank->ObserveRound(z).ok());
+    rows.insert(rows.end(), bank->monotone_row().begin(),
+                bank->monotone_row().end());
+  }
+  EXPECT_EQ(rows, want.bank);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllCounters, CounterContractTest,
     ::testing::ValuesIn(RegisteredCounterNames()),
@@ -131,11 +234,12 @@ TEST(CounterFactoryTest, RegistryListsAllImplementations) {
 }
 
 TEST(LaplaceTreeCounterTest, PureDpCalibration) {
-  // epsilon = sqrt(2 rho); per-node scale = L / epsilon.
-  LaplaceTreeCounter c(12, 0.02, NoiseStream(0));
-  EXPECT_NEAR(c.epsilon(), 0.2, 1e-12);
+  // epsilon = sqrt(2 rho) = 0.2; per-node scale = L / epsilon.
+  TreeCounter c(12, 0.02, NoiseStream(0), dp::NoiseSampler::Kind::kLaplace);
+  EXPECT_EQ(c.name(), "laplace-tree");
+  EXPECT_EQ(c.node_noise().kind(), dp::NoiseSampler::Kind::kLaplace);
   EXPECT_EQ(c.levels(), 4);
-  EXPECT_NEAR(c.node_scale(), 4.0 / 0.2, 1e-12);
+  EXPECT_NEAR(c.node_noise().param(), 4.0 / 0.2, 1e-12);
 }
 
 TEST(LaplaceTreeCounterTest, HeavierTailsThanGaussianTree) {
@@ -149,10 +253,9 @@ TEST(LaplaceTreeCounterTest, HeavierTailsThanGaussianTree) {
   util::MomentAccumulator gaussian_err, laplace_err;
   for (int trial = 0; trial < kTrials; ++trial) {
     const uint64_t id = static_cast<uint64_t>(trial);
-    auto g = TreeCounterFactory().Create(kT, kRho, NoiseStream(id)).value();
-    auto l = LaplaceTreeCounterFactory()
-                 .Create(kT, kRho, NoiseStream(id + 100000))
-                 .value();
+    auto g = MakeByName("tree", kT, kRho, NoiseStream(id));
+    auto l =
+        MakeByName("laplace-tree", kT, kRho, NoiseStream(id + 100000));
     int64_t truth = 0;
     int64_t rg = 0, rl = 0;
     for (int64_t t = 1; t <= 15; ++t) {
@@ -185,10 +288,9 @@ TEST(HonakerCounterTest, EmpiricallyTighterThanTree) {
   util::MomentAccumulator tree_err, honaker_err;
   for (int trial = 0; trial < kTrials; ++trial) {
     const uint64_t id = static_cast<uint64_t>(trial);
-    auto tree = TreeCounterFactory().Create(kT, kRho, NoiseStream(id)).value();
-    auto honaker = HonakerCounterFactory()
-                       .Create(kT, kRho, NoiseStream(id + 100000))
-                       .value();
+    auto tree = MakeByName("tree", kT, kRho, NoiseStream(id));
+    auto honaker =
+        MakeByName("honaker", kT, kRho, NoiseStream(id + 100000));
     int64_t truth = 0;
     int64_t last_tree = 0, last_honaker = 0;
     for (int64_t t = 1; t <= 31; ++t) {  // t=31: 5 set bits, worst case
@@ -254,10 +356,9 @@ TEST(MatrixCounterTest, BeatsTreeConstantsAtModerateHorizons) {
   util::MomentAccumulator tree_err, matrix_err;
   for (int trial = 0; trial < kTrials; ++trial) {
     const uint64_t id = static_cast<uint64_t>(trial);
-    auto tree = TreeCounterFactory().Create(kT, kRho, NoiseStream(id)).value();
-    auto matrix = MatrixCounterFactory()
-                      .Create(kT, kRho, NoiseStream(id + 100000))
-                      .value();
+    auto tree = MakeByName("tree", kT, kRho, NoiseStream(id));
+    auto matrix =
+        MakeByName("sqrt-matrix", kT, kRho, NoiseStream(id + 100000));
     int64_t truth = 0;
     int64_t rt = 0, rm = 0;
     for (int64_t t = 1; t <= 255; ++t) {
@@ -272,8 +373,9 @@ TEST(MatrixCounterTest, BeatsTreeConstantsAtModerateHorizons) {
 }
 
 TEST(MatrixCounterTest, FactoryRejectsHugeHorizon) {
-  EXPECT_TRUE(MatrixCounterFactory()
-                  .Create((int64_t{1} << 16) + 1, 0.5, NoiseStream(0))
+  auto f = MakeCounterFactory("sqrt-matrix").value();
+  EXPECT_TRUE(f->Create(int64_t{1} << 16, 0.5, NoiseStream(0)).ok());
+  EXPECT_TRUE(f->Create((int64_t{1} << 16) + 1, 0.5, NoiseStream(0))
                   .status()
                   .IsInvalidArgument());
 }

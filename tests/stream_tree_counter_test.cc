@@ -6,6 +6,7 @@
 #include <limits>
 #include <vector>
 
+#include "stream/counter_factory.h"
 #include "util/mathutil.h"
 #include "util/substream.h"
 
@@ -21,17 +22,10 @@ util::SubstreamRng NoiseStream(uint64_t i) {
 
 std::unique_ptr<StreamCounter> MakeTree(int64_t horizon, double rho,
                                         uint64_t stream_id = 0) {
-  auto r = TreeCounterFactory().Create(horizon, rho, NoiseStream(stream_id));
+  auto r = MakeCounterFactory("tree").value()->Create(horizon, rho,
+                                                      NoiseStream(stream_id));
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return std::move(r).value();
-}
-
-TEST(TreeCounterTest, FactoryValidatesArgs) {
-  TreeCounterFactory f;
-  EXPECT_FALSE(f.Create(0, 1.0, NoiseStream(0)).ok());
-  EXPECT_FALSE(f.Create(10, 0.0, NoiseStream(0)).ok());
-  EXPECT_FALSE(f.Create(10, -1.0, NoiseStream(0)).ok());
-  EXPECT_TRUE(f.Create(1, 0.1, NoiseStream(0)).ok());
 }
 
 TEST(TreeCounterTest, ZeroNoiseIsExactPrefixSum) {
@@ -65,7 +59,8 @@ TEST(TreeCounterTest, LevelsMatchHorizon) {
 TEST(TreeCounterTest, NodeVarianceCalibration) {
   // sigma^2 = L / (2 rho).
   TreeCounter c(12, 0.005, NoiseStream(0));
-  EXPECT_DOUBLE_EQ(c.node_sigma2(), 4.0 / (2.0 * 0.005));
+  EXPECT_EQ(c.node_noise().kind(), dp::NoiseSampler::Kind::kGaussian);
+  EXPECT_DOUBLE_EQ(c.node_noise().param(), 4.0 / (2.0 * 0.005));
 }
 
 TEST(TreeCounterTest, ErrorWithinBoundMostOfTheTime) {
@@ -144,7 +139,7 @@ TEST(TreeCounterTest, FinalErrorVarianceMatchesNodeDecomposition) {
     acc.Add(static_cast<double>(released - truth));
   }
   TreeCounter reference(kT, kRho, NoiseStream(0));
-  double expected_var = 3.0 * reference.node_sigma2();
+  double expected_var = 3.0 * reference.node_noise().param();
   EXPECT_NEAR(acc.mean(), 0.0, 5.0 * std::sqrt(expected_var / kTrials));
   EXPECT_NEAR(acc.variance(), expected_var, 0.15 * expected_var);
 }

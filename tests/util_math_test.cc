@@ -8,16 +8,6 @@ namespace longdp {
 namespace util {
 namespace {
 
-TEST(MathTest, CeilLog2) {
-  EXPECT_EQ(CeilLog2(1), 0);
-  EXPECT_EQ(CeilLog2(2), 1);
-  EXPECT_EQ(CeilLog2(3), 2);
-  EXPECT_EQ(CeilLog2(4), 2);
-  EXPECT_EQ(CeilLog2(5), 3);
-  EXPECT_EQ(CeilLog2(1024), 10);
-  EXPECT_EQ(CeilLog2(1025), 11);
-}
-
 TEST(MathTest, FloorLog2) {
   EXPECT_EQ(FloorLog2(1), 0);
   EXPECT_EQ(FloorLog2(2), 1);
@@ -35,6 +25,8 @@ TEST(MathTest, TreeLevels) {
   EXPECT_EQ(TreeLevels(12), 4);
   EXPECT_EQ(TreeLevels(16), 4);
   EXPECT_EQ(TreeLevels(17), 5);
+  EXPECT_EQ(TreeLevels(1024), 10);
+  EXPECT_EQ(TreeLevels(1025), 11);
 }
 
 TEST(MathTest, MomentAccumulatorBasics) {
@@ -85,11 +77,9 @@ TEST(MathTest, QuantileSingleton) {
   EXPECT_EQ(Quantile({3.0}, 0.975), 3.0);
 }
 
-TEST(MathTest, MeanAndMaxAbs) {
+TEST(MathTest, Mean) {
   EXPECT_EQ(Mean({}), 0.0);
   EXPECT_DOUBLE_EQ(Mean({1, 2, 3}), 2.0);
-  EXPECT_EQ(MaxAbs({}), 0.0);
-  EXPECT_EQ(MaxAbs({-5, 3, 2}), 5.0);
 }
 
 }  // namespace
